@@ -47,6 +47,7 @@ from .models import (
     shannon_entropy,
 )
 from .montecarlo import (
+    CENSOR_SUMMARY_LIMIT,
     dkw_epsilon,
     empirical_return_survival,
     empirical_survival,
@@ -198,7 +199,7 @@ def _run_exponent(cfg, model, workers, sampler_name):
     results = {
         "target": run.target,
         "censored_fraction": run.censored_fraction,
-        "summary": run.summary() if run.censored_fraction <= 0.01 else None,
+        "summary": run.summary() if run.censored_fraction <= CENSOR_SUMMARY_LIMIT else None,
     }
     eps = cfg.get("epsilon")
     if eps is not None:

@@ -32,10 +32,6 @@ class NonPositiveS(HitstatError, ValueError):
     """A Renyi order parameter s must be strictly positive."""
 
 
-class PowerIterationNoConvergence(HitstatError, RuntimeError):
-    """Power iteration failed to converge within its iteration cap."""
-
-
 class BudgetExceeded(HitstatError, ValueError):
     """An exhaustive enumeration would exceed the configured budget."""
 
@@ -62,8 +58,13 @@ class CensoringExceeded(HitstatError, RuntimeError):
 # --- exact distributions ------------------------------------------------
 
 class TailNotContracting(HitstatError, RuntimeError):
-    """The transient block of an absorbing chain shows no certified
-    contraction, so infinite sums over it cannot be truncated."""
+    """Some transient states of an absorbing chain never exit (a zero
+    elimination pivot), so sums over its future diverge."""
+
+
+class ToleranceNotCertified(HitstatError, ArithmeticError):
+    """The certified error bound of a computed value is wider than the
+    requested relative tolerance."""
 
 
 class GridTooCoarse(HitstatError, ValueError):

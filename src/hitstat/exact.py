@@ -3,9 +3,11 @@
 The matcher automaton composed with the symbol process is a finite
 Markov chain on pairs (automaton node, last symbol); making the
 terminal node absorbing turns "no match among windows 1..m" into the
-transient mass after a fixed number of transitions.  All laws here are
-therefore computed to machine precision by vector-operator iteration,
-with infinite sums closed by a *certified* geometric tail bound.
+transient mass after a fixed number of transitions, found by stepping.
+Infinite sums, such as the mean return time, are one subtraction-free GTH
+solve of ``(I - Q) x = 1`` (``models._gth_solve``), whose relative error
+bound is counted from the elimination's fill and does not depend on how
+small the target's measure is.
 
 Time alignment (windows are ``x_i..x_{i+n-1}``, entrance means the
 smallest matching ``i >= 1``):
@@ -35,12 +37,13 @@ from pathlib import Path
 import numpy as np
 
 from .automata import PatternAutomaton, build_automaton
-from .errors import GridTooCoarse, TailNotContracting, ZeroMeasureTarget
+from .errors import GridTooCoarse, ToleranceNotCertified, ZeroMeasureTarget
 from .models import (
     BernoulliModel,
-    GeometricModel,
     MarkovModel,
     MeasureModel,
+    _UNIT_ROUNDOFF,
+    _gth_solve,
     log_cylinder_measure,
     phi_bound,
 )
@@ -56,13 +59,15 @@ class ProductChain:
 
     ``states`` lists the transient states; i.i.d. models drop the last
     symbol coordinate (stored as ``None``) since it never affects the
-    future.  ``Q`` is the transient-to-transient block, row-stochastic
-    up to the absorbed mass.  ``origin_consumed`` records how many
-    shifted symbols the ``initial`` vector already accounts for.
+    future.  ``Q`` is the transient-to-transient block and ``exit`` each
+    row's mass into the terminal node, summed from its transitions (not
+    ``1 - Q.sum(1)``).  ``origin_consumed`` records how many shifted
+    symbols the ``initial`` vector already accounts for.
     """
 
     states: tuple
     Q: np.ndarray
+    exit: np.ndarray
     initial: np.ndarray
     initial_absorbed: float
     origin_consumed: int
@@ -87,25 +92,46 @@ def build_product_chain(model: MeasureModel, target, conditioning: str = ENTRANC
         raise ZeroMeasureTarget(f"target {target} has measure zero")
     if conditioning not in (ENTRANCE, RETURN):
         raise ValueError(f"conditioning must be {ENTRANCE!r} or {RETURN!r}")
-    n = len(target)
-
+    auto = build_automaton([target], alphabet_size=model.k)
+    # a context is the symbol the future depends on: the last one for a
+    # Markov model, none for an i.i.d. one; ``rows[c]`` are its column masses
     if isinstance(model, MarkovModel):
-        auto = build_automaton([target], alphabet_size=model.k)
-        chain = _markov_chain(model, auto, target, conditioning)
+        rows, first, context = dict(enumerate(model.P)), model.pi, lambda col: col
     else:
-        auto = build_automaton(
-            [target],
-            alphabet_size=model.k if isinstance(model, BernoulliModel) else None,
-        )
-        chain = _iid_chain(model, auto, target, conditioning)
-    states, Q, initial, absorbed = chain
-    origin = 1 if conditioning == ENTRANCE else n - 1
+        masses = _column_masses(model, auto)
+        rows, first, context = {None: masses}, masses, lambda col: None
+    nodes = [u for u in range(auto.n_states) if auto.terminal[u] < 0]
+    states = [(u, c) for u in nodes for c in rows]
+    index = {st: i for i, st in enumerate(states)}
+    S = len(states)
+    Q, exit, initial = np.zeros((S, S)), np.zeros(S), np.zeros(S)
+    for (u, c), i in index.items():
+        for col, mass in enumerate(rows[c]):
+            v = auto.table[u][col]
+            if auto.terminal[v] < 0:
+                Q[i, index[(v, context(col))]] += mass
+            else:
+                exit[i] += mass
+    absorbed = 0.0
+    if conditioning == ENTRANCE:
+        for col, mass in enumerate(first):
+            v = auto.table[0][col]
+            if auto.terminal[v] < 0:
+                initial[index[(v, context(col))]] += mass
+            else:
+                absorbed += mass
+    else:
+        state = 0
+        for sym in target[1:]:
+            state = auto.step(state, sym)
+        initial[index[(state, context(target[-1]))]] = 1.0
     return ProductChain(
         states=tuple(states),
         Q=Q,
+        exit=exit,
         initial=initial,
         initial_absorbed=absorbed,
-        origin_consumed=origin,
+        origin_consumed=1 if conditioning == ENTRANCE else len(target) - 1,
         kind=conditioning,
         word=target,
         mu=math.exp(log_mu),
@@ -121,68 +147,6 @@ def _column_masses(model: MeasureModel, auto: PatternAutomaton) -> np.ndarray:
         masses[col] = (1.0 - model.theta) * model.theta**sym
     masses[auto.other_col] = 1.0 - masses.sum()
     return masses
-
-
-def _iid_chain(model, auto: PatternAutomaton, target: Word, conditioning: str):
-    masses = _column_masses(model, auto)
-    nodes = [u for u in range(auto.n_states) if auto.terminal[u] < 0]
-    index = {u: i for i, u in enumerate(nodes)}
-    S = len(nodes)
-    Q = np.zeros((S, S))
-    for u in nodes:
-        row = auto.table[u]
-        for col, mass in enumerate(masses):
-            v = row[col]
-            if auto.terminal[v] < 0:
-                Q[index[u], index[v]] += mass
-    initial = np.zeros(S)
-    absorbed = 0.0
-    if conditioning == ENTRANCE:
-        for col, mass in enumerate(masses):
-            v = auto.table[0][col]
-            if auto.terminal[v] < 0:
-                initial[index[v]] += mass
-            else:
-                absorbed += mass
-    else:
-        state = 0
-        for sym in target[1:]:
-            state = auto.step(state, sym)
-        initial[index[state]] = 1.0
-    states = [(u, None) for u in nodes]
-    return states, Q, initial, absorbed
-
-
-def _markov_chain(model: MarkovModel, auto: PatternAutomaton, target: Word, conditioning: str):
-    k = model.k
-    nodes = [u for u in range(auto.n_states) if auto.terminal[u] < 0]
-    states = [(u, a) for u in nodes for a in range(k)]
-    index = {st: i for i, st in enumerate(states)}
-    S = len(states)
-    Q = np.zeros((S, S))
-    for u in nodes:
-        row = auto.table[u]
-        for a in range(k):
-            i = index[(u, a)]
-            for b in range(k):
-                v = row[b]
-                if auto.terminal[v] < 0:
-                    Q[i, index[(v, b)]] += model.P[a, b]
-    initial = np.zeros(S)
-    absorbed = 0.0
-    if conditioning == ENTRANCE:
-        for a in range(k):
-            v = auto.table[0][a]
-            if auto.terminal[v] < 0:
-                initial[index[(v, a)]] += model.pi[a]
-            else:
-                absorbed += model.pi[a]
-    else:
-        state = 0
-        for sym in target[1:]:
-            state = auto.step(state, sym)
-        initial[index[(state, target[-1])]] = 1.0
-    return states, Q, initial, absorbed
 
 
 # ---------------------------------------------------------------------------
@@ -280,41 +244,24 @@ def return_survival(model: MeasureModel, target, m_max: int) -> SurvivalCurve:
 # certified infinite sums
 # ---------------------------------------------------------------------------
 
-def _certified_survival_total(chain: ProductChain, rel_tol: float,
-                              max_doublings: int = 64) -> tuple[float, np.ndarray]:
-    """``sum_{m >= 0} Q^m 1`` paired with its certified error bound.
+def _survival_total(chain: ProductChain, rel_tol: float) -> float:
+    """``sum_{m >= 0} initial Q^m 1`` within relative ``rel_tol``, or raise.
 
-    Doubling scheme: with ``u_J = sum_{m < 2^J} Q^m 1`` and
-    ``A_J = Q^(2^J)``, the remainder is ``A_J @ total``, so once the row
-    sums of ``A_J`` drop below 1 the full sum is bounded by
-    ``max(u_J) / (1 - eta)`` and the truncation error by
-    ``A_J @ 1 * max(u_J) / (1 - eta)`` componentwise.  Unlike a spectral
-    radius estimate, the row-sum norm of an explicit matrix power is a
-    rigorous certificate.
+    ``x = (I - Q)^-1 1`` comes from one GTH solve with its certified
+    entrywise bound; the non-negative weights ``initial`` and one ``fsum``
+    add two roundings, covered by three more units.
     """
-    S = chain.Q.shape[0]
-    u = np.ones(S)
-    A = chain.Q.copy()
-    for _ in range(max_doublings):
-        u = u + A @ u
-        A = A @ A
-        eta = float(A.sum(axis=1).max())
-        if eta < 1.0:
-            bound = float(u.max()) / (1.0 - eta)
-            err = (A @ np.ones(S)) * bound
-            total = float(chain.initial @ u)
-            if float(chain.initial @ err) <= rel_tol * max(total, 1.0):
-                return total, err
-    raise TailNotContracting(
-        "transient block shows no contraction; target may be unreachable"
-    )
+    x, bound = _gth_solve(chain.Q, chain.exit, np.ones(len(chain.states)))
+    bound = (bound + 3.0 * _UNIT_ROUNDOFF) * (1.0 + 4.0 * _UNIT_ROUNDOFF)
+    if not bound <= rel_tol:
+        raise ToleranceNotCertified(f"mean return on {len(x)} states is certified only to {bound:.3g}, "
+                                    f"above rel_tol = {rel_tol:g}")
+    return math.fsum((chain.initial * x).tolist())
 
 
 def exact_mean_return(model: MeasureModel, target, rel_tol: float = 1e-10) -> float:
-    """``E_B[tau_B]``, certified to ``rel_tol``; Kac says this is ``1/mu(B)``."""
-    chain = build_product_chain(model, target, RETURN)
-    total, _ = _certified_survival_total(chain, rel_tol)
-    return total
+    """``E_B[tau_B]`` within relative ``rel_tol``, or raise; Kac says ``1/mu(B)``."""
+    return _survival_total(build_product_chain(model, target, RETURN), rel_tol)
 
 
 def entrance_return_residual(model: MeasureModel, target, m_max: int, rel_tol: float = 1e-12) -> float:
@@ -323,7 +270,8 @@ def entrance_return_residual(model: MeasureModel, target, m_max: int, rel_tol: f
     The identity is ``P(tau >= k) = mu(B) * sum_{j >= k} P_B(tau_B >= j)``
     for every ``k >= 1`` (at ``k = 1`` it is Kac's lemma).  Both sides
     are exact: the entrance side by stepping, the return-side tail by
-    the certified total minus a partial sum.
+    the total ``E_B[tau_B]`` minus a partial sum.  ``rel_tol`` bounds the
+    relative error of that total; a solve that cannot certify it raises.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
@@ -331,7 +279,7 @@ def entrance_return_residual(model: MeasureModel, target, m_max: int, rel_tol: f
     ret_chain = build_product_chain(model, target, RETURN)
     entrance = exact_survival(ent_chain, max(m_max - 1, 1)).values
     ret = exact_survival(ret_chain, max(m_max - 1, 1)).values
-    total, _ = _certified_survival_total(ret_chain, rel_tol)
+    total = _survival_total(ret_chain, rel_tol)
     mu = ent_chain.mu
     worst = 0.0
     partial = 0.0  # sum_{i <= k-2} P_B(tau_B > i)

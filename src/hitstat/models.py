@@ -48,8 +48,9 @@ from .errors import (
     InvalidSymbol,
     NonPositiveS,
     NonStochasticRow,
-    PowerIterationNoConvergence,
     ReducibleChain,
+    TailNotContracting,
+    ToleranceNotCertified,
     ZeroMassSymbol,
 )
 from .words import Word, as_word
@@ -57,6 +58,8 @@ from .words import Word, as_word
 _SUM_TOL = 1e-12          # row/vector stochasticity tolerance
 _STATIONARY_TOL = 1e-10   # accepted residual for a supplied stationary vector
 _LOG_ZERO = float("-inf")
+_UNIT_ROUNDOFF = 2.0**-53
+_NORMAL_PRODUCTS = 2.0**-511  # products of entries this large stay normal
 
 
 # ---------------------------------------------------------------------------
@@ -243,25 +246,77 @@ def _graph_period(support: np.ndarray) -> int:
     return abs(g)
 
 
-def stationary_distribution(P: np.ndarray, tol: float = 1e-13, max_iter: int = 1_000_000) -> np.ndarray:
-    """Stationary vector of an irreducible kernel by damped power iteration.
+def stationary_distribution(P: np.ndarray) -> np.ndarray:
+    """Stationary vector of an irreducible kernel by one GTH elimination.
 
-    Iterates ``pi <- pi (P + I) / 2``; the damping makes the iteration
-    matrix primitive even for nearly periodic chains, so convergence is
-    guaranteed.  Stops on the fixed-point residual ``max|pi P - pi|``,
-    which certifies the answer rather than mere stagnation.  Raises
-    ``PowerIterationNoConvergence`` past ``max_iter``.
+    With state 0 as the regeneration state, ``pi[1:] / pi[0]`` solves
+    ``y (I - P[1:, 1:]) = P[0, 1:]`` with exit mass ``P[1:, 0]``.  Every
+    entry of ``y`` is within the relative bound ``_gth_solve`` certifies,
+    at most ``(1-u)**(-4 k**2) - 1`` (``u = 2**-53``), however close the
+    chain is to reducible, and the normalisation adds a few roundings.
+    Raises ``ReducibleChain`` when some states never reach state 0.
     """
     P = np.asarray(P, dtype=float)
-    k = P.shape[0]
-    pi = np.full(k, 1.0 / k)
-    for _ in range(max_iter):
-        step = pi @ P
-        if float(np.abs(step - pi).max()) <= tol:
-            return pi
-        pi = 0.5 * (step + pi)
-        pi /= pi.sum()
-    raise PowerIterationNoConvergence(f"stationary vector not converged in {max_iter} iterations")
+    try:
+        y, _ = _gth_solve(P[1:, 1:], P[1:, 0], P[0, 1:], left=True)
+    except TailNotContracting as exc:
+        raise ReducibleChain("some states never reach state 0") from exc
+    v = np.concatenate(([1.0], y))
+    return v / math.fsum(v.tolist())
+
+
+def _gth_solve(Q: np.ndarray, exit: np.ndarray, rhs: np.ndarray,
+               left: bool = False) -> tuple[np.ndarray, float]:
+    """Solve ``(I - Q) x = rhs``, or ``x (I - Q) = rhs`` when ``left``, by GTH.
+
+    ``exit`` is each row's absorbed mass; the diagonal of ``I - Q`` is taken
+    as ``exit`` plus the off-diagonal row mass, so ``Q``'s diagonal is never
+    read.  The Grassmann-Taksar-Heyman elimination (Oper. Res. 33, 1985)
+    forms every pivot that way, never as ``1 - Q_kk``; with ``rhs >= 0`` it
+    only adds, multiplies and divides non-negative numbers.  A zero pivot
+    (states that never exit) raises ``TailNotContracting``.
+
+    Returns ``x`` and ``bound`` with ``|x_computed - x| <= bound * x``
+    entrywise.  The bound counts roundings by how far they reach, after
+    O'Cinneide (Numer. Math. 65, 1993): by the all-minors matrix-tree
+    theorem ``x`` is a ratio of sums over spanning forests that take one
+    out-edge per state, so scaling the out-edges of ``r`` states by factors
+    within ``(1-u)**(+-c)`` (``u = 2**-53``) moves ``x`` within
+    ``(1-u)**(-+2 r c)``, and scaling ``rhs`` moves it no further than
+    that scaling.  Eliminating state ``k`` rounds each ratio ``M[k, j] / d_k``
+    once (2 units), ``rhs_k / d_k`` three times (3 units), every updated
+    entry of the ``r_k`` rows that lead into ``k`` four times (``8 r_k``)
+    and each ``rhs`` entry it updates twice (2 units); substituting back
+    for ``x_k`` adds four.  So ``bound = (1-u)**(-E) - 1`` with ``E = sum_k (11 + 8 r_k)``,
+    ``r_k`` the nonzeros of column ``k`` when it is eliminated.  A dense
+    chain has ``r_k = k`` and ``E`` about ``4 S**2``; the product chains of
+    ``exact`` keep ``r_k`` at a few, so ``E`` grows as ``S``.  Products that
+    underflow are not counted: nonzero entries of ``Q`` or ``exit`` below
+    ``2**-511`` make the bound infinite.
+    """
+    S = len(exit)
+    M = np.array(Q, dtype=float)
+    out = np.array(exit, dtype=float)
+    d = np.empty(S)
+    E = 11 * S
+    for k in range(S - 1, -1, -1):
+        d[k] = math.fsum([out[k], *M[k, :k].tolist()])
+        if d[k] <= 0.0:
+            raise TailNotContracting(f"transient state {k} never exits")
+        col = M[:k, k]
+        E += 8 * int(np.count_nonzero(col))
+        M[:k, :k] += np.multiply.outer(col, M[k, :k] / d[k])
+        out[:k] += col * (out[k] / d[k])
+    F = M.T if left else M
+    x = np.array(rhs, dtype=float)
+    for k in range(S - 1, 0, -1):
+        x[:k] += F[:k, k] * (x[k] / d[k])
+    for k in range(S):
+        x[k] = math.fsum([x[k], *(F[k, :k] * x[:k]).tolist()]) / d[k]
+    bound = math.expm1(-E * math.log1p(-_UNIT_ROUNDOFF))
+    if np.concatenate((Q[Q > 0.0], exit[exit > 0.0])).min(initial=1.0) < _NORMAL_PRODUCTS:
+        bound = math.inf
+    return x, bound
 
 
 # ---------------------------------------------------------------------------
@@ -351,46 +406,53 @@ def shannon_entropy(model: MeasureModel) -> float:
     return -math.log1p(-t) - t / (1.0 - t) * math.log(t)
 
 
-def renyi_entropy(model: MeasureModel, s: float, rel_tol: float = 1e-12,
-                  max_iter: int = 100_000) -> float:
+def renyi_entropy(model: MeasureModel, s: float, rel_tol: float = 1e-12) -> float:
     """Renyi-type rate ``R(s)`` for ``s > 0``.
 
     I.i.d. models use the closed form ``-(1/s) log sum_i p_i**(1+s)``
     (series summation for the countable model).  Markov models use the
-    Perron root of the entrywise power kernel ``P**(1+s)``, found by
-    power iteration to relative tolerance ``rel_tol``.  The stationary
-    factor ``pi**(1+s)`` in ``Z_n`` only shifts the prefactor, never the
-    exponential rate; ``partition_sum_exact`` checks this numerically.
+    Perron root ``lam`` of the entrywise power kernel ``P**(1+s)``: the root
+    behind the value is within relative ``rel_tol`` of the exact one, so
+    ``R(s)`` is within about ``rel_tol / s`` absolute, or the root's bracket
+    (``_perron_root``) is too wide and ``ToleranceNotCertified`` is raised.
+    The stationary factor ``pi**(1+s)`` in ``Z_n`` only shifts the prefactor,
+    never the exponential rate; ``partition_sum_exact`` checks this.
     """
     if s <= 0.0:
         raise NonPositiveS(f"s must be > 0, got {s}")
     if isinstance(model, BernoulliModel):
         return float(-logsumexp((1.0 + s) * model.log_p) / s)
     if isinstance(model, MarkovModel):
-        lam = _perron_root(model.P ** (1.0 + s), rel_tol=rel_tol, max_iter=max_iter)
+        lam, lo, hi = _perron_root(model.P ** (1.0 + s))
+        if not (hi - lo) / lo <= rel_tol:
+            raise ToleranceNotCertified(f"the root behind R({s}) is bracketed only to "
+                                        f"relative width {(hi - lo) / lo:.3g}")
         return -math.log(lam) / s
     t = model.theta
     log_z1 = (1.0 + s) * math.log1p(-t) - math.log1p(-(t ** (1.0 + s)))
     return -log_z1 / s
 
 
-def _perron_root(Q: np.ndarray, rel_tol: float = 1e-12, max_iter: int = 100_000) -> float:
-    """Leading eigenvalue of a primitive non-negative matrix."""
-    v = np.full(Q.shape[0], 1.0 / Q.shape[0])
-    lam_prev = 0.0
-    settled = 0
-    for _ in range(max_iter):
-        w = v @ Q
-        lam = float(w.sum())
-        if lam <= 0.0:
-            raise PowerIterationNoConvergence("iterate collapsed to zero mass")
-        w /= lam
-        settled = settled + 1 if abs(lam - lam_prev) <= rel_tol * lam else 0
-        if settled >= 2:
-            return lam
-        lam_prev = lam
-        v = w
-    raise PowerIterationNoConvergence(f"no convergence in {max_iter} iterations")
+def _perron_root(A: np.ndarray) -> tuple[float, float, float]:
+    """Leading eigenvalue ``lam`` of a primitive non-negative matrix, in ``[lo, hi]``.
+
+    For the eigensolver's positive Perron vector ``x``, the Collatz-Wielandt
+    bracket ``min_i (Ax)_i/x_i <= lam <= max_i (Ax)_i/x_i`` is widened by
+    ``gamma_(k+5)``: ``k + 1`` roundings per ratio, two for ``pow`` in ``A``
+    (within one ulp; the root is monotone in the entries), two for the ends.
+    """
+    w, V = np.linalg.eig(A)
+    i = int(np.argmax(w.real))
+    x = V[:, i].real
+    x = x / x.sum()
+    if not np.all(x > 0.0):
+        raise ToleranceNotCertified("the Perron vector is not positive in floating point")
+    ratios = (A @ x) / x
+    g = (A.shape[0] + 5) * _UNIT_ROUNDOFF
+    g /= 1.0 - g
+    lo = float(ratios.min()) * (1.0 - g)
+    hi = float(ratios.max()) * (1.0 + g)
+    return min(max(float(w[i].real), lo), hi), lo, hi
 
 
 def partition_sum_exact(model: MeasureModel, n: int, s: float, budget: int = 10**8) -> float:

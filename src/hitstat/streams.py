@@ -239,7 +239,8 @@ def window_counts(sequence, n: int) -> np.ndarray:
     base = np.uint64(k)
     u = seq.astype(np.uint64)
     for j in range(n):
-        codes = codes * base + u[j:j + m]
+        codes *= base
+        codes += u[j:j + m]
     return np.unique(codes, return_counts=True)[1]
 
 

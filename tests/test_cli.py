@@ -1,10 +1,13 @@
 """End-to-end CLI runs: exit codes, report layout, determinism."""
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from hitstat.cli import main
+from hitstat.cli import KINDS, _load_config, _resolve_model, main
+
+DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 
 def run_cli(tmp_path, cfg, name="exp.json", extra=()):
@@ -51,6 +54,16 @@ def test_renyi_exact_uniform_reports_log_k(tmp_path):
     assert summary["results"]["renyi"] == pytest.approx(math.log(4.0), abs=1e-12)
 
 
+def test_every_kind_has_a_loadable_demo_config():
+    # validates the configs only; running all of them takes about 20 s
+    for kind in KINDS:
+        cfg = _load_config(str(DEMO_CONFIGS / f"{kind.replace('-', '_')}.json"))
+        assert cfg["kind"] == kind
+        assert isinstance(cfg["seed"], int)
+        if "model" in cfg:
+            _resolve_model(cfg["model"])
+
+
 def test_malformed_model_exits_2_without_outputs(tmp_path):
     bad_model = tmp_path / "model.json"
     bad_model.write_text('{"kind": "bernoulli", "p": [0.9, 0.3]}', encoding="utf-8")
@@ -93,15 +106,20 @@ def test_runtime_failure_exits_3(tmp_path):
 
 
 def test_declared_tolerance_failure_exits_4_but_writes(tmp_path):
-    cfg = {
-        "kind": "kac", "model": "fair-coin", "seed": 1, "word": "11",
-        "tolerance": {"max_residual": 1e-18},
-    }
-    code, outdir = run_cli(tmp_path, cfg)
-    assert code == 4
-    summary = read_summary(outdir)
-    assert summary["tolerance_check"]["passed"] is False
-    assert (outdir / "report.csv").exists()
+    cfgs = [
+        # the Markov partition slope at n = 4 sits ~0.1 from R(1): |log C_n| / n
+        {"kind": "renyi-exact", "model": "two-state-chain", "seed": 1, "s": 1.0,
+         "n_list": [4], "tolerance": {"max_final_gap": 1e-3}},
+        # mu('0110') = 0.7**2 * 0.3**2 is rounded, so |E * mu - 1| is about 3e-16
+        {"kind": "kac", "model": "biased-coin", "seed": 1, "word": "0110",
+         "tolerance": {"max_residual": 1e-17}},
+    ]
+    for i, cfg in enumerate(cfgs):
+        code, outdir = run_cli(tmp_path, cfg, name=f"exp{i}.json")
+        assert code == 4
+        summary = read_summary(outdir)
+        assert summary["tolerance_check"]["passed"] is False
+        assert (outdir / "report.csv").exists()
 
 
 def test_hlv_and_abadi_kinds_run(tmp_path):

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hitstat import bernoulli, geometric, markov
 from hitstat.enumeration import enumerate_survival
-from hitstat.errors import GridTooCoarse, TailNotContracting, ZeroMeasureTarget
+from hitstat.errors import GridTooCoarse, TailNotContracting, ToleranceNotCertified, ZeroMeasureTarget
 from hitstat.exact import (
     fit_survival_shape,
     build_product_chain,
@@ -24,6 +26,7 @@ from hitstat.orbits import OrbitStream, entrance_time
 FAIR = bernoulli([0.5, 0.5])
 BIASED = bernoulli([0.7, 0.3])
 CHAIN = markov([[0.9, 0.1], [0.2, 0.8]])
+CHAIN16 = markov(np.random.default_rng(16).dirichlet(np.ones(16), size=16))
 
 
 def test_fair_coin_single_symbol_survival_is_geometric():
@@ -94,6 +97,27 @@ def test_kac_identity_across_models_and_words():
         word = tuple(int(x) for x in rng.integers(0, k, size=int(rng.integers(1, 7))))
         mean = exact_mean_return(model, word, rel_tol=1e-11)
         assert mean * cylinder_measure(model, word) == pytest.approx(1.0, rel=1e-9)
+    # runs of the fair coin: mu = 2^-n is exact, down to 2^-100 (S = n states)
+    for n in (30, 40, 50, 56, 100):
+        mean = exact_mean_return(FAIR, (1,) * n, rel_tol=1e-10)
+        assert mean * 2.0**-n == pytest.approx(1.0, rel=1e-10)
+    # 512 states with a dense fill: a 128-state chain and a word of length 4
+    chain128 = markov(np.random.default_rng(128).dirichlet(np.ones(128), size=128))
+    word = (3, 77, 120, 5)
+    mean = exact_mean_return(chain128, word)
+    assert mean * cylinder_measure(chain128, word) == pytest.approx(1.0, rel=1e-10 + 1e-13)
+
+
+@given(st.lists(st.integers(0, 15), min_size=1, max_size=32))
+@settings(max_examples=25, deadline=None)
+def test_kac_within_rel_tol_or_raises_at_small_mu(word):
+    # 16-state chain: up to 512 product states and mu down to about 1e-45
+    try:
+        mean = exact_mean_return(CHAIN16, word, rel_tol=1e-10)
+    except ToleranceNotCertified:
+        return
+    # the 1e-13 covers the rounding of mu itself
+    assert mean * cylinder_measure(CHAIN16, word) == pytest.approx(1.0, rel=1e-10 + 1e-13)
 
 
 def test_geometric_lump_matches_truncated_full_chain():
@@ -113,6 +137,9 @@ def test_entrance_return_identity_residuals():
     # long grid: the spec-level envelope
     assert entrance_return_residual(CHAIN, "11", 1000) <= 1e-9
     assert entrance_return_residual(BIASED, "010", 1000) <= 1e-9
+    # 48 and 47 product states, certified at the default rel_tol = 1e-12
+    for model, word in ((CHAIN, "011010011101001011010010"), (CHAIN16, (4, 11, 9)), (BIASED, "1" * 47)):
+        assert entrance_return_residual(model, word, 60) <= 1e-12
 
 
 def test_identity_at_k1_is_kac():

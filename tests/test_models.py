@@ -6,10 +6,11 @@ literals below.
 """
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hitstat import (
@@ -41,7 +42,8 @@ from hitstat import (
     tail_mass,
     word_str,
 )
-from hitstat.errors import BudgetExceeded
+from hitstat.errors import BudgetExceeded, ToleranceNotCertified
+from hitstat.models import _gth_solve
 
 P_CHAIN = [[0.9, 0.1], [0.2, 0.8]]
 
@@ -113,13 +115,35 @@ def test_geometric_truncation_matches_residual_target():
     assert geometric(0.5).truncation == 50  # ceil(log(1e-15)/log(0.5))
 
 
+def exact_stationary(P):
+    """Stationary vector in exact rationals, each diagonal set so its row sums to one."""
+    k = len(P)
+    F = [[Fraction(x) for x in row] for row in P]
+    for i, row in enumerate(F):
+        row[i] = 1 - sum(x for j, x in enumerate(row) if j != i)
+    # pi (F - I) = 0 on the first k - 1 columns, and sum(pi) = 1
+    rows = [[F[i][j] - (i == j) for i in range(k)] + [Fraction(0)] for j in range(k - 1)]
+    rows.append([Fraction(1)] * (k + 1))
+    for c in range(k):
+        p = next(r for r in range(c, k) if rows[r][c] != 0)
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(k):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    return [float(row[k]) for row in rows]
+
+
 @given(kernels())
+@example([[1 - 1e-7, 1e-7], [3e-7, 1 - 3e-7]])  # nearly reducible: pi = (3/4, 1/4)
 @settings(max_examples=40, deadline=None)
 def test_stationary_distribution_fixed_point(P):
     pi = stationary_distribution(np.array(P))
     assert pi.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(pi > 0)
     assert np.abs(pi @ np.array(P) - pi).max() < 1e-10
+    assert pi.tolist() == pytest.approx(exact_stationary(P), rel=1e-12, abs=0.0)
 
 
 # --- cylinder measures -------------------------------------------------------
@@ -225,12 +249,63 @@ def test_renyi_nonincreasing_and_below_shannon(p, s1, s2):
     assert renyi_entropy(model, lo) <= shannon_entropy(model) + 1e-9
 
 
+def eps_chain(eps):
+    """Slowly mixing two-state chain with spectral gap 3 * eps."""
+    return [[1 - eps, eps], [2 * eps, 1 - 2 * eps]]
+
+
 @given(kernels(), st.floats(min_value=0.1, max_value=3.0))
+@example(eps_chain(1e-2), 1.0)
+@example(eps_chain(1e-3), 1.0)
+@example(P_CHAIN, 1e-3)  # R(s) -> h as s -> 0
 @settings(max_examples=30, deadline=None)
 def test_markov_perron_root_matches_dense_eigensolver(P, s):
     model = markov(P)
     lam_eig = float(np.linalg.eigvals(np.array(P) ** (1 + s)).real.max())
-    assert renyi_entropy(model, s) == pytest.approx(-math.log(lam_eig) / s, abs=1e-9)
+    assert renyi_entropy(model, s) == pytest.approx(-math.log(lam_eig) / s, rel=1e-12, abs=0.0)
+
+
+def test_renyi_certifies_its_root_or_raises():
+    # rel_tol bounds the Perron root, so R(s) = -log(lam) / s is within
+    # rel_tol / s absolute, also at eps = 1e-4 where R(1) is only 2e-4
+    P = eps_chain(1e-4)
+    lam = float(np.linalg.eigvals(np.array(P) ** 2).real.max())
+    assert renyi_entropy(markov(P), 1.0) == pytest.approx(-math.log(lam), rel=0.0, abs=1e-12)
+    # no bracket is narrower than the rounding it is widened by
+    with pytest.raises(ToleranceNotCertified):
+        renyi_entropy(markov(P), 1.0, rel_tol=1e-17)
+
+
+def exact_absorption(Q, exit, rhs, left):
+    """``(I - Q) x = rhs`` (or ``x (I - Q) = rhs``) in rationals, GTH diagonal."""
+    S = len(exit)
+    A = [[-Fraction(Q[i][j]) if i != j else Fraction(exit[i]) + sum(Fraction(Q[i][c]) for c in range(S) if c != i)
+          for j in range(S)] for i in range(S)]
+    if left:
+        A = [list(col) for col in zip(*A)]
+    rows = [A[i] + [Fraction(rhs[i])] for i in range(S)]
+    for c in range(S):
+        for r in range(S):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    return [rows[i][S] / rows[i][i] for i in range(S)]
+
+
+@given(st.integers(2, 9), st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_gth_bound_covers_the_exact_solution(S, seed, left):
+    rng = np.random.default_rng(seed)
+    W = rng.dirichlet(np.ones(S + 1), size=S) * (rng.random((S, S + 1)) < 0.6)
+    W[:, S] += 1e-6  # every state can exit
+    W /= W.sum(axis=1, keepdims=True)
+    Q, exit = W[:, :S], W[:, S]
+    rhs = rng.random(S) * (rng.random(S) < 0.8)
+    rhs[0] = 1.0
+    x, bound = _gth_solve(Q, exit, rhs, left=left)
+    assert bound < 1e-13
+    for got, want in zip(x.tolist(), exact_absorption(Q.tolist(), exit.tolist(), rhs.tolist(), left)):
+        assert abs(Fraction(got) - want) <= Fraction(bound) * want
 
 
 def test_geometric_renyi_matches_brute_series():

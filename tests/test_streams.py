@@ -1,5 +1,6 @@
 """Byte ingestion and the two data-driven entropy estimators."""
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -127,6 +128,9 @@ def test_window_counts_sum_to_window_total():
     for n in (1, 3, 6):
         counts = window_counts(seq, n)
         assert counts.sum() == len(seq) - n + 1
+        # same counts, in the same (code) order, as counting the tuples directly
+        tally = Counter(tuple(seq[i:i + n]) for i in range(len(seq) - n + 1))
+        assert counts.tolist() == [tally[w] for w in sorted(tally)]
 
 
 def test_plugin_recovers_the_bernoulli_renyi_value():
