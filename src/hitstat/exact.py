@@ -188,6 +188,19 @@ class SurvivalCurve:
                                  self.kind, self.exactness_label])
 
 
+def step_at(t, mu: float) -> np.ndarray:
+    """Step ``m`` with ``P(tau >= t/mu) = P(tau > m)``: ``ceil(t/mu) - 1``, at least 0.
+
+    A ratio ``t/mu`` within four units in the last place of an integer
+    is taken as that integer, so a last-bit change of ``mu`` cannot move
+    the step.  Works elementwise on arrays.
+    """
+    r = np.asarray(t, dtype=float) / mu
+    k = np.rint(r)
+    r = np.where(np.abs(r - k) <= 4.0 * np.spacing(k), k, r)
+    return np.maximum(np.ceil(r).astype(np.int64) - 1, 0)
+
+
 def exact_survival(chain: ProductChain, m_max: int) -> SurvivalCurve:
     """``P(tau > m)`` for ``m = 0..m_max`` by repeated matvec."""
     if m_max < 1:
@@ -325,8 +338,7 @@ def fit_survival_shape(model: MeasureModel, target, t_grid) -> TailShapeReport:
     mu = chain.mu
     n = chain.n
     floor = n * mu + phi_bound(model, n)
-    # P(tau >= t/mu) = P(tau > ceil(t/mu) - 1)
-    m_of = np.array([max(math.ceil(ti / mu) - 1, 0) for ti in t])
+    m_of = step_at(t, mu)
     values = np.array([survival_at(chain, int(m)) for m in m_of])
     # points still at m = 0 sit before the discretized curve moves; they
     # carry no decay information and would flatten the fit

@@ -56,7 +56,7 @@ from .errors import (
 from .words import Word, as_word
 
 _SUM_TOL = 1e-12          # row/vector stochasticity tolerance
-_STATIONARY_TOL = 1e-10   # accepted residual for a supplied stationary vector
+_STATIONARY_TOL = 1e-10   # accepted entrywise relative error of a supplied stationary vector
 _LOG_ZERO = float("-inf")
 _UNIT_ROUNDOFF = 2.0**-53
 _NORMAL_PRODUCTS = 2.0**-511  # products of entries this large stay normal
@@ -153,10 +153,9 @@ def markov(P, pi=None) -> MarkovModel:
     """Validated Markov model; computes the stationary vector when omitted."""
     P = np.asarray(P, dtype=float)
     _check_kernel(P)
-    if pi is None:
-        pi = stationary_distribution(P)
-    model = MarkovModel(P=P, pi=np.asarray(pi, dtype=float))
-    validate(model)
+    stationary = stationary_distribution(P)
+    model = MarkovModel(P=P, pi=stationary if pi is None else np.asarray(pi, dtype=float))
+    _check_stationary(model, stationary)
     return model
 
 
@@ -179,9 +178,10 @@ def validate(model: MeasureModel) -> None:
 
     Bernoulli: masses positive, summing to one, alphabet size >= 2.
     Markov: rows stochastic, kernel irreducible and aperiodic, supplied
-    ``pi`` stationary.  Geometric: ``theta`` in (0, 1).  Degenerate
-    (zero-entropy) models cannot pass: they are either reducible,
-    periodic, or carry a zero-mass symbol.
+    ``pi`` within ``_STATIONARY_TOL`` of the stationary vector in every
+    entry, relative to that entry.  Geometric: ``theta`` in (0, 1).
+    Degenerate (zero-entropy) models cannot pass: they are either
+    reducible, periodic, or carry a zero-mass symbol.
     """
     if isinstance(model, BernoulliModel):
         p = model.p
@@ -193,14 +193,7 @@ def validate(model: MeasureModel) -> None:
             raise NonStochasticRow(f"masses sum to {p.sum()!r}, not 1")
     elif isinstance(model, MarkovModel):
         _check_kernel(model.P)
-        pi = model.pi
-        if pi.shape != (model.k,) or np.any(pi <= 0.0):
-            raise NonStochasticRow("stationary vector must be positive over all states")
-        if abs(float(pi.sum()) - 1.0) > _SUM_TOL:
-            raise NonStochasticRow(f"stationary vector sums to {pi.sum()!r}, not 1")
-        residual = float(np.max(np.abs(pi @ model.P - pi)))
-        if residual > _STATIONARY_TOL:
-            raise NonStochasticRow(f"pi P = pi violated by {residual:.3e}")
+        _check_stationary(model, stationary_distribution(model.P))
     elif isinstance(model, GeometricModel):
         if not (0.0 < model.theta < 1.0):
             raise BadThetaRange(f"theta must lie in (0, 1), got {model.theta}")
@@ -208,6 +201,22 @@ def validate(model: MeasureModel) -> None:
             raise BadThetaRange("sampling truncation must be >= 1")
     else:
         raise TypeError(f"not a measure model: {model!r}")
+
+
+def _check_stationary(model: MarkovModel, stationary: np.ndarray) -> None:
+    """Compare ``model.pi`` entrywise with the GTH ``stationary`` vector.
+
+    The comparison is relative, so a small entry wrong by a large factor
+    fails even when its residual ``|pi P - pi|`` is tiny.
+    """
+    pi = model.pi
+    if pi.shape != (model.k,) or np.any(pi <= 0.0):
+        raise NonStochasticRow("stationary vector must be positive over all states")
+    if abs(float(pi.sum()) - 1.0) > _SUM_TOL:
+        raise NonStochasticRow(f"stationary vector sums to {pi.sum()!r}, not 1")
+    error = float(np.max(np.abs(pi - stationary) / stationary))
+    if error > _STATIONARY_TOL:
+        raise NonStochasticRow(f"pi differs from the stationary vector by {error:.3e} relative")
 
 
 def _check_kernel(P: np.ndarray) -> None:

@@ -21,7 +21,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import CensoringExceeded, ZeroMeasureTarget
-from .exact import ENTRANCE, RETURN, SurvivalCurve, build_product_chain, survival_at
+from .exact import ENTRANCE, RETURN, SurvivalCurve, build_product_chain, step_at, survival_at
 from .models import (
     MeasureModel,
     cylinder_measure,
@@ -30,7 +30,7 @@ from .models import (
     shannon_entropy,
 )
 from .orbits import CapPolicy, OrbitStream, entrance_time, sample_orbit, w_sum
-from .words import Word, as_word
+from .words import as_word
 
 CENSOR_SUMMARY_LIMIT = 0.01
 SURVIVAL_CENSOR_MASS = 1e-3  # exponential-reference mass allowed beyond the cap
@@ -244,11 +244,7 @@ def _empirical_experiment(model, word, N, t_grid, seed, kind, start_word) -> Sur
     times = np.empty(N, dtype=np.int64)
     censored = 0
     for j in range(N):
-        if start_word is None:
-            stream = OrbitStream(model, (seed, j, 1))
-        else:
-            stream = _PinnedStream(model, (seed, j, 1), start_word)
-        t = entrance_time(stream, word, cap=cap)
+        t = entrance_time(OrbitStream(model, (seed, j, 1), start=start_word), word, cap=cap)
         if t.censored:
             times[j] = -1
             censored += 1
@@ -258,9 +254,7 @@ def _empirical_experiment(model, word, N, t_grid, seed, kind, start_word) -> Sur
     t = np.asarray(list(t_grid), dtype=float)
     if t.ndim != 1 or len(t) == 0 or np.any(t < 0) or np.any(np.diff(t) <= 0):
         raise ValueError("t grid must be non-negative and strictly increasing")
-    # P(tau >= t/mu) = P(tau > m) at m = ceil(t/mu) - 1, matching the
-    # exact curve's (m, values) convention
-    m_of = np.maximum(np.ceil(t / mu).astype(np.int64) - 1, 0)
+    m_of = step_at(t, mu)
     values = np.empty(len(t))
     for i, m in enumerate(m_of):
         hold = int((uncensored > m).sum())
@@ -286,31 +280,6 @@ def _empirical_experiment(model, word, N, t_grid, seed, kind, start_word) -> Sur
         cap=cap,
         mu=mu,
     )
-
-
-class _PinnedStream:
-    """Stream that plays a fixed head, then continues with the kernel."""
-
-    def __init__(self, model, seed, head: Word):
-        self.model = model
-        inner = OrbitStream(model, seed)
-        inner._last = head[-1]  # conditional continuation state
-        self._inner = inner
-        self._head = np.array(head, dtype=np.int64)
-        self._served = 0
-
-    def take(self, count: int) -> np.ndarray:
-        if count <= 0:
-            return np.empty(0, dtype=np.int64)
-        parts = []
-        if self._served < len(self._head):
-            part = self._head[self._served:self._served + count]
-            self._served += len(part)
-            count -= len(part)
-            parts.append(part)
-        if count > 0:
-            parts.append(self._inner.take(count))
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def empirical_survival(model: MeasureModel, z_word, N: int, t_grid, seed: int) -> SurvivalExperiment:
@@ -372,7 +341,7 @@ def survival_tail_integral(model: MeasureModel, n: int, epsilon: float, n_outer:
     for j in range(n_outer):
         word = tuple(int(x) for x in sample_orbit(model, (seed, j, 0), n))
         mu = cylinder_measure(model, word)
-        m = max(math.ceil(threshold / mu) - 1, 0)
+        m = int(step_at(threshold, mu))
         chain = build_product_chain(model, word, ENTRANCE)
         if chain.Q.shape[0] <= state_budget:
             vals[j] = survival_at(chain, m)

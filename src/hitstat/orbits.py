@@ -15,15 +15,18 @@ Time conventions (fixed throughout the package):
 * hitting counts sum the indicator over ``i in [0, M]`` inclusive;
 * orbit measure sums run over ``i = 1 .. tau`` inclusive.
 
-All scans are single passes driven by a dense pattern automaton, with a
-hard cap: when no event occurs within ``cap`` windows the result is
-right-censored at the cap.
+Every scan is one pass of ``_scan``, which reads the stream in blocks of
+``BLOCK`` symbols, carries the last ``n - 1`` symbols into the next
+block and applies a hard cap: when no event occurs within ``cap``
+windows the result is right-censored at the cap.  A single target word
+is found by a vectorized search of each block; hit counts over a set of
+words step a pattern automaton; orbit sums take every window
+log-measure of a block at once.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +40,9 @@ from .models import (
     MeasureModel,
     log_cylinder_measure,
 )
-from .words import Word, as_word
+from .words import as_word
 
 BLOCK = 4096
-REANCHOR_EVERY = 1 << 16
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -78,19 +80,25 @@ class CapPolicy:
 class OrbitStream:
     """Deterministic stationary sample path, read in blocks.
 
+    ``start`` pins the first symbols: the stream plays them, then
+    continues with the kernel from the last one (a path conditioned on
+    its initial cylinder).  Without it the path starts from the
+    stationary law.
+
     Single-owner mutable state: one stream feeds one scan at a time.
     Many streams over one shared model may run concurrently.
     """
 
-    def __init__(self, model: MeasureModel, seed):
+    def __init__(self, model: MeasureModel, seed, start=None):
         self.model = model
         self.seed = seed
         path = tuple(int(x) for x in seed) if isinstance(seed, tuple) else (int(seed),)
         self._rng = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(path)))
         self.position = 0
-        self._buf = _EMPTY
+        self._buf = _EMPTY if start is None else np.array(as_word(start), dtype=np.int64)
         self._off = 0
-        self._last = -1  # previous symbol, the Markov state between blocks
+        # previous symbol, the Markov state between blocks
+        self._last = -1 if start is None else int(self._buf[-1])
 
     def take(self, count: int) -> np.ndarray:
         """Next ``count`` symbols (always full for generated streams)."""
@@ -120,20 +128,20 @@ class OrbitStream:
             u = self._rng.random(count).tolist()
             rows = [row.tolist() for row in model.cum_P]
             k_top = model.k - 1
-            out = np.empty(count, dtype=np.int64)
+            out = []
+            append = out.append
             s = self._last
-            start = 0
             if s < 0:
                 s = min(bisect_right(np.cumsum(model.pi).tolist(), u[0]), k_top)
-                out[0] = s
-                start = 1
-            for t in range(start, count):
-                s = bisect_right(rows[s], u[t])
+                append(s)
+                u = u[1:]
+            for x in u:
+                s = bisect_right(rows[s], x)
                 if s > k_top:
                     s = k_top
-                out[t] = s
+                append(s)
             self._last = s
-            return out
+            return np.array(out, dtype=np.int64)
         u = self._rng.random(count)
         out = np.floor(np.log1p(-u) / model.log_theta).astype(np.int64)
         np.clip(out, 0, model.truncation - 1, out=out)
@@ -169,13 +177,68 @@ def sample_orbit(model: MeasureModel, seed, length: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# scan helpers
+# the block scanner
 # ---------------------------------------------------------------------------
 
-def _alphabet_size(model: MeasureModel | None) -> int | None:
-    if model is None or isinstance(model, GeometricModel):
-        return None
-    return model.k
+def _scan(stream, n: int, cap: int, find=None, visit=None, head=_EMPTY) -> TimeResult:
+    """One pass over the windows ``i = 0 .. cap`` of ``stream``, in blocks.
+
+    ``head`` holds symbols already taken from the stream (the first
+    ``len(head)`` of window 0).  Each block ``buf`` is the carried tail
+    of the previous one plus ``stream.take(min(BLOCK, budget))``; its
+    window at offset ``q`` is ``buf[q:q+n]``, window ``i0 + q`` of the
+    orbit.  ``find(buf, lo, hi)`` returns the first offset in
+    ``[lo, hi)`` whose window is an event, or -1; ``visit(buf, i0, lo,
+    hi)`` then sees the block's windows up to and including the event.
+    ``lo`` skips window 0, which is never an event.
+
+    Returns the first event step, else ``cap`` censored.  When a replay
+    stream runs dry first, the result is censored at the last complete
+    window, ``consumed - n``.
+    """
+    carry = head
+    i0 = 0
+    budget = cap + n - len(head)
+    while budget > 0:
+        chunk = stream.take(min(BLOCK, budget))
+        if len(chunk) == 0:
+            if i0 < 2:
+                raise SequenceTooShort("data ends before the first candidate window")
+            return TimeResult(value=i0 - 1, censored=True)
+        budget -= len(chunk)
+        buf = np.concatenate((carry, chunk)) if len(carry) else chunk
+        count = len(buf) - n + 1  # windows that end inside this block
+        if count <= 0:
+            carry = buf
+            continue
+        lo = 1 if i0 == 0 else 0
+        q = find(buf, lo, count) if find is not None else -1
+        if visit is not None:
+            visit(buf, i0, lo, count if q < 0 else q + 1)
+        if q >= 0:
+            return TimeResult(value=i0 + q)
+        carry = buf[count:]
+        i0 += count
+    return TimeResult(value=cap, censored=True)
+
+
+def _word_finder(word):
+    """``find`` for ``_scan``: the first window of a block equal to ``word``.
+
+    Candidates start where the first symbol matches and are narrowed one
+    symbol of the word at a time; exact on any integer alphabet.
+    """
+    w = [int(x) for x in word]
+
+    def find(buf: np.ndarray, lo: int, hi: int) -> int:
+        q = np.flatnonzero(buf[lo:hi] == w[0]) + lo
+        for k in range(1, len(w)):
+            if len(q) == 0:
+                return -1
+            q = q[buf[q + k] == w[k]]
+        return int(q[0]) if len(q) else -1
+
+    return find
 
 
 def _column_view(auto: PatternAutomaton):
@@ -187,6 +250,38 @@ def _column_view(auto: PatternAutomaton):
     top = max(auto.columns) + 1
     arr = auto.column_array(top)
     return lambda chunk: arr[np.minimum(chunk, top)].tolist()
+
+
+class _HitCounter:
+    """``visit`` for ``_scan``: counts windows that equal one of ``auto``'s words.
+
+    The automaton steps each symbol once, so it carries its state across
+    blocks and skips the symbols it has already read.
+    """
+
+    def __init__(self, auto: PatternAutomaton):
+        self.table, self.terminal = auto.table, auto.terminal
+        self.to_cols = _column_view(auto)
+        self.n = auto.word_length
+        self.state = 0
+        self.read = 0  # stream symbols stepped so far
+        self.hits = 0
+
+    def __call__(self, buf, i0, lo, hi):
+        end = i0 + hi + self.n - 1  # one past the last symbol of window i0 + hi - 1
+        table, terminal = self.table, self.terminal
+        state, hits = self.state, self.hits
+        for c in self.to_cols(buf[self.read - i0:end - i0]):
+            state = table[state][c]
+            if terminal[state] >= 0:
+                hits += 1
+        self.state, self.hits, self.read = state, hits, end
+
+
+def _alphabet_size(model: MeasureModel | None) -> int | None:
+    if model is None or isinstance(model, GeometricModel):
+        return None
+    return model.k
 
 
 def _resolve_cap(model: MeasureModel | None, target, cap) -> int:
@@ -201,6 +296,17 @@ def _resolve_cap(model: MeasureModel | None, target, cap) -> int:
     return int(cap)
 
 
+def _take_head(stream, n: int) -> np.ndarray:
+    head = stream.take(n)
+    if len(head) < n:
+        raise SequenceTooShort(f"needed {n} symbols for the initial window")
+    return head
+
+
+# ---------------------------------------------------------------------------
+# entrance, recurrence and hitting
+# ---------------------------------------------------------------------------
+
 def entrance_time(stream, target, cap: int | None = None) -> TimeResult:
     """First step ``i in [1, cap]`` whose window matches ``target``.
 
@@ -210,116 +316,46 @@ def entrance_time(stream, target, cap: int | None = None) -> TimeResult:
     """
     target = as_word(target)
     cap = _resolve_cap(stream.model, target, cap)
-    auto = build_automaton([target], alphabet_size=_alphabet_size(stream.model))
-    return _entrance_scan(stream, auto, cap)
+    return _scan(stream, len(target), cap, find=_word_finder(target))
 
 
 def recurrence_time(stream, n: int, cap: int | None = None) -> TimeResult:
     """Entrance time of the stream into its own first ``n`` symbols."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    head = stream.take(n)
-    if len(head) < n:
-        raise SequenceTooShort(f"needed {n} symbols for the initial window")
-    prefix = tuple(int(x) for x in head)
-    cap = _resolve_cap(stream.model, prefix, cap)
-    auto = build_automaton([prefix], alphabet_size=_alphabet_size(stream.model))
-    return _entrance_scan(stream, auto, cap, preamble=head)
-
-
-def _entrance_scan(stream, auto: PatternAutomaton, cap: int,
-                   preamble: np.ndarray | None = None) -> TimeResult:
-    n = auto.word_length
-    table, terminal = auto.table, auto.terminal
-    to_cols = _column_view(auto)
-    budget = cap + n - (0 if preamble is None else len(preamble))
-    state = 0
-    j = -1
-    chunk = preamble if preamble is not None else None
-    while True:
-        if chunk is None:
-            if budget <= 0:
-                return TimeResult(value=cap, censored=True)
-            chunk = stream.take(min(BLOCK, budget))
-            budget -= len(chunk)
-            if len(chunk) == 0:
-                scanned = j - n + 1
-                if scanned < 1:
-                    raise SequenceTooShort("data ends before the first candidate window")
-                return TimeResult(value=scanned, censored=True)
-        for c in to_cols(chunk):
-            j += 1
-            state = table[state][c]
-            if terminal[state] >= 0 and j >= n:
-                return TimeResult(value=j - n + 1, censored=False)
-        chunk = None
+    head = _take_head(stream, n)
+    cap = _resolve_cap(stream.model, tuple(int(x) for x in head), cap)
+    return _scan(stream, n, cap, find=_word_finder(head), head=head)
 
 
 def hitting_number(stream, patterns, M: int) -> int:
     """Number of steps ``i in [0, M]`` whose window lies in ``patterns``."""
     if M < 0:
         raise ValueError(f"window bound must be >= 0, got {M}")
-    auto = build_automaton(patterns, alphabet_size=_alphabet_size(stream.model))
-    table, terminal = auto.table, auto.terminal
-    to_cols = _column_view(auto)
-    need = M + auto.word_length
-    state = 0
-    count = 0
-    while need > 0:
-        chunk = stream.take(min(BLOCK, need))
-        if len(chunk) == 0:
-            raise SequenceTooShort(f"needed {need} more symbols to cover the window range")
-        need -= len(chunk)
-        for c in to_cols(chunk):
-            state = table[state][c]
-            if terminal[state] >= 0:
-                count += 1
-    return count
+    counter = _HitCounter(build_automaton(patterns, alphabet_size=_alphabet_size(stream.model)))
+    t = _scan(stream, counter.n, M, visit=counter)
+    if t.value < M:
+        raise SequenceTooShort(f"data covers the windows up to {t.value}, not {M}")
+    return counter.hits
 
 
 def hits_until_entrance(stream, target, patterns, cap: int | None = None) -> tuple[TimeResult, int]:
     """Entrance time into ``target`` plus hit count of ``patterns`` on ``[0, tau]``.
 
-    One streaming pass over a combined automaton.  When censored, the
-    count covers ``i in [0, cap]``.
+    One streaming pass: a word search for the target and a pattern
+    automaton for the count.  When censored, the count covers
+    ``i in [0, cap]``.
     """
     target = as_word(target)
-    pats = [as_word(p) for p in patterns]
+    pats = list(dict.fromkeys(as_word(p) for p in patterns))
     if not pats:
         raise MixedLengths("need at least one pattern word")
-    words = list(dict.fromkeys(pats))
-    if target not in words:
-        words.append(target)
-    auto = build_automaton(words, alphabet_size=_alphabet_size(stream.model))
+    counter = _HitCounter(build_automaton(pats, alphabet_size=_alphabet_size(stream.model)))
+    if counter.n != len(target):
+        raise MixedLengths(f"target length {len(target)} differs from pattern length {counter.n}")
     cap = _resolve_cap(stream.model, target, cap)
-    pat_set = set(pats)
-    in_u = [w in pat_set for w in auto.words]
-    is_target = [w == target for w in auto.words]
-    n = auto.word_length
-    table, terminal = auto.table, auto.terminal
-    to_cols = _column_view(auto)
-    budget = cap + n
-    state = 0
-    j = -1
-    count = 0
-    while budget > 0:
-        chunk = stream.take(min(BLOCK, budget))
-        if len(chunk) == 0:
-            scanned = j - n + 1
-            if scanned < 1:
-                raise SequenceTooShort("data ends before the first candidate window")
-            return TimeResult(value=scanned, censored=True), count
-        budget -= len(chunk)
-        for c in to_cols(chunk):
-            j += 1
-            state = table[state][c]
-            w = terminal[state]
-            if w >= 0:
-                if in_u[w]:
-                    count += 1
-                if is_target[w] and j >= n:
-                    return TimeResult(value=j - n + 1, censored=False), count
-    return TimeResult(value=cap, censored=True), count
+    t = _scan(stream, counter.n, cap, find=_word_finder(target), visit=counter)
+    return t, counter.hits
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +368,8 @@ class OrbitSumResult:
 
     ``terms`` is the exact number of summands; at ``s = 0`` every
     summand is one, so ``terms`` *is* the sum (and equals the entrance
-    step).  ``window_log_measure`` is the maintained log-measure of the
-    final window, kept for drift audits against fresh recomputation.
+    step).  ``window_log_measure`` is the log-measure of the final
+    window, kept for drift audits against fresh recomputation.
     Iterating yields ``(time, log_value)``.
     """
 
@@ -347,124 +383,76 @@ class OrbitSumResult:
         return iter((self.time, self.log_value))
 
 
+def _window_log_measures(model: MeasureModel, buf: np.ndarray, n: int) -> np.ndarray:
+    """``log mu(buf[q:q+n])`` for every window of ``buf``.
+
+    Sums of per-symbol increments, as prefix-sum differences within the
+    block: ``log p[x]`` (Bernoulli), ``log pi[x_q]`` plus
+    ``log P[x_r, x_{r+1}]`` (Markov), the symbol sum in the closed form
+    (geometric, exact in integers).
+    """
+    m = len(buf) - n + 1
+    if isinstance(model, BernoulliModel):
+        c = np.concatenate(([0.0], np.cumsum(model.log_p[buf])))
+        return c[n:] - c[:m]
+    if isinstance(model, MarkovModel):
+        c = np.concatenate(([0.0], np.cumsum(model.log_P[buf[:-1], buf[1:]])))
+        return model.log_pi[buf[:m]] + (c[n - 1:] - c[:m])
+    c = np.concatenate(([0], np.cumsum(buf)))
+    return n * model.log_one_minus_theta + (c[n:] - c[:m]) * model.log_theta
+
+
+class _OrbitSum:
+    """``visit`` for ``_scan``: blockwise log-sum-exp of ``s * log mu(window)``."""
+
+    def __init__(self, model: MeasureModel, n: int, s: float):
+        self.model, self.n, self.s = model, n, s
+        self.run_max = -math.inf
+        self.run_sum = 0.0
+        self.last = -math.inf  # log-measure of the latest window summed
+
+    def __call__(self, buf, i0, lo, hi):
+        log_mu = _window_log_measures(self.model, buf[lo:hi + self.n - 1], self.n)
+        assert np.all(log_mu > -math.inf), "zero-measure window on a realized orbit"
+        terms = self.s * log_mu
+        top = float(terms.max())
+        if top > self.run_max:
+            self.run_sum *= math.exp(self.run_max - top)
+            self.run_max = top
+        self.run_sum += float(np.exp(terms - self.run_max).sum())
+        self.last = float(log_mu[-1])
+
+
 def w_sum(stream, target=None, s: float = 0.0, cap: int | None = None,
           n: int | None = None) -> OrbitSumResult:
     """Accumulate ``sum_i mu(x_i..x_{i+n-1})**s`` until entrance into ``target``.
 
     ``target=None`` selects the diagonal variant: the target is the
-    stream's own first ``n`` symbols (then ``n`` is required).  The
-    window log-measure slides in O(1) per step and is re-anchored by a
-    fresh recomputation every ``2**16`` steps, so accumulated float
-    drift stays below 1e-8 even on million-step scans.
+    stream's own first ``n`` symbols (then ``n`` is required).  Window
+    log-measures are summed afresh from per-symbol increments in every
+    block of ``BLOCK`` symbols, so no rounding drift accumulates along
+    the scan, and merged into a running log-sum-exp.
     """
     model = stream.model
     if model is None:
         raise ValueError("orbit measure sums need a measure model")
     if s < 0.0:
         raise ValueError(f"s must be >= 0, got {s}")
-
-    if target is None:
-        if n is None:
-            raise ValueError("diagonal variant needs the window length n")
-        head = stream.take(n)
-        if len(head) < n:
-            raise SequenceTooShort(f"needed {n} symbols for the initial window")
-        target = tuple(int(x) for x in head)
-    else:
+    if target is not None:
         target = as_word(target)
         n = len(target)
-        head = stream.take(n)
-        if len(head) < n:
-            raise SequenceTooShort(f"needed {n} symbols for the initial window")
-
+    elif n is None:
+        raise ValueError("diagonal variant needs the window length n")
+    head = _take_head(stream, n)
+    if target is None:
+        target = tuple(int(x) for x in head)
     cap = _resolve_cap(model, target, cap)
-    auto = build_automaton([target], alphabet_size=_alphabet_size(model))
-    table, terminal = auto.table, auto.terminal
-    to_cols = _column_view(auto)
-
-    win = deque(int(x) for x in head)
-    state = 0
-    for c in to_cols(np.asarray(head)):
-        state = table[state][c]
-
-    kind, tab1, tab2 = _measure_tables(model)
-    log_mu = _window_log_measure(model, win)
-
-    # streaming log-sum-exp state
-    run_max = -math.inf
-    run_sum = 0.0
-    terms = 0
-    budget = cap  # one new symbol per candidate window i = 1..cap
-    censored = True
-    tau = cap
-    while budget > 0:
-        chunk = stream.take(min(BLOCK, budget))
-        if len(chunk) == 0:
-            if terms < 1:
-                raise SequenceTooShort("data ends before the first candidate window")
-            tau = terms
-            break
-        budget -= len(chunk)
-        cols = to_cols(chunk)
-        for b, c in zip(chunk.tolist(), cols):
-            a = win[0]
-            if kind == 0:
-                log_mu += tab1[b] - tab1[a]
-            elif kind == 1:
-                if len(win) == 1:
-                    log_mu = tab1[b]
-                else:
-                    h1 = win[1]
-                    log_mu += tab1[h1] + tab2[win[-1]][b] - tab1[a] - tab2[a][h1]
-            else:
-                log_mu += (b - a) * tab1
-            win.popleft()
-            win.append(b)
-            terms += 1
-            if terms % REANCHOR_EVERY == 0:
-                log_mu = _window_log_measure(model, win)
-            assert log_mu > -math.inf, "zero-measure window on a realized orbit"
-            term = s * log_mu
-            if term <= run_max:
-                run_sum += math.exp(term - run_max)
-            else:
-                run_sum = run_sum * math.exp(run_max - term) + 1.0
-                run_max = term
-            state = table[state][c]
-            if terminal[state] >= 0:
-                tau = terms
-                censored = False
-                budget = 0
-                break
-
-    log_value = run_max + math.log(run_sum) if terms else -math.inf
+    acc = _OrbitSum(model, n, s)
+    t = _scan(stream, n, cap, find=_word_finder(target), visit=acc, head=head)
     return OrbitSumResult(
-        time=TimeResult(value=tau, censored=censored),
-        log_value=log_value,
-        terms=terms,
+        time=t,
+        log_value=acc.run_max + math.log(acc.run_sum),
+        terms=t.value,
         s=s,
-        window_log_measure=log_mu,
+        window_log_measure=acc.last,
     )
-
-
-def _measure_tables(model: MeasureModel):
-    if isinstance(model, BernoulliModel):
-        return 0, model.log_p.tolist(), None
-    if isinstance(model, MarkovModel):
-        return 1, model.log_pi.tolist(), [row.tolist() for row in model.log_P]
-    return 2, model.log_theta, None
-
-
-def _window_log_measure(model: MeasureModel, win) -> float:
-    """Fresh log-measure of the window symbols, no validation overhead."""
-    if isinstance(model, BernoulliModel):
-        logp = model.log_p
-        return float(sum(logp[a] for a in win))
-    if isinstance(model, MarkovModel):
-        seq = list(win)
-        total = float(model.log_pi[seq[0]])
-        log_P = model.log_P
-        for a, b in zip(seq, seq[1:]):
-            total += float(log_P[a][b])
-        return total
-    return len(win) * model.log_one_minus_theta + sum(win) * model.log_theta

@@ -18,6 +18,7 @@ from hitstat.exact import (
     exact_survival,
     entrance_return_residual,
     return_survival,
+    step_at,
     survival_at,
 )
 from hitstat.models import BernoulliModel, MarkovModel, cylinder_measure
@@ -236,3 +237,15 @@ def test_censoring_probability_matches_exact_survival():
     )
     frac = censored / trials
     assert abs(frac - q) <= 3.0 * math.sqrt(q * (1 - q) / trials) + 1 / trials
+
+
+def test_step_ignores_a_last_bit_change_of_mu():
+    # t/mu an integer k: m = k - 1, whichever neighbour of mu rounding gave
+    for mu0 in (1 / 15, 0.1, 1 / 3, 1 / 7, 3e-5):
+        for k in (15, 30, 45):
+            t = k * mu0
+            for mu in (np.nextafter(mu0, 0.0), mu0, np.nextafter(mu0, 1.0)):
+                assert int(step_at(t, mu)) == k - 1
+                assert step_at([t, t], mu).tolist() == [k - 1, k - 1]
+    assert step_at([1.0, 2.0, 3.0], 1 / 15).tolist() == [14, 29, 44]
+    assert step_at([0.0, 0.5, 1.01], 0.25).tolist() == [0, 1, 4]

@@ -79,6 +79,22 @@ def test_supplied_stationary_vector_is_checked():
         markov(P_CHAIN, pi=[0.5, 0.5])
 
 
+def test_supplied_stationary_vector_is_checked_entrywise_relative():
+    # pi_3 is about 1e-11: supplying 3e-11 leaves a residual |pi P - pi| of
+    # only 1e-11, but the entry is off by a factor of 3
+    P = [[0.5, 0.5, 0.0], [0.5, 0.5 - 1e-11, 1e-11], [0.5, 0.0, 0.5]]
+    pi = stationary_distribution(np.array(P))
+    assert pi[2] == pytest.approx(1e-11, rel=1e-6)
+    assert np.array_equal(markov(P).pi, pi)
+    assert np.array_equal(markov(P, pi=pi).pi, pi)
+    wrong = pi.copy()
+    wrong[2] *= 3.0
+    wrong[0] -= wrong[2] - pi[2]
+    assert float(np.max(np.abs(wrong @ np.array(P) - wrong))) < 1e-10
+    with pytest.raises(NonStochasticRow):
+        markov(P, pi=wrong)
+
+
 def test_non_stochastic_row_rejected():
     with pytest.raises(NonStochasticRow):
         markov([[0.9, 0.2], [0.2, 0.8]])

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import logsumexp
 
-from hitstat import bernoulli, log_cylinder_measure, markov
+from hitstat import bernoulli, geometric, log_cylinder_measure, markov
 from hitstat.errors import (
     EmptyInput,
     MixedLengths,
@@ -14,6 +17,7 @@ from hitstat.errors import (
 )
 from hitstat.models import BernoulliModel, MarkovModel
 from hitstat.orbits import (
+    BLOCK,
     CapPolicy,
     OrbitStream,
     ReplayStream,
@@ -65,6 +69,20 @@ def test_stream_reads_independent_of_chunking():
     s = OrbitStream(CHAIN, 11)
     pieces = np.concatenate([s.take(7), s.take(13), s.take(20)])
     assert np.array_equal(whole, pieces)
+
+
+def test_pinned_start_plays_its_head_then_the_kernel():
+    # P[0, 0] = 0: after a head ending in 0 the kernel must emit 1
+    model = MarkovModel(P=np.array([[0.0, 1.0], [0.5, 0.5]]), pi=np.array([1 / 3, 2 / 3]))
+    for seed in range(50):
+        s = OrbitStream(model, seed, start=(1, 0))
+        orb = np.concatenate([s.take(1), s.take(2), s.take(30)])
+        assert orb[:3].tolist() == [1, 0, 1]
+        assert np.all((orb[:-1] == 1) | (orb[1:] == 1))
+        assert s.position == 33
+    # i.i.d. kernels ignore the head: the tail is the unpinned path
+    s = OrbitStream(FAIR, 8, start="0110")
+    assert np.array_equal(s.take(24)[4:], sample_orbit(FAIR, 8, 20))
 
 
 def test_single_symbol_process_is_constant():
@@ -300,3 +318,173 @@ def test_cap_policy_zero_measure_target():
     model = markov([[0.0, 1.0], [0.5, 0.5]])
     with pytest.raises(ZeroMeasureTarget):
         CapPolicy().cap_for(model, "00")
+
+
+# --- the block scanner against a sliding-window oracle ---------------------------
+
+BIASED = bernoulli([0.3, 0.7])
+GEO = geometric(0.5)
+SCAN_MODELS = {"fair": FAIR, "biased": BIASED, "chain": CHAIN, "geometric": GEO}
+
+
+def window_matches(sym, word):
+    """Per window ``i`` of ``sym``: is ``sym[i:i+n] == word``? (brute force)"""
+    return np.all(sliding_window_view(np.asarray(sym), len(word)) == np.asarray(word), axis=1)
+
+
+def oracle_count(sym, patterns, hi):
+    """Windows ``i in [0, hi]`` of ``sym`` that lie in ``patterns``."""
+    hit = np.zeros(len(sym) - len(patterns[0]) + 1, dtype=bool)
+    for p in patterns:
+        hit |= window_matches(sym, p)
+    return int(hit[:hi + 1].sum())
+
+
+def oracle_scan(sym, word, cap, head=0):
+    """Entrance into ``word`` over the windows ``1..cap`` of the data ``sym``.
+
+    Also returns the symbols a block reader takes: ``head`` first, then
+    blocks of ``BLOCK`` up to ``cap + n`` in all, through the block that
+    holds the match's last symbol.  The result is ``None`` when the data
+    ends before window 1.
+    """
+    n = len(word)
+    last = min(cap, len(sym) - n)
+    if last < 1:
+        return None, len(sym)
+    hits = np.flatnonzero(window_matches(sym[:last + n], word)[1:]) + 1
+    budget = cap + n - head
+    if len(hits):
+        tau = int(hits[0])
+        read = head + min(budget, ((tau + n - 1 - head) // BLOCK + 1) * BLOCK)
+        return TimeResult(tau), min(read, len(sym))
+    return TimeResult(last, censored=True), min(head + budget, len(sym))
+
+
+def oracle_log_w(model, sym, n, tau, s):
+    """``log sum_{i=1..tau} mu(window_i)**s`` and ``log mu(window_tau)``."""
+    rows = sliding_window_view(np.asarray(sym), n)[1:tau + 1]
+    uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
+    logs = np.array([log_cylinder_measure(model, tuple(int(x) for x in w)) for w in uniq])
+    logs = logs[inverse.ravel()]
+    return float(logsumexp(s * logs)), float(logs[-1])
+
+
+@st.composite
+def scan_cases(draw):
+    name = draw(st.sampled_from(sorted(SCAN_MODELS)))
+    model = SCAN_MODELS[name]
+    n = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**20))
+    top = 3 if model.k is None else model.k - 1  # geometric paths run far above the word
+    a, b = draw(st.integers(0, top)), draw(st.integers(0, top))
+    shape = draw(st.sampled_from(["drawn", "run", "period2"]))
+    if shape == "drawn":
+        word = tuple(int(x) for x in sample_orbit(model, (seed, 1), n))
+    elif shape == "run":
+        word = (a,) * n
+    else:
+        word = tuple(a if i % 2 == 0 else b for i in range(n))
+    cap = draw(st.one_of(st.integers(1, 60), st.integers(BLOCK - 8, BLOCK + 8),
+                         st.integers(2 * BLOCK, 3 * BLOCK)))
+    return model, word, seed, cap
+
+
+@given(scan_cases(), st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+@settings(max_examples=80, deadline=None)
+def test_generated_scans_match_the_oracle(case, s):
+    model, word, seed, cap = case
+    n = len(word)
+    sym = sample_orbit(model, seed, cap + n)  # every symbol a scan may read
+    expect, read = oracle_scan(sym, word, cap)
+    stream = OrbitStream(model, seed)
+    assert entrance_time(stream, word, cap=cap) == expect
+    assert stream.position == read
+    if not expect.censored:  # a cap equal to tau still finds it; one less censors
+        assert entrance_time(OrbitStream(model, seed), word, cap=expect.value) == expect
+        if expect.value > 1:
+            got = entrance_time(OrbitStream(model, seed), word, cap=expect.value - 1)
+            assert got == TimeResult(expect.value - 1, censored=True)
+
+    head = tuple(int(x) for x in sym[:n])
+    expect_rec, read_rec = oracle_scan(sym, head, cap, head=n)
+    stream = OrbitStream(model, seed)
+    assert recurrence_time(stream, n, cap=cap) == expect_rec
+    assert stream.position == read_rec
+
+    expect_w, read_w = oracle_scan(sym, word, cap, head=n)
+    assert expect_w == expect
+    stream = OrbitStream(model, seed)
+    res = w_sum(stream, target=word, s=s, cap=cap)
+    assert (res.time, res.terms, stream.position) == (expect, expect.value, read_w)
+    log_w, last = oracle_log_w(model, sym, n, res.terms, s)
+    assert abs(res.log_value - log_w) <= 1e-9
+    assert abs(res.window_log_measure - last) <= 1e-9
+
+    pats = list(dict.fromkeys([word, head, (word[-1],) * n]))
+    stream = OrbitStream(model, seed)
+    time, count = hits_until_entrance(stream, word, pats, cap=cap)
+    assert (time, stream.position) == (expect, read)
+    assert count == oracle_count(sym, pats, expect.value)
+    stream = OrbitStream(model, seed)
+    assert hitting_number(stream, pats, M=cap) == oracle_count(sym, pats, cap)
+    assert stream.position == cap + n
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_replay_scans_match_the_oracle(data):
+    n = data.draw(st.integers(1, 6))
+    word = tuple(data.draw(st.lists(st.integers(1, 2), min_size=n, max_size=n)))
+    sym = np.zeros(data.draw(st.integers(1, 3 * BLOCK)), dtype=np.int64)  # 0 is in no word
+    spots = [0] if data.draw(st.booleans()) else []  # a match at window 0 never counts
+    spots.append(data.draw(st.one_of(st.integers(BLOCK - n + 1, BLOCK),  # straddles the block edge
+                                      st.integers(1, 3 * BLOCK))))
+    for p in spots:
+        if p + n <= len(sym):
+            sym[p:p + n] = word
+    cap = data.draw(st.integers(1, 3 * BLOCK + 10))  # often beyond the data
+
+    def check(scan, expect, read, stream):
+        if expect is None:
+            with pytest.raises(SequenceTooShort):
+                scan()
+        else:
+            assert scan() == expect
+            assert stream.position == read
+
+    stream = ReplayStream(sym)
+    check(lambda: entrance_time(stream, word, cap=cap), *oracle_scan(sym, word, cap), stream)
+    stream = ReplayStream(sym)
+    head = tuple(int(x) for x in sym[:n])
+    if len(sym) < n:
+        with pytest.raises(SequenceTooShort):
+            recurrence_time(stream, n, cap=cap)
+    else:
+        check(lambda: recurrence_time(stream, n, cap=cap), *oracle_scan(sym, head, cap, head=n), stream)
+
+    expect, read = oracle_scan(sym, word, cap, head=n)
+    stream = ReplayStream(sym, model=GEO)
+    if len(sym) < n or expect is None:
+        with pytest.raises(SequenceTooShort):
+            w_sum(stream, target=word, s=1.0, cap=cap)
+    else:
+        res = w_sum(stream, target=word, s=1.0, cap=cap)
+        assert (res.time, res.terms, stream.position) == (expect, expect.value, read)
+        assert abs(res.log_value - oracle_log_w(GEO, sym, n, res.terms, 1.0)[0]) <= 1e-9
+
+    pats = [word, (0,) * n]
+    expect, read = oracle_scan(sym, word, cap)
+    stream = ReplayStream(sym)
+    if expect is None:
+        with pytest.raises(SequenceTooShort):
+            hits_until_entrance(stream, word, pats, cap=cap)
+    else:
+        time, count = hits_until_entrance(stream, word, pats, cap=cap)
+        assert (time, stream.position) == (expect, read)
+        assert count == oracle_count(sym, pats, expect.value)
+    if cap + n > len(sym):
+        with pytest.raises(SequenceTooShort):
+            hitting_number(ReplayStream(sym), pats, M=cap)
+    else:
+        assert hitting_number(ReplayStream(sym), pats, M=cap) == oracle_count(sym, pats, cap)
