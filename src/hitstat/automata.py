@@ -44,13 +44,6 @@ class PatternAutomaton:
             raise InvalidSymbol(f"symbol {symbol} outside the automaton alphabet")
         return self.table[state][col]
 
-    def is_terminal(self, state: int) -> bool:
-        return self.terminal[state] >= 0
-
-    def matched_word(self, state: int) -> int:
-        """Index into ``words`` of the match ending here, or -1."""
-        return self.terminal[state]
-
     def column_array(self, max_symbol: int) -> np.ndarray:
         """Vectorized symbol-to-column map for block scanning.
 

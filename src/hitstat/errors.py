@@ -29,7 +29,7 @@ class InvalidSymbol(HitstatError, ValueError):
 
 
 class NonPositiveS(HitstatError, ValueError):
-    """A Renyi order parameter s must be strictly positive."""
+    """A Renyi order parameter s must be strictly positive and finite (not NaN)."""
 
 
 class BudgetExceeded(HitstatError, ValueError):

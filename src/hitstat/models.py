@@ -312,10 +312,12 @@ def _gth_solve(Q: np.ndarray, exit: np.ndarray, rhs: np.ndarray,
         d[k] = math.fsum([out[k], *M[k, :k].tolist()])
         if d[k] <= 0.0:
             raise TailNotContracting(f"transient state {k} never exits")
-        col = M[:k, k]
-        E += 8 * int(np.count_nonzero(col))
-        M[:k, :k] += np.multiply.outer(col, M[k, :k] / d[k])
-        out[:k] += col * (out[k] / d[k])
+        # only the rows that lead into k change; the others would add exact zeros
+        rows = np.flatnonzero(M[:k, k])
+        E += 8 * len(rows)
+        col = M[rows, k]
+        M[rows, :k] += np.multiply.outer(col, M[k, :k] / d[k])
+        out[rows] += col * (out[k] / d[k])
     F = M.T if left else M
     x = np.array(rhs, dtype=float)
     for k in range(S - 1, 0, -1):
@@ -427,8 +429,8 @@ def renyi_entropy(model: MeasureModel, s: float, rel_tol: float = 1e-12) -> floa
     The stationary factor ``pi**(1+s)`` in ``Z_n`` only shifts the prefactor,
     never the exponential rate; ``partition_sum_exact`` checks this.
     """
-    if s <= 0.0:
-        raise NonPositiveS(f"s must be > 0, got {s}")
+    if not 0.0 < s < math.inf:
+        raise NonPositiveS(f"s must be positive and finite, got {s}")
     if isinstance(model, BernoulliModel):
         return float(-logsumexp((1.0 + s) * model.log_p) / s)
     if isinstance(model, MarkovModel):
@@ -477,8 +479,8 @@ def partition_sum_exact(model: MeasureModel, n: int, s: float, budget: int = 10*
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if s <= 0.0:
-        raise NonPositiveS(f"s must be > 0, got {s}")
+    if not 0.0 < s < math.inf:
+        raise NonPositiveS(f"s must be positive and finite, got {s}")
     if isinstance(model, BernoulliModel):
         return _enumerated_log_partition(model.log_p, n, s, budget)
     if isinstance(model, MarkovModel):

@@ -148,11 +148,25 @@ class OrbitStream:
         return out
 
 
+def as_symbols(symbols) -> np.ndarray:
+    """Contiguous symbol array in its own integer dtype; anything else as int64."""
+    arr = np.asarray(symbols)
+    if not np.issubdtype(arr.dtype, np.integer):
+        arr = arr.astype(np.int64)
+    return np.ascontiguousarray(arr)
+
+
 class ReplayStream:
-    """Stream interface over recorded symbols; exhausts with short reads."""
+    """Stream interface over recorded symbols; exhausts with short reads.
+
+    The symbols keep their integer dtype (``uint8`` from ``streams.ingest``
+    stays one byte per symbol); non-integer input is read as int64.  Every
+    scan gives the same results on any integer dtype holding the same
+    values.
+    """
 
     def __init__(self, symbols, model: MeasureModel | None = None):
-        arr = np.ascontiguousarray(symbols, dtype=np.int64)
+        arr = as_symbols(symbols)
         if arr.ndim != 1 or arr.size == 0:
             raise EmptyInput("replay data must be a non-empty 1-d symbol array")
         self.symbols = arr
@@ -249,7 +263,8 @@ def _column_view(auto: PatternAutomaton):
     # non-pattern symbol, carries the fallback column
     top = max(auto.columns) + 1
     arr = auto.column_array(top)
-    return lambda chunk: arr[np.minimum(chunk, top)].tolist()
+    # the minimum is taken in intp, where ``top`` fits whatever the block's dtype
+    return lambda chunk: arr[np.minimum(chunk, top, dtype=np.intp)].tolist()
 
 
 class _HitCounter:
@@ -398,7 +413,7 @@ def _window_log_measures(model: MeasureModel, buf: np.ndarray, n: int) -> np.nda
     if isinstance(model, MarkovModel):
         c = np.concatenate(([0.0], np.cumsum(model.log_P[buf[:-1], buf[1:]])))
         return model.log_pi[buf[:m]] + (c[n - 1:] - c[:m])
-    c = np.concatenate(([0], np.cumsum(buf)))
+    c = np.concatenate(([0], np.cumsum(buf, dtype=np.int64)))
     return n * model.log_one_minus_theta + (c[n:] - c[:m]) * model.log_theta
 
 

@@ -26,7 +26,7 @@ from .errors import (
     NonPositiveS,
     SequenceTooShort,
 )
-from .orbits import ReplayStream, recurrence_time
+from .orbits import ReplayStream, as_symbols, recurrence_time
 from .rng import substream
 
 OW_METHOD = "OW-recurrence"
@@ -71,17 +71,24 @@ class SymbolMap:
         return SymbolMap(mode="custom", k=max(values) + 1, table=values)
 
     def apply(self, data: bytes) -> np.ndarray:
+        """Symbols of ``data``, one byte each while they fit in one.
+
+        ``byte``, ``nibble``, ``bit`` and ``custom`` tables with ``k <= 256``
+        return ``uint8`` (one byte per symbol, 8 per input byte for ``bit``);
+        a custom table with ``k > 256`` returns ``int64``.
+        """
         raw = np.frombuffer(data, dtype=np.uint8)
         if self.mode == "byte":
-            return raw.astype(np.int64)
+            return raw.copy()
         if self.mode == "nibble":
-            out = np.empty(2 * len(raw), dtype=np.int64)
+            out = np.empty(2 * len(raw), dtype=np.uint8)
             out[0::2] = raw >> 4
             out[1::2] = raw & 0x0F
             return out
         if self.mode == "bit":
-            return np.unpackbits(raw).astype(np.int64)  # MSB first
-        return np.asarray(self.table, dtype=np.int64)[raw]
+            return np.unpackbits(raw)  # MSB first
+        dtype = np.uint8 if self.k <= 256 else np.int64
+        return np.asarray(self.table, dtype=dtype)[raw]
 
 
 def named_map(name: str) -> SymbolMap:
@@ -162,7 +169,7 @@ def ow_entropy_estimate(sequence, n_list, starts_per_n: int = 200, seed: int = 0
     falls past the end of the data are censored; beyond a 5% censored
     fraction the median itself is suspect and the run fails hard.
     """
-    seq = np.ascontiguousarray(sequence, dtype=np.int64)
+    seq = as_symbols(sequence)
     if seq.ndim != 1 or len(seq) == 0:
         raise EmptyInput("need a non-empty 1-d symbol sequence")
     n_list = [int(n) for n in n_list]
@@ -217,8 +224,17 @@ def ow_entropy_estimate(sequence, n_list, starts_per_n: int = 200, seed: int = 0
 # ---------------------------------------------------------------------------
 
 def window_counts(sequence, n: int) -> np.ndarray:
-    """Occurrence counts of the distinct overlapping n-windows."""
-    seq = np.ascontiguousarray(sequence, dtype=np.int64)
+    """Occurrence counts of the distinct overlapping n-windows, in code order.
+
+    Each window is coded in base ``k = max + 1``, in ``uint32`` when the
+    ``k**n`` codes fit and in ``uint64`` otherwise; symbols of any integer
+    dtype are added straight into the codes, never widened first.  When
+    the code space ``k**n`` is no larger than the window count ``m`` (or
+    ``2**16``), ``np.bincount`` tabulates the codes in O(m) with a table of
+    at most ``8 m`` bytes; a larger space is sorted by ``np.unique``.  Both
+    give the counts of the windows present in ascending code order.
+    """
+    seq = as_symbols(sequence)
     if seq.ndim != 1 or len(seq) == 0:
         raise EmptyInput("need a non-empty 1-d symbol sequence")
     if n < 1:
@@ -235,12 +251,17 @@ def window_counts(sequence, n: int) -> np.ndarray:
             f"n-gram codes for k={k}, n={n} exceed 64 bits; reduce n or remap symbols"
         )
     m = len(seq) - n + 1
-    codes = np.zeros(m, dtype=np.uint64)
-    base = np.uint64(k)
-    u = seq.astype(np.uint64)
-    for j in range(n):
-        codes *= base
-        codes += u[j:j + m]
+    space = k**n
+    dtype = np.uint32 if space <= 2**32 else np.uint64
+    codes = seq[:m].astype(dtype)
+    for j in range(1, n):
+        codes *= dtype(k)
+        # the symbols are non-negative and every partial code is below k**n,
+        # so adding in the codes' own dtype is exact
+        np.add(codes, seq[j:j + m], out=codes, dtype=dtype, casting="unsafe")
+    if space <= max(m, 2**16):
+        counts = np.bincount(codes)
+        return counts[counts != 0]
     return np.unique(codes, return_counts=True)[1]
 
 
@@ -251,8 +272,8 @@ def plugin_renyi_estimate(sequence, n: int, s: float) -> float:
     the data the plug-in is biased upward (unseen mass) -- documented,
     not corrected.
     """
-    if s <= 0.0:
-        raise NonPositiveS(f"s must be > 0, got {s}")
+    if not 0.0 < s < math.inf:
+        raise NonPositiveS(f"s must be positive and finite, got {s}")
     counts = window_counts(sequence, n)
     log_c = np.log(counts.astype(float))
     log_total = math.log(counts.sum())

@@ -255,6 +255,16 @@ def test_renyi_requires_positive_s():
             partition_sum_exact(bernoulli([0.5, 0.5]), 3, s)
 
 
+def test_non_finite_s_is_rejected():
+    chain = builtin_model("two-state-chain")
+    for s in (math.nan, math.inf):
+        for model in (chain, bernoulli([0.5, 0.5]), geometric(0.5)):
+            with pytest.raises(NonPositiveS):
+                renyi_entropy(model, s)
+            with pytest.raises(NonPositiveS):
+                partition_sum_exact(model, 6, s)
+
+
 @given(prob_vectors(), st.floats(min_value=0.05, max_value=4.0),
        st.floats(min_value=0.05, max_value=4.0))
 @settings(max_examples=60, deadline=None)
@@ -322,6 +332,47 @@ def test_gth_bound_covers_the_exact_solution(S, seed, left):
     assert bound < 1e-13
     for got, want in zip(x.tolist(), exact_absorption(Q.tolist(), exit.tolist(), rhs.tolist(), left)):
         assert abs(Fraction(got) - want) <= Fraction(bound) * want
+
+
+def dense_gth_reference(Q, exit, rhs, left=False):
+    """``_gth_solve`` updating the whole block ``M[:k, :k]`` at every pivot."""
+    S = len(exit)
+    M = np.array(Q, dtype=float)
+    out = np.array(exit, dtype=float)
+    d = np.empty(S)
+    E = 11 * S
+    for k in range(S - 1, -1, -1):
+        d[k] = math.fsum([out[k], *M[k, :k].tolist()])
+        col = M[:k, k]
+        E += 8 * int(np.count_nonzero(col))
+        M[:k, :k] += np.multiply.outer(col, M[k, :k] / d[k])
+        out[:k] += col * (out[k] / d[k])
+    F = M.T if left else M
+    x = np.array(rhs, dtype=float)
+    for k in range(S - 1, 0, -1):
+        x[:k] += F[:k, k] * (x[k] / d[k])
+    for k in range(S):
+        x[k] = math.fsum([x[k], *(F[k, :k] * x[:k]).tolist()]) / d[k]
+    bound = math.expm1(-E * math.log1p(-2.0**-53))
+    if np.concatenate((Q[Q > 0.0], exit[exit > 0.0])).min(initial=1.0) < 2.0**-511:
+        bound = math.inf
+    return x, bound
+
+
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.sampled_from([0.05, 0.3, 1.0]),
+       st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_gth_row_elimination_is_bit_identical_to_the_dense_update(S, seed, density, left):
+    rng = np.random.default_rng(seed)
+    W = rng.random((S, S + 1)) * (rng.random((S, S + 1)) < density)
+    W[:, S] += 1e-3  # every state can exit
+    W /= W.sum(axis=1, keepdims=True)
+    Q, exit = W[:, :S], W[:, S]
+    rhs = rng.random(S)
+    x, bound = _gth_solve(Q, exit, rhs, left=left)
+    x_ref, bound_ref = dense_gth_reference(Q, exit, rhs, left=left)
+    assert np.array_equal(x, x_ref)
+    assert bound == bound_ref
 
 
 def test_geometric_renyi_matches_brute_series():

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import logsumexp
@@ -20,6 +20,7 @@ from hitstat.orbits import (
     BLOCK,
     CapPolicy,
     OrbitStream,
+    OrbitSumResult,
     ReplayStream,
     TimeResult,
     entrance_time,
@@ -488,3 +489,46 @@ def test_replay_scans_match_the_oracle(data):
             hitting_number(ReplayStream(sym), pats, M=cap)
     else:
         assert hitting_number(ReplayStream(sym), pats, M=cap) == oracle_count(sym, pats, cap)
+
+
+@given(st.sampled_from(sorted(SCAN_MODELS)), st.integers(0, 2**20), st.integers(1, 6),
+       st.integers(1, 3 * BLOCK), st.sampled_from(["drawn", "run", "wide"]),
+       st.integers(1, 3 * BLOCK + 10))
+@example("geometric", 7, 3, BLOCK + 5, "wide", BLOCK)
+@settings(max_examples=80, deadline=None)
+def test_narrow_replay_scans_equal_the_int64_replay(name, seed, n, length, shape, cap):
+    model = SCAN_MODELS[name]
+    sym = sample_orbit(model, seed, length + n)
+    assert sym.max() < 256
+    word = tuple(int(x) for x in sym[length:length + n])
+    if shape == "run":
+        word = (word[0],) * n
+    wide = word[:-1] + (300,)  # a countable symbol no uint8 block can hold
+    if shape == "wide" and model.k is None:
+        word = wide
+    cap = min(cap, length + 10)  # replays that end before the cap, too
+    pats = list(dict.fromkeys([word, tuple(int(x) for x in sym[:n]), (word[-1],) * n]))
+    if model.k is None:
+        pats = list(dict.fromkeys([*pats, wide]))
+    narrow = sym.astype(np.uint8)
+
+    def scans(symbols):
+        def run(scan):
+            stream = ReplayStream(symbols, model=model)
+            try:
+                return scan(stream), stream.position
+            except SequenceTooShort as exc:
+                return str(exc), stream.position
+        sums = [run(lambda st_: w_sum(st_, target=word, s=s, cap=cap)) for s in (0.0, 1.0, 2.5)]
+        sums.append(run(lambda st_: w_sum(st_, s=0.5, cap=cap, n=n)))
+        return [
+            run(lambda st_: entrance_time(st_, word, cap=cap)),
+            run(lambda st_: recurrence_time(st_, n, cap=cap)),
+            run(lambda st_: hitting_number(st_, pats, M=cap)),
+            run(lambda st_: hits_until_entrance(st_, word, pats, cap=cap)),
+            *[((r.time, r.log_value, r.terms, r.window_log_measure), pos)
+              if isinstance(r, OrbitSumResult) else (r, pos) for r, pos in sums],
+        ]
+
+    assert ReplayStream(narrow).symbols.dtype == np.uint8
+    assert scans(narrow) == scans(sym)

@@ -72,6 +72,21 @@ def test_named_maps_resolve():
         named_map("trit")
 
 
+def test_ingest_returns_one_byte_symbols_while_they_fit():
+    data = bytes(range(256)) * 3
+    for name in ("byte", "nibble", "bit"):
+        assert ingest(data, named_map(name)).dtype == np.uint8
+    narrow = SymbolMap.custom([255 - b for b in range(256)])  # k = 256
+    assert narrow.k == 256
+    symbols = ingest(data, narrow)
+    assert symbols.dtype == np.uint8
+    assert symbols.tolist() == [255 - b for b in data]
+    wide = SymbolMap.custom([b * 3 for b in range(256)])  # k = 766
+    symbols = ingest(data, wide)
+    assert symbols.dtype == np.int64
+    assert symbols.tolist() == [b * 3 for b in data]
+
+
 # ---------------------------------------------------------------------------
 # recurrence-time entropy
 # ---------------------------------------------------------------------------
@@ -133,6 +148,45 @@ def test_window_counts_sum_to_window_total():
         assert counts.tolist() == [tally[w] for w in sorted(tally)]
 
 
+def counter_oracle(seq, n):
+    """Counts of the distinct n-windows in ascending (code) order, by tuples."""
+    tally = Counter(tuple(seq[i:i + n].tolist()) for i in range(len(seq) - n + 1))
+    return [tally[w] for w in sorted(tally)]
+
+
+@pytest.mark.parametrize("k, low, n, length, tabulated", [
+    (4, 0, 9, 4**9 + 8, True),    # k**n == m windows: bincount
+    (4, 0, 9, 4**9 + 7, False),   # k**n == m + 1: sort
+    (4, 0, 8, 1000, True),        # k**n == 2**16 > m: bincount
+    (4, 0, 9, 1000, False),       # k**n == 2**18 > 2**16 > m: sort
+    # uint64 codes near 2**56, where float64 cannot tell codes 1 apart
+    (256, 254, 7, 5000, False),
+])
+def test_window_counts_match_the_counter_oracle_on_both_paths(monkeypatch, k, low, n, length,
+                                                             tabulated):
+    calls = []
+    bincount = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *a, **kw: calls.append(1) or bincount(*a, **kw))
+    seq = substream(41, k).integers(low, k, size=length).astype(np.uint8)
+    seq[0] = k - 1  # k is the alphabet the codes are built on
+    expect = counter_oracle(seq, n)
+    for data in (seq, seq.astype(np.int64)):
+        counts = window_counts(data, n)
+        assert counts.tolist() == expect
+    assert bool(calls) == tabulated
+
+
+def test_estimates_are_the_same_on_every_integer_dtype():
+    data = substream(6, 6).integers(0, 256, size=1 << 14).astype(np.uint8).tobytes()
+    for name, n in (("bit", 6), ("nibble", 2), ("byte", 1)):
+        narrow = ingest(data, named_map(name))
+        for wide in (narrow.astype(np.int64), narrow.astype(np.uint64), narrow.tolist()):
+            assert window_counts(wide, n).tolist() == window_counts(narrow, n).tolist()
+            assert plugin_renyi_estimate(wide, n, 1.5) == plugin_renyi_estimate(narrow, n, 1.5)
+        assert (ow_entropy_estimate(narrow.astype(np.int64), [n], starts_per_n=40, seed=3)
+                == ow_entropy_estimate(narrow, [n], starts_per_n=40, seed=3))
+
+
 def test_plugin_recovers_the_bernoulli_renyi_value():
     model = bernoulli([0.7, 0.3])
     seq = OrbitStream(model, 17).take(1_000_000)
@@ -164,6 +218,13 @@ def test_plugin_guards():
     wide = substream(2, 2).integers(0, 256, size=1000)
     with pytest.raises(BudgetExceeded):
         plugin_renyi_estimate(wide, 9, 1.0)  # 256^9 needs 72 bits
+
+
+def test_plugin_rejects_non_finite_s():
+    seq = substream(2, 3).integers(0, 2, size=1000)
+    for s in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonPositiveS):
+            plugin_renyi_estimate(seq, 3, s)
 
 
 def test_series_csv_layout(tmp_path):
