@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import HitstatError
+from .errors import CensoringExceeded, HitstatError
 from .exact import (
     ENTRANCE,
     build_product_chain,
@@ -47,7 +47,6 @@ from .models import (
     shannon_entropy,
 )
 from .montecarlo import (
-    CENSOR_SUMMARY_LIMIT,
     dkw_epsilon,
     empirical_return_survival,
     empirical_survival,
@@ -196,11 +195,12 @@ def _run_exponent(cfg, model, workers, sampler_name):
         s = float(_require(cfg, "s"))
         kwargs.update(s=s, diagonal=bool(cfg.get("diagonal", False)))
     run = _sharded_samples(sampler_name, model, workers, **kwargs)
-    results = {
-        "target": run.target,
-        "censored_fraction": run.censored_fraction,
-        "summary": run.summary() if run.censored_fraction <= CENSOR_SUMMARY_LIMIT else None,
-    }
+    results = {"target": run.target, "censored_fraction": run.censored_fraction}
+    try:
+        results["summary"] = run.summary()
+    except CensoringExceeded as exc:  # a biased summary is withheld, with the reason
+        results["summary"] = None
+        results["summary_withheld"] = str(exc)
     eps = cfg.get("epsilon")
     if eps is not None:
         results["exceedance"] = run.exceedance(float(eps))

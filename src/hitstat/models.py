@@ -60,6 +60,7 @@ _STATIONARY_TOL = 1e-10   # accepted entrywise relative error of a supplied stat
 _LOG_ZERO = float("-inf")
 _UNIT_ROUNDOFF = 2.0**-53
 _NORMAL_PRODUCTS = 2.0**-511  # products of entries this large stay normal
+_PERRON_REFINE_STEPS = 8      # power steps allowed to narrow a Perron root's bracket
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +109,48 @@ class MarkovModel:
     @cached_property
     def cum_P(self) -> np.ndarray:
         return np.cumsum(self.P, axis=1)
+
+    @cached_property
+    def update_maps(self) -> "UpdateMaps":
+        """The sampler's update maps, tabulated on first use (see ``UpdateMaps``)."""
+        k = self.k
+        breaks = np.unique(self.cum_P)
+        reps = np.concatenate(([-1.0], breaks))  # one point of each interval
+        table = np.minimum(
+            np.stack([np.searchsorted(row, reps, side="right") for row in self.cum_P], axis=1),
+            k - 1,
+        ).astype(np.int64)
+        return UpdateMaps(
+            breaks=breaks,
+            table=table,
+            constant=np.all(table == table[:, :1], axis=1),
+            swap=np.all(table == np.arange(k - 1, -1, -1), axis=1),
+            rows=table.tolist(),
+            cum_pi=np.cumsum(self.pi).tolist(),
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class UpdateMaps:
+    """Every update map of a Markov sampler, one per interval of ``u``.
+
+    On a uniform ``u`` the sampler moves every state ``s`` at once to
+    ``min(bisect_right(cum_P[s], u), k - 1)``: one ``u`` picks one map of
+    the whole alphabet (a grand coupling; Propp & Wilson 1996).  The map
+    changes only where ``u`` crosses an entry of ``cum_P``, so the sorted
+    distinct entries ``breaks`` cut the line into ``len(breaks) + 1``
+    intervals and ``searchsorted(breaks, u, side="right")`` names the
+    interval of ``u``: 0 is ``u < breaks[0]``, ``j >= 1`` is
+    ``[breaks[j-1], breaks[j])``.  ``table[j, s]`` is the map of interval
+    ``j`` at state ``s``; the table has at most ``k**2 + 1`` rows.
+    """
+
+    breaks: np.ndarray    # sorted distinct entries of cum_P
+    table: np.ndarray     # (len(breaks) + 1, k) next states, int64
+    constant: np.ndarray  # the interval's map sends every state to one state
+    swap: np.ndarray      # the interval's map reverses the alphabet (on two states: the swap)
+    rows: list            # table.tolist(), for the per-step lookup
+    cum_pi: list          # cumsum(pi).tolist(), for the stationary first symbol
 
 
 @dataclass(frozen=True, eq=False)
@@ -434,7 +477,7 @@ def renyi_entropy(model: MeasureModel, s: float, rel_tol: float = 1e-12) -> floa
     if isinstance(model, BernoulliModel):
         return float(-logsumexp((1.0 + s) * model.log_p) / s)
     if isinstance(model, MarkovModel):
-        lam, lo, hi = _perron_root(model.P ** (1.0 + s))
+        lam, lo, hi = _perron_root(model.P ** (1.0 + s), rel_tol)
         if not (hi - lo) / lo <= rel_tol:
             raise ToleranceNotCertified(f"the root behind R({s}) is bracketed only to "
                                         f"relative width {(hi - lo) / lo:.3g}")
@@ -444,13 +487,16 @@ def renyi_entropy(model: MeasureModel, s: float, rel_tol: float = 1e-12) -> floa
     return -log_z1 / s
 
 
-def _perron_root(A: np.ndarray) -> tuple[float, float, float]:
+def _perron_root(A: np.ndarray, rel_tol: float) -> tuple[float, float, float]:
     """Leading eigenvalue ``lam`` of a primitive non-negative matrix, in ``[lo, hi]``.
 
     For the eigensolver's positive Perron vector ``x``, the Collatz-Wielandt
     bracket ``min_i (Ax)_i/x_i <= lam <= max_i (Ax)_i/x_i`` is widened by
     ``gamma_(k+5)``: ``k + 1`` roundings per ratio, two for ``pow`` in ``A``
     (within one ulp; the root is monotone in the entries), two for the ends.
+    The bracket holds for every positive ``x``, so while it is wider than
+    relative ``rel_tol``, up to ``_PERRON_REFINE_STEPS`` power steps
+    ``x <- Ax`` narrow it, each by about the ratio of the two leading roots.
     """
     w, V = np.linalg.eig(A)
     i = int(np.argmax(w.real))
@@ -458,11 +504,16 @@ def _perron_root(A: np.ndarray) -> tuple[float, float, float]:
     x = x / x.sum()
     if not np.all(x > 0.0):
         raise ToleranceNotCertified("the Perron vector is not positive in floating point")
-    ratios = (A @ x) / x
     g = (A.shape[0] + 5) * _UNIT_ROUNDOFF
     g /= 1.0 - g
-    lo = float(ratios.min()) * (1.0 - g)
-    hi = float(ratios.max()) * (1.0 + g)
+    for step in range(_PERRON_REFINE_STEPS + 1):
+        ratios = (A @ x) / x
+        lo = float(ratios.min()) * (1.0 - g)
+        hi = float(ratios.max()) * (1.0 + g)
+        if (hi - lo) / lo <= rel_tol or step == _PERRON_REFINE_STEPS:
+            break
+        x = A @ x
+        x = x / x.sum()
     return min(max(float(w[i].real), lo), hi), lo, hi
 
 

@@ -40,6 +40,7 @@ from .models import (
     MeasureModel,
     log_cylinder_measure,
 )
+from .rng import substream
 from .words import as_word
 
 BLOCK = 4096
@@ -92,8 +93,7 @@ class OrbitStream:
     def __init__(self, model: MeasureModel, seed, start=None):
         self.model = model
         self.seed = seed
-        path = tuple(int(x) for x in seed) if isinstance(seed, tuple) else (int(seed),)
-        self._rng = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(path)))
+        self._rng = substream(*seed) if isinstance(seed, tuple) else substream(seed)
         self.position = 0
         self._buf = _EMPTY if start is None else np.array(as_word(start), dtype=np.int64)
         self._off = 0
@@ -125,23 +125,33 @@ class OrbitStream:
             np.clip(out, 0, model.k - 1, out=out)
             return out
         if isinstance(model, MarkovModel):
-            u = self._rng.random(count).tolist()
-            rows = [row.tolist() for row in model.cum_P]
-            k_top = model.k - 1
-            out = []
-            append = out.append
+            maps = model.update_maps
+            u = self._rng.random(count)
             s = self._last
-            if s < 0:
-                s = min(bisect_right(np.cumsum(model.pi).tolist(), u[0]), k_top)
-                append(s)
+            fresh = s < 0
+            if fresh:  # the stationary first symbol
+                s = min(bisect_right(maps.cum_pi, u[0]), model.k - 1)
                 u = u[1:]
-            for x in u:
-                s = bisect_right(rows[s], x)
-                if s > k_top:
-                    s = k_top
-                append(s)
-            self._last = s
-            return np.array(out, dtype=np.int64)
+            j = np.searchsorted(maps.breaks, u, side="right")
+            if model.k == 2:
+                # every map is a constant, the identity or the swap: a state is
+                # the last constant's value (before any, the carried state s)
+                # XOR the parity of the swaps since; slot 0 carries s
+                value = np.concatenate(([s], maps.table[j, 0]))
+                parity = np.concatenate(([0], np.cumsum(maps.swap[j]))) & 1
+                last = np.where(np.concatenate(([True], maps.constant[j])), np.arange(len(value)), 0)
+                np.maximum.accumulate(last, out=last)
+                out = ((value ^ parity)[last] ^ parity)[0 if fresh else 1:]
+            else:
+                rows = maps.rows
+                path = [s] if fresh else []
+                append = path.append
+                for x in j.tolist():
+                    s = rows[x][s]
+                    append(s)
+                out = np.array(path, dtype=np.int64)
+            self._last = int(out[-1])
+            return out
         u = self._rng.random(count)
         out = np.floor(np.log1p(-u) / model.log_theta).astype(np.int64)
         np.clip(out, 0, model.truncation - 1, out=out)

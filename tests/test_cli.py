@@ -227,6 +227,42 @@ def test_worker_count_never_changes_the_outputs(tmp_path, monkeypatch):
     assert blobs[0] == blobs[1]
 
 
+def test_worker_count_never_changes_the_outputs_on_a_chain(tmp_path):
+    cfg = {
+        "kind": "recurrence-exponent", "model": "two-state-chain", "seed": 5,
+        "n": 8, "N": 90, "epsilon": 0.15,
+    }
+    blobs = []
+    for workers in ("1", "4"):
+        code, outdir = run_cli(tmp_path, cfg, name=f"chain-w{workers}.json",
+                               extra=("--workers", workers))
+        assert code == 0
+        blobs.append(((outdir / "report.csv").read_bytes(),
+                      (outdir / "summary.json").read_bytes()))
+    assert blobs[0] == blobs[1]
+
+
+def test_censored_summary_is_withheld_with_its_reason(tmp_path):
+    # cap = ceil(0.5 / mu): about exp(-0.5) of the samples are censored
+    cfg = {
+        "kind": "entrance-exponent", "model": "two-state-chain", "seed": 2,
+        "n": 6, "N": 60, "cap_multiplier": 0.5,
+    }
+    blobs = []
+    for workers in ("1", "2"):
+        code, outdir = run_cli(tmp_path, cfg, name=f"cens-w{workers}.json",
+                               extra=("--workers", workers))
+        assert code == 0
+        results = read_summary(outdir)["results"]
+        frac = results["censored_fraction"]
+        assert frac > 0.01
+        assert results["summary"] is None
+        assert results["summary_withheld"] == f"censored fraction {frac:.4f} exceeds 1.00%"
+        blobs.append(((outdir / "report.csv").read_bytes(),
+                      (outdir / "summary.json").read_bytes()))
+    assert blobs[0] == blobs[1]
+
+
 def test_workers_flag_overrides_the_environment(tmp_path, monkeypatch):
     cfg = {"kind": "recurrence-exponent", "model": "fair-coin", "seed": 3,
            "n": 6, "N": 40}

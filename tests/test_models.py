@@ -43,7 +43,7 @@ from hitstat import (
     word_str,
 )
 from hitstat.errors import BudgetExceeded, ToleranceNotCertified
-from hitstat.models import _gth_solve
+from hitstat.models import _gth_solve, _perron_root
 
 P_CHAIN = [[0.9, 0.1], [0.2, 0.8]]
 
@@ -289,6 +289,18 @@ def test_markov_perron_root_matches_dense_eigensolver(P, s):
     model = markov(P)
     lam_eig = float(np.linalg.eigvals(np.array(P) ** (1 + s)).real.max())
     assert renyi_entropy(model, s) == pytest.approx(-math.log(lam_eig) / s, rel=1e-12, abs=0.0)
+
+
+def test_a_loose_eigenvector_bracket_is_narrowed_by_power_steps():
+    # rows 0 and 1 coincide; the eigensolver's vector brackets the root of
+    # P**4 only to relative 1.5e-12, one power step narrows it to 3e-13
+    P = [[0.32, 0.32, 0.04, 0.32], [0.32, 0.32, 0.04, 0.32], [0.25, 0.125, 0.5, 0.125],
+         [4 / 13, 4 / 13, 1 / 13, 4 / 13]]
+    A = np.array(P) ** 4
+    _, lo, hi = _perron_root(A, rel_tol=math.inf)
+    assert (hi - lo) / lo > 1e-12
+    lam_eig = float(np.linalg.eigvals(A).real.max())
+    assert renyi_entropy(markov(P), 3.0) == pytest.approx(-math.log(lam_eig) / 3.0, rel=1e-12, abs=0.0)
 
 
 def test_renyi_certifies_its_root_or_raises():

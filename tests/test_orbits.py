@@ -1,5 +1,6 @@
 """Orbit engine: hand traces, naive-scan oracles, and drift audits."""
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -532,3 +533,133 @@ def test_narrow_replay_scans_equal_the_int64_replay(name, seed, n, length, shape
 
     assert ReplayStream(narrow).symbols.dtype == np.uint8
     assert scans(narrow) == scans(sym)
+
+
+# --- Markov generation against the frozen per-symbol loop ---------------------
+
+def frozen_markov_steps(model, u, start=()):
+    """The Markov sampler as one ``bisect_right`` per symbol, kept as the oracle.
+
+    This is the loop the update-map table replaced: the stationary first
+    symbol from ``u[0]`` unless ``start`` pins the head, then one clipped
+    bisection of the current row's cumsum per uniform.
+    """
+    out = [int(x) for x in start]
+    rows = [row.tolist() for row in np.cumsum(model.P, axis=1)]
+    k_top = model.k - 1
+    if out:
+        s = out[-1]
+    else:
+        s = min(bisect_right(np.cumsum(model.pi).tolist(), u[0]), k_top)
+        out.append(s)
+        u = u[1:]
+    for x in u:
+        s = bisect_right(rows[s], x)
+        if s > k_top:
+            s = k_top
+        out.append(s)
+    return np.array(out, dtype=np.int64)
+
+
+def frozen_markov_path(model, seed, length, start=()):
+    """The oracle path of ``(model, seed)``, drawing from its own substream."""
+    path = tuple(int(x) for x in seed) if isinstance(seed, tuple) else (int(seed),)
+    rng = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(path)))
+    return frozen_markov_steps(model, rng.random(length - len(start)).tolist(), start)
+
+
+class FixedDraws:
+    """Stands in for a stream's generator: hands out given uniforms in order."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+        self.used = 0
+
+    def random(self, count):
+        self.used += count
+        return self.u[self.used - count:self.used]
+
+
+def breakpoint_draws(model):
+    """``0.0``, every distinct entry of ``cum_P`` and its two neighbours."""
+    points = [0.0]
+    for b in np.unique(np.cumsum(model.P, axis=1)).tolist():
+        points += [b, float(np.nextafter(b, -np.inf)), float(np.nextafter(b, np.inf))]
+    return points
+
+
+SHORT_ROW = [[0.7, 0.2, 0.1], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]]  # row 0 sums below 1.0
+CHAINS = {
+    "two-state": CHAIN,
+    "anti-correlated": markov([[0.2, 0.8], [0.7, 0.3]]),
+    "eps-1e-4": markov([[1 - 1e-4, 1e-4], [1e-4, 1 - 1e-4]]),
+    # validation rejects these two kernels; the sampler must still run them
+    "periodic": MarkovModel(P=np.array([[0.0, 1.0], [1.0, 0.0]]), pi=np.array([0.5, 0.5])),
+    "zero-diagonal": MarkovModel(P=np.array([[0.0, 1.0], [0.5, 0.5]]),
+                                 pi=np.array([1 / 3, 2 / 3])),
+    "sticky-3": markov([[0.98, 0.01, 0.01], [0.01, 0.98, 0.01], [0.01, 0.01, 0.98]]),
+    "short-row-3": markov(SHORT_ROW),
+    "dense-16": markov(np.random.default_rng(16).dirichlet(np.ones(16), size=16)),
+}
+
+
+@st.composite
+def take_splits(draw):
+    """Take sizes summing to at least three blocks, cut anywhere."""
+    total = draw(st.integers(3 * BLOCK, 3 * BLOCK + 50))
+    cuts = draw(st.lists(st.integers(1, total - 1), max_size=8, unique=True))
+    edges = [0, *sorted(cuts), total]
+    return [b - a for a, b in zip(edges, edges[1:])]
+
+
+@pytest.mark.parametrize("name", sorted(CHAINS))
+@given(seed=st.one_of(st.integers(0, 2**32), st.tuples(st.integers(0, 99), st.integers(0, 9))),
+       sizes=take_splits(), pinned=st.booleans())
+@settings(max_examples=12, deadline=None)
+def test_markov_symbols_equal_the_frozen_bisect_loop(name, seed, sizes, pinned):
+    model = CHAINS[name]
+    start = (1, 0) if pinned else ()
+    stream = OrbitStream(model, seed, start=start or None)
+    got = [stream.take(c) for c in sizes]
+    assert all(part.dtype == np.int64 for part in got)
+    assert np.array_equal(np.concatenate(got), frozen_markov_path(model, seed, sum(sizes), start))
+
+
+def test_update_map_table_equals_the_clipped_bisect_at_every_breakpoint():
+    for model in CHAINS.values():
+        maps = model.update_maps
+        k = model.k
+        rows = [row.tolist() for row in np.cumsum(model.P, axis=1)]
+        assert np.array_equal(maps.breaks, np.unique(model.cum_P))
+        for u in breakpoint_draws(model):
+            j = int(np.searchsorted(maps.breaks, u, side="right"))
+            for s in range(k):
+                assert maps.table[j, s] == maps.rows[j][s] == min(bisect_right(rows[s], u), k - 1)
+        assert np.array_equal(maps.constant, [len(set(r)) == 1 for r in maps.rows])
+        assert np.array_equal(maps.swap, [r == list(range(k))[::-1] for r in maps.rows])
+    # the clip: past row 0's last cumsum the bisect reads k, the table k - 1
+    last = float(np.cumsum(SHORT_ROW[0])[-1])
+    assert last < 1.0 and bisect_right(np.cumsum(SHORT_ROW[0]).tolist(), last) == 3
+    maps = CHAINS["short-row-3"].update_maps
+    assert maps.table[np.searchsorted(maps.breaks, last, side="right"), 0] == 2
+
+
+@pytest.mark.parametrize("name", sorted(CHAINS))
+def test_markov_symbols_at_the_breakpoints_equal_the_frozen_bisect_loop(name):
+    model = CHAINS[name]
+    # each breakpoint draw k + 1 times in a seeded order, so it meets many states
+    u = np.random.default_rng(3).permutation(np.repeat(breakpoint_draws(model), model.k + 1))
+    for start in ((), (1, 0)):
+        stream = OrbitStream(model, 0, start=start or None)
+        stream._rng = FixedDraws(u)
+        total = len(u) + len(start)
+        edges = [0, *[c for c in (1, 8, BLOCK + 8) if c < total], total]
+        got = np.concatenate([stream.take(b - a) for a, b in zip(edges, edges[1:])])
+        assert np.array_equal(got, frozen_markov_steps(model, u.tolist(), start))
+
+
+def test_update_maps_are_built_on_first_use():
+    model = markov([[0.9, 0.1], [0.2, 0.8]])
+    assert "update_maps" not in vars(model)
+    sample_orbit(model, 1, 3)
+    assert "update_maps" in vars(model)
