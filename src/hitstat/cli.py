@@ -5,8 +5,9 @@ experiment description, dispatches to the owning module, and writes
 ``report.csv`` plus ``summary.json`` into the output directory.  Files
 contain no timestamps and all floats are written with ``repr``, so a
 config and seed reproduce their outputs byte for byte -- including
-across worker counts, because parallel workers only shard sample index
-ranges whose results merge deterministically.
+across worker counts: every Monte Carlo kind shards its sample indices
+across the workers, and the parts merge into exactly the one-process
+ensemble.  The exact and stream kinds run in one process.
 
 Exit codes: 0 success, 2 invalid config (nothing written), 3 runtime
 failure, 4 a declared tolerance was not met (report still written).
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import multiprocessing
@@ -27,7 +29,6 @@ import numpy as np
 from . import __version__
 from .errors import CensoringExceeded, HitstatError
 from .exact import (
-    ENTRANCE,
     build_product_chain,
     entrance_return_residual,
     exact_mean_return,
@@ -66,12 +67,6 @@ from .streams import (
     plugin_renyi_estimate,
 )
 from .words import as_word, word_str
-
-KINDS = (
-    "entrance-exponent", "recurrence-exponent", "survival", "return-survival",
-    "kac", "hlv", "abadi-shape", "theorem2", "wns", "renyi-exact",
-    "stream-estimate",
-)
 
 
 class ConfigError(ValueError):
@@ -128,31 +123,35 @@ def _fmt(x) -> str:
 
 
 # ---------------------------------------------------------------------------
-# parallel sharding (exponent kinds only; everything else is one process)
+# sharding: every Monte Carlo kind splits its sample indices across the
+# workers; the exact and stream kinds run in one process
 # ---------------------------------------------------------------------------
 
+# workers receive a sampler's name, never the function, so a function
+# patched in place (a tracer's wrapper, say) need not pickle
 _SAMPLERS = {
     "entrance": entrance_exponent_samples,
     "recurrence": recurrence_exponent_samples,
     "orbit-sum": orbit_sum_exponent_samples,
+    "survival": empirical_survival,
+    "return-survival": empirical_return_survival,
+    "tail-integral": survival_tail_integral,
 }
 
 
 def _shard_task(args):
-    name, model, kwargs, chunk = args
-    return _SAMPLERS[name](model, indices=chunk, **kwargs)
+    name, kwargs, chunk = args
+    return _SAMPLERS[name](indices=chunk, **kwargs)
 
 
-def _sharded_samples(name: str, model, workers: int, **kwargs):
+def _sharded_samples(name: str, workers: int, **kwargs):
     if workers <= 1:
-        return _SAMPLERS[name](model, **kwargs)
-    chunks = [c.tolist() for c in np.array_split(np.arange(kwargs["N"]), workers)]
+        return _SAMPLERS[name](**kwargs)
+    N = kwargs["n_outer" if name == "tail-integral" else "N"]
+    chunks = [c.tolist() for c in np.array_split(np.arange(N), workers)]
     with multiprocessing.Pool(workers) as pool:
-        parts = pool.map(_shard_task, [(name, model, kwargs, c) for c in chunks])
-    merged = parts[0]
-    for part in parts[1:]:
-        merged = merged.merge(part)
-    return merged
+        parts = pool.map(_shard_task, [(name, kwargs, c) for c in chunks])
+    return functools.reduce(lambda a, b: a.merge(b), parts)
 
 
 # ---------------------------------------------------------------------------
@@ -160,15 +159,8 @@ def _sharded_samples(name: str, model, workers: int, **kwargs):
 # ---------------------------------------------------------------------------
 
 def _ensemble_rows(run):
-    rows = []
-    censored = set(int(j) for j in run.censored)
     values = dict(zip(run.indices.tolist(), run.values.tolist()))
-    for j in range(run.total):
-        if j in censored:
-            rows.append([j, "", 1])
-        else:
-            rows.append([j, _fmt(values[j]), 0])
-    return rows
+    return [[j, _fmt(values[j]), 0] if j in values else [j, "", 1] for j in range(run.total)]
 
 
 def _check_exponent_tolerance(run, tol):
@@ -194,7 +186,7 @@ def _run_exponent(cfg, model, workers, sampler_name):
     if sampler_name == "orbit-sum":
         s = float(_require(cfg, "s"))
         kwargs.update(s=s, diagonal=bool(cfg.get("diagonal", False)))
-    run = _sharded_samples(sampler_name, model, workers, **kwargs)
+    run = _sharded_samples(sampler_name, workers, model=model, **kwargs)
     results = {"target": run.target, "censored_fraction": run.censored_fraction}
     try:
         results["summary"] = run.summary()
@@ -209,38 +201,28 @@ def _run_exponent(cfg, model, workers, sampler_name):
     return ["sample", "exponent", "censored"], _ensemble_rows(run), results, ok
 
 
-def run_entrance_exponent(cfg, model, workers):
-    return _run_exponent(cfg, model, workers, "entrance")
-
-
-def run_recurrence_exponent(cfg, model, workers):
-    return _run_exponent(cfg, model, workers, "recurrence")
-
-
-def run_wns(cfg, model, workers):
-    return _run_exponent(cfg, model, workers, "orbit-sum")
-
-
-def _survival_rows(exp, model, word, kind):
-    chain = build_product_chain(model, word, kind)
+def _run_survival(cfg, model, workers, sampler_name):
+    """The sampled curve against the exact one: (experiment, rows, worst error)."""
+    word = as_word(_require(cfg, "word"))
+    exp = _sharded_samples(sampler_name, workers, model=model, z_word=word,
+                           N=_positive_int(cfg, "N"), t_grid=_require(cfg, "t_grid"),
+                           seed=cfg["seed"])
+    chain = build_product_chain(model, word, exp.kind)
     rows = []
     worst = 0.0
-    for m, t, value in zip(exp.curve.m, exp.curve.t, exp.curve.values):
+    curve = exp.curve
+    for m, t, value in zip(curve.m, curve.t, curve.values):
         exact = survival_at(chain, int(m))
         worst = max(worst, abs(value - exact))
         rows.append([int(m), _fmt(t), _fmt(value), _fmt(exact), _fmt(abs(value - exact))])
-    return rows, worst
+    return exp, rows, worst
 
 
 def run_survival(cfg, model, workers):
-    word = as_word(_require(cfg, "word"))
-    N = _positive_int(cfg, "N")
-    grid = _require(cfg, "t_grid")
-    exp = empirical_survival(model, word, N=N, t_grid=grid, seed=cfg["seed"])
-    rows, worst = _survival_rows(exp, model, word, ENTRANCE)
+    exp, rows, worst = _run_survival(cfg, model, workers, "survival")
     tol = cfg.get("tolerance")
     alpha = float(tol.get("dkw_alpha", 0.001)) if tol else 0.001
-    band = dkw_epsilon(N, alpha)
+    band = dkw_epsilon(exp.total, alpha)
     results = {
         "ks_statistic": exp.ks.statistic,
         "ks_samples": exp.ks.sample_count,
@@ -258,12 +240,8 @@ def run_survival(cfg, model, workers):
 
 
 def run_return_survival(cfg, model, workers):
-    word = as_word(_require(cfg, "word"))
-    N = _positive_int(cfg, "N")
-    grid = _require(cfg, "t_grid")
-    exp = empirical_return_survival(model, word, N=N, t_grid=grid, seed=cfg["seed"])
-    rows, worst = _survival_rows(exp, model, word, "return")
-    exact_mean = exact_mean_return(model, word)
+    exp, rows, worst = _run_survival(cfg, model, workers, "return-survival")
+    exact_mean = exact_mean_return(model, exp.word)
     results = {
         "mean_time": exp.mean_time,
         "exact_mean_return": exact_mean,
@@ -352,7 +330,8 @@ def run_theorem2(cfg, model, workers):
     rows = []
     estimates = []
     for n in n_list:
-        res = survival_tail_integral(model, n, epsilon, n_outer=N, seed=cfg["seed"])
+        res = _sharded_samples("tail-integral", workers, model=model, n=n, epsilon=epsilon,
+                               n_outer=N, seed=cfg["seed"])
         estimates.append(res.estimate)
         rows.append([n, _fmt(res.estimate), _fmt(res.std_error), N])
     decreasing = all(a > b for a, b in zip(estimates, estimates[1:]))
@@ -455,19 +434,20 @@ def run_stream_estimate(cfg, model, workers):
 
 
 RUNNERS = {
-    "entrance-exponent": run_entrance_exponent,
-    "recurrence-exponent": run_recurrence_exponent,
+    "entrance-exponent": functools.partial(_run_exponent, sampler_name="entrance"),
+    "recurrence-exponent": functools.partial(_run_exponent, sampler_name="recurrence"),
     "survival": run_survival,
     "return-survival": run_return_survival,
     "kac": run_kac,
     "hlv": run_hlv,
     "abadi-shape": run_abadi_shape,
     "theorem2": run_theorem2,
-    "wns": run_wns,
+    "wns": functools.partial(_run_exponent, sampler_name="orbit-sum"),
     "renyi-exact": run_renyi_exact,
     "stream-estimate": run_stream_estimate,
 }
 
+KINDS = tuple(RUNNERS)
 MODEL_OPTIONAL = {"stream-estimate"}
 
 

@@ -405,41 +405,6 @@ def cylinder_measure(model: MeasureModel, word) -> float:
     return math.exp(log_cylinder_measure(model, word))
 
 
-def next_symbol_distribution(model: MeasureModel, prev: int | None = None):
-    """Law of the next symbol, stationary when ``prev`` is omitted.
-
-    Finite models return a mass vector; the countable model returns a
-    ``GeometricLaw`` sampler since its support is infinite.
-    """
-    if isinstance(model, BernoulliModel):
-        return model.p.copy()
-    if isinstance(model, MarkovModel):
-        if prev is None:
-            return model.pi.copy()
-        if not (0 <= prev < model.k):
-            raise InvalidSymbol(f"state out of range: {prev}")
-        return model.P[prev].copy()
-    if prev is not None and prev < 0:
-        raise InvalidSymbol(f"symbol out of range: {prev}")
-    return GeometricLaw(theta=model.theta, truncation=model.truncation)
-
-
-@dataclass(frozen=True)
-class GeometricLaw:
-    """Parametric next-symbol law for the countable model."""
-
-    theta: float
-    truncation: int
-
-    def pmf(self, j: int) -> float:
-        return (1.0 - self.theta) * self.theta**j if j >= 0 else 0.0
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        u = rng.random(size)
-        raw = np.floor(np.log1p(-u) / math.log(self.theta)).astype(np.int64)
-        return np.minimum(raw, self.truncation - 1)
-
-
 # ---------------------------------------------------------------------------
 # entropies
 # ---------------------------------------------------------------------------
@@ -610,42 +575,6 @@ def phi_bound(model: MeasureModel, gap: int) -> float:
                       ContractionDegenerate, stacklevel=2)
         return c
     return c * rho**gap
-
-
-@dataclass(frozen=True)
-class TailDecay:
-    """Tail behaviour of the one-symbol partition.
-
-    ``trivially_satisfied`` marks finite alphabets, where any decay
-    requirement on the partition tail holds vacuously.  For the countable
-    model ``delta`` is the geometric ratio: the mass of partition cells of
-    rank >= j is ``delta**(j-1)``.
-    """
-
-    trivially_satisfied: bool
-    delta: float | None
-
-
-def tail_decay(model: MeasureModel) -> TailDecay:
-    """Tail-decay certificate for the symbol partition."""
-    if isinstance(model, GeometricModel):
-        return TailDecay(trivially_satisfied=False, delta=model.theta)
-    return TailDecay(trivially_satisfied=True, delta=None)
-
-
-def tail_mass(model: MeasureModel, j: int) -> float:
-    """Total mass of partition cells with (1-based) rank >= ``j``.
-
-    For the geometric model this is ``theta**(j-1)``; for finite models it
-    is the sum of the trailing masses in index order.
-    """
-    if j < 1:
-        raise ValueError(f"rank must be >= 1, got {j}")
-    if isinstance(model, GeometricModel):
-        return model.theta ** (j - 1)
-    if isinstance(model, BernoulliModel):
-        return float(model.p[j - 1:].sum())
-    return float(model.pi[j - 1:].sum())
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Seeded ensemble experiments over entrance times and orbit sums.
 
-Every sampler draws sample ``j`` from the dedicated RNG substreams
-``(seed, j, 0)`` (the z role: the word-defining path) and
-``(seed, j, 1)`` (the x role: the scanned path), so results are
-identical no matter how the index range is split across workers.
-Samplers accept an explicit ``indices`` iterable for sharding; partial
-results merge associatively into the same totals.
+Every experiment is an ensemble of samples addressed by index: sample
+``j`` draws from the dedicated RNG substreams ``(seed, j, 0)`` (the z
+role: the word-defining path) and ``(seed, j, 1)`` (the x role: the
+scanned path).  One core, ``ensemble``, runs a per-index sample function
+and keeps the rows; every statistic is computed from the rows in index
+order.  A run over any part of the index range (``indices=``) therefore
+merges associatively into exactly the one-pass result, no matter how the
+range is split across workers.
 
 Censored samples (no event within the cap) are tracked by index,
 excluded from summaries, and trip a hard ``CensoringExceeded`` once
@@ -15,7 +17,8 @@ data would be biased toward small exponents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 from scipy import stats
@@ -37,22 +40,18 @@ SURVIVAL_CENSOR_MASS = 1e-3  # exponential-reference mass allowed beyond the cap
 
 
 # ---------------------------------------------------------------------------
-# exponent ensembles
+# the ensemble core
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ExponentSamples:
-    """Ensemble of ``(1/n) log tau`` (or ``(1/n) log W``) values.
+class Ensemble:
+    """Rows of an index-addressed ensemble, in index order.
 
     ``indices`` and ``values`` align; ``censored`` lists the sample
-    indices that hit the cap.  ``target`` carries the limit constant the
-    ensemble is probing, so reports stay self-auditing.
+    indices that hit the cap.  Subclasses add the experiment's parameters
+    as further fields, and parts merge only when those agree.
     """
 
-    kind: str
-    n: int
-    s: float | None
-    target: float
     indices: np.ndarray
     values: np.ndarray
     censored: np.ndarray
@@ -65,19 +64,61 @@ class ExponentSamples:
     def censored_fraction(self) -> float:
         return len(self.censored) / self.total if self.total else 0.0
 
-    def merge(self, other: "ExponentSamples") -> "ExponentSamples":
-        if (self.kind, self.n, self.s, self.target) != (other.kind, other.n, other.s, other.target):
+    def merge(self, other: "Ensemble") -> "Ensemble":
+        """Union of two disjoint parts of one ensemble."""
+        if type(self) is not type(other) or any(
+                getattr(self, f.name) != getattr(other, f.name)
+                for f in fields(self)[len(fields(Ensemble)):]):
             raise ValueError("cannot merge ensembles with different parameters")
         idx = np.concatenate([self.indices, other.indices])
-        if len(np.unique(idx)) != len(idx):
+        cens = np.concatenate([self.censored, other.censored])
+        if len(np.unique(np.concatenate([idx, cens]))) != len(idx) + len(cens):
             raise ValueError("overlapping sample indices")
         order = np.argsort(idx)
-        return replace(
-            self,
-            indices=idx[order],
-            values=np.concatenate([self.values, other.values])[order],
-            censored=np.sort(np.concatenate([self.censored, other.censored])),
-        )
+        return replace(self, indices=idx[order],
+                       values=np.concatenate([self.values, other.values])[order],
+                       censored=np.sort(cens))
+
+
+def ensemble(sample, N: int, indices=None) -> Ensemble:
+    """Rows of ``sample(j)`` for each ``j`` in ``indices`` (default ``range(N)``).
+
+    ``sample(j)`` returns the value of sample ``j``, or ``None`` when the
+    sample is censored.  Indices run in increasing order; one outside
+    ``[0, N)`` or given twice raises ``ValueError`` before any sample runs.
+    """
+    idx = np.sort(np.fromiter(range(N) if indices is None else indices, dtype=np.int64))
+    if len(idx) and (idx[0] < 0 or idx[-1] >= N):
+        raise ValueError("sample indices must lie in [0, N)")
+    if np.any(idx[1:] == idx[:-1]):
+        raise ValueError("duplicate sample indices")
+    values = [sample(j) for j in idx.tolist()]
+    done = np.array([v is not None for v in values], dtype=bool)
+    return Ensemble(indices=idx[done], censored=idx[~done],
+                    values=np.array([v for v in values if v is not None], dtype=float))
+
+
+def _word(model: MeasureModel, seed: int, j: int, n: int) -> tuple:
+    """Sample ``j``'s word: the n-prefix of its z-role substream."""
+    return tuple(int(x) for x in sample_orbit(model, (seed, j, 0), n))
+
+
+# ---------------------------------------------------------------------------
+# exponent ensembles
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ExponentSamples(Ensemble):
+    """Ensemble of ``(1/n) log tau`` (or ``(1/n) log W``) values.
+
+    ``target`` carries the limit constant the ensemble is probing, so
+    reports stay self-auditing.
+    """
+
+    kind: str
+    n: int
+    s: float | None
+    target: float
 
     def summary(self) -> dict:
         """Mean/median/quantiles of the uncensored mass.
@@ -110,32 +151,8 @@ class ExponentSamples:
         return {"eps": eps, "lower": lower, "upper": upper, "two_sided": lower + upper}
 
 
-def _resolve_indices(N: int, indices) -> list[int]:
-    if indices is None:
-        return list(range(N))
-    out = [int(j) for j in indices]
-    if any(j < 0 or j >= N for j in out):
-        raise ValueError("sample indices must lie in [0, N)")
-    return out
-
-
-def _collect(kind: str, n: int, s: float | None, target: float, rows) -> ExponentSamples:
-    idx, vals, cens = [], [], []
-    for j, value in rows:
-        if value is None:
-            cens.append(j)
-        else:
-            idx.append(j)
-            vals.append(value)
-    return ExponentSamples(
-        kind=kind,
-        n=n,
-        s=s,
-        target=target,
-        indices=np.array(idx, dtype=np.int64),
-        values=np.array(vals, dtype=float),
-        censored=np.array(cens, dtype=np.int64),
-    )
+def _exponents(sample, N, indices, kind, n, s, target) -> ExponentSamples:
+    return ExponentSamples(**vars(ensemble(sample, N, indices)), kind=kind, n=n, s=s, target=target)
 
 
 def entrance_exponent_samples(model: MeasureModel, n: int, N: int, seed: int,
@@ -147,13 +164,14 @@ def entrance_exponent_samples(model: MeasureModel, n: int, N: int, seed: int,
     ``(seed, j, 0)`` and scans substream ``(seed, j, 1)``.
     """
     policy = cap_policy or CapPolicy()
-    rows = []
-    for j in _resolve_indices(N, indices):
-        word = tuple(int(x) for x in sample_orbit(model, (seed, j, 0), n))
+
+    def sample(j):
+        word = _word(model, seed, j, n)
         cap = policy.cap_for(model, word)
         t = entrance_time(OrbitStream(model, (seed, j, 1)), word, cap=cap)
-        rows.append((j, None if t.censored else math.log(t.value) / n))
-    return _collect("entrance", n, None, shannon_entropy(model), rows)
+        return None if t.censored else math.log(t.value) / n
+
+    return _exponents(sample, N, indices, "entrance", n, None, shannon_entropy(model))
 
 
 def recurrence_exponent_samples(model: MeasureModel, n: int, N: int, seed: int,
@@ -161,13 +179,14 @@ def recurrence_exponent_samples(model: MeasureModel, n: int, N: int, seed: int,
                                 indices=None) -> ExponentSamples:
     """Diagonal variant: ``(1/n) log`` of the return to the own n-prefix."""
     policy = cap_policy or CapPolicy()
-    rows = []
-    for j in _resolve_indices(N, indices):
-        prefix = tuple(int(x) for x in sample_orbit(model, (seed, j, 0), n))
+
+    def sample(j):
+        prefix = _word(model, seed, j, n)
         cap = policy.cap_for(model, prefix)
         t = entrance_time(OrbitStream(model, (seed, j, 0)), prefix, cap=cap)
-        rows.append((j, None if t.censored else math.log(t.value) / n))
-    return _collect("recurrence", n, None, shannon_entropy(model), rows)
+        return None if t.censored else math.log(t.value) / n
+
+    return _exponents(sample, N, indices, "recurrence", n, None, shannon_entropy(model))
 
 
 def orbit_sum_exponent_samples(model: MeasureModel, n: int, s: float, N: int, seed: int,
@@ -182,16 +201,17 @@ def orbit_sum_exponent_samples(model: MeasureModel, n: int, s: float, N: int, se
         raise ValueError(f"s must be >= 0, got {s}")
     policy = cap_policy or CapPolicy()
     target = shannon_entropy(model) - (s * renyi_entropy(model, s) if s > 0.0 else 0.0)
-    rows = []
-    for j in _resolve_indices(N, indices):
-        word = tuple(int(x) for x in sample_orbit(model, (seed, j, 0), n))
+
+    def sample(j):
+        word = _word(model, seed, j, n)
         cap = policy.cap_for(model, word)
         if diagonal:
             res = w_sum(OrbitStream(model, (seed, j, 0)), s=s, cap=cap, n=n)
         else:
             res = w_sum(OrbitStream(model, (seed, j, 1)), target=word, s=s, cap=cap)
-        rows.append((j, None if res.time.censored else res.log_value / n))
-    return _collect("orbit-sum", n, s, target, rows)
+        return None if res.time.censored else res.log_value / n
+
+    return _exponents(sample, N, indices, "orbit-sum", n, s, target)
 
 
 # ---------------------------------------------------------------------------
@@ -206,20 +226,27 @@ class KsResult:
 
 
 @dataclass(frozen=True)
-class SurvivalExperiment:
+class SurvivalExperiment(Ensemble):
     """Sampled entrance/return times with their empirical curve.
 
-    ``times`` holds uncensored step counts; censored samples sit as
+    ``values`` holds the uncensored step counts; censored samples sit as
     right-censored mass at ``cap`` (they still certify ``tau > cap``, so
     they support the curve up to the cap and are dropped beyond it).
     """
 
-    curve: SurvivalCurve
-    ks: KsResult
-    times: np.ndarray
-    censored_count: int
-    cap: int
+    kind: str
+    word: tuple
+    t_grid: tuple
     mu: float
+    cap: int
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.values.astype(np.int64)
+
+    @property
+    def censored_count(self) -> int:
+        return len(self.censored)
 
     @property
     def mean_time(self) -> float:
@@ -229,77 +256,68 @@ class SurvivalExperiment:
     def rescaled(self) -> np.ndarray:
         return self.times * self.mu
 
+    @cached_property
+    def curve(self) -> SurvivalCurve:
+        t = np.asarray(self.t_grid, dtype=float)
+        m_of = step_at(t, self.mu)
+        # times above m, and the censored samples while m <= cap: they certify tau > cap
+        hold = len(self.values) - np.searchsorted(np.sort(self.times), m_of, side="right")
+        hold += np.where(m_of <= self.cap, self.censored_count, 0)
+        return SurvivalCurve(m=m_of, t=t, values=hold / self.total, kind=self.kind,
+                             exactness="empirical", mu=self.mu, word=self.word,
+                             sample_count=self.total)
+
+    @cached_property
+    def ks(self) -> KsResult:
+        rescaled = self.rescaled
+        statistic = float(stats.kstest(rescaled, "expon").statistic) if len(rescaled) else 1.0
+        return KsResult(statistic=statistic, sample_count=len(rescaled))
+
 
 def _survival_cap(mu: float) -> int:
     return math.ceil(-math.log(SURVIVAL_CENSOR_MASS) / mu)
 
 
-def _empirical_experiment(model, word, N, t_grid, seed, kind, start_word) -> SurvivalExperiment:
+def _survival_experiment(model, word, N, t_grid, seed, kind, indices) -> SurvivalExperiment:
     word = as_word(word)
     log_mu = log_cylinder_measure(model, word)
     if log_mu == -math.inf:
         raise ZeroMeasureTarget(f"word {word} has measure zero")
+    t = np.asarray(list(t_grid), dtype=float)
+    if (t.ndim != 1 or len(t) == 0 or not np.all(np.isfinite(t)) or np.any(t < 0)
+            or np.any(np.diff(t) <= 0)):
+        raise ValueError("t grid must be finite, non-negative and strictly increasing")
     mu = math.exp(log_mu)
     cap = _survival_cap(mu)
-    times = np.empty(N, dtype=np.int64)
-    censored = 0
-    for j in range(N):
-        t = entrance_time(OrbitStream(model, (seed, j, 1), start=start_word), word, cap=cap)
-        if t.censored:
-            times[j] = -1
-            censored += 1
-        else:
-            times[j] = t.value
-    uncensored = times[times > 0]
-    t = np.asarray(list(t_grid), dtype=float)
-    if t.ndim != 1 or len(t) == 0 or np.any(t < 0) or np.any(np.diff(t) <= 0):
-        raise ValueError("t grid must be non-negative and strictly increasing")
-    m_of = step_at(t, mu)
-    values = np.empty(len(t))
-    for i, m in enumerate(m_of):
-        hold = int((uncensored > m).sum())
-        if m <= cap:
-            hold += censored  # censored certify tau > cap >= m
-        values[i] = hold / N
-    curve = SurvivalCurve(
-        m=m_of,
-        t=t,
-        values=values,
-        kind=kind,
-        exactness="empirical",
-        mu=mu,
-        word=word,
-        sample_count=N,
-    )
-    ks_stat = float(stats.kstest(uncensored * mu, "expon").statistic) if len(uncensored) else 1.0
-    return SurvivalExperiment(
-        curve=curve,
-        ks=KsResult(statistic=ks_stat, sample_count=len(uncensored)),
-        times=uncensored,
-        censored_count=censored,
-        cap=cap,
-        mu=mu,
-    )
+    start = word if kind == RETURN else None
+
+    def sample(j):
+        tau = entrance_time(OrbitStream(model, (seed, j, 1), start=start), word, cap=cap)
+        return None if tau.censored else tau.value
+
+    return SurvivalExperiment(**vars(ensemble(sample, N, indices)), kind=kind, word=word,
+                              t_grid=tuple(t.tolist()), mu=mu, cap=cap)
 
 
-def empirical_survival(model: MeasureModel, z_word, N: int, t_grid, seed: int) -> SurvivalExperiment:
+def empirical_survival(model: MeasureModel, z_word, N: int, t_grid, seed: int,
+                       indices=None) -> SurvivalExperiment:
     """Entrance-time ensemble for a fixed word, rescaled by its measure.
 
     The cap keeps the censored mass below ``1e-3`` under the limiting
     unit exponential; the KS statistic is computed on uncensored mass.
     """
-    return _empirical_experiment(model, z_word, N, t_grid, seed, ENTRANCE, start_word=None)
+    return _survival_experiment(model, z_word, N, t_grid, seed, ENTRANCE, indices)
 
 
-def empirical_return_survival(model: MeasureModel, z_word, N: int, t_grid, seed: int) -> SurvivalExperiment:
+def empirical_return_survival(model: MeasureModel, z_word, N: int, t_grid, seed: int,
+                              indices=None) -> SurvivalExperiment:
     """Return-time ensemble: paths start inside the word's cylinder.
 
     Conditional sampling is exact -- the first ``|B|`` symbols are
     pinned and the kernel continues from the word's last symbol; no
     rejection step is involved.
     """
-    word = as_word(z_word)
-    return _empirical_experiment(model, word, N, t_grid, seed, RETURN, start_word=word)
+    return _survival_experiment(model, z_word, N, t_grid, seed, RETURN, indices)
 
 
 def dkw_epsilon(N: int, alpha: float = 0.001) -> float:
@@ -312,19 +330,25 @@ def dkw_epsilon(N: int, alpha: float = 0.001) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TailIntegral:
+class TailIntegral(Ensemble):
     """Monte Carlo average over words of an exact tail probability."""
 
-    estimate: float
-    std_error: float
     n: int
     epsilon: float
-    values: np.ndarray
+
+    @property
+    def estimate(self) -> float:
+        return float(self.values.mean())
+
+    @property
+    def std_error(self) -> float:
+        words = len(self.values)
+        return float(self.values.std(ddof=1) / math.sqrt(words)) if words > 1 else 0.0
 
 
 def survival_tail_integral(model: MeasureModel, n: int, epsilon: float, n_outer: int,
                            seed: int, n_inner: int = 400,
-                           state_budget: int = 5000) -> TailIntegral:
+                           state_budget: int = 5000, indices=None) -> TailIntegral:
     """Estimate of the word-averaged rescaled tail ``P(tau >= e^(n*eps)/mu)``.
 
     Outer Monte Carlo over words drawn from the measure; the inner
@@ -337,24 +361,17 @@ def survival_tail_integral(model: MeasureModel, n: int, epsilon: float, n_outer:
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     threshold = math.exp(n * epsilon)
-    vals = np.empty(n_outer)
-    for j in range(n_outer):
-        word = tuple(int(x) for x in sample_orbit(model, (seed, j, 0), n))
-        mu = cylinder_measure(model, word)
-        m = int(step_at(threshold, mu))
+
+    def sample(j):
+        word = _word(model, seed, j, n)
+        m = int(step_at(threshold, cylinder_measure(model, word)))
         chain = build_product_chain(model, word, ENTRANCE)
         if chain.Q.shape[0] <= state_budget:
-            vals[j] = survival_at(chain, m)
-        else:
-            hits = sum(
-                not entrance_time(OrbitStream(model, (seed, j, 1, i)), word, cap=m).censored
-                for i in range(n_inner)
-            )
-            vals[j] = 1.0 - hits / n_inner
-    return TailIntegral(
-        estimate=float(vals.mean()),
-        std_error=float(vals.std(ddof=1) / math.sqrt(n_outer)) if n_outer > 1 else 0.0,
-        n=n,
-        epsilon=epsilon,
-        values=vals,
-    )
+            return survival_at(chain, m)
+        hits = sum(
+            not entrance_time(OrbitStream(model, (seed, j, 1, i)), word, cap=m).censored
+            for i in range(n_inner)
+        )
+        return 1.0 - hits / n_inner
+
+    return TailIntegral(**vars(ensemble(sample, n_outer, indices)), n=n, epsilon=epsilon)

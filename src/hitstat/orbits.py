@@ -395,7 +395,6 @@ class OrbitSumResult:
     summand is one, so ``terms`` *is* the sum (and equals the entrance
     step).  ``window_log_measure`` is the log-measure of the final
     window, kept for drift audits against fresh recomputation.
-    Iterating yields ``(time, log_value)``.
     """
 
     time: TimeResult
@@ -403,9 +402,6 @@ class OrbitSumResult:
     terms: int
     s: float
     window_log_measure: float
-
-    def __iter__(self):
-        return iter((self.time, self.log_value))
 
 
 def _window_log_measures(model: MeasureModel, buf: np.ndarray, n: int) -> np.ndarray:

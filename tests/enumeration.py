@@ -3,7 +3,8 @@
 Slow by construction and deliberately independent of the product-chain
 machinery: sequences are walked with ``itertools.product``, window
 matches are found by literal tuple comparison, and probabilities are
-plain products of symbol masses.  Used only by tests and audits.
+plain products of symbol masses.  The tests hold the product-chain laws
+against it.
 """
 from __future__ import annotations
 
@@ -12,8 +13,9 @@ import math
 
 import numpy as np
 
-from .models import BernoulliModel, MarkovModel, MeasureModel
-from .words import as_word
+from hitstat.errors import BudgetExceeded
+from hitstat.models import BernoulliModel, MarkovModel, MeasureModel
+from hitstat.words import as_word
 
 
 def _prefix_probability(model: MeasureModel, seq) -> float:
@@ -67,7 +69,7 @@ def enumerate_survival(model: MeasureModel, target, m_max: int,
     else:
         raise ValueError(f"unknown kind {kind!r}")
     if k**length > budget:
-        raise ValueError(f"{k}**{length} sequences exceed the enumeration budget")
+        raise BudgetExceeded(f"{k}**{length} sequences exceed the enumeration budget")
 
     survival = np.zeros(m_max + 1)
     survival[0] = 1.0

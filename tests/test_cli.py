@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from hitstat import orbits, rng, streams
 from hitstat.cli import KINDS, _load_config, _resolve_model, main
 
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
@@ -272,3 +273,28 @@ def test_workers_flag_overrides_the_environment(tmp_path, monkeypatch):
     assert main(["--config", str(path), "--outdir", str(tmp_path / "o1")]) == 2
     assert main(["--config", str(path), "--outdir", str(tmp_path / "o2"),
                  "--workers", "2"]) == 0
+
+
+def test_no_demo_experiment_reads_two_aliased_substreams(tmp_path, monkeypatch):
+    # SeedSequence pads its entropy with zeros, so substream keys that differ
+    # only by trailing zeros give the same stream: (7,) and (7, 0, 0) alias
+    keys = set()
+
+    def recording(*key):
+        keys.add(tuple(int(k) for k in key))
+        return rng.substream(*key)
+
+    monkeypatch.setattr(orbits, "substream", recording)
+    monkeypatch.setattr(streams, "substream", recording)
+    for path in sorted(DEMO_CONFIGS.glob("*.json")):
+        keys.clear()
+        assert main(["--config", str(path), "--outdir", str(tmp_path / path.stem),
+                     "--workers", "1"]) == 0
+        stripped = {}
+        for key in keys:
+            bare = key
+            while len(bare) > 1 and bare[-1] == 0:
+                bare = bare[:-1]
+            stripped.setdefault(bare, []).append(key)
+        aliased = [sorted(group) for group in stripped.values() if len(group) > 1]
+        assert not aliased, f"{path.name}: {aliased[:3]}"

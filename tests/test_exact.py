@@ -8,8 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hitstat import bernoulli, geometric, markov
-from hitstat.enumeration import enumerate_survival
-from hitstat.errors import GridTooCoarse, TailNotContracting, ToleranceNotCertified, ZeroMeasureTarget
+from enumeration import enumerate_survival
+from hitstat.errors import (
+    BudgetExceeded,
+    GridTooCoarse,
+    TailNotContracting,
+    ToleranceNotCertified,
+    ZeroMeasureTarget,
+)
 from hitstat.exact import (
     fit_survival_shape,
     build_product_chain,
@@ -60,6 +66,11 @@ def test_fair_coin_return_laws_match_enumeration():
     for word in ("11", "101"):
         ret = return_survival(FAIR, word, 12).values
         assert np.abs(ret - enumerate_survival(FAIR, word, 12, kind="return")).max() <= 1e-12
+
+
+def test_enumeration_past_its_budget_raises():
+    with pytest.raises(BudgetExceeded):
+        enumerate_survival(FAIR, "11", 30)
 
 
 def test_survival_curve_contract():

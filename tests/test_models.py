@@ -31,15 +31,12 @@ from hitstat import (
     model_fingerprint,
     model_from_dict,
     model_to_dict,
-    next_symbol_distribution,
     partition_slope,
     partition_sum_exact,
     phi_bound,
     renyi_entropy,
     shannon_entropy,
     stationary_distribution,
-    tail_decay,
-    tail_mass,
     word_str,
 )
 from hitstat.errors import BudgetExceeded, ToleranceNotCertified
@@ -220,14 +217,6 @@ def test_markov_measure_extension_consistency(w):
     left = sum(cylinder_measure(model, [a] + w) for a in range(2))
     assert right == pytest.approx(mu, rel=1e-12)
     assert left == pytest.approx(mu, rel=1e-12)
-
-
-def test_next_symbol_distribution():
-    chain = markov(P_CHAIN)
-    assert next_symbol_distribution(chain) == pytest.approx([2 / 3, 1 / 3])
-    assert next_symbol_distribution(chain, prev=1) == pytest.approx([0.2, 0.8])
-    law = next_symbol_distribution(geometric(0.5))
-    assert law.pmf(2) == pytest.approx(0.125)
 
 
 # --- entropies ----------------------------------------------------------------
@@ -464,20 +453,6 @@ def test_phi_bound_degenerate_contraction_warns():
     with pytest.warns(ContractionDegenerate):
         bound = phi_bound(chain, 10)
     assert bound >= 1.0  # vacuous constant, never decays
-
-
-def test_tail_decay_certificates():
-    assert tail_decay(bernoulli([0.5, 0.5])).trivially_satisfied
-    assert tail_decay(markov(P_CHAIN)).trivially_satisfied
-    cert = tail_decay(geometric(0.5))
-    assert not cert.trivially_satisfied
-    assert cert.delta == pytest.approx(0.5)
-
-
-def test_tail_mass_values():
-    assert tail_mass(geometric(0.5), 1) == pytest.approx(1.0)
-    assert tail_mass(geometric(0.5), 4) == pytest.approx(0.125)
-    assert tail_mass(bernoulli([0.7, 0.3]), 2) == pytest.approx(0.3)
 
 
 # --- serialization ---------------------------------------------------------------

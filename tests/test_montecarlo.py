@@ -1,13 +1,17 @@
 """Ensemble sampler behavior: determinism, merging, censoring, laws."""
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hitstat import (
     CapPolicy,
     CensoringExceeded,
     ExponentSamples,
+    SurvivalExperiment,
     builtin_model,
     dkw_epsilon,
     empirical_return_survival,
@@ -24,6 +28,7 @@ from hitstat import (
 from hitstat.models import BernoulliModel
 
 FAIR = builtin_model("fair-coin")
+BIASED = builtin_model("biased-coin")
 CHAIN = builtin_model("two-state-chain")
 
 LN2 = math.log(2.0)
@@ -56,6 +61,64 @@ def test_merge_rejects_mismatched_or_overlapping_parts():
 def test_indices_outside_the_ensemble_are_rejected():
     with pytest.raises(ValueError):
         entrance_exponent_samples(FAIR, n=4, N=10, seed=0, indices=[3, 10])
+
+
+# every ensemble function, at a size small enough to run many splits; the
+# tight cap censors about 60 % of the entrance samples
+ENSEMBLES = {
+    "entrance": (entrance_exponent_samples,
+                 dict(model=CHAIN, n=6, N=24, seed=3, cap_policy=CapPolicy(multiplier=0.5))),
+    "recurrence": (recurrence_exponent_samples, dict(model=BIASED, n=6, N=24, seed=3)),
+    "orbit-sum": (orbit_sum_exponent_samples, dict(model=CHAIN, n=6, s=1.5, N=24, seed=3)),
+    "survival": (empirical_survival,
+                 dict(model=FAIR, z_word="101", N=60, t_grid=[0.25, 0.5, 1.0, 2.0], seed=3)),
+    "return-survival": (empirical_return_survival,
+                        dict(model=CHAIN, z_word="01", N=60, t_grid=[0.5, 1.0, 2.0], seed=3)),
+    "tail-integral": (survival_tail_integral,
+                      dict(model=FAIR, n=5, epsilon=0.1, n_outer=20, seed=3)),
+}
+
+
+def _fingerprint(run):
+    """Every row and every statistic derived from the rows, bit for bit."""
+    out = [run.indices.tobytes(), run.values.tobytes(), run.censored.tobytes(), run.total]
+    if isinstance(run, ExponentSamples):
+        out += [run.exceedance(0.1), run.summary() if run.censored_fraction <= 0.01 else None]
+    elif isinstance(run, SurvivalExperiment):
+        out += [run.times.tobytes(), run.curve.m.tobytes(), run.curve.values.tobytes(),
+                run.curve.sample_count, run.ks.statistic, run.ks.sample_count, run.mean_time]
+    else:
+        out += [run.estimate, run.std_error]
+    return out
+
+
+@functools.cache
+def _one_pass(name):
+    function, kwargs = ENSEMBLES[name]
+    return _fingerprint(function(**kwargs))
+
+
+@pytest.mark.parametrize("name", list(ENSEMBLES))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_any_split_merges_to_the_one_pass_ensemble(name, data):
+    function, kwargs = ENSEMBLES[name]
+    N = kwargs.get("N", kwargs.get("n_outer"))
+    # up to N + 3 cuts: empty chunks, and more chunks than samples
+    cuts = sorted(data.draw(st.lists(st.integers(0, N), max_size=N + 3)))
+    bounds = [0, *cuts, N]
+    chunks = [range(a, b) for a, b in zip(bounds, bounds[1:])]
+    order = data.draw(st.permutations(range(len(chunks))))
+    parts = [function(**kwargs, indices=chunks[i]) for i in order]
+    merged = functools.reduce(lambda a, b: a.merge(b), parts)
+    assert _fingerprint(merged) == _one_pass(name)
+
+
+@pytest.mark.parametrize("name", list(ENSEMBLES))
+def test_duplicate_indices_are_rejected(name):
+    function, kwargs = ENSEMBLES[name]
+    with pytest.raises(ValueError, match="duplicate"):
+        function(**kwargs, indices=[3, 3])
 
 
 def test_repeat_runs_are_bitwise_identical():
@@ -185,6 +248,9 @@ def test_bad_time_grids_are_rejected():
         empirical_survival(FAIR, "11", N=10, t_grid=[1.0, 0.5], seed=0)
     with pytest.raises(ValueError):
         empirical_survival(FAIR, "11", N=10, t_grid=[], seed=0)
+    for last in (math.nan, math.inf):  # would map to the step 2**63 - 1
+        with pytest.raises(ValueError):
+            empirical_survival(FAIR, "11", N=10, t_grid=[0.5, last], seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -278,12 +278,6 @@ def test_w_sum_censored_keeps_partial_sum():
     assert res.log_value == pytest.approx(math.log(50) - 12 * math.log(2), rel=1e-12)
 
 
-def test_w_sum_unpacks_as_pair():
-    time, log_value = w_sum(OrbitStream(FAIR, 3), s=0.0, cap=1000, n=2)
-    assert time.value >= 1
-    assert log_value == pytest.approx(math.log(time.value), rel=1e-12)
-
-
 def test_w_sum_argument_validation():
     with pytest.raises(ValueError):
         w_sum(OrbitStream(FAIR, 0), s=-0.5, cap=10, n=2)
