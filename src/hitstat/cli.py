@@ -144,14 +144,18 @@ def _shard_task(args):
     return _SAMPLERS[name](indices=chunk, **kwargs)
 
 
-def _sharded_samples(name: str, workers: int, **kwargs):
+def _sharded_samples(jobs, workers: int) -> list:
+    """One ensemble per ``(sampler name, kwargs)`` job, from one pool for all of them."""
     if workers <= 1:
-        return _SAMPLERS[name](**kwargs)
-    N = kwargs["n_outer" if name == "tail-integral" else "N"]
-    chunks = [c.tolist() for c in np.array_split(np.arange(N), workers)]
+        return [_SAMPLERS[name](**kwargs) for name, kwargs in jobs]
+    tasks = []
+    for name, kwargs in jobs:
+        N = kwargs["n_outer" if name == "tail-integral" else "N"]
+        tasks += [(name, kwargs, c.tolist()) for c in np.array_split(np.arange(N), workers)]
     with multiprocessing.Pool(workers) as pool:
-        parts = pool.map(_shard_task, [(name, kwargs, c) for c in chunks])
-    return functools.reduce(lambda a, b: a.merge(b), parts)
+        parts = pool.map(_shard_task, tasks)
+    return [functools.reduce(lambda a, b: a.merge(b), parts[i:i + workers])
+            for i in range(0, len(parts), workers)]
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +190,7 @@ def _run_exponent(cfg, model, workers, sampler_name):
     if sampler_name == "orbit-sum":
         s = float(_require(cfg, "s"))
         kwargs.update(s=s, diagonal=bool(cfg.get("diagonal", False)))
-    run = _sharded_samples(sampler_name, workers, model=model, **kwargs)
+    run, = _sharded_samples([(sampler_name, dict(model=model, **kwargs))], workers)
     results = {"target": run.target, "censored_fraction": run.censored_fraction}
     try:
         results["summary"] = run.summary()
@@ -204,9 +208,9 @@ def _run_exponent(cfg, model, workers, sampler_name):
 def _run_survival(cfg, model, workers, sampler_name):
     """The sampled curve against the exact one: (experiment, rows, worst error)."""
     word = as_word(_require(cfg, "word"))
-    exp = _sharded_samples(sampler_name, workers, model=model, z_word=word,
-                           N=_positive_int(cfg, "N"), t_grid=_require(cfg, "t_grid"),
-                           seed=cfg["seed"])
+    exp, = _sharded_samples([(sampler_name, dict(model=model, z_word=word, N=_positive_int(cfg, "N"),
+                                                 t_grid=_require(cfg, "t_grid"), seed=cfg["seed"]))],
+                            workers)
     chain = build_product_chain(model, word, exp.kind)
     rows = []
     worst = 0.0
@@ -265,6 +269,14 @@ def _word_list(cfg) -> list:
     return [as_word(_require(cfg, "word"))]
 
 
+def _max_residual_ok(cfg, worst):
+    """``worst <= max_residual`` when declared; None without a tolerance."""
+    tol = cfg.get("tolerance")
+    if tol is None:
+        return None
+    return worst <= float(tol["max_residual"]) if tol and "max_residual" in tol else True
+
+
 def run_kac(cfg, model, workers):
     words = _word_list(cfg)
     rows = []
@@ -280,10 +292,7 @@ def run_kac(cfg, model, workers):
     results = {"kac_residual": worst, "word_count": len(words)}
     if len(words) == 1:
         results["expected_return"] = means[0]
-    tol = cfg.get("tolerance")
-    ok = worst <= float(tol["max_residual"]) if tol and "max_residual" in tol else (
-        None if tol is None else True)
-    return ["word", "mu", "mean_return", "kac_residual"], rows, results, ok
+    return ["word", "mu", "mean_return", "kac_residual"], rows, results, _max_residual_ok(cfg, worst)
 
 
 def run_hlv(cfg, model, workers):
@@ -296,10 +305,7 @@ def run_hlv(cfg, model, workers):
         worst = max(worst, residual)
         rows.append([word_str(word), _fmt(residual)])
     results = {"max_residual": worst, "m_max": m_max}
-    tol = cfg.get("tolerance")
-    ok = worst <= float(tol["max_residual"]) if tol and "max_residual" in tol else (
-        None if tol is None else True)
-    return ["word", "residual"], rows, results, ok
+    return ["word", "residual"], rows, results, _max_residual_ok(cfg, worst)
 
 
 def run_abadi_shape(cfg, model, workers):
@@ -327,13 +333,10 @@ def run_theorem2(cfg, model, workers):
     n_list = [int(n) for n in _require(cfg, "n_list")]
     epsilon = float(_require(cfg, "epsilon"))
     N = _positive_int(cfg, "N")
-    rows = []
-    estimates = []
-    for n in n_list:
-        res = _sharded_samples("tail-integral", workers, model=model, n=n, epsilon=epsilon,
-                               n_outer=N, seed=cfg["seed"])
-        estimates.append(res.estimate)
-        rows.append([n, _fmt(res.estimate), _fmt(res.std_error), N])
+    runs = _sharded_samples([("tail-integral", dict(model=model, n=n, epsilon=epsilon, n_outer=N,
+                                                    seed=cfg["seed"])) for n in n_list], workers)
+    estimates = [res.estimate for res in runs]
+    rows = [[n, _fmt(res.estimate), _fmt(res.std_error), N] for n, res in zip(n_list, runs)]
     decreasing = all(a > b for a, b in zip(estimates, estimates[1:]))
     results = {"estimates": estimates, "strictly_decreasing": decreasing, "epsilon": epsilon}
     tol = cfg.get("tolerance")

@@ -47,10 +47,6 @@ class ZeroMeasureTarget(HitstatError, ValueError):
     """The target word has zero measure under the model."""
 
 
-class MixedLengths(HitstatError, ValueError):
-    """A pattern set is empty or its words have unequal lengths."""
-
-
 class CensoringExceeded(HitstatError, RuntimeError):
     """Too many censored samples for a trustworthy summary."""
 

@@ -1,9 +1,11 @@
 """Exact entrance and return time laws via absorbing product chains.
 
-The matcher automaton composed with the symbol process is a finite
-Markov chain on pairs (automaton node, last symbol); making the
-terminal node absorbing turns "no match among windows 1..m" into the
-transient mass after a fixed number of transitions, found by stepping.
+The target's KMP automaton (``automata.build_automaton``) composed with
+the symbol process is a finite Markov chain on pairs (automaton node,
+last symbol); making the match node absorbing turns "no match among
+windows 1..m" into the transient mass after a fixed number of
+transitions, found by stepping.  The chain is assembled with array
+operations, all (state, column) transitions at once.
 Infinite sums, such as the mean return time, are one subtraction-free GTH
 solve of ``(I - Q) x = 1`` (``models._gth_solve``), whose relative error
 bound is counted from the elimination's fill and does not depend on how
@@ -60,7 +62,7 @@ class ProductChain:
     ``states`` lists the transient states; i.i.d. models drop the last
     symbol coordinate (stored as ``None``) since it never affects the
     future.  ``Q`` is the transient-to-transient block and ``exit`` each
-    row's mass into the terminal node, summed from its transitions (not
+    row's mass into the match node, summed from its transitions (not
     ``1 - Q.sum(1)``).  ``origin_consumed`` records how many shifted
     symbols the ``initial`` vector already accounts for.
     """
@@ -69,7 +71,6 @@ class ProductChain:
     Q: np.ndarray
     exit: np.ndarray
     initial: np.ndarray
-    initial_absorbed: float
     origin_consumed: int
     kind: str
     word: Word
@@ -92,45 +93,46 @@ def build_product_chain(model: MeasureModel, target, conditioning: str = ENTRANC
         raise ZeroMeasureTarget(f"target {target} has measure zero")
     if conditioning not in (ENTRANCE, RETURN):
         raise ValueError(f"conditioning must be {ENTRANCE!r} or {RETURN!r}")
-    auto = build_automaton([target], alphabet_size=model.k)
+    auto = build_automaton(target, alphabet_size=model.k)
+    n = len(target)
     # a context is the symbol the future depends on: the last one for a
-    # Markov model, none for an i.i.d. one; ``rows[c]`` are its column masses
+    # Markov model, none for an i.i.d. one; ``rows[c]`` are its column
+    # masses and ``ctx[col]`` the context after reading column ``col``
     if isinstance(model, MarkovModel):
-        rows, first, context = dict(enumerate(model.P)), model.pi, lambda col: col
+        rows, first, contexts = model.P, model.pi, range(model.k)
+        ctx = np.arange(model.k)
     else:
         masses = _column_masses(model, auto)
-        rows, first, context = {None: masses}, masses, lambda col: None
-    nodes = [u for u in range(auto.n_states) if auto.terminal[u] < 0]
-    states = [(u, c) for u in nodes for c in rows]
-    index = {st: i for i, st in enumerate(states)}
+        rows, first, contexts = masses[None, :], masses, (None,)
+        ctx = np.zeros(len(masses), dtype=np.intp)
+    C = len(contexts)
+    states = [(u, c) for u in range(n) for c in contexts]
     S = len(states)
+    # state (u, c) is u*C + c; node u reading column col goes to node
+    # T[u, col], where node n absorbs.  The transitions are listed in
+    # (state, column) order, the order in which ``np.add.at`` sums them
+    T = auto.table[:n]
+    nxt = T * C + ctx
+    src = np.repeat(np.arange(S), T.shape[1])
+    dst = np.repeat(nxt, C, axis=0).ravel()
+    mass = np.tile(rows.ravel(), n)
+    keep = np.repeat(T < n, C, axis=0).ravel()
     Q, exit, initial = np.zeros((S, S)), np.zeros(S), np.zeros(S)
-    for (u, c), i in index.items():
-        for col, mass in enumerate(rows[c]):
-            v = auto.table[u][col]
-            if auto.terminal[v] < 0:
-                Q[i, index[(v, context(col))]] += mass
-            else:
-                exit[i] += mass
-    absorbed = 0.0
+    np.add.at(Q.reshape(-1), src[keep] * S + dst[keep], mass[keep])
+    np.add.at(exit, src[~keep], mass[~keep])
     if conditioning == ENTRANCE:
-        for col, mass in enumerate(first):
-            v = auto.table[0][col]
-            if auto.terminal[v] < 0:
-                initial[index[(v, context(col))]] += mass
-            else:
-                absorbed += mass
+        keep = T[0] < n
+        np.add.at(initial, nxt[0][keep], first[keep])
     else:
         state = 0
         for sym in target[1:]:
             state = auto.step(state, sym)
-        initial[index[(state, context(target[-1]))]] = 1.0
+        initial[state * C + ctx[auto.columns[target[-1]]]] = 1.0
     return ProductChain(
         states=tuple(states),
         Q=Q,
         exit=exit,
         initial=initial,
-        initial_absorbed=absorbed,
         origin_consumed=1 if conditioning == ENTRANCE else len(target) - 1,
         kind=conditioning,
         word=target,

@@ -12,16 +12,14 @@ Time conventions (fixed throughout the package):
 * the orbit's windows are ``x_i .. x_{i+n-1}`` for ``i = 0, 1, 2, ...``;
 * the entrance time into a word is the smallest ``i >= 1`` whose window
   equals it -- the window at ``i = 0`` never counts;
-* hitting counts sum the indicator over ``i in [0, M]`` inclusive;
 * orbit measure sums run over ``i = 1 .. tau`` inclusive.
 
 Every scan is one pass of ``_scan``, which reads the stream in blocks of
 ``BLOCK`` symbols, carries the last ``n - 1`` symbols into the next
 block and applies a hard cap: when no event occurs within ``cap``
-windows the result is right-censored at the cap.  A single target word
-is found by a vectorized search of each block; hit counts over a set of
-words step a pattern automaton; orbit sums take every window
-log-measure of a block at once.
+windows the result is right-censored at the cap.  The target word is
+found by a vectorized search of each block, and orbit sums take every
+window log-measure of a block at once.
 """
 from __future__ import annotations
 
@@ -31,11 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automata import PatternAutomaton, build_automaton
-from .errors import EmptyInput, MixedLengths, SequenceTooShort, ZeroMeasureTarget
+# unused here, but perfbench/tracing.py patches ``orbits.build_automaton``
+from .automata import build_automaton  # noqa: F401
+from .errors import EmptyInput, SequenceTooShort, ZeroMeasureTarget
 from .models import (
     BernoulliModel,
-    GeometricModel,
     MarkovModel,
     MeasureModel,
     log_cylinder_measure,
@@ -204,7 +202,7 @@ def sample_orbit(model: MeasureModel, seed, length: int) -> np.ndarray:
 # the block scanner
 # ---------------------------------------------------------------------------
 
-def _scan(stream, n: int, cap: int, find=None, visit=None, head=_EMPTY) -> TimeResult:
+def _scan(stream, n: int, cap: int, find, visit=None, head=_EMPTY) -> TimeResult:
     """One pass over the windows ``i = 0 .. cap`` of ``stream``, in blocks.
 
     ``head`` holds symbols already taken from the stream (the first
@@ -236,7 +234,7 @@ def _scan(stream, n: int, cap: int, find=None, visit=None, head=_EMPTY) -> TimeR
             carry = buf
             continue
         lo = 1 if i0 == 0 else 0
-        q = find(buf, lo, count) if find is not None else -1
+        q = find(buf, lo, count)
         if visit is not None:
             visit(buf, i0, lo, count if q < 0 else q + 1)
         if q >= 0:
@@ -265,50 +263,6 @@ def _word_finder(word):
     return find
 
 
-def _column_view(auto: PatternAutomaton):
-    """Block-to-columns mapper; identity for finite alphabets."""
-    if auto.other_col is None:
-        return lambda chunk: chunk.tolist()
-    # clip one slot past the largest pattern symbol: that slot, like every
-    # non-pattern symbol, carries the fallback column
-    top = max(auto.columns) + 1
-    arr = auto.column_array(top)
-    # the minimum is taken in intp, where ``top`` fits whatever the block's dtype
-    return lambda chunk: arr[np.minimum(chunk, top, dtype=np.intp)].tolist()
-
-
-class _HitCounter:
-    """``visit`` for ``_scan``: counts windows that equal one of ``auto``'s words.
-
-    The automaton steps each symbol once, so it carries its state across
-    blocks and skips the symbols it has already read.
-    """
-
-    def __init__(self, auto: PatternAutomaton):
-        self.table, self.terminal = auto.table, auto.terminal
-        self.to_cols = _column_view(auto)
-        self.n = auto.word_length
-        self.state = 0
-        self.read = 0  # stream symbols stepped so far
-        self.hits = 0
-
-    def __call__(self, buf, i0, lo, hi):
-        end = i0 + hi + self.n - 1  # one past the last symbol of window i0 + hi - 1
-        table, terminal = self.table, self.terminal
-        state, hits = self.state, self.hits
-        for c in self.to_cols(buf[self.read - i0:end - i0]):
-            state = table[state][c]
-            if terminal[state] >= 0:
-                hits += 1
-        self.state, self.hits, self.read = state, hits, end
-
-
-def _alphabet_size(model: MeasureModel | None) -> int | None:
-    if model is None or isinstance(model, GeometricModel):
-        return None
-    return model.k
-
-
 def _resolve_cap(model: MeasureModel | None, target, cap) -> int:
     if model is not None and log_cylinder_measure(model, target) == -math.inf:
         raise ZeroMeasureTarget(f"target {as_word(target)} has measure zero")
@@ -329,7 +283,7 @@ def _take_head(stream, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# entrance, recurrence and hitting
+# entrance and recurrence
 # ---------------------------------------------------------------------------
 
 def entrance_time(stream, target, cap: int | None = None) -> TimeResult:
@@ -351,36 +305,6 @@ def recurrence_time(stream, n: int, cap: int | None = None) -> TimeResult:
     head = _take_head(stream, n)
     cap = _resolve_cap(stream.model, tuple(int(x) for x in head), cap)
     return _scan(stream, n, cap, find=_word_finder(head), head=head)
-
-
-def hitting_number(stream, patterns, M: int) -> int:
-    """Number of steps ``i in [0, M]`` whose window lies in ``patterns``."""
-    if M < 0:
-        raise ValueError(f"window bound must be >= 0, got {M}")
-    counter = _HitCounter(build_automaton(patterns, alphabet_size=_alphabet_size(stream.model)))
-    t = _scan(stream, counter.n, M, visit=counter)
-    if t.value < M:
-        raise SequenceTooShort(f"data covers the windows up to {t.value}, not {M}")
-    return counter.hits
-
-
-def hits_until_entrance(stream, target, patterns, cap: int | None = None) -> tuple[TimeResult, int]:
-    """Entrance time into ``target`` plus hit count of ``patterns`` on ``[0, tau]``.
-
-    One streaming pass: a word search for the target and a pattern
-    automaton for the count.  When censored, the count covers
-    ``i in [0, cap]``.
-    """
-    target = as_word(target)
-    pats = list(dict.fromkeys(as_word(p) for p in patterns))
-    if not pats:
-        raise MixedLengths("need at least one pattern word")
-    counter = _HitCounter(build_automaton(pats, alphabet_size=_alphabet_size(stream.model)))
-    if counter.n != len(target):
-        raise MixedLengths(f"target length {len(target)} differs from pattern length {counter.n}")
-    cap = _resolve_cap(stream.model, target, cap)
-    t = _scan(stream, counter.n, cap, find=_word_finder(target), visit=counter)
-    return t, counter.hits
 
 
 # ---------------------------------------------------------------------------

@@ -1,89 +1,76 @@
-"""Matcher correctness against a naive sliding-window oracle."""
+"""Matcher correctness against naive sliding-window and suffix-prefix oracles."""
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hitstat.automata import build_automaton
-from hitstat.errors import InvalidSymbol, MixedLengths
+from hitstat.errors import InvalidSymbol
 
 
-def naive_scan(words, text):
-    """Quadratic reference matcher: compare every window to every word."""
-    words = [tuple(w) for w in words]
-    n = len(words[0])
-    out = []
-    for i in range(len(text) - n + 1):
-        window = tuple(text[i:i + n])
-        if window in words:
-            out.append((i + n - 1, words.index(window)))
-    return out
+def naive_scan(word, text):
+    """Quadratic reference matcher: compare every window to the word."""
+    word = tuple(word)
+    n = len(word)
+    return [i + n - 1 for i in range(len(text) - n + 1) if tuple(text[i:i + n]) == word]
+
+
+def naive_next(word, u, symbol):
+    """Length of the longest suffix of ``word[:u] + (symbol,)`` that is a prefix of ``word``."""
+    read = tuple(word[:u]) + (symbol,)
+    for length in range(min(len(read), len(word)), -1, -1):
+        if read[len(read) - length:] == tuple(word[:length]):
+            return length
 
 
 def test_single_word_overlapping_matches():
-    auto = build_automaton(["11"], alphabet_size=2)
-    assert auto.scan([0, 1, 1, 1]) == [(2, 0), (3, 0)]
-    auto = build_automaton([(0, 1, 0, 1)], alphabet_size=2)
-    assert auto.scan([0, 1, 0, 1, 0, 1]) == [(3, 0), (5, 0)]
-
-
-def test_multi_word_matching():
-    auto = build_automaton(["00", "11"], alphabet_size=2)
-    assert auto.scan([0, 0, 1, 1, 1]) == [(1, 0), (3, 1), (4, 1)]
-    assert auto.words == ((0, 0), (1, 1))
-
-
-def test_state_count_bound():
-    words = ["000", "001", "010", "011"]
-    auto = build_automaton(words, alphabet_size=2)
-    assert auto.n_states <= 3 * len(words) + 1
-    assert auto.word_length == 3
+    auto = build_automaton("11", alphabet_size=2)
+    assert auto.scan([0, 1, 1, 1]) == [2, 3]
+    auto = build_automaton((0, 1, 0, 1), alphabet_size=2)
+    assert auto.scan([0, 1, 0, 1, 0, 1]) == [3, 5]
 
 
 def test_failure_links_reuse_matched_prefix():
     # after 0,0,1 a 0 breaks the match but starts a fresh prefix "0"
-    auto = build_automaton(["0011"], alphabet_size=2)
+    auto = build_automaton("0011", alphabet_size=2)
     assert auto.scan([0, 1, 0, 1, 1]) == []
-    assert auto.scan([0, 0, 1, 0, 0, 1, 1]) == [(6, 0)]
+    assert auto.scan([0, 0, 1, 0, 0, 1, 1]) == [6]
 
 
 def test_countable_alphabet_fallback_goes_to_root():
-    auto = build_automaton([(0, 2)])
+    auto = build_automaton((0, 2))
     # 999 has no column: it must reset any progress
-    assert auto.scan([0, 999, 0, 2]) == [(3, 0)]
+    assert auto.scan([0, 999, 0, 2]) == [3]
     state = auto.step(0, 0)
     assert auto.step(state, 777) == 0
     assert auto.other_col is not None
 
 
 def test_finite_alphabet_rejects_foreign_symbols():
-    auto = build_automaton(["01"], alphabet_size=2)
+    auto = build_automaton("01", alphabet_size=2)
     with pytest.raises(InvalidSymbol):
         auto.step(0, 2)
     with pytest.raises(InvalidSymbol):
-        build_automaton(["012"], alphabet_size=2)
+        build_automaton("012", alphabet_size=2)
 
 
-def test_word_set_shape_validation():
-    with pytest.raises(MixedLengths):
-        build_automaton([])
-    with pytest.raises(MixedLengths):
-        build_automaton(["01", "001"])
-    with pytest.raises(ValueError):
-        build_automaton(["01", "01"])
-
-
-def test_column_array_matches_step():
-    auto = build_automaton([(1, 4)])
-    arr = auto.column_array(6)
-    for s in range(7):
-        assert auto.step(3 if 3 < auto.n_states else 0, s) == auto.table[3 if 3 < auto.n_states else 0][arr[s]]
-
-
-def test_column_array_finite_is_identity():
-    auto = build_automaton(["01"], alphabet_size=3)
-    assert list(auto.column_array(2)) == [0, 1, 2]
-    with pytest.raises(InvalidSymbol):
-        auto.column_array(5)
+@given(st.sampled_from([2, 3, 16, None]), st.data())
+@settings(max_examples=120, deadline=None)
+def test_table_is_the_longest_suffix_that_is_a_prefix(k, data):
+    top = 5 if k is None else k - 1
+    word = tuple(data.draw(st.lists(st.integers(0, top), min_size=1, max_size=12)))
+    if data.draw(st.booleans()):  # runs and periods, where the failure links matter
+        word = (word * 12)[:data.draw(st.integers(len(word), 12))]
+    auto = build_automaton(word, alphabet_size=k)
+    n = len(word)
+    symbol_of = {col: sym for sym, col in auto.columns.items()}
+    if k is None:
+        assert auto.columns == {s: i for i, s in enumerate(sorted(set(word)))}
+        symbol_of[auto.other_col] = max(word) + 1  # a symbol outside the word
+    assert auto.table.shape == (n + 1, len(symbol_of))
+    assert auto.table.dtype.kind == "i"
+    for u in range(n + 1):
+        for col, sym in symbol_of.items():
+            assert auto.table[u, col] == naive_next(word, u, sym)
 
 
 @given(
@@ -93,12 +80,10 @@ def test_column_array_finite_is_identity():
 )
 @settings(max_examples=80, deadline=None)
 def test_matches_naive_oracle(k, n, data):
-    n_words = data.draw(st.integers(1, min(3, k**n)))
-    pool = st.lists(st.integers(0, k - 1), min_size=n, max_size=n).map(tuple)
-    words = data.draw(st.lists(pool, min_size=n_words, max_size=n_words, unique=True))
+    word = tuple(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
     text = data.draw(st.lists(st.integers(0, k - 1), min_size=0, max_size=40))
-    auto = build_automaton(words, alphabet_size=k)
-    assert auto.scan(text) == naive_scan(words, text)
+    auto = build_automaton(word, alphabet_size=k)
+    assert auto.scan(text) == naive_scan(word, text)
 
 
 @given(st.data())
@@ -107,5 +92,5 @@ def test_matches_naive_oracle_countable(data):
     n = data.draw(st.integers(1, 3))
     word = tuple(data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)))
     text = data.draw(st.lists(st.integers(0, 8), min_size=0, max_size=40))
-    auto = build_automaton([word])
-    assert auto.scan(text) == naive_scan([word], text)
+    auto = build_automaton(word)
+    assert auto.scan(text) == naive_scan(word, text)

@@ -93,6 +93,81 @@ def test_state_count_bound():
             assert len(chain.states) <= (len(word) + 1) * k
 
 
+def naive_next(word, u, symbol):
+    """Length of the longest suffix of ``word[:u] + (symbol,)`` that is a prefix of ``word``."""
+    read = tuple(word[:u]) + (symbol,)
+    for length in range(min(len(read), len(word)), -1, -1):
+        if read[len(read) - length:] == tuple(word[:length]):
+            return length
+
+
+def oracle_chain(model, word, kind):
+    """``(states, Q, exit, initial)`` from the per-state, per-column double loop.
+
+    A column is a symbol of a finite alphabet; on a countable one it is a
+    symbol of ``word`` in sorted order, then one fallback column for every
+    other symbol, lumped at ``max(word) + 1``.
+    """
+    n = len(word)
+    symbols = list(range(model.k)) if model.k is not None else sorted(set(word)) + [max(word) + 1]
+    if isinstance(model, MarkovModel):
+        rows, first, context = dict(enumerate(model.P)), model.pi, lambda sym: sym
+    else:
+        if isinstance(model, BernoulliModel):
+            masses = model.p
+        else:
+            masses = np.zeros(len(symbols))
+            for col, sym in enumerate(symbols[:-1]):
+                masses[col] = (1.0 - model.theta) * model.theta**sym
+            masses[-1] = 1.0 - masses.sum()
+        rows, first, context = {None: masses}, masses, lambda sym: None
+    states = [(u, c) for u in range(n) for c in rows]
+    index = {state: i for i, state in enumerate(states)}
+    S = len(states)
+    Q, exit, initial = np.zeros((S, S)), np.zeros(S), np.zeros(S)
+    for (u, c), i in index.items():
+        for col, mass in enumerate(rows[c]):
+            v = naive_next(word, u, symbols[col])
+            if v < n:
+                Q[i, index[(v, context(symbols[col]))]] += mass
+            else:
+                exit[i] += mass
+    if kind == "entrance":
+        for col, mass in enumerate(first):
+            v = naive_next(word, 0, symbols[col])
+            if v < n:
+                initial[index[(v, context(symbols[col]))]] += mass
+    else:
+        u = 0
+        for sym in word[1:]:
+            u = naive_next(word, u, sym)
+        initial[index[(u, context(word[-1]))]] = 1.0
+    return tuple(states), Q, exit, initial
+
+
+ORACLE_MODELS = {
+    "fair": FAIR, "biased": BIASED, "three": bernoulli([0.2, 0.3, 0.5]),
+    "chain": CHAIN, "chain3": markov([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4]]),
+    "chain16": CHAIN16, "geometric": geometric(0.5), "geometric-0.3": geometric(0.3),
+}
+
+
+@given(st.sampled_from(sorted(ORACLE_MODELS)), st.sampled_from(["entrance", "return"]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_chain_is_bit_identical_to_the_double_loop(name, kind, data):
+    model = ORACLE_MODELS[name]
+    top = 6 if model.k is None else model.k - 1
+    word = tuple(data.draw(st.lists(st.integers(0, top), min_size=1, max_size=10)))
+    if data.draw(st.booleans()):  # runs and periods, where the failure links matter
+        word = (word * 10)[:data.draw(st.integers(len(word), 10))]
+    chain = build_product_chain(model, word, kind)
+    states, Q, exit, initial = oracle_chain(model, word, kind)
+    assert chain.states == states
+    for got, want in ((chain.Q, Q), (chain.exit, exit), (chain.initial, initial)):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 def test_kac_frozen_values():
     assert exact_mean_return(FAIR, "111") == pytest.approx(8.0, rel=1e-10)
     assert exact_mean_return(FAIR, "1") == pytest.approx(2.0, rel=1e-10)

@@ -12,7 +12,6 @@ from scipy.special import logsumexp
 from hitstat import bernoulli, geometric, log_cylinder_measure, markov
 from hitstat.errors import (
     EmptyInput,
-    MixedLengths,
     SequenceTooShort,
     ZeroMeasureTarget,
 )
@@ -25,8 +24,6 @@ from hitstat.orbits import (
     ReplayStream,
     TimeResult,
     entrance_time,
-    hits_until_entrance,
-    hitting_number,
     recurrence_time,
     sample_orbit,
     w_sum,
@@ -48,12 +45,6 @@ def naive_entrance(sym, target, cap):
         if window_at(sym, i, n) == tuple(target):
             return TimeResult(value=i, censored=False)
     return TimeResult(value=cap, censored=True)
-
-
-def naive_hit_count(sym, patterns, lo, hi):
-    n = len(next(iter(patterns)))
-    pats = {tuple(p) for p in patterns}
-    return sum(1 for i in range(lo, hi + 1) if window_at(sym, i, n) in pats)
 
 
 # --- stream determinism ------------------------------------------------------
@@ -173,71 +164,6 @@ def test_recurrence_equals_entrance_on_own_prefix():
         assert rec == ent
 
 
-# --- hitting numbers ------------------------------------------------------------
-
-def test_hitting_number_hand_counts():
-    sym = [0, 1, 0, 1, 0, 1, 0]
-    assert hitting_number(ReplayStream(sym), ["01"], M=4) == 3  # i = 0, 2, 4
-    full = ["00", "01", "10", "11"]
-    sym = sample_orbit(FAIR, 1, 9)
-    assert hitting_number(ReplayStream(sym), full, M=7) == 8  # every window hits
-
-
-def test_hitting_number_matches_naive_scan():
-    rng = np.random.default_rng(1)
-    for trial in range(200):
-        model = FAIR if trial % 2 == 0 else CHAIN
-        n = int(rng.integers(1, 4))
-        n_pats = int(rng.integers(1, 2**n + 1))
-        pool = [tuple(int(x) for x in rng.integers(0, 2, size=n)) for _ in range(n_pats)]
-        pats = list(dict.fromkeys(pool))
-        M = int(rng.integers(0, 60))
-        sym = sample_orbit(model, (901, trial), M + n)
-        got = hitting_number(ReplayStream(sym), pats, M=M)
-        assert got == naive_hit_count(sym, pats, 0, M)
-
-
-def test_hitting_number_window_validation():
-    with pytest.raises(MixedLengths):
-        hitting_number(ReplayStream([0, 1]), [], M=3)
-    with pytest.raises(ValueError):
-        hitting_number(ReplayStream([0, 1]), ["01"], M=-1)
-    with pytest.raises(SequenceTooShort):
-        hitting_number(ReplayStream([0, 1, 0]), ["01"], M=5)
-
-
-# --- joint hits and entrance -----------------------------------------------------
-
-def test_hits_until_entrance_matches_double_scan():
-    rng = np.random.default_rng(2)
-    for trial in range(200):
-        model = FAIR if trial % 2 == 0 else CHAIN
-        n = int(rng.integers(1, 4))
-        target = tuple(int(x) for x in rng.integers(0, 2, size=n))
-        pats = [tuple(int(x) for x in rng.integers(0, 2, size=n))
-                for _ in range(int(rng.integers(1, 4)))]
-        pats = list(dict.fromkeys(pats))
-        cap = 80
-        sym = sample_orbit(model, (902, trial), cap + n)
-        time, count = hits_until_entrance(ReplayStream(sym, model=model), target, pats, cap=cap)
-        expect_time = naive_entrance(sym, target, cap)
-        assert time == expect_time
-        assert count == naive_hit_count(sym, pats, 0, expect_time.value)
-
-
-def test_hits_until_entrance_impossible_union_counts_zero():
-    model = markov([[0.0, 1.0], [0.5, 0.5]])
-    stream = OrbitStream(model, 4)
-    time, count = hits_until_entrance(stream, "11", ["00"], cap=500)
-    assert not time.censored
-    assert count == 0
-
-
-def test_hits_until_entrance_requires_patterns():
-    with pytest.raises(MixedLengths):
-        hits_until_entrance(ReplayStream([0, 1]), "01", [], cap=5)
-
-
 # --- orbit measure sums ------------------------------------------------------------
 
 def test_w_sum_at_zero_equals_recurrence_time():
@@ -328,14 +254,6 @@ def window_matches(sym, word):
     return np.all(sliding_window_view(np.asarray(sym), len(word)) == np.asarray(word), axis=1)
 
 
-def oracle_count(sym, patterns, hi):
-    """Windows ``i in [0, hi]`` of ``sym`` that lie in ``patterns``."""
-    hit = np.zeros(len(sym) - len(patterns[0]) + 1, dtype=bool)
-    for p in patterns:
-        hit |= window_matches(sym, p)
-    return int(hit[:hi + 1].sum())
-
-
 def oracle_scan(sym, word, cap, head=0):
     """Entrance into ``word`` over the windows ``1..cap`` of the data ``sym``.
 
@@ -417,15 +335,6 @@ def test_generated_scans_match_the_oracle(case, s):
     assert abs(res.log_value - log_w) <= 1e-9
     assert abs(res.window_log_measure - last) <= 1e-9
 
-    pats = list(dict.fromkeys([word, head, (word[-1],) * n]))
-    stream = OrbitStream(model, seed)
-    time, count = hits_until_entrance(stream, word, pats, cap=cap)
-    assert (time, stream.position) == (expect, read)
-    assert count == oracle_count(sym, pats, expect.value)
-    stream = OrbitStream(model, seed)
-    assert hitting_number(stream, pats, M=cap) == oracle_count(sym, pats, cap)
-    assert stream.position == cap + n
-
 
 @given(st.data())
 @settings(max_examples=100, deadline=None)
@@ -469,22 +378,6 @@ def test_replay_scans_match_the_oracle(data):
         assert (res.time, res.terms, stream.position) == (expect, expect.value, read)
         assert abs(res.log_value - oracle_log_w(GEO, sym, n, res.terms, 1.0)[0]) <= 1e-9
 
-    pats = [word, (0,) * n]
-    expect, read = oracle_scan(sym, word, cap)
-    stream = ReplayStream(sym)
-    if expect is None:
-        with pytest.raises(SequenceTooShort):
-            hits_until_entrance(stream, word, pats, cap=cap)
-    else:
-        time, count = hits_until_entrance(stream, word, pats, cap=cap)
-        assert (time, stream.position) == (expect, read)
-        assert count == oracle_count(sym, pats, expect.value)
-    if cap + n > len(sym):
-        with pytest.raises(SequenceTooShort):
-            hitting_number(ReplayStream(sym), pats, M=cap)
-    else:
-        assert hitting_number(ReplayStream(sym), pats, M=cap) == oracle_count(sym, pats, cap)
-
 
 @given(st.sampled_from(sorted(SCAN_MODELS)), st.integers(0, 2**20), st.integers(1, 6),
        st.integers(1, 3 * BLOCK), st.sampled_from(["drawn", "run", "wide"]),
@@ -498,13 +391,9 @@ def test_narrow_replay_scans_equal_the_int64_replay(name, seed, n, length, shape
     word = tuple(int(x) for x in sym[length:length + n])
     if shape == "run":
         word = (word[0],) * n
-    wide = word[:-1] + (300,)  # a countable symbol no uint8 block can hold
     if shape == "wide" and model.k is None:
-        word = wide
+        word = word[:-1] + (300,)  # a countable symbol no uint8 block can hold
     cap = min(cap, length + 10)  # replays that end before the cap, too
-    pats = list(dict.fromkeys([word, tuple(int(x) for x in sym[:n]), (word[-1],) * n]))
-    if model.k is None:
-        pats = list(dict.fromkeys([*pats, wide]))
     narrow = sym.astype(np.uint8)
 
     def scans(symbols):
@@ -519,8 +408,6 @@ def test_narrow_replay_scans_equal_the_int64_replay(name, seed, n, length, shape
         return [
             run(lambda st_: entrance_time(st_, word, cap=cap)),
             run(lambda st_: recurrence_time(st_, n, cap=cap)),
-            run(lambda st_: hitting_number(st_, pats, M=cap)),
-            run(lambda st_: hits_until_entrance(st_, word, pats, cap=cap)),
             *[((r.time, r.log_value, r.terms, r.window_log_measure), pos)
               if isinstance(r, OrbitSumResult) else (r, pos) for r, pos in sums],
         ]
