@@ -32,8 +32,10 @@ band = dkw_epsilon(4000, alpha=0.001)
 print(f"DKW 99.9% band half-width at N=4000: {band:.4f}")
 
 print("\n  t      empirical  exact      e^-t")
-for m, t, v in list(zip(exp8.curve.m, exp8.curve.t, exp8.curve.values))[::4]:
-    print(f"  {t:<6.2f} {v:<10.4f} {survival_at(chain, int(m)):<10.4f} {np.exp(-t):.4f}")
+curve = exp8.curve
+exact = survival_at(chain, curve.m[::4])
+for t, v, x in zip(curve.t[::4], curve.values[::4], exact):
+    print(f"  {t:<6.2f} {v:<10.4f} {x:<10.4f} {np.exp(-t):.4f}")
 
 # run words are the classic exception: 1111... can re-enter one step
 # after itself, which halves the effective decay rate

@@ -37,17 +37,6 @@ class PatternAutomaton:
             raise InvalidSymbol(f"symbol {symbol} outside the automaton alphabet")
         return int(self.table[state, col])
 
-    def scan(self, symbols) -> list[int]:
-        """End positions of every match of the word in ``symbols``."""
-        n = len(self.word)
-        state = 0
-        out = []
-        for i, sym in enumerate(symbols):
-            state = self.step(state, int(sym))
-            if state == n:
-                out.append(i)
-        return out
-
 
 def build_automaton(word, alphabet_size: int | None = None) -> PatternAutomaton:
     """KMP automaton of ``word``.

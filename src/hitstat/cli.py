@@ -215,8 +215,7 @@ def _run_survival(cfg, model, workers, sampler_name):
     rows = []
     worst = 0.0
     curve = exp.curve
-    for m, t, value in zip(curve.m, curve.t, curve.values):
-        exact = survival_at(chain, int(m))
+    for m, t, value, exact in zip(curve.m, curve.t, curve.values, survival_at(chain, curve.m).tolist()):
         worst = max(worst, abs(value - exact))
         rows.append([int(m), _fmt(t), _fmt(value), _fmt(exact), _fmt(abs(value - exact))])
     return exp, rows, worst

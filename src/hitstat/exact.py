@@ -4,8 +4,11 @@ The target's KMP automaton (``automata.build_automaton``) composed with
 the symbol process is a finite Markov chain on pairs (automaton node,
 last symbol); making the match node absorbing turns "no match among
 windows 1..m" into the transient mass after a fixed number of
-transitions, found by stepping.  The chain is assembled with array
-operations, all (state, column) transitions at once.
+transitions.  Every such mass comes from one walk (``_walk``) of a
+vector over the sorted step counts asked for: short gaps one ``v @ Q``
+at a time, long ones by binary powering of ``Q``.  The chain is
+assembled with array operations, all (state, column) transitions at
+once.
 Infinite sums, such as the mean return time, are one subtraction-free GTH
 solve of ``(I - Q) x = 1`` (``models._gth_solve``), whose relative error
 bound is counted from the elimination's fill and does not depend on how
@@ -172,9 +175,6 @@ class SurvivalCurve:
     word: Word
     sample_count: int | None = None
 
-    def __len__(self) -> int:
-        return len(self.m)
-
     @property
     def exactness_label(self) -> str:
         if self.exactness == "exact":
@@ -203,25 +203,49 @@ def step_at(t, mu: float) -> np.ndarray:
     return np.maximum(np.ceil(r).astype(np.int64) - 1, 0)
 
 
+def _walk(chain: ProductChain, m) -> list[float]:
+    """``P(tau > m)`` at every entry of the integer sequence ``m``.
+
+    One vector ``v`` walks from the origin through the sorted distinct
+    step counts ``chain.steps_for(m)``.  A gap of at most S transitions
+    is taken one ``v @ Q`` at a time, ``S**2`` work each, so no gap costs
+    more than one squaring of ``Q``; a longer gap is binary powering of
+    ``Q``, holding only the current square.  ``m = 0`` is 1.
+    """
+    if min(m, default=0) < 0:
+        raise ValueError(f"m must be >= 0, got {min(m)}")
+    S = len(chain.states)
+    v = chain.initial
+    done = 0  # transitions applied so far
+    at = {0: 1.0}
+    for k in sorted(set(m) - {0}):
+        e = chain.steps_for(k)
+        gap = e - done
+        if gap <= S:
+            for _ in range(gap):
+                v = v @ chain.Q
+        else:
+            B = chain.Q
+            while gap > 0:
+                if gap & 1:
+                    v = v @ B
+                gap >>= 1
+                if gap:
+                    B = B @ B
+        done = e
+        at[k] = min(max(float(v.sum()), 0.0), 1.0)
+    return [at[k] for k in m]
+
+
 def exact_survival(chain: ProductChain, m_max: int) -> SurvivalCurve:
-    """``P(tau > m)`` for ``m = 0..m_max`` by repeated matvec."""
+    """``P(tau > m)`` for ``m = 0..m_max``, one ``v @ Q`` per transition."""
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
-    values = np.empty(m_max + 1)
-    values[0] = 1.0
-    v = chain.initial.copy()
-    done = 0  # transitions applied so far
-    for m in range(1, m_max + 1):
-        need = chain.steps_for(m)
-        while done < need:
-            v = v @ chain.Q
-            done += 1
-        values[m] = min(max(float(v.sum()), 0.0), 1.0)
     m_grid = np.arange(m_max + 1)
     return SurvivalCurve(
         m=m_grid,
         t=m_grid * chain.mu,
-        values=values,
+        values=np.array(_walk(chain, range(m_max + 1))),
         kind=chain.kind,
         exactness="exact",
         mu=chain.mu,
@@ -229,22 +253,19 @@ def exact_survival(chain: ProductChain, m_max: int) -> SurvivalCurve:
     )
 
 
-def survival_at(chain: ProductChain, m: int) -> float:
-    """``P(tau > m)`` at a single step count, via binary powering."""
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    if m == 0:
-        return 1.0
-    e = chain.steps_for(m)
-    v = chain.initial.copy()
-    B = chain.Q
-    while e > 0:
-        if e & 1:
-            v = v @ B
-        e >>= 1
-        if e:
-            B = B @ B
-    return min(max(float(v.sum()), 0.0), 1.0)
+def survival_at(chain: ProductChain, m):
+    """``P(tau > m)`` at a step count, or at each of a 1-d array of them.
+
+    An integer gives a float; an array (any order, repeats and 0
+    allowed) gives an array of the same length from one walk over its
+    sorted distinct step counts.  A negative step count raises
+    ``ValueError``.
+    """
+    steps = np.asarray(m)
+    if steps.ndim > 1:
+        raise ValueError(f"m must be an integer or a 1-d array, got shape {steps.shape}")
+    values = _walk(chain, steps.reshape(-1).tolist())
+    return values[0] if steps.ndim == 0 else np.array(values)
 
 
 def entrance_survival(model: MeasureModel, target, m_max: int) -> SurvivalCurve:
@@ -341,7 +362,7 @@ def fit_survival_shape(model: MeasureModel, target, t_grid) -> TailShapeReport:
     n = chain.n
     floor = n * mu + phi_bound(model, n)
     m_of = step_at(t, mu)
-    values = np.array([survival_at(chain, int(m)) for m in m_of])
+    values = survival_at(chain, m_of)
     # points still at m = 0 sit before the discretized curve moves; they
     # carry no decay information and would flatten the fit
     informative = m_of >= 1

@@ -347,16 +347,13 @@ class TailIntegral(Ensemble):
 
 
 def survival_tail_integral(model: MeasureModel, n: int, epsilon: float, n_outer: int,
-                           seed: int, n_inner: int = 400,
-                           state_budget: int = 5000, indices=None) -> TailIntegral:
+                           seed: int, indices=None) -> TailIntegral:
     """Estimate of the word-averaged rescaled tail ``P(tau >= e^(n*eps)/mu)``.
 
     Outer Monte Carlo over words drawn from the measure; the inner
-    probability is computed exactly from the absorbing chain whenever
-    its state count fits ``state_budget`` (always, for the built-in
-    models), falling back to an inner ensemble of ``n_inner`` entrance
-    times otherwise.  Its decay in ``n`` is the summability diagnostic
-    behind the exponential entrance law.
+    probability is computed exactly from each word's absorbing chain.
+    Its decay in ``n`` is the summability diagnostic behind the
+    exponential entrance law.
     """
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
@@ -365,13 +362,6 @@ def survival_tail_integral(model: MeasureModel, n: int, epsilon: float, n_outer:
     def sample(j):
         word = _word(model, seed, j, n)
         m = int(step_at(threshold, cylinder_measure(model, word)))
-        chain = build_product_chain(model, word, ENTRANCE)
-        if chain.Q.shape[0] <= state_budget:
-            return survival_at(chain, m)
-        hits = sum(
-            not entrance_time(OrbitStream(model, (seed, j, 1, i)), word, cap=m).censored
-            for i in range(n_inner)
-        )
-        return 1.0 - hits / n_inner
+        return survival_at(build_product_chain(model, word, ENTRANCE), m)
 
     return TailIntegral(**vars(ensemble(sample, n_outer, indices)), n=n, epsilon=epsilon)

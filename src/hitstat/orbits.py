@@ -64,16 +64,12 @@ class CapPolicy:
     """
 
     multiplier: float = 100.0
-    max_cap: int | None = None
 
     def cap_for(self, model: MeasureModel, target) -> int:
         log_mu = log_cylinder_measure(model, target)
         if log_mu == -math.inf:
             raise ZeroMeasureTarget(f"target {as_word(target)} has measure zero")
-        cap = math.ceil(self.multiplier * math.exp(-log_mu))
-        if self.max_cap is not None:
-            cap = min(cap, self.max_cap)
-        return max(int(cap), 1)
+        return max(math.ceil(self.multiplier * math.exp(-log_mu)), 1)
 
 
 class OrbitStream:
@@ -180,10 +176,6 @@ class ReplayStream:
         self.symbols = arr
         self.model = model
         self.position = 0
-
-    @property
-    def remaining(self) -> int:
-        return len(self.symbols) - self.position
 
     def take(self, count: int) -> np.ndarray:
         out = self.symbols[self.position:self.position + max(count, 0)]

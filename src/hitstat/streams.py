@@ -159,8 +159,7 @@ class EstimateSeries:
 # recurrence-time entropy
 # ---------------------------------------------------------------------------
 
-def ow_entropy_estimate(sequence, n_list, starts_per_n: int = 200, seed: int = 0,
-                        length_multiple: int = MIN_LENGTH_MULTIPLE) -> EstimateSeries:
+def ow_entropy_estimate(sequence, n_list, starts_per_n: int = 200, seed: int = 0) -> EstimateSeries:
     """Shannon entropy from the first repeats of sampled n-windows.
 
     For each sampled start offset the scan looks for the next occurrence
@@ -178,10 +177,10 @@ def ow_entropy_estimate(sequence, n_list, starts_per_n: int = 200, seed: int = 0
     if starts_per_n < 1:
         raise ValueError("starts_per_n must be >= 1")
     L = len(seq)
-    needed = max(n_list) * length_multiple
+    needed = max(n_list) * MIN_LENGTH_MULTIPLE
     if L < needed:
         raise SequenceTooShort(
-            f"sequence of length {L} is shorter than {length_multiple} x max(n) = {needed}"
+            f"sequence of length {L} is shorter than {MIN_LENGTH_MULTIPLE} x max(n) = {needed}"
         )
     rows = []
     for n in n_list:

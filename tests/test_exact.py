@@ -152,14 +152,19 @@ ORACLE_MODELS = {
 }
 
 
-@given(st.sampled_from(sorted(ORACLE_MODELS)), st.sampled_from(["entrance", "return"]), st.data())
-@settings(max_examples=150, deadline=None)
-def test_chain_is_bit_identical_to_the_double_loop(name, kind, data):
-    model = ORACLE_MODELS[name]
+def draw_word(model, data):
     top = 6 if model.k is None else model.k - 1
     word = tuple(data.draw(st.lists(st.integers(0, top), min_size=1, max_size=10)))
     if data.draw(st.booleans()):  # runs and periods, where the failure links matter
         word = (word * 10)[:data.draw(st.integers(len(word), 10))]
+    return word
+
+
+@given(st.sampled_from(sorted(ORACLE_MODELS)), st.sampled_from(["entrance", "return"]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_chain_is_bit_identical_to_the_double_loop(name, kind, data):
+    model = ORACLE_MODELS[name]
+    word = draw_word(model, data)
     chain = build_product_chain(model, word, kind)
     states, Q, exit, initial = oracle_chain(model, word, kind)
     assert chain.states == states
@@ -238,14 +243,69 @@ def test_identity_at_k1_is_kac():
         assert entrance_return_residual(model, word, 1) <= 1e-10
 
 
+def stepped_oracle(chain, m_max):
+    """``P(tau > m)`` for ``m = 0..m_max`` by one ``v @ Q`` per transition."""
+    values = np.empty(m_max + 1)
+    values[0] = 1.0
+    v = chain.initial.copy()
+    done = 0
+    for m in range(1, m_max + 1):
+        while done < chain.steps_for(m):
+            v = v @ chain.Q
+            done += 1
+        values[m] = min(max(float(v.sum()), 0.0), 1.0)
+    return values
+
+
+def powered_oracle(chain, m):
+    """``P(tau > m)`` by binary powering of ``Q`` from the origin."""
+    if m == 0:
+        return 1.0
+    e = chain.steps_for(m)
+    v = chain.initial.copy()
+    B = chain.Q
+    while e > 0:
+        if e & 1:
+            v = v @ B
+        e >>= 1
+        if e:
+            B = B @ B
+    return min(max(float(v.sum()), 0.0), 1.0)
+
+
+@given(st.sampled_from(sorted(ORACLE_MODELS)), st.sampled_from(["entrance", "return"]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_survival_is_bit_identical_to_stepping_and_to_powering(name, kind, data):
+    model = ORACLE_MODELS[name]
+    chain = build_product_chain(model, draw_word(model, data), kind)
+    m_max = data.draw(st.integers(1, 80))
+    assert exact_survival(chain, m_max).values.tobytes() == stepped_oracle(chain, m_max).tobytes()
+    # past S transitions a single step count is powered exactly as before
+    S = len(chain.states)
+    m = S + 2 + data.draw(st.integers(0, 10**7))
+    assert chain.steps_for(m) > S
+    assert survival_at(chain, m) == powered_oracle(chain, m)
+
+
 def test_survival_at_matches_stepped_curve():
     rng = np.random.default_rng(7)
     for model, word in ((FAIR, "110"), (CHAIN, "010"), (geometric(0.5), (0, 2))):
         for kind in ("entrance", "return"):
             chain = build_product_chain(model, word, kind)
             curve = exact_survival(chain, 60)
-            for m in rng.integers(0, 61, size=8):
-                assert survival_at(chain, int(m)) == pytest.approx(curve.values[m], abs=1e-13)
+            # unsorted, with repeats and 0; gaps above S are powered
+            m = np.concatenate([rng.integers(0, 61, size=8), [0, 60, 5, 5, 0]])
+            values = survival_at(chain, m)
+            assert values.shape == m.shape
+            for mi, value in zip(m.tolist(), values.tolist()):
+                single = survival_at(chain, mi)
+                assert isinstance(single, float)
+                assert value == pytest.approx(single, abs=1e-13)
+                assert value == pytest.approx(curve.values[mi], abs=1e-13)
+            with pytest.raises(ValueError):
+                survival_at(chain, -1)
+            with pytest.raises(ValueError):
+                survival_at(chain, [3, -1, 0])
 
 
 def test_abadi_fit_fair_coin():

@@ -261,19 +261,12 @@ def test_tail_integral_decays_in_n_and_in_epsilon():
     small = survival_tail_integral(FAIR, n=6, epsilon=0.1, n_outer=300, seed=7)
     large = survival_tail_integral(FAIR, n=10, epsilon=0.1, n_outer=300, seed=7)
     assert 0.0 < large.estimate < small.estimate < 1.0
+    assert small.std_error > 0.0 and large.std_error > 0.0
     wide = survival_tail_integral(FAIR, n=8, epsilon=0.05, n_outer=300, seed=7)
     narrow = survival_tail_integral(FAIR, n=8, epsilon=0.2, n_outer=300, seed=7)
     # same words, larger threshold: survival smaller word by word
     assert np.all(narrow.values <= wide.values)
     assert narrow.estimate < wide.estimate
-
-
-def test_tail_integral_inner_sampling_agrees_with_the_exact_chain():
-    exact = survival_tail_integral(CHAIN, n=5, epsilon=0.1, n_outer=60, seed=3)
-    inner = survival_tail_integral(CHAIN, n=5, epsilon=0.1, n_outer=60, seed=3,
-                                   n_inner=600, state_budget=1)
-    assert abs(exact.estimate - inner.estimate) < 0.08
-    assert exact.std_error > 0.0
 
 
 def test_tail_integral_rejects_nonpositive_epsilon():

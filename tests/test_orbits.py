@@ -233,7 +233,6 @@ def test_sliding_measure_drift_stays_tiny():
 def test_cap_policy_default_scale():
     assert CapPolicy().cap_for(FAIR, "11") == 400  # ceil(100 / 0.25)
     assert CapPolicy(multiplier=10.0).cap_for(FAIR, "1") == 20
-    assert CapPolicy(max_cap=100).cap_for(FAIR, "11") == 100
 
 
 def test_cap_policy_zero_measure_target():

@@ -122,7 +122,7 @@ def test_short_sequences_and_heavy_censoring_fail_loudly():
     # 8 equiprobable symbols: tau_4 ~ 8^4 = 4096 dwarfs a 1300-symbol file
     seq = substream(3, 1).integers(0, 8, size=1300)
     with pytest.raises(CensoringExceeded):
-        ow_entropy_estimate(seq, [4], starts_per_n=80, seed=2, length_multiple=64)
+        ow_entropy_estimate(seq, [4], starts_per_n=80, seed=2)
 
 
 def test_ow_runs_are_deterministic_in_the_seed():
