@@ -14,6 +14,12 @@ solve of ``(I - Q) x = 1`` (``models._gth_solve``), whose relative error
 bound is counted from the elimination's fill and does not depend on how
 small the target's measure is.
 
+Both work on the chain's live states only (``ProductChain.live``).  For
+a Markov source a state is a node and the last symbol, n*k of them, but
+the KMP automaton reaches node ``u >= 1`` only by reading ``w[u-1]``, so
+only the k states of node 0 and one state per node ``u >= 1`` can ever
+carry mass: n + k - 1 states, 47 of 512 at n = 32, k = 16.
+
 Time alignment (windows are ``x_i..x_{i+n-1}``, entrance means the
 smallest matching ``i >= 1``):
 
@@ -68,12 +74,23 @@ class ProductChain:
     row's mass into the match node, summed from its transitions (not
     ``1 - Q.sum(1)``).  ``origin_consumed`` records how many shifted
     symbols the ``initial`` vector already accounts for.
+
+    ``live`` are the indices, ascending, of the states that can carry
+    mass.  Every transition into node ``u >= 1`` reads the symbol
+    ``w[u-1]`` (the KMP invariant: node u means the last u symbols read
+    are ``w[:u]``), so for a Markov model the live states are node 0
+    with every last symbol and node ``u >= 1`` with ``w[u-1]``, n + k - 1
+    of the n*k.  Every transition, from any state, lands on a live one,
+    so the set is closed under ``Q`` and holds the support of
+    ``initial`` (whose states are also reached by reading a symbol).
+    For i.i.d. models every state is live.
     """
 
     states: tuple
     Q: np.ndarray
     exit: np.ndarray
     initial: np.ndarray
+    live: np.ndarray
     origin_consumed: int
     kind: str
     word: Word
@@ -104,10 +121,13 @@ def build_product_chain(model: MeasureModel, target, conditioning: str = ENTRANC
     if isinstance(model, MarkovModel):
         rows, first, contexts = model.P, model.pi, range(model.k)
         ctx = np.arange(model.k)
+        # node 0 with every context, node u >= 1 with w[u-1] (see ProductChain)
+        live = np.concatenate((ctx, np.arange(1, n) * model.k + np.array(target[:-1], dtype=np.intp)))
     else:
         masses = _column_masses(model, auto)
         rows, first, contexts = masses[None, :], masses, (None,)
         ctx = np.zeros(len(masses), dtype=np.intp)
+        live = np.arange(n)
     C = len(contexts)
     states = [(u, c) for u in range(n) for c in contexts]
     S = len(states)
@@ -136,6 +156,7 @@ def build_product_chain(model: MeasureModel, target, conditioning: str = ENTRANC
         Q=Q,
         exit=exit,
         initial=initial,
+        live=live,
         origin_consumed=1 if conditioning == ENTRANCE else len(target) - 1,
         kind=conditioning,
         word=target,
@@ -203,29 +224,38 @@ def step_at(t, mu: float) -> np.ndarray:
     return np.maximum(np.ceil(r).astype(np.int64) - 1, 0)
 
 
+def _live_block(chain: ProductChain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``Q``, ``exit`` and ``initial`` on the live states; the full arrays when all are live."""
+    live = chain.live
+    if len(live) == len(chain.states):
+        return chain.Q, chain.exit, chain.initial
+    return chain.Q[np.ix_(live, live)], chain.exit[live], chain.initial[live]
+
+
 def _walk(chain: ProductChain, m) -> list[float]:
     """``P(tau > m)`` at every entry of the integer sequence ``m``.
 
-    One vector ``v`` walks from the origin through the sorted distinct
-    step counts ``chain.steps_for(m)``.  A gap of at most S transitions
-    is taken one ``v @ Q`` at a time, ``S**2`` work each, so no gap costs
-    more than one squaring of ``Q``; a longer gap is binary powering of
-    ``Q``, holding only the current square.  ``m = 0`` is 1.
+    One vector ``v`` on the L live states walks from the origin through
+    the sorted distinct step counts ``chain.steps_for(m)``.  A gap of at
+    most L transitions is taken one ``v @ Q`` at a time, ``L**2`` work
+    each, so no gap costs more than one squaring of ``Q``; a longer gap
+    is binary powering of ``Q``, holding only the current square.
+    ``m = 0`` is 1.
     """
     if min(m, default=0) < 0:
         raise ValueError(f"m must be >= 0, got {min(m)}")
-    S = len(chain.states)
-    v = chain.initial
+    Q, _, v = _live_block(chain)
+    L = len(v)
     done = 0  # transitions applied so far
     at = {0: 1.0}
     for k in sorted(set(m) - {0}):
         e = chain.steps_for(k)
         gap = e - done
-        if gap <= S:
+        if gap <= L:
             for _ in range(gap):
-                v = v @ chain.Q
+                v = v @ Q
         else:
-            B = chain.Q
+            B = Q
             while gap > 0:
                 if gap & 1:
                     v = v @ B
@@ -286,13 +316,24 @@ def _survival_total(chain: ProductChain, rel_tol: float) -> float:
     ``x = (I - Q)^-1 1`` comes from one GTH solve with its certified
     entrywise bound; the non-negative weights ``initial`` and one ``fsum``
     add two roundings, covered by three more units.
+
+    The solve runs on the live block only.  The live set is closed under
+    ``Q`` and holds ``initial``'s support, so the restriction can only
+    drop states that no mass reaches.  Eliminating a state updates only
+    the rows that lead into it, and no live row leads out of the set, so
+    every live entry of ``x`` is the one the full chain gives.  Every
+    live state is a state of the full chain, so a zero pivot on the
+    block (a live state that never exits) would raise on the full chain
+    too.  The block's bound counts only the live rows, which is what
+    certifies long Markov words at the default tolerances.
     """
-    x, bound = _gth_solve(chain.Q, chain.exit, np.ones(len(chain.states)))
+    Q, exit, initial = _live_block(chain)
+    x, bound = _gth_solve(Q, exit, np.ones(len(exit)))
     bound = (bound + 3.0 * _UNIT_ROUNDOFF) * (1.0 + 4.0 * _UNIT_ROUNDOFF)
     if not bound <= rel_tol:
         raise ToleranceNotCertified(f"mean return on {len(x)} states is certified only to {bound:.3g}, "
                                     f"above rel_tol = {rel_tol:g}")
-    return math.fsum((chain.initial * x).tolist())
+    return math.fsum((initial * x).tolist())
 
 
 def exact_mean_return(model: MeasureModel, target, rel_tol: float = 1e-10) -> float:

@@ -234,6 +234,19 @@ def test_entrance_return_identity_residuals():
         assert entrance_return_residual(model, word, 60) <= 1e-12
 
 
+def test_long_markov_words_certify_at_the_default_tolerance():
+    # 16 symbols, words of length 28, 32 and 40: S = 448, 512 and 640 states,
+    # of which 43, 47 and 55 are live; the full chain's bound is above 1e-12
+    rng = np.random.default_rng(32)
+    for n in (28, 32, 40):
+        word = tuple(int(a) for a in rng.integers(0, 16, n))
+        chain = build_product_chain(CHAIN16, word, "return")
+        assert chain.Q.shape[0] == 16 * n and len(chain.live) == n + 15
+        mean = exact_mean_return(CHAIN16, word, rel_tol=1e-12)
+        assert abs(1.0 - cylinder_measure(CHAIN16, word) * mean) <= 1e-12
+        assert entrance_return_residual(CHAIN16, word, 60) <= 1e-12
+
+
 def test_identity_at_k1_is_kac():
     # |P(tau >= 1) - mu * E_B[tau_B]| = |1 - mu * mean| is inside the residual
     for model, word in ((FAIR, "101"), (CHAIN, "00")):
@@ -243,27 +256,25 @@ def test_identity_at_k1_is_kac():
         assert entrance_return_residual(model, word, 1) <= 1e-10
 
 
-def stepped_oracle(chain, m_max):
-    """``P(tau > m)`` for ``m = 0..m_max`` by one ``v @ Q`` per transition."""
+def stepped_oracle(chain, m_max, Q, v):
+    """``P(tau > m)`` for ``m = 0..m_max`` by one ``v @ Q`` per transition from ``v``."""
     values = np.empty(m_max + 1)
     values[0] = 1.0
-    v = chain.initial.copy()
     done = 0
     for m in range(1, m_max + 1):
         while done < chain.steps_for(m):
-            v = v @ chain.Q
+            v = v @ Q
             done += 1
         values[m] = min(max(float(v.sum()), 0.0), 1.0)
     return values
 
 
-def powered_oracle(chain, m):
-    """``P(tau > m)`` by binary powering of ``Q`` from the origin."""
+def powered_oracle(chain, m, Q, v):
+    """``P(tau > m)`` by binary powering of ``Q`` from ``v``."""
     if m == 0:
         return 1.0
     e = chain.steps_for(m)
-    v = chain.initial.copy()
-    B = chain.Q
+    B = Q
     while e > 0:
         if e & 1:
             v = v @ B
@@ -273,18 +284,69 @@ def powered_oracle(chain, m):
     return min(max(float(v.sum()), 0.0), 1.0)
 
 
+def live_block(chain):
+    """``Q`` and ``initial`` restricted to ``chain.live``."""
+    return chain.Q[np.ix_(chain.live, chain.live)], chain.initial[chain.live]
+
+
 @given(st.sampled_from(sorted(ORACLE_MODELS)), st.sampled_from(["entrance", "return"]), st.data())
 @settings(max_examples=80, deadline=None)
 def test_survival_is_bit_identical_to_stepping_and_to_powering(name, kind, data):
     model = ORACLE_MODELS[name]
     chain = build_product_chain(model, draw_word(model, data), kind)
+    Q, initial = live_block(chain)
     m_max = data.draw(st.integers(1, 80))
-    assert exact_survival(chain, m_max).values.tobytes() == stepped_oracle(chain, m_max).tobytes()
-    # past S transitions a single step count is powered exactly as before
-    S = len(chain.states)
-    m = S + 2 + data.draw(st.integers(0, 10**7))
-    assert chain.steps_for(m) > S
-    assert survival_at(chain, m) == powered_oracle(chain, m)
+    assert exact_survival(chain, m_max).values.tobytes() == stepped_oracle(chain, m_max, Q, initial).tobytes()
+    # past len(live) transitions a single step count is powered on the live block
+    L = len(chain.live)
+    m = L + 2 + data.draw(st.integers(0, 10**7))
+    assert chain.steps_for(m) > L
+    assert survival_at(chain, m) == powered_oracle(chain, m, Q, initial)
+
+
+@st.composite
+def live_case(draw):
+    """A model (Bernoulli, Markov with zeros in ``P``, geometric) and a word of positive measure."""
+    family = draw(st.sampled_from(["bernoulli", "markov", "geometric"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(2, 6))
+    if family == "geometric":
+        model = geometric(draw(st.sampled_from([0.3, 0.5, 0.7])))
+        return model, tuple(draw(st.lists(st.integers(0, 6), min_size=1, max_size=12)))
+    if family == "bernoulli":
+        model = bernoulli(rng.dirichlet(np.ones(k)))
+        return model, tuple(draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=12)))
+    # zero out entries off the diagonal and off the cycle i -> i+1, which keep
+    # the kernel irreducible and aperiodic
+    P = rng.dirichlet(np.ones(k), size=k)
+    keep = (rng.random((k, k)) < 0.5) | np.eye(k, dtype=bool) | np.roll(np.eye(k, dtype=bool), 1, axis=1)
+    P = np.where(keep, P, 0.0)
+    model = markov(P / P.sum(axis=1, keepdims=True))
+    word = [draw(st.integers(0, k - 1))]
+    for _ in range(draw(st.integers(0, 11))):
+        word.append(draw(st.sampled_from(np.flatnonzero(model.P[word[-1]]).tolist())))
+    return model, tuple(word)
+
+
+@given(live_case(), st.sampled_from(["entrance", "return"]), st.integers(1, 60))
+@settings(max_examples=120, deadline=None)
+def test_live_states_are_closed_and_walk_matches_the_full_chain(case, kind, m_max):
+    model, word = case
+    chain = build_product_chain(model, word, kind)
+    S, live = len(chain.states), chain.live
+    dead = np.setdiff1d(np.arange(S), live)
+    assert np.all(np.diff(live) > 0)
+    assert not np.any(chain.Q[np.ix_(live, dead)] > 0.0)
+    assert not np.any(chain.initial[dead] != 0.0)
+    assert len(live) == (len(word) + model.k - 1 if isinstance(model, MarkovModel) else S)
+    # both walks sum non-negative terms: each of the e steps and the final sum
+    # round every entry at most S times, so each is within (1-u)**(-S (e+1))
+    # of the exact value, relative, and they are within its square of each other
+    full = stepped_oracle(chain, m_max, chain.Q, chain.initial)
+    walk = exact_survival(chain, m_max).values
+    e = chain.steps_for(m_max)
+    rel = math.expm1(-2 * S * (e + 1) * math.log1p(-2.0**-53))
+    assert np.all(np.abs(walk - full) <= rel * full)
 
 
 def test_survival_at_matches_stepped_curve():
