@@ -9,8 +9,10 @@ across worker counts: every Monte Carlo kind shards its sample indices
 across the workers, and the parts merge into exactly the one-process
 ensemble.  The exact and stream kinds run in one process.
 
-Exit codes: 0 success, 2 invalid config (nothing written), 3 runtime
-failure, 4 a declared tolerance was not met (report still written).
+An optional ``tolerance`` block, with the keys ``TOLERANCES`` lists for
+its kind, turns a run into a check.  Exit codes: 0 success, 2 invalid
+config or tolerance block (nothing written), 3 runtime failure, 4 a
+declared tolerance was not met (report still written).
 """
 from __future__ import annotations
 
@@ -159,28 +161,73 @@ def _sharded_samples(jobs, workers: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# kind runners: each returns (columns, rows, results, tolerance_ok)
+# tolerance checks: one table for every kind
+# ---------------------------------------------------------------------------
+
+# Each kind's tolerance keys and defaults.  A bound (default None) caps a
+# measured value, or every value of a measured list; a flag (a boolean
+# default) requires a measured truth; with any tolerance, survival's curve
+# must lie in the DKW band at the parameter ``dkw_alpha``.
+_EXPONENT_TOLERANCE = {"max_two_sided": None, "max_lower": None, "median_within": None}
+TOLERANCES = {
+    "entrance-exponent": _EXPONENT_TOLERANCE,
+    "recurrence-exponent": _EXPONENT_TOLERANCE,
+    "survival": {"max_ks": None, "dkw_alpha": 0.001},
+    "return-survival": {"max_mean_error": None, "max_abs_error": None},
+    "kac": {"max_residual": None},
+    "hlv": {"max_residual": None},
+    "abadi-shape": {"require_bound": True},
+    "theorem2": {"require_decreasing": True},
+    "wns": _EXPONENT_TOLERANCE,
+    "renyi-exact": {"max_final_gap": None, "require_monotone": False},
+    "stream-estimate": {"max_ow_error": None, "max_plugin_error": None},
+}
+# the config section a bound is measured on, beyond the model
+_MEASURED_ON = {"max_ow_error": "ow", "max_plugin_error": "plugin"}
+
+
+def _check_tolerance(cfg, kind, model) -> None:
+    """Reject a declared tolerance block that the kind's table cannot check."""
+    tol = cfg["tolerance"]
+    if not isinstance(tol, dict):
+        raise ConfigError(f"tolerance must be an object, got {tol!r}")
+    if model is None:
+        raise ConfigError("a tolerance needs a model: every bound is measured against it")
+    table = TOLERANCES[kind]
+    for key, value in tol.items():
+        if key not in table:
+            raise ConfigError(f"unknown tolerance key {key!r}; {kind} takes {sorted(table)}")
+        default = table[key]
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if default is None and not (number and 0 <= value < math.inf):
+            raise ConfigError(f"tolerance {key} must be a finite number >= 0, got {value!r}")
+        if isinstance(default, bool) and not isinstance(value, bool):
+            raise ConfigError(f"tolerance {key} must be true or false, got {value!r}")
+        if isinstance(default, float) and not (number and 0 < value < 1):
+            raise ConfigError(f"tolerance {key} must lie in (0, 1), got {value!r}")
+        if key in _MEASURED_ON and _MEASURED_ON[key] not in cfg:
+            raise ConfigError(f"tolerance {key} is measured on a missing {_MEASURED_ON[key]!r} section")
+
+
+def _verdict(cfg, kind, measured) -> bool:
+    """Whether the measured quantities meet the declared tolerance."""
+    ok = True
+    for key, value in {**TOLERANCES[kind], **cfg["tolerance"]}.items():
+        if TOLERANCES[kind][key] is not None:  # a flag, or the band at dkw_alpha
+            ok = ok and (value is False or measured[key])
+        elif value is not None:  # a declared bound; a function is measured only now
+            got = measured[key]() if callable(measured[key]) else measured[key]
+            ok = ok and all(x <= value for x in (got if isinstance(got, list) else [got]))
+    return bool(ok)
+
+
+# ---------------------------------------------------------------------------
+# kind runners: each returns (columns, rows, results, measured by tolerance key)
 # ---------------------------------------------------------------------------
 
 def _ensemble_rows(run):
     values = dict(zip(run.indices.tolist(), run.values.tolist()))
     return [[j, _fmt(values[j]), 0] if j in values else [j, "", 1] for j in range(run.total)]
-
-
-def _check_exponent_tolerance(run, tol):
-    if tol is None:
-        return None, {}
-    eps = float(tol.get("eps", 0.15))
-    exc = run.exceedance(eps)
-    ok = True
-    if "max_two_sided" in tol:
-        ok = ok and exc["two_sided"] <= float(tol["max_two_sided"])
-    if "max_lower" in tol:
-        ok = ok and exc["lower"] <= float(tol["max_lower"])
-    if "median_within" in tol:
-        med = float(np.median(run.values))
-        ok = ok and abs(med - run.target) <= float(tol["median_within"])
-    return ok, {"exceedance": exc}
 
 
 def _run_exponent(cfg, model, workers, sampler_name):
@@ -198,11 +245,13 @@ def _run_exponent(cfg, model, workers, sampler_name):
         results["summary"] = None
         results["summary_withheld"] = str(exc)
     eps = cfg.get("epsilon")
-    if eps is not None:
-        results["exceedance"] = run.exceedance(float(eps))
-    ok, extra = _check_exponent_tolerance(run, cfg.get("tolerance"))
-    results.update(extra)
-    return ["sample", "exponent", "censored"], _ensemble_rows(run), results, ok
+    exc = run.exceedance(0.15 if eps is None else float(eps))
+    if eps is not None or cfg.get("tolerance") is not None:
+        results["exceedance"] = exc
+    # an all-censored ensemble has no median: take it only when it is bounded
+    measured = {"max_two_sided": exc["two_sided"], "max_lower": exc["lower"],
+                "median_within": lambda: abs(float(np.median(run.values)) - run.target)}
+    return ["sample", "exponent", "censored"], _ensemble_rows(run), results, measured
 
 
 def _run_survival(cfg, model, workers, sampler_name):
@@ -223,8 +272,7 @@ def _run_survival(cfg, model, workers, sampler_name):
 
 def run_survival(cfg, model, workers):
     exp, rows, worst = _run_survival(cfg, model, workers, "survival")
-    tol = cfg.get("tolerance")
-    alpha = float(tol.get("dkw_alpha", 0.001)) if tol else 0.001
+    alpha = (cfg.get("tolerance") or {}).get("dkw_alpha", TOLERANCES["survival"]["dkw_alpha"])
     band = dkw_epsilon(exp.total, alpha)
     results = {
         "ks_statistic": exp.ks.statistic,
@@ -234,12 +282,8 @@ def run_survival(cfg, model, workers):
         "max_abs_error": worst,
         "dkw_band": band,
     }
-    ok = None
-    if tol is not None:
-        ok = worst <= band
-        if "max_ks" in tol:
-            ok = ok and exp.ks.statistic <= float(tol["max_ks"])
-    return ["m", "t", "empirical", "exact", "abs_error"], rows, results, ok
+    measured = {"max_ks": exp.ks.statistic, "dkw_alpha": worst <= band}
+    return ["m", "t", "empirical", "exact", "abs_error"], rows, results, measured
 
 
 def run_return_survival(cfg, model, workers):
@@ -251,29 +295,14 @@ def run_return_survival(cfg, model, workers):
         "censored": exp.censored_count,
         "max_abs_error": worst,
     }
-    tol = cfg.get("tolerance")
-    ok = None
-    if tol is not None:
-        ok = True
-        if "max_mean_error" in tol:
-            ok = ok and abs(exp.mean_time - exact_mean) <= float(tol["max_mean_error"])
-        if "max_abs_error" in tol:
-            ok = ok and worst <= float(tol["max_abs_error"])
-    return ["m", "t", "empirical", "exact", "abs_error"], rows, results, ok
+    measured = {"max_mean_error": abs(exp.mean_time - exact_mean), "max_abs_error": worst}
+    return ["m", "t", "empirical", "exact", "abs_error"], rows, results, measured
 
 
 def _word_list(cfg) -> list:
     if "words" in cfg:
         return [as_word(w) for w in cfg["words"]]
     return [as_word(_require(cfg, "word"))]
-
-
-def _max_residual_ok(cfg, worst):
-    """``worst <= max_residual`` when declared; None without a tolerance."""
-    tol = cfg.get("tolerance")
-    if tol is None:
-        return None
-    return worst <= float(tol["max_residual"]) if tol and "max_residual" in tol else True
 
 
 def run_kac(cfg, model, workers):
@@ -291,7 +320,7 @@ def run_kac(cfg, model, workers):
     results = {"kac_residual": worst, "word_count": len(words)}
     if len(words) == 1:
         results["expected_return"] = means[0]
-    return ["word", "mu", "mean_return", "kac_residual"], rows, results, _max_residual_ok(cfg, worst)
+    return ["word", "mu", "mean_return", "kac_residual"], rows, results, {"max_residual": worst}
 
 
 def run_hlv(cfg, model, workers):
@@ -304,7 +333,7 @@ def run_hlv(cfg, model, workers):
         worst = max(worst, residual)
         rows.append([word_str(word), _fmt(residual)])
     results = {"max_residual": worst, "m_max": m_max}
-    return ["word", "residual"], rows, results, _max_residual_ok(cfg, worst)
+    return ["word", "residual"], rows, results, {"max_residual": worst}
 
 
 def run_abadi_shape(cfg, model, workers):
@@ -321,11 +350,7 @@ def run_abadi_shape(cfg, model, workers):
         "bound_holds": report.bound_holds,
         "fit_points": report.fit_points,
     }
-    tol = cfg.get("tolerance")
-    ok = None
-    if tol is not None:
-        ok = report.bound_holds if tol.get("require_bound", True) else True
-    return ["t", "survival", "fitted_bound"], rows, results, ok
+    return ["t", "survival", "fitted_bound"], rows, results, {"require_bound": report.bound_holds}
 
 
 def run_theorem2(cfg, model, workers):
@@ -338,11 +363,7 @@ def run_theorem2(cfg, model, workers):
     rows = [[n, _fmt(res.estimate), _fmt(res.std_error), N] for n, res in zip(n_list, runs)]
     decreasing = all(a > b for a, b in zip(estimates, estimates[1:]))
     results = {"estimates": estimates, "strictly_decreasing": decreasing, "epsilon": epsilon}
-    tol = cfg.get("tolerance")
-    ok = None
-    if tol is not None:
-        ok = decreasing if tol.get("require_decreasing", True) else True
-    return ["n", "estimate", "std_error", "samples"], rows, results, ok
+    return ["n", "estimate", "std_error", "samples"], rows, results, {"require_decreasing": decreasing}
 
 
 def run_renyi_exact(cfg, model, workers):
@@ -366,16 +387,9 @@ def run_renyi_exact(cfg, model, workers):
     results = {"per_s": per_s}
     if len(s_list) == 1:
         results["renyi"] = per_s[repr(float(s_list[0]))]["renyi"]
-    tol = cfg.get("tolerance")
-    ok = None
-    if tol is not None:
-        ok = True
-        for stats in per_s.values():
-            if "max_final_gap" in tol:
-                ok = ok and stats["final_gap"] <= float(tol["max_final_gap"])
-            if tol.get("require_monotone"):
-                ok = ok and stats["monotone_gaps"]
-    return ["s", "n", "log_partition", "slope", "renyi", "gap"], rows, results, ok
+    measured = {"max_final_gap": [stats["final_gap"] for stats in per_s.values()],
+                "require_monotone": all(stats["monotone_gaps"] for stats in per_s.values())}
+    return ["s", "n", "log_partition", "slope", "renyi", "gap"], rows, results, measured
 
 
 def run_stream_estimate(cfg, model, workers):
@@ -386,7 +400,6 @@ def run_stream_estimate(cfg, model, workers):
             raise ConfigError("stream-estimate needs a model or a data_file")
         length = _positive_int(cfg, "generate_length")
         seq = OrbitStream(model, (cfg["seed"], 0)).take(length)
-    rows = []
     results = {"length": int(len(seq))}
     series_rows = []
     if "ow" in cfg:
@@ -412,27 +425,13 @@ def run_stream_estimate(cfg, model, workers):
         results["plugin"] = {"n": n, "s": s, "estimate": est}
     if not series_rows:
         raise ConfigError("stream-estimate needs an 'ow' or 'plugin' section")
-    for r in series_rows:
-        rows.append([r.method, r.n, "" if r.s is None else _fmt(r.s),
-                     _fmt(r.estimate_nats), _fmt(r.stderr),
-                     _fmt(r.censored_fraction), r.sample_count])
-    tol = cfg.get("tolerance")
-    ok = None
-    if tol is not None and model is not None:
-        ok = True
-        if "max_ow_error" in tol and "ow" in results:
-            h = shannon_entropy(model)
-            ok = ok and all(
-                abs(v["estimate"] - h) <= float(tol["max_ow_error"])
-                for v in results["ow"].values()
-            )
-        if "max_plugin_error" in tol and "plugin" in results:
-            r_exact = renyi_entropy(model, results["plugin"]["s"])
-            ok = ok and abs(results["plugin"]["estimate"] - r_exact) <= float(
-                tol["max_plugin_error"])
-    EstimateSeries(rows=tuple(series_rows))  # enforce the >= 0 invariant
-    return ["method", "n", "s", "estimate_nats", "stderr",
-            "censored_fraction", "sample_count"], rows, results, ok
+    # both bounds are errors against the model, declared only with one
+    measured = {"max_ow_error": lambda: [abs(v["estimate"] - shannon_entropy(model))
+                                         for v in results["ow"].values()],
+                "max_plugin_error": lambda: abs(results["plugin"]["estimate"]
+                                                - renyi_entropy(model, results["plugin"]["s"]))}
+    rows = EstimateSeries(rows=tuple(series_rows)).csv_rows()  # enforces the >= 0 invariant
+    return EstimateSeries.COLUMNS, rows, results, measured
 
 
 RUNNERS = {
@@ -544,15 +543,16 @@ def main(argv=None) -> int:
             model = _resolve_model(cfg["model"])
         elif kind not in MODEL_OPTIONAL:
             raise ConfigError(f"kind {kind!r} requires a 'model'")
+        if cfg.get("tolerance") is not None:
+            _check_tolerance(cfg, kind, model)
         outdir = Path(args.outdir or cfg.get("outdir") or "hitstat-out")
     except (ConfigError, HitstatError, ValueError, TypeError, KeyError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     try:
-        columns, rows, results, tol_ok = RUNNERS[kind](cfg, model, workers)
-        if tol_ok is not None:
-            tol_ok = bool(tol_ok)
+        columns, rows, results, measured = RUNNERS[kind](cfg, model, workers)
+        tol_ok = None if cfg.get("tolerance") is None else _verdict(cfg, kind, measured)
         _write_report(outdir, cfg, model, columns, rows, results, tol_ok)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -220,9 +220,9 @@ def orbit_sum_exponent_samples(model: MeasureModel, n: int, s: float, N: int, se
 
 @dataclass(frozen=True)
 class KsResult:
+    """Kolmogorov-Smirnov distance of the rescaled times to the unit exponential."""
     statistic: float
     sample_count: int
-    reference: str = "unit-exponential"
 
 
 @dataclass(frozen=True)

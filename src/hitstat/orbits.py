@@ -316,7 +316,6 @@ class OrbitSumResult:
     time: TimeResult
     log_value: float
     terms: int
-    s: float
     window_log_measure: float
 
 
@@ -390,6 +389,5 @@ def w_sum(stream, target=None, s: float = 0.0, cap: int | None = None,
         time=t,
         log_value=acc.run_max + math.log(acc.run_sum),
         terms=t.value,
-        s=s,
         window_log_measure=acc.last,
     )

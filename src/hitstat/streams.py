@@ -135,24 +135,24 @@ class EstimateRow:
 @dataclass(frozen=True)
 class EstimateSeries:
     rows: tuple
+    COLUMNS = ("method", "n", "s", "estimate_nats", "stderr", "censored_fraction", "sample_count")
 
     def __post_init__(self):
         for row in self.rows:
             if row.estimate_nats < 0.0:
                 raise ValueError(f"negative entropy estimate in row {row}")
 
+    def csv_rows(self) -> list:
+        """One row per estimate under ``COLUMNS``, floats by ``repr``."""
+        return [[r.method, r.n, "" if r.s is None else repr(float(r.s)),
+                 repr(float(r.estimate_nats)), repr(float(r.stderr)),
+                 repr(float(r.censored_fraction)), r.sample_count] for r in self.rows]
+
     def to_csv(self, path) -> None:
         with open(Path(path), "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["method", "n", "s", "estimate_nats", "stderr",
-                             "censored_fraction", "sample_count"])
-            for r in self.rows:
-                writer.writerow([
-                    r.method, r.n,
-                    "" if r.s is None else repr(float(r.s)),
-                    repr(float(r.estimate_nats)), repr(float(r.stderr)),
-                    repr(float(r.censored_fraction)), r.sample_count,
-                ])
+            writer.writerow(self.COLUMNS)
+            writer.writerows(self.csv_rows())
 
 
 # ---------------------------------------------------------------------------

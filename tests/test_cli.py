@@ -123,6 +123,84 @@ def test_declared_tolerance_failure_exits_4_but_writes(tmp_path):
         assert (outdir / "report.csv").exists()
 
 
+EXPONENT_RUN = {"model": "fair-coin", "seed": 1, "n": 6, "N": 30}
+SURVIVAL_RUN = {"model": "two-state-chain", "seed": 5, "N": 60, "word": "01", "t_grid": [0.5, 1.0]}
+STREAM_RUN = {"model": "biased-coin", "seed": 1, "generate_length": 20_000,
+              "ow": {"n_list": [6], "starts_per_n": 40}, "plugin": {"n": 4, "s": 1.0}}
+# one run per kind; each tolerance key below fails on it at the value given
+TOLERANCE_RUNS = {
+    "entrance-exponent": EXPONENT_RUN,
+    "recurrence-exponent": EXPONENT_RUN,
+    "wns": {**EXPONENT_RUN, "s": 1.0},
+    "survival": SURVIVAL_RUN,
+    "return-survival": SURVIVAL_RUN,
+    "kac": {"model": "biased-coin", "seed": 1, "word": "0110"},
+    "hlv": {"model": "two-state-chain", "seed": 1, "words": ["1", "01"], "m_max": 60},
+    # a coarse start of the grid leaves the fitted line below F at t = 0.1
+    "abadi-shape": {"model": "biased-coin", "seed": 1, "word": "1",
+                    "t_grid": [0.1, 0.2, 0.3, 0.5, 1.0, 2.0, 4.0]},
+    # n_list runs downward: the tail integral and the gap to R(s) grow along it
+    "theorem2": {"model": "fair-coin", "seed": 1, "N": 20, "n_list": [8, 4], "epsilon": 0.1},
+    "renyi-exact": {"model": "two-state-chain", "seed": 1, "s": 1.0, "n_list": [6, 4]},
+    "stream-estimate": STREAM_RUN,
+}
+FAILING = [(kind, key, 0.0) for kind in ("entrance-exponent", "recurrence-exponent", "wns")
+           for key in ("max_two_sided", "max_lower", "median_within")] + [
+    ("survival", "max_ks", 0.0),
+    ("return-survival", "max_mean_error", 0.0),
+    ("return-survival", "max_abs_error", 0.0),
+    ("kac", "max_residual", 0.0),
+    ("hlv", "max_residual", 0.0),
+    ("abadi-shape", "require_bound", True),
+    ("theorem2", "require_decreasing", True),
+    ("renyi-exact", "max_final_gap", 0.0),
+    ("renyi-exact", "require_monotone", True),
+    ("stream-estimate", "max_ow_error", 0.0),
+    ("stream-estimate", "max_plugin_error", 0.0),
+]
+
+
+@pytest.mark.parametrize("kind,key,failing", FAILING, ids=[f"{k}-{key}" for k, key, _ in FAILING])
+def test_every_tolerance_key_can_fail(tmp_path, kind, key, failing):
+    # the same run passes with the bound loose or the flag off
+    passing = False if isinstance(failing, bool) else 1e6
+    for value, code in ((passing, 0), (failing, 4)):
+        cfg = {"kind": kind, **TOLERANCE_RUNS[kind], "tolerance": {key: value}}
+        got, outdir = run_cli(tmp_path, cfg, name=f"{value}.json")
+        assert got == code
+        assert read_summary(outdir)["tolerance_check"]["passed"] is (code == 0)
+
+
+def test_malformed_tolerance_exits_2_before_the_run(tmp_path):
+    data = tmp_path / "data.bin"
+    data.write_bytes(bytes(range(256)) * 8)
+    kac = {"kind": "kac", "model": "fair-coin", "seed": 1, "word": "111"}
+    for i, cfg in enumerate((
+        {"kind": "abadi-shape", **TOLERANCE_RUNS["abadi-shape"], "tolerance": [1]},
+        {**kac, "tolerance": {"max_residul": 1e-30}},           # unknown key
+        {**kac, "tolerance": {"max_residual": "tiny"}},
+        {**kac, "tolerance": {"max_residual": -1.0}},
+        {**kac, "tolerance": {"max_residual": math.inf}},
+        {"kind": "abadi-shape", **TOLERANCE_RUNS["abadi-shape"], "tolerance": {"require_bound": 1}},
+        {"kind": "survival", **SURVIVAL_RUN, "tolerance": {"dkw_alpha": 1.0}},
+        # no model to measure against
+        {"kind": "stream-estimate", "seed": 1, "data_file": str(data),
+         "plugin": {"n": 2, "s": 1.0}, "tolerance": {"max_plugin_error": 0.05}},
+        # no 'ow' section to measure
+        {"kind": "stream-estimate", **{k: v for k, v in STREAM_RUN.items() if k != "ow"},
+         "tolerance": {"max_ow_error": 0.1}},
+    )):
+        code, outdir = run_cli(tmp_path, cfg, name=f"bad{i}.json")
+        assert code == 2, cfg
+        assert not outdir.exists()
+    # the exceedance is measured at the config's epsilon, tolerance or not
+    cfg = {"kind": "entrance-exponent", **EXPONENT_RUN, "epsilon": 0.05,
+           "tolerance": {"max_two_sided": 1.0}}
+    code, outdir = run_cli(tmp_path, cfg)
+    assert code == 0
+    assert read_summary(outdir)["results"]["exceedance"]["eps"] == 0.05
+
+
 def test_hlv_and_abadi_kinds_run(tmp_path):
     code, outdir = run_cli(tmp_path, {
         "kind": "hlv", "model": "two-state-chain", "seed": 1,
