@@ -44,7 +44,6 @@ from .models import (
     load_model,
     model_fingerprint,
     model_from_dict,
-    partition_slope,
     partition_sum_exact,
     renyi_entropy,
     shannon_entropy,
@@ -111,6 +110,24 @@ def _positive_int(cfg: dict, key: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ConfigError(f"{key} must be a positive integer, got {value!r}")
     return value
+
+
+def _list(cfg: dict, key: str, convert) -> list:
+    """The JSON array ``cfg[key]`` with ``convert`` applied to each entry."""
+    value = _require(cfg, key)
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a JSON array, got {value!r}")
+    try:
+        return [convert(v) for v in value]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} has an invalid entry: {exc}") from exc
+
+
+def _section(cfg: dict, key: str):
+    """The optional object ``cfg[key]``, or None when the key is absent."""
+    if key in cfg and not isinstance(cfg[key], dict):
+        raise ConfigError(f"{key} must be an object, got {cfg[key]!r}")
+    return cfg.get(key)
 
 
 def _cap_policy(cfg: dict) -> CapPolicy:
@@ -258,7 +275,7 @@ def _run_survival(cfg, model, workers, sampler_name):
     """The sampled curve against the exact one: (experiment, rows, worst error)."""
     word = as_word(_require(cfg, "word"))
     exp, = _sharded_samples([(sampler_name, dict(model=model, z_word=word, N=_positive_int(cfg, "N"),
-                                                 t_grid=_require(cfg, "t_grid"), seed=cfg["seed"]))],
+                                                 t_grid=_list(cfg, "t_grid", float), seed=cfg["seed"]))],
                             workers)
     chain = build_product_chain(model, word, exp.kind)
     rows = []
@@ -301,7 +318,7 @@ def run_return_survival(cfg, model, workers):
 
 def _word_list(cfg) -> list:
     if "words" in cfg:
-        return [as_word(w) for w in cfg["words"]]
+        return _list(cfg, "words", as_word)
     return [as_word(_require(cfg, "word"))]
 
 
@@ -338,7 +355,7 @@ def run_hlv(cfg, model, workers):
 
 def run_abadi_shape(cfg, model, workers):
     word = as_word(_require(cfg, "word"))
-    report = fit_survival_shape(model, word, _require(cfg, "t_grid"))
+    report = fit_survival_shape(model, word, _list(cfg, "t_grid", float))
     rows = [
         [_fmt(t), _fmt(f), _fmt(math.exp(-report.rate * t) + report.floor)]
         for t, f in zip(report.t, report.survival)
@@ -354,7 +371,7 @@ def run_abadi_shape(cfg, model, workers):
 
 
 def run_theorem2(cfg, model, workers):
-    n_list = [int(n) for n in _require(cfg, "n_list")]
+    n_list = _list(cfg, "n_list", int)
     epsilon = float(_require(cfg, "epsilon"))
     N = _positive_int(cfg, "N")
     runs = _sharded_samples([("tail-integral", dict(model=model, n=n, epsilon=epsilon, n_outer=N,
@@ -367,16 +384,16 @@ def run_theorem2(cfg, model, workers):
 
 
 def run_renyi_exact(cfg, model, workers):
-    s_list = [float(s) for s in (cfg["s_list"] if "s_list" in cfg else [_require(cfg, "s")])]
-    n_list = [int(n) for n in _require(cfg, "n_list")]
+    s_list = _list(cfg, "s_list", float) if "s_list" in cfg else [float(_require(cfg, "s"))]
+    n_list = _list(cfg, "n_list", int)
     rows = []
     per_s = {}
     for s in s_list:
         r = renyi_entropy(model, s)
         gaps = []
         for n in n_list:
-            slope = partition_slope(model, n, s)
             log_z = partition_sum_exact(model, n, s)
+            slope = abs(log_z) / (s * n)
             gaps.append(abs(slope - r))
             rows.append([_fmt(s), n, _fmt(log_z), _fmt(slope), _fmt(r), _fmt(gaps[-1])])
         per_s[repr(float(s))] = {
@@ -393,6 +410,10 @@ def run_renyi_exact(cfg, model, workers):
 
 
 def run_stream_estimate(cfg, model, workers):
+    ow, pg = _section(cfg, "ow"), _section(cfg, "plugin")
+    if ow is None and pg is None:
+        raise ConfigError("stream-estimate needs an 'ow' or 'plugin' section")
+    ow_n_list = None if ow is None else _list(ow, "n_list", int)
     if "data_file" in cfg:
         seq = ingest(cfg["data_file"], named_map(cfg.get("map", "byte")))
     else:
@@ -402,10 +423,9 @@ def run_stream_estimate(cfg, model, workers):
         seq = OrbitStream(model, (cfg["seed"], 0)).take(length)
     results = {"length": int(len(seq))}
     series_rows = []
-    if "ow" in cfg:
-        ow = cfg["ow"]
+    if ow is not None:
         series = ow_entropy_estimate(
-            seq, [int(n) for n in _require(ow, "n_list")],
+            seq, ow_n_list,
             starts_per_n=int(ow.get("starts_per_n", 200)), seed=cfg["seed"],
         )
         series_rows.extend(series.rows)
@@ -414,8 +434,7 @@ def run_stream_estimate(cfg, model, workers):
                              "censored_fraction": r.censored_fraction}
             for r in series.rows
         }
-    if "plugin" in cfg:
-        pg = cfg["plugin"]
+    if pg is not None:
         n, s = int(_require(pg, "n")), float(_require(pg, "s"))
         est = plugin_renyi_estimate(seq, n, s)
         series_rows.append(EstimateRow(
@@ -423,8 +442,6 @@ def run_stream_estimate(cfg, model, workers):
             censored_fraction=0.0, sample_count=int(len(seq)) - n + 1,
         ))
         results["plugin"] = {"n": n, "s": s, "estimate": est}
-    if not series_rows:
-        raise ConfigError("stream-estimate needs an 'ow' or 'plugin' section")
     # both bounds are errors against the model, declared only with one
     measured = {"max_ow_error": lambda: [abs(v["estimate"] - shannon_entropy(model))
                                          for v in results["ow"].values()],

@@ -30,20 +30,16 @@ import hashlib
 import json
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Union
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 from scipy.special import logsumexp
 
 from .errors import (
     BadThetaRange,
-    BudgetExceeded,
     ContractionDegenerate,
     InvalidSymbol,
     NonPositiveS,
@@ -263,6 +259,14 @@ def _check_stationary(model: MarkovModel, stationary: np.ndarray) -> None:
 
 
 def _check_kernel(P: np.ndarray) -> None:
+    """Require a stochastic, primitive (irreducible and aperiodic) kernel.
+
+    By Wielandt's theorem a non-negative k x k matrix is primitive exactly
+    when its power ``(k-1)**2 + 1`` is positive (Horn & Johnson, *Matrix
+    Analysis*, Cor. 8.5.9).  The 0/1 support is squared until every entry is
+    positive or the power passes that bound.  A product entry counts at most
+    k paths, so single precision holds it exactly and halves the cost.
+    """
     if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] < 2:
         raise ReducibleChain("kernel must be square with at least 2 states")
     if np.any(P < 0.0):
@@ -271,31 +275,14 @@ def _check_kernel(P: np.ndarray) -> None:
     if np.any(row_err > _SUM_TOL):
         bad = int(np.argmax(row_err))
         raise NonStochasticRow(f"row {bad} sums to {P[bad].sum()!r}, not 1")
-    support = P > 0.0
-    n_comp, _ = connected_components(csr_matrix(support), directed=True, connection="strong")
-    if n_comp != 1:
-        raise ReducibleChain(f"kernel has {n_comp} strongly connected components")
-    period = _graph_period(support)
-    if period != 1:
-        raise ReducibleChain(f"kernel is periodic with period {period}")
-
-
-def _graph_period(support: np.ndarray) -> int:
-    """Period (gcd of cycle lengths) of a strongly connected digraph."""
-    adj = [np.nonzero(row)[0] for row in support]
-    depth = {0: 0}
-    g = 0
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            v = int(v)
-            if v not in depth:
-                depth[v] = depth[u] + 1
-                queue.append(v)
-            else:
-                g = math.gcd(g, depth[u] + 1 - depth[v])
-    return abs(g)
+    R = (P > 0.0).astype(np.float32)
+    power = 1
+    while not R.all():
+        if power > (P.shape[0] - 1) ** 2:
+            raise ReducibleChain(f"kernel is reducible or periodic: its support's power {power} "
+                                 "has a zero entry")
+        R = np.minimum(R @ R, 1.0)
+        power *= 2
 
 
 def stationary_distribution(P: np.ndarray) -> np.ndarray:
@@ -439,17 +426,24 @@ def renyi_entropy(model: MeasureModel, s: float, rel_tol: float = 1e-12) -> floa
     """
     if not 0.0 < s < math.inf:
         raise NonPositiveS(f"s must be positive and finite, got {s}")
-    if isinstance(model, BernoulliModel):
-        return float(-logsumexp((1.0 + s) * model.log_p) / s)
     if isinstance(model, MarkovModel):
         lam, lo, hi = _perron_root(model.P ** (1.0 + s), rel_tol)
         if not (hi - lo) / lo <= rel_tol:
             raise ToleranceNotCertified(f"the root behind R({s}) is bracketed only to "
                                         f"relative width {(hi - lo) / lo:.3g}")
         return -math.log(lam) / s
+    return -_iid_log_z1(model, s) / s
+
+
+def _iid_log_z1(model: BernoulliModel | GeometricModel, s: float) -> float:
+    """``log Z_1(s) = log sum_i p_i**(1+s)`` of an i.i.d. model, with ``Z_n = Z_1**n``.
+
+    The countable model sums its geometric series in closed form.
+    """
+    if isinstance(model, BernoulliModel):
+        return float(logsumexp((1.0 + s) * model.log_p))
     t = model.theta
-    log_z1 = (1.0 + s) * math.log1p(-t) - math.log1p(-(t ** (1.0 + s)))
-    return -log_z1 / s
+    return (1.0 + s) * math.log1p(-t) - math.log1p(-(t ** (1.0 + s)))
 
 
 def _perron_root(A: np.ndarray, rel_tol: float) -> tuple[float, float, float]:
@@ -482,23 +476,18 @@ def _perron_root(A: np.ndarray, rel_tol: float) -> tuple[float, float, float]:
     return min(max(float(w[i].real), lo), hi), lo, hi
 
 
-def partition_sum_exact(model: MeasureModel, n: int, s: float, budget: int = 10**8) -> float:
+def partition_sum_exact(model: MeasureModel, n: int, s: float) -> float:
     """``log Z_n(s) = log sum_w mu([w])**(1+s)`` over all n-cylinders.
 
-    Bernoulli models enumerate all ``k**n`` cylinders (log-sum-exp over
-    materialized chunks), refusing beyond ``budget`` with
-    ``BudgetExceeded``.  Markov models need no enumeration: ``Z_n`` is a
-    bilinear form in powers of the entrywise kernel ``P**(1+s)``, applied
-    as repeated log-space matrix-vector products.  The countable model
-    sums its series in closed form; independence makes the n-fold
-    factorization exact.
+    I.i.d. models factor exactly: ``log Z_n = n * log Z_1``, for any ``n``.
+    Markov models need no enumeration either: ``Z_n`` is a bilinear form in
+    powers of the entrywise kernel ``P**(1+s)``, applied as repeated
+    log-space matrix-vector products.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0.0 < s < math.inf:
         raise NonPositiveS(f"s must be positive and finite, got {s}")
-    if isinstance(model, BernoulliModel):
-        return _enumerated_log_partition(model.log_p, n, s, budget)
     if isinstance(model, MarkovModel):
         power = 1.0 + s
         log_Q = np.where(model.P > 0.0, power * model.log_P, _LOG_ZERO)
@@ -506,34 +495,10 @@ def partition_sum_exact(model: MeasureModel, n: int, s: float, budget: int = 10*
         for _ in range(n - 1):
             lv = logsumexp(lv[:, None] + log_Q, axis=0)
         return float(logsumexp(lv))
-    t = model.theta
-    log_z1 = (1.0 + s) * math.log1p(-t) - math.log1p(-(t ** (1.0 + s)))
-    return n * log_z1
+    return n * _iid_log_z1(model, s)
 
 
-def _enumerated_log_partition(log_p: np.ndarray, n: int, s: float, budget: int) -> float:
-    k = log_p.shape[0]
-    total = k**n
-    if total > budget:
-        raise BudgetExceeded(f"{k}**{n} = {total} cylinders exceeds budget {budget}")
-    base = (1.0 + s) * log_p
-    # materialize suffix blocks of at most 2**20 words, walk prefixes in python
-    block_len = 1
-    while block_len < n and k ** (block_len + 1) <= 2**20:
-        block_len += 1
-    suffix = base.copy()
-    for _ in range(block_len - 1):
-        suffix = (suffix[:, None] + base[None, :]).ravel()
-    if block_len == n:
-        return float(logsumexp(suffix))
-    prefix = np.zeros(1)
-    for _ in range(n - block_len):
-        prefix = (prefix[:, None] + base[None, :]).ravel()
-    chunks = [float(logsumexp(pl + suffix)) for pl in prefix]
-    return float(logsumexp(np.array(chunks)))
-
-
-def partition_slope(model: MeasureModel, n: int, s: float, budget: int = 10**8) -> float:
+def partition_slope(model: MeasureModel, n: int, s: float) -> float:
     """Finite-n rate ``(1/(s*n)) * |log Z_n(s)|`` from the exact partition sum.
 
     I.i.d. models factor exactly, so the ratio equals ``R(s)`` at every
@@ -544,7 +509,7 @@ def partition_slope(model: MeasureModel, n: int, s: float, budget: int = 10**8) 
     the prefactor and converges geometrically, at the ratio of the two
     leading eigenvalues of ``P**(1+s)``.
     """
-    log_z = partition_sum_exact(model, n, s, budget=budget)
+    log_z = partition_sum_exact(model, n, s)
     return abs(log_z) / (s * n)
 
 
@@ -635,27 +600,12 @@ def model_fingerprint(model: MeasureModel) -> str:
 # built-in models
 # ---------------------------------------------------------------------------
 
-def fair_coin() -> BernoulliModel:
-    return bernoulli([0.5, 0.5])
-
-
-def biased_coin() -> BernoulliModel:
-    return bernoulli([0.7, 0.3])
-
-
-def two_state_chain() -> MarkovModel:
-    return markov([[0.9, 0.1], [0.2, 0.8]])
-
-
-def geometric_half() -> GeometricModel:
-    return geometric(0.5)
-
-
+# each built from its spec by ``model_from_dict``, as inline and file models are
 BUILTIN_MODELS = {
-    "fair-coin": fair_coin,
-    "biased-coin": biased_coin,
-    "two-state-chain": two_state_chain,
-    "geometric-half": geometric_half,
+    "fair-coin": {"kind": "bernoulli", "p": [0.5, 0.5]},
+    "biased-coin": {"kind": "bernoulli", "p": [0.7, 0.3]},
+    "two-state-chain": {"kind": "markov", "P": [[0.9, 0.1], [0.2, 0.8]]},
+    "geometric-half": {"kind": "geometric", "theta": 0.5},
 }
 
 # finite-alphabet subset: entrance times into typical n-cylinders stay
@@ -665,7 +615,6 @@ BUILTIN_FINITE = ("fair-coin", "biased-coin", "two-state-chain")
 
 
 def builtin_model(name: str) -> MeasureModel:
-    try:
-        return BUILTIN_MODELS[name]()
-    except KeyError:
-        raise ValueError(f"unknown built-in model {name!r}") from None
+    if name not in BUILTIN_MODELS:
+        raise ValueError(f"unknown built-in model {name!r}")
+    return model_from_dict(BUILTIN_MODELS[name])

@@ -21,7 +21,6 @@ from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
-from scipy import stats
 
 from .errors import CensoringExceeded, ZeroMeasureTarget
 from .exact import ENTRANCE, RETURN, SurvivalCurve, build_product_chain, step_at, survival_at
@@ -269,6 +268,8 @@ class SurvivalExperiment(Ensemble):
 
     @cached_property
     def ks(self) -> KsResult:
+        from scipy import stats  # deferred: only this property needs it, and it is slow to load
+
         rescaled = self.rescaled
         statistic = float(stats.kstest(rescaled, "expon").statistic) if len(rescaled) else 1.0
         return KsResult(statistic=statistic, sample_count=len(rescaled))

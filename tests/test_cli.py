@@ -1,10 +1,14 @@
 """End-to-end CLI runs: exit codes, report layout, determinism."""
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import hitstat
 from hitstat import orbits, rng, streams
 from hitstat.cli import KINDS, _load_config, _resolve_model, main
 
@@ -46,13 +50,23 @@ def test_kac_run_reports_the_expected_return(tmp_path):
 
 def test_renyi_exact_uniform_reports_log_k(tmp_path):
     cfg = {
-        "kind": "renyi-exact", "seed": 1, "s": 2.0, "n_list": [2, 4, 6],
+        "kind": "renyi-exact", "seed": 1, "s": 2.0, "n_list": [2, 4, 6, 30],
         "model": {"kind": "bernoulli", "p": [0.25, 0.25, 0.25, 0.25]},
     }
     code, outdir = run_cli(tmp_path, cfg)
     assert code == 0
     summary = read_summary(outdir)
     assert summary["results"]["renyi"] == pytest.approx(math.log(4.0), abs=1e-12)
+
+
+def test_import_loads_neither_scipy_stats_nor_sparse():
+    # a fresh interpreter: this one has loaded scipy.stats for other tests
+    env = {**os.environ, "PYTHONPATH": str(Path(hitstat.__file__).resolve().parents[1])}
+    probe = ("import sys, hitstat, hitstat.cli; "
+             "print([m for m in ('scipy.stats', 'scipy.sparse') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_every_kind_has_a_loadable_demo_config():
@@ -81,6 +95,18 @@ def test_config_validation_failures_exit_2(tmp_path):
         {"kind": "kac", "model": "fair-coin", "seed": 1.5, "word": "1"},
         {"kind": "kac", "seed": 1, "word": "1"},                     # no model
         {"kind": "hlv", "model": "fair-coin", "seed": 1, "word": "1"},  # no m_max
+        # list keys must be JSON arrays, not strings iterated one character at a time
+        {"kind": "kac", "model": "fair-coin", "seed": 1, "words": "11"},
+        {"kind": "renyi-exact", "model": "fair-coin", "seed": 1, "s": 1.0, "n_list": "12"},
+        {"kind": "renyi-exact", "model": "fair-coin", "seed": 1, "s_list": 1.0, "n_list": [2]},
+        {"kind": "survival", "model": "fair-coin", "seed": 1, "N": 10, "word": "1", "t_grid": "ab"},
+        {"kind": "survival", "model": "fair-coin", "seed": 1, "N": 10, "word": "1", "t_grid": ["a"]},
+        {"kind": "theorem2", "model": "fair-coin", "seed": 1, "N": 10, "n_list": 4, "epsilon": 0.1},
+        # sections must be objects
+        {"kind": "stream-estimate", "model": "fair-coin", "seed": 1, "generate_length": 100,
+         "ow": None},
+        {"kind": "stream-estimate", "model": "fair-coin", "seed": 1, "generate_length": 100,
+         "plugin": [4, 1.0]},
     ):
         code, outdir = run_cli(tmp_path, cfg, name=f"bad{hash(str(cfg)) % 100}.json")
         assert code == 2

@@ -6,12 +6,15 @@ literals below.
 """
 import itertools
 import math
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from hitstat import (
     BadThetaRange,
@@ -19,6 +22,7 @@ from hitstat import (
     InvalidSymbol,
     NonPositiveS,
     NonStochasticRow,
+    MarkovModel,
     ReducibleChain,
     ZeroMassSymbol,
     as_word,
@@ -37,9 +41,10 @@ from hitstat import (
     renyi_entropy,
     shannon_entropy,
     stationary_distribution,
+    validate,
     word_str,
 )
-from hitstat.errors import BudgetExceeded, ToleranceNotCertified
+from hitstat.errors import ToleranceNotCertified
 from hitstat.models import _gth_solve, _perron_root
 
 P_CHAIN = [[0.9, 0.1], [0.2, 0.8]]
@@ -109,6 +114,74 @@ def test_reducible_kernel_rejected():
 def test_periodic_kernel_rejected():
     with pytest.raises(ReducibleChain):
         markov([[0.0, 1.0], [1.0, 0.0]])
+
+
+def _graph_period(support: np.ndarray) -> int:
+    """Period (gcd of cycle lengths) of a strongly connected digraph, by BFS depths."""
+    adj = [np.nonzero(row)[0] for row in support]
+    depth = {0: 0}
+    g = 0
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            v = int(v)
+            if v not in depth:
+                depth[v] = depth[u] + 1
+                queue.append(v)
+            else:
+                g = math.gcd(g, depth[u] + 1 - depth[v])
+    return abs(g)
+
+
+def primitive_by_graph(support: np.ndarray) -> bool:
+    """Oracle: one strongly connected component, and period 1."""
+    n_comp, _ = connected_components(csr_matrix(support), directed=True, connection="strong")
+    return n_comp == 1 and _graph_period(support) == 1
+
+
+@st.composite
+def supports(draw, max_states=6):
+    """0/1 kernel supports with no empty row; reducible and periodic ones on purpose."""
+    k = draw(st.integers(min_value=2, max_value=max_states))
+    shape = draw(st.sampled_from(["any", "reducible", "periodic"]))
+    allowed = np.ones((k, k), dtype=bool)
+    if shape == "reducible":
+        cut = draw(st.integers(min_value=1, max_value=k - 1))
+        allowed[cut:, :cut] = False  # the states from the cut on never leave
+    elif shape == "periodic":
+        d = draw(st.integers(min_value=2, max_value=k))
+        cls = np.array([i if i < d else draw(st.integers(0, d - 1)) for i in range(k)])
+        allowed = cls[None, :] == (cls[:, None] + 1) % d  # each step moves one class on
+    bits = np.array(draw(st.lists(st.booleans(), min_size=k * k, max_size=k * k))).reshape(k, k)
+    support = bits & allowed
+    for i in np.flatnonzero(~support.any(axis=1)):
+        support[i, draw(st.sampled_from(np.flatnonzero(allowed[i]).tolist()))] = True
+    return shape, support
+
+
+def wielandt_support(k: int) -> np.ndarray:
+    """The cycle 0 -> 1 -> ... -> k-1 -> 0 plus k-1 -> 1: primitive, first positive at power (k-1)**2 + 1."""
+    support = np.roll(np.eye(k, dtype=bool), 1, axis=1)
+    support[k - 1, 1] = True
+    return support
+
+
+@given(supports())
+@example(("any", wielandt_support(6)))
+@settings(max_examples=300, deadline=None)
+def test_primitivity_check_agrees_with_the_graph_oracle(drawn):
+    shape, support = drawn
+    primitive = primitive_by_graph(support)
+    assert not (primitive and shape != "any")
+    P = support / support.sum(axis=1, keepdims=True)
+    if primitive:
+        validate(markov(P))
+    else:
+        with pytest.raises(ReducibleChain):
+            markov(P)
+        with pytest.raises(ReducibleChain):
+            validate(MarkovModel(P=P, pi=np.full(len(P), 1.0 / len(P))))
 
 
 def test_zero_mass_symbol_rejected():
@@ -413,11 +486,6 @@ def test_bernoulli_partition_sum_matches_brute_force(p, n, s):
         for w in itertools.product(range(len(p)), repeat=n)
     )
     assert partition_sum_exact(model, n, s) == pytest.approx(math.log(brute), abs=1e-10)
-
-
-def test_partition_sum_budget_guard():
-    with pytest.raises(BudgetExceeded):
-        partition_sum_exact(bernoulli([0.5, 0.5]), 40, 1.0, budget=10**6)
 
 
 def test_iid_partition_slope_equals_rate_exactly():
