@@ -8,12 +8,14 @@ product chain: no sampling, no asymptotics.
 import numpy as np
 
 from hitstat import (
+    ENTRANCE,
+    RETURN,
+    build_product_chain,
     builtin_model,
     cylinder_measure,
     entrance_return_residual,
-    entrance_survival,
     exact_mean_return,
-    return_survival,
+    exact_survival,
 )
 
 fair = builtin_model("fair-coin")
@@ -29,8 +31,8 @@ for model, name in ((fair, "fair"), (chain, "chain")):
 
 # entrance and return laws differ for self-overlapping words: "11" can
 # return after a single step, so its conditional law front-loads mass
-ent = entrance_survival(fair, "11", m_max=10)
-ret = return_survival(fair, "11", m_max=10)
+ent = exact_survival(build_product_chain(fair, "11", ENTRANCE), m_max=10)
+ret = exact_survival(build_product_chain(fair, "11", RETURN), m_max=10)
 print("\nm      P(tau > m)  entrance   return")
 for m in range(6):
     print(f"{m:<6} {'':<11} {ent.values[m]:<10.6f} {ret.values[m]:<10.6f}")

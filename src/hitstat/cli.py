@@ -1,13 +1,11 @@
 """Configuration-driven experiment runner.
 
 ``hitstat --config exp.json [--workers N] [--outdir PATH]`` reads one
-experiment description, dispatches to the owning module, and writes
-``report.csv`` plus ``summary.json`` into the output directory.  Files
-contain no timestamps and all floats are written with ``repr``, so a
-config and seed reproduce their outputs byte for byte -- including
-across worker counts: every Monte Carlo kind shards its sample indices
-across the workers, and the parts merge into exactly the one-process
-ensemble.  The exact and stream kinds run in one process.
+experiment description, reads and checks every key its kind takes
+(``KINDS``, ``READERS``), runs it and writes ``report.csv`` plus
+``summary.json`` into the output directory.  Files contain no timestamps
+and all floats are written with ``repr``, so a config and seed reproduce
+their outputs byte for byte, at any worker count.
 
 An optional ``tolerance`` block, with the keys ``TOLERANCES`` lists for
 its kind, turns a run into a check.  Exit codes: 0 success, 2 invalid
@@ -40,6 +38,7 @@ from .exact import (
 from .models import (
     BUILTIN_MODELS,
     builtin_model,
+    check_symbols,
     cylinder_measure,
     load_model,
     model_fingerprint,
@@ -96,45 +95,70 @@ def _resolve_model(spec):
         if spec in BUILTIN_MODELS:
             return builtin_model(spec)
         return load_model(spec)
-    raise ConfigError(f"model must be a name, file path or inline object, got {spec!r}")
+    raise ConfigError(f"must be a name, file path or inline object, got {spec!r}")
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"config key {key!r} is required for kind {cfg.get('kind')!r}")
-    return cfg[key]
+def _checked(what: str, ok, convert=None):
+    """A reader that returns a value ``ok`` accepts, converted, and rejects any other."""
+    def read(value):
+        if not ok(value):
+            raise ConfigError(f"must be {what}, got {value!r}")
+        return value if convert is None else convert(value)
+    return read
 
 
-def _positive_int(cfg: dict, key: str) -> int:
-    value = _require(cfg, key)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ConfigError(f"{key} must be a positive integer, got {value!r}")
-    return value
+def _array(item):
+    """A reader of a JSON array whose every entry ``item`` reads."""
+    return _checked("a JSON array", lambda v: type(v) is list, lambda v: [item(x) for x in v])
 
 
-def _list(cfg: dict, key: str, convert) -> list:
-    """The JSON array ``cfg[key]`` with ``convert`` applied to each entry."""
-    value = _require(cfg, key)
-    if not isinstance(value, list):
-        raise ConfigError(f"{key} must be a JSON array, got {value!r}")
-    try:
-        return [convert(v) for v in value]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} has an invalid entry: {exc}") from exc
+# JSON gives exact types, so ``type(v) is int`` also rejects true and false
+_count = _checked("a positive integer", lambda v: type(v) is int and v >= 1)
+_number = _checked("a number", lambda v: type(v) in (int, float), float)
+# a key every kind must give; every other key has its default beside it
+REQUIRED = object()
+# 'word' stands for a one-entry 'words', and 's' for a one-entry 's_list'
+_ONE_ENTRY = {"words": "word", "s_list": "s"}
+# what ``_read`` catches from a reader, and ``main`` from the whole validation
+_INVALID = (HitstatError, ValueError, TypeError, KeyError, OSError)
 
 
-def _section(cfg: dict, key: str):
-    """The optional object ``cfg[key]``, or None when the key is absent."""
-    if key in cfg and not isinstance(cfg[key], dict):
-        raise ConfigError(f"{key} must be an object, got {cfg[key]!r}")
-    return cfg.get(key)
+def _read(cfg, keys: dict) -> dict:
+    """The object ``cfg`` read by ``keys``: each key's typed value, or its default."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"must be an object, got {cfg!r}")
+    params = {}
+    for key, default in keys.items():
+        one = _ONE_ENTRY.get(key)
+        if key in cfg or one in cfg:
+            try:
+                params[key] = READERS[key](cfg[key] if key in cfg else [cfg[one]])
+            except _INVALID as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
+        elif default is REQUIRED:
+            raise ConfigError(f"missing key {key!r}")
+        else:
+            params[key] = default
+    return params
 
 
-def _cap_policy(cfg: dict) -> CapPolicy:
-    mult = cfg.get("cap_multiplier", 100.0)
-    if not isinstance(mult, (int, float)) or mult <= 0:
-        raise ConfigError(f"cap_multiplier must be positive, got {mult!r}")
-    return CapPolicy(multiplier=float(mult))
+# one reader per key name: a key means the same in every kind and section
+READERS = {
+    "model": _resolve_model,
+    "seed": _checked("an integer", lambda v: type(v) is int),
+    **dict.fromkeys(("n", "N", "m_max", "generate_length", "starts_per_n"), _count),
+    **dict.fromkeys(("s", "epsilon"), _number),
+    "cap_multiplier": _checked("a positive number", lambda v: type(v) in (int, float) and v > 0, float),
+    "diagonal": _checked("true or false", lambda v: type(v) is bool),
+    "word": as_word,
+    "words": _array(as_word),
+    "n_list": _array(_count),
+    **dict.fromkeys(("s_list", "t_grid"), _array(_number)),
+    "data_file": Path,
+    "map": named_map,
+    "ow": functools.partial(_read, keys={"n_list": REQUIRED, "starts_per_n": 200}),
+    "plugin": functools.partial(_read, keys={"n": REQUIRED, "s": REQUIRED}),
+}
 
 
 def _fmt(x) -> str:
@@ -247,23 +271,21 @@ def _ensemble_rows(run):
     return [[j, _fmt(values[j]), 0] if j in values else [j, "", 1] for j in range(run.total)]
 
 
-def _run_exponent(cfg, model, workers, sampler_name):
-    n = _positive_int(cfg, "n")
-    N = _positive_int(cfg, "N")
-    kwargs = dict(n=n, N=N, seed=cfg["seed"], cap_policy=_cap_policy(cfg))
+def _run_exponent(params, workers, sampler_name):
+    kwargs = dict(model=params["model"], n=params["n"], N=params["N"], seed=params["seed"],
+                  cap_policy=CapPolicy(multiplier=params["cap_multiplier"]))
     if sampler_name == "orbit-sum":
-        s = float(_require(cfg, "s"))
-        kwargs.update(s=s, diagonal=bool(cfg.get("diagonal", False)))
-    run, = _sharded_samples([(sampler_name, dict(model=model, **kwargs))], workers)
+        kwargs.update(s=params["s"], diagonal=params["diagonal"])
+    run, = _sharded_samples([(sampler_name, kwargs)], workers)
     results = {"target": run.target, "censored_fraction": run.censored_fraction}
     try:
         results["summary"] = run.summary()
     except CensoringExceeded as exc:  # a biased summary is withheld, with the reason
         results["summary"] = None
         results["summary_withheld"] = str(exc)
-    eps = cfg.get("epsilon")
-    exc = run.exceedance(0.15 if eps is None else float(eps))
-    if eps is not None or cfg.get("tolerance") is not None:
+    eps = params["epsilon"]
+    exc = run.exceedance(0.15 if eps is None else eps)
+    if eps is not None or params["tolerance"] is not None:
         results["exceedance"] = exc
     # an all-censored ensemble has no median: take it only when it is bounded
     measured = {"max_two_sided": exc["two_sided"], "max_lower": exc["lower"],
@@ -271,11 +293,11 @@ def _run_exponent(cfg, model, workers, sampler_name):
     return ["sample", "exponent", "censored"], _ensemble_rows(run), results, measured
 
 
-def _run_survival(cfg, model, workers, sampler_name):
+def _run_survival(params, workers, sampler_name):
     """The sampled curve against the exact one: (experiment, rows, worst error)."""
-    word = as_word(_require(cfg, "word"))
-    exp, = _sharded_samples([(sampler_name, dict(model=model, z_word=word, N=_positive_int(cfg, "N"),
-                                                 t_grid=_list(cfg, "t_grid", float), seed=cfg["seed"]))],
+    model, word = params["model"], params["word"]
+    exp, = _sharded_samples([(sampler_name, dict(model=model, z_word=word, N=params["N"],
+                                                 t_grid=params["t_grid"], seed=params["seed"]))],
                             workers)
     chain = build_product_chain(model, word, exp.kind)
     rows = []
@@ -287,9 +309,9 @@ def _run_survival(cfg, model, workers, sampler_name):
     return exp, rows, worst
 
 
-def run_survival(cfg, model, workers):
-    exp, rows, worst = _run_survival(cfg, model, workers, "survival")
-    alpha = (cfg.get("tolerance") or {}).get("dkw_alpha", TOLERANCES["survival"]["dkw_alpha"])
+def run_survival(params, workers):
+    exp, rows, worst = _run_survival(params, workers, "survival")
+    alpha = (params["tolerance"] or {}).get("dkw_alpha", TOLERANCES["survival"]["dkw_alpha"])
     band = dkw_epsilon(exp.total, alpha)
     results = {
         "ks_statistic": exp.ks.statistic,
@@ -303,9 +325,9 @@ def run_survival(cfg, model, workers):
     return ["m", "t", "empirical", "exact", "abs_error"], rows, results, measured
 
 
-def run_return_survival(cfg, model, workers):
-    exp, rows, worst = _run_survival(cfg, model, workers, "return-survival")
-    exact_mean = exact_mean_return(model, exp.word)
+def run_return_survival(params, workers):
+    exp, rows, worst = _run_survival(params, workers, "return-survival")
+    exact_mean = exact_mean_return(params["model"], exp.word)
     results = {
         "mean_time": exp.mean_time,
         "exact_mean_return": exact_mean,
@@ -316,14 +338,8 @@ def run_return_survival(cfg, model, workers):
     return ["m", "t", "empirical", "exact", "abs_error"], rows, results, measured
 
 
-def _word_list(cfg) -> list:
-    if "words" in cfg:
-        return _list(cfg, "words", as_word)
-    return [as_word(_require(cfg, "word"))]
-
-
-def run_kac(cfg, model, workers):
-    words = _word_list(cfg)
+def run_kac(params, workers):
+    model, words = params["model"], params["words"]
     rows = []
     worst = 0.0
     means = []
@@ -340,22 +356,20 @@ def run_kac(cfg, model, workers):
     return ["word", "mu", "mean_return", "kac_residual"], rows, results, {"max_residual": worst}
 
 
-def run_hlv(cfg, model, workers):
-    words = _word_list(cfg)
-    m_max = _positive_int(cfg, "m_max")
+def run_hlv(params, workers):
+    m_max = params["m_max"]
     rows = []
     worst = 0.0
-    for word in words:
-        residual = entrance_return_residual(model, word, m_max)
+    for word in params["words"]:
+        residual = entrance_return_residual(params["model"], word, m_max)
         worst = max(worst, residual)
         rows.append([word_str(word), _fmt(residual)])
     results = {"max_residual": worst, "m_max": m_max}
     return ["word", "residual"], rows, results, {"max_residual": worst}
 
 
-def run_abadi_shape(cfg, model, workers):
-    word = as_word(_require(cfg, "word"))
-    report = fit_survival_shape(model, word, _list(cfg, "t_grid", float))
+def run_abadi_shape(params, workers):
+    report = fit_survival_shape(params["model"], params["word"], params["t_grid"])
     rows = [
         [_fmt(t), _fmt(f), _fmt(math.exp(-report.rate * t) + report.floor)]
         for t, f in zip(report.t, report.survival)
@@ -370,12 +384,10 @@ def run_abadi_shape(cfg, model, workers):
     return ["t", "survival", "fitted_bound"], rows, results, {"require_bound": report.bound_holds}
 
 
-def run_theorem2(cfg, model, workers):
-    n_list = _list(cfg, "n_list", int)
-    epsilon = float(_require(cfg, "epsilon"))
-    N = _positive_int(cfg, "N")
+def run_theorem2(params, workers):
+    model, n_list, epsilon, N = params["model"], params["n_list"], params["epsilon"], params["N"]
     runs = _sharded_samples([("tail-integral", dict(model=model, n=n, epsilon=epsilon, n_outer=N,
-                                                    seed=cfg["seed"])) for n in n_list], workers)
+                                                    seed=params["seed"])) for n in n_list], workers)
     estimates = [res.estimate for res in runs]
     rows = [[n, _fmt(res.estimate), _fmt(res.std_error), N] for n, res in zip(n_list, runs)]
     decreasing = all(a > b for a, b in zip(estimates, estimates[1:]))
@@ -383,15 +395,14 @@ def run_theorem2(cfg, model, workers):
     return ["n", "estimate", "std_error", "samples"], rows, results, {"require_decreasing": decreasing}
 
 
-def run_renyi_exact(cfg, model, workers):
-    s_list = _list(cfg, "s_list", float) if "s_list" in cfg else [float(_require(cfg, "s"))]
-    n_list = _list(cfg, "n_list", int)
+def run_renyi_exact(params, workers):
+    model, s_list = params["model"], params["s_list"]
     rows = []
     per_s = {}
     for s in s_list:
         r = renyi_entropy(model, s)
         gaps = []
-        for n in n_list:
+        for n in params["n_list"]:
             log_z = partition_sum_exact(model, n, s)
             slope = abs(log_z) / (s * n)
             gaps.append(abs(slope - r))
@@ -409,25 +420,21 @@ def run_renyi_exact(cfg, model, workers):
     return ["s", "n", "log_partition", "slope", "renyi", "gap"], rows, results, measured
 
 
-def run_stream_estimate(cfg, model, workers):
-    ow, pg = _section(cfg, "ow"), _section(cfg, "plugin")
+def run_stream_estimate(params, workers):
+    model, ow, pg = params["model"], params["ow"], params["plugin"]
     if ow is None and pg is None:
         raise ConfigError("stream-estimate needs an 'ow' or 'plugin' section")
-    ow_n_list = None if ow is None else _list(ow, "n_list", int)
-    if "data_file" in cfg:
-        seq = ingest(cfg["data_file"], named_map(cfg.get("map", "byte")))
+    if params["data_file"] is None and (model is None or params["generate_length"] is None):
+        raise ConfigError("stream-estimate needs a data_file, or a model and a generate_length")
+    if params["data_file"] is not None:
+        seq = ingest(params["data_file"], params["map"])
     else:
-        if model is None:
-            raise ConfigError("stream-estimate needs a model or a data_file")
-        length = _positive_int(cfg, "generate_length")
-        seq = OrbitStream(model, (cfg["seed"], 0)).take(length)
+        seq = OrbitStream(model, (params["seed"], 0)).take(params["generate_length"])
     results = {"length": int(len(seq))}
     series_rows = []
     if ow is not None:
-        series = ow_entropy_estimate(
-            seq, ow_n_list,
-            starts_per_n=int(ow.get("starts_per_n", 200)), seed=cfg["seed"],
-        )
+        series = ow_entropy_estimate(seq, ow["n_list"], starts_per_n=ow["starts_per_n"],
+                                     seed=params["seed"])
         series_rows.extend(series.rows)
         results["ow"] = {
             repr(int(r.n)): {"estimate": r.estimate_nats, "stderr": r.stderr,
@@ -435,7 +442,7 @@ def run_stream_estimate(cfg, model, workers):
             for r in series.rows
         }
     if pg is not None:
-        n, s = int(_require(pg, "n")), float(_require(pg, "s"))
+        n, s = pg["n"], pg["s"]
         est = plugin_renyi_estimate(seq, n, s)
         series_rows.append(EstimateRow(
             method=PLUGIN_METHOD, n=n, s=s, estimate_nats=est, stderr=0.0,
@@ -451,74 +458,66 @@ def run_stream_estimate(cfg, model, workers):
     return EstimateSeries.COLUMNS, rows, results, measured
 
 
-RUNNERS = {
-    "entrance-exponent": functools.partial(_run_exponent, sampler_name="entrance"),
-    "recurrence-exponent": functools.partial(_run_exponent, sampler_name="recurrence"),
-    "survival": run_survival,
-    "return-survival": run_return_survival,
-    "kac": run_kac,
-    "hlv": run_hlv,
-    "abadi-shape": run_abadi_shape,
-    "theorem2": run_theorem2,
-    "wns": functools.partial(_run_exponent, sampler_name="orbit-sum"),
-    "renyi-exact": run_renyi_exact,
-    "stream-estimate": run_stream_estimate,
-}
-
-KINDS = tuple(RUNNERS)
-MODEL_OPTIONAL = {"stream-estimate"}
+# each kind's runner and keys, with their defaults; ``word`` and ``s`` feed the constants
+_HEADER = {"model": REQUIRED, "seed": REQUIRED, "word": None, "s": None}
+_EXPONENT = {"n": REQUIRED, "N": REQUIRED, "epsilon": None, "cap_multiplier": 100.0}
+_SURVIVAL = {"word": REQUIRED, "N": REQUIRED, "t_grid": REQUIRED}
+KINDS = {kind: (runner, {**_HEADER, **keys}) for kind, runner, keys in (
+    ("entrance-exponent", functools.partial(_run_exponent, sampler_name="entrance"), _EXPONENT),
+    ("recurrence-exponent", functools.partial(_run_exponent, sampler_name="recurrence"), _EXPONENT),
+    ("survival", run_survival, _SURVIVAL),
+    ("return-survival", run_return_survival, _SURVIVAL),
+    ("kac", run_kac, {"words": REQUIRED}),
+    ("hlv", run_hlv, {"words": REQUIRED, "m_max": REQUIRED}),
+    ("abadi-shape", run_abadi_shape, {"word": REQUIRED, "t_grid": REQUIRED}),
+    ("theorem2", run_theorem2, {"n_list": REQUIRED, "epsilon": REQUIRED, "N": REQUIRED}),
+    ("wns", functools.partial(_run_exponent, sampler_name="orbit-sum"),
+     {**_EXPONENT, "s": REQUIRED, "diagonal": False}),
+    ("renyi-exact", run_renyi_exact, {"s_list": REQUIRED, "n_list": REQUIRED}),
+    # map None is ingest's default, the 'byte' map
+    ("stream-estimate", run_stream_estimate, {"model": None, "data_file": None, "map": None,
+                                              "generate_length": None, "ow": None, "plugin": None}),
+)}
 
 
 # ---------------------------------------------------------------------------
 # report assembly
 # ---------------------------------------------------------------------------
 
-def _constants(cfg, model) -> dict:
+def _constants(params) -> dict:
+    model, s, word = params["model"], params["s"], params["word"]
     if model is None:
         return {}
     constants = {"h_mu": shannon_entropy(model)}
-    s = cfg.get("s")
-    if s is not None and float(s) > 0:
-        constants["renyi_s"] = renyi_entropy(model, float(s))
-    word = cfg.get("word")
+    if s is not None and s > 0:
+        constants["renyi_s"] = renyi_entropy(model, s)
     if word is not None:
-        constants["mu_word"] = cylinder_measure(model, as_word(word))
+        constants["mu_word"] = cylinder_measure(model, word)
     return constants
 
 
-def _jsonify(obj):
-    """Plain-Python view of a summary tree (numpy scalars -> builtins)."""
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
-
-
-def _write_report(outdir: Path, cfg, model, columns, rows, results, tol_ok):
-    outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "report.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
+def _write_report(outdir: Path, cfg, params, columns, rows, results, tol_ok):
+    model = params["model"]
     summary = {
         "header": {
             "config": cfg,
             "version": __version__,
             "model_fingerprint": None if model is None else model_fingerprint(model),
-            "constants": _constants(cfg, model),
+            "constants": _constants(params),
         },
         "results": results,
     }
-    if cfg.get("tolerance") is not None:
-        summary["tolerance_check"] = {"declared": cfg["tolerance"], "passed": tol_ok}
+    if params["tolerance"] is not None:
+        summary["tolerance_check"] = {"declared": params["tolerance"], "passed": tol_ok}
+    # the whole summary is built before either file; a numpy value is written as its builtin
+    text = json.dumps(summary, indent=2, sort_keys=True, default=lambda obj: obj.tolist()) + "\n"
+    outdir.mkdir(parents=True, exist_ok=True)
+    with open(outdir / "report.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
     with open(outdir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(_jsonify(summary), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _resolve_workers(args) -> int:
@@ -546,31 +545,30 @@ def main(argv=None) -> int:
     parser.add_argument("--outdir", default=None, help="output directory override")
     args = parser.parse_args(argv)
 
-    # validation phase: nothing on disk until this block succeeds
+    # validation phase: every key is read, and nothing is on disk, until this block succeeds
     try:
         workers = _resolve_workers(args)
         cfg = _load_config(args.config)
         kind = cfg.get("kind")
         if kind not in KINDS:
-            raise ConfigError(f"unknown kind {kind!r}; expected one of {KINDS}")
-        if "seed" not in cfg or isinstance(cfg["seed"], bool) or not isinstance(cfg["seed"], int):
-            raise ConfigError("an integer 'seed' is mandatory")
-        model = None
-        if "model" in cfg:
-            model = _resolve_model(cfg["model"])
-        elif kind not in MODEL_OPTIONAL:
-            raise ConfigError(f"kind {kind!r} requires a 'model'")
-        if cfg.get("tolerance") is not None:
-            _check_tolerance(cfg, kind, model)
+            raise ConfigError(f"unknown kind {kind!r}; expected one of {tuple(KINDS)}")
+        run, keys = KINDS[kind]
+        params = _read(cfg, keys)
+        if params["model"] is not None:
+            for word in filter(None, [params["word"], *params.get("words", ())]):
+                check_symbols(params["model"], word)
+        params["tolerance"] = cfg.get("tolerance")
+        if params["tolerance"] is not None:
+            _check_tolerance(cfg, kind, params["model"])
         outdir = Path(args.outdir or cfg.get("outdir") or "hitstat-out")
-    except (ConfigError, HitstatError, ValueError, TypeError, KeyError, OSError) as exc:
+    except _INVALID as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     try:
-        columns, rows, results, measured = RUNNERS[kind](cfg, model, workers)
-        tol_ok = None if cfg.get("tolerance") is None else _verdict(cfg, kind, measured)
-        _write_report(outdir, cfg, model, columns, rows, results, tol_ok)
+        columns, rows, results, measured = run(params, workers)
+        tol_ok = None if params["tolerance"] is None else _verdict(cfg, kind, measured)
+        _write_report(outdir, cfg, params, columns, rows, results, tol_ok)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

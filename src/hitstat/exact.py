@@ -298,14 +298,6 @@ def survival_at(chain: ProductChain, m):
     return values[0] if steps.ndim == 0 else np.array(values)
 
 
-def entrance_survival(model: MeasureModel, target, m_max: int) -> SurvivalCurve:
-    return exact_survival(build_product_chain(model, target, ENTRANCE), m_max)
-
-
-def return_survival(model: MeasureModel, target, m_max: int) -> SurvivalCurve:
-    return exact_survival(build_product_chain(model, target, RETURN), m_max)
-
-
 # ---------------------------------------------------------------------------
 # certified infinite sums
 # ---------------------------------------------------------------------------

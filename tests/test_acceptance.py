@@ -25,8 +25,8 @@ from hitstat import (
     empirical_survival,
     entrance_exponent_samples,
     entrance_return_residual,
-    entrance_survival,
     exact_mean_return,
+    exact_survival,
     ingest,
     orbit_sum_exponent_samples,
     ow_entropy_estimate,
@@ -139,7 +139,7 @@ def test_criterion_04_enumeration_oracle():
     worst = 0.0
     for n in range(1, 5):
         for bits in product((0, 1), repeat=n):
-            exact = entrance_survival(FAIR, bits, m_max=12).values
+            exact = exact_survival(build_product_chain(FAIR, bits, ENTRANCE), m_max=12).values
             enum = enumerate_survival(FAIR, bits, 12, kind=ENTRANCE)
             worst = max(worst, float(np.max(np.abs(exact - enum))))
     elapsed = time.perf_counter() - t0

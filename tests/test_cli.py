@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,10 +10,12 @@ from pathlib import Path
 import pytest
 
 import hitstat
-from hitstat import orbits, rng, streams
-from hitstat.cli import KINDS, _load_config, _resolve_model, main
+from hitstat import cli, orbits, rng, streams
+from hitstat.cli import KINDS, _load_config, _read, main
+from hitstat.errors import ToleranceNotCertified
 
-DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+DEMO_CONFIGS = ROOT / "demos" / "configs"
 
 
 def run_cli(tmp_path, cfg, name="exp.json", extra=()):
@@ -70,13 +73,61 @@ def test_import_loads_neither_scipy_stats_nor_sparse():
 
 
 def test_every_kind_has_a_loadable_demo_config():
-    # validates the configs only; running all of them takes about 20 s
-    for kind in KINDS:
+    # reads the configs through their kinds' key tables only; running all of them takes about 20 s
+    for kind, (_, keys) in KINDS.items():
         cfg = _load_config(str(DEMO_CONFIGS / f"{kind.replace('-', '_')}.json"))
         assert cfg["kind"] == kind
-        assert isinstance(cfg["seed"], int)
-        if "model" in cfg:
-            _resolve_model(cfg["model"])
+        _read(cfg, keys)
+
+
+def _readme_table(header: str) -> list:
+    """The body rows of the README table under ``header``, as lists of cells."""
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index(header) + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            return rows
+        rows.append([cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]])
+
+
+def _names(cell: str) -> list:
+    return re.findall(r"`([^`]+)`", cell)
+
+
+def _defaults(required: str, optional: str) -> dict:
+    keys = dict.fromkeys(_names(required), cli.REQUIRED)
+    for key, default in re.findall(r"`([^`]+)`(?: \(([^)]*)\))?", optional):
+        keys[key] = json.loads(default) if default else None
+    return keys
+
+
+def test_readme_key_tables_match_the_cli():
+    rows = _readme_table("| kind | required | optional (default) |")
+    assert rows[0][0] == "every kind"
+    common = _defaults(*rows[0][1:])
+    tables = {}
+    for cell, required, optional in rows[1:]:
+        for name in _names(cell):
+            tables[name] = _defaults(required, optional)
+    assert set(tables) == {*KINDS, "ow", "plugin"}
+    for kind, (_, keys) in KINDS.items():
+        assert keys == {**common, **tables[kind]}, kind
+    for section in ("ow", "plugin"):
+        assert cli.READERS[section].keywords["keys"] == tables[section]
+    # one row of the type table names keys that share one reader, and every key is named once
+    typed = [_names(row[0]) for row in _readme_table("| key | type |")]
+    assert sorted(k for keys in typed for k in keys) == sorted(cli.READERS)
+    for keys in typed:
+        assert len({id(cli.READERS[k]) for k in keys}) == 1, keys
+    tolerances = {}
+    kinds = []
+    for cell, key, default, _ in _readme_table("| kind | key | default | checks |"):
+        kinds = _names(cell) or kinds
+        for kind in kinds:
+            value = None if default == "—" else json.loads(default)
+            tolerances.setdefault(kind, {})[_names(key)[0]] = value
+    assert tolerances == cli.TOLERANCES
 
 
 def test_malformed_model_exits_2_without_outputs(tmp_path):
@@ -225,6 +276,52 @@ def test_malformed_tolerance_exits_2_before_the_run(tmp_path):
     code, outdir = run_cli(tmp_path, cfg)
     assert code == 0
     assert read_summary(outdir)["results"]["exceedance"]["eps"] == 0.05
+
+
+# each config is malformed in one key; the stderr fragment names the fault
+NEVER_RUN = {
+    "theorem2-epsilon": ({"kind": "theorem2", "model": "fair-coin", "seed": 1, "n_list": [6, 8],
+                          "epsilon": "x", "N": 20}, "epsilon"),
+    "entrance-epsilon": ({"kind": "entrance-exponent", **EXPONENT_RUN, "epsilon": "x"}, "epsilon"),
+    "wns-s": ({"kind": "wns", **EXPONENT_RUN, "s": "x"}, "s:"),
+    "wns-diagonal": ({"kind": "wns", **EXPONENT_RUN, "s": 1.0, "diagonal": "false"}, "diagonal"),
+    "plugin-n": ({"kind": "stream-estimate", **STREAM_RUN, "plugin": {"n": "abc", "s": 1.0}},
+                 "plugin: n"),
+    # any file of bytes will do as data
+    "data-map": ({"kind": "stream-estimate", "seed": 1, "data_file": str(DEMO_CONFIGS / "kac.json"),
+                  "map": "octal", "plugin": {"n": 2, "s": 1.0}}, "map"),
+    "kac-alphabet": ({"kind": "kac", "model": "fair-coin", "seed": 1, "word": "2"}, "out of range"),
+    "kac-unused-s": ({"kind": "kac", "model": "fair-coin", "seed": 1, "word": "11", "s": "x"}, "s:"),
+    "ow-empty": ({"kind": "stream-estimate", **STREAM_RUN, "ow": {}}, "ow: missing key 'n_list'"),
+}
+
+
+@pytest.mark.parametrize("case", list(NEVER_RUN), ids=list(NEVER_RUN))
+def test_a_malformed_key_exits_2_before_anything_runs(tmp_path, monkeypatch, capsys, case):
+    def started(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    for name in list(cli._SAMPLERS):
+        monkeypatch.setitem(cli._SAMPLERS, name, started)
+    monkeypatch.setattr(cli, "OrbitStream", started)
+    monkeypatch.setattr(cli, "ingest", started)
+    cfg, fragment = NEVER_RUN[case]
+    code, outdir = run_cli(tmp_path, cfg)
+    assert code == 2
+    assert not outdir.exists()
+    assert fragment in capsys.readouterr().err
+
+
+def test_a_failing_constant_leaves_no_lone_report(tmp_path, monkeypatch):
+    # the summary's constants are computed before either file is written
+    def uncertified(model, s, *args, **kwargs):
+        raise ToleranceNotCertified("no certified bound")
+
+    monkeypatch.setattr(cli, "renyi_entropy", uncertified)
+    cfg = {"kind": "kac", "model": "fair-coin", "seed": 1, "word": "11", "s": 2.0}
+    code, outdir = run_cli(tmp_path, cfg)
+    assert code == 3
+    assert not outdir.exists()
 
 
 def test_hlv_and_abadi_kinds_run(tmp_path):

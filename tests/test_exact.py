@@ -17,13 +17,13 @@ from hitstat.errors import (
     ZeroMeasureTarget,
 )
 from hitstat.exact import (
+    ENTRANCE,
+    RETURN,
     fit_survival_shape,
     build_product_chain,
-    entrance_survival,
     exact_mean_return,
     exact_survival,
     entrance_return_residual,
-    return_survival,
     step_at,
     survival_at,
 )
@@ -37,9 +37,9 @@ CHAIN16 = markov(np.random.default_rng(16).dirichlet(np.ones(16), size=16))
 
 
 def test_fair_coin_single_symbol_survival_is_geometric():
-    curve = entrance_survival(FAIR, "1", 30)
+    curve = exact_survival(build_product_chain(FAIR, "1", ENTRANCE), 30)
     assert np.abs(curve.values - 0.5 ** np.arange(31)).max() <= 1e-14
-    ret = return_survival(FAIR, "1", 30)
+    ret = exact_survival(build_product_chain(FAIR, "1", RETURN), 30)
     assert np.abs(ret.values - 0.5 ** np.arange(31)).max() <= 1e-14
 
 
@@ -47,7 +47,7 @@ def test_overlap_effect_against_enumeration():
     # "11" overlaps itself, "10" does not; the laws split although mu is equal
     sv = {}
     for word in ("11", "10"):
-        curve = entrance_survival(FAIR, word, 14)
+        curve = exact_survival(build_product_chain(FAIR, word, ENTRANCE), 14)
         oracle = enumerate_survival(FAIR, word, 14)
         assert np.abs(curve.values - oracle).max() <= 1e-12
         sv[word] = curve.values
@@ -56,15 +56,15 @@ def test_overlap_effect_against_enumeration():
 
 def test_markov_laws_match_enumeration():
     for word in ("01", "11", "010"):
-        ent = entrance_survival(CHAIN, word, 10).values
+        ent = exact_survival(build_product_chain(CHAIN, word, ENTRANCE), 10).values
         assert np.abs(ent - enumerate_survival(CHAIN, word, 10)).max() <= 1e-12
-        ret = return_survival(CHAIN, word, 10).values
+        ret = exact_survival(build_product_chain(CHAIN, word, RETURN), 10).values
         assert np.abs(ret - enumerate_survival(CHAIN, word, 10, kind="return")).max() <= 1e-12
 
 
 def test_fair_coin_return_laws_match_enumeration():
     for word in ("11", "101"):
-        ret = return_survival(FAIR, word, 12).values
+        ret = exact_survival(build_product_chain(FAIR, word, RETURN), 12).values
         assert np.abs(ret - enumerate_survival(FAIR, word, 12, kind="return")).max() <= 1e-12
 
 
@@ -214,11 +214,11 @@ def test_kac_within_rel_tol_or_raises_at_small_mu(word):
 
 def test_geometric_lump_matches_truncated_full_chain():
     geo = geometric(0.5)
-    lumped = entrance_survival(geo, (1, 2), 25).values
+    lumped = exact_survival(build_product_chain(geo, (1, 2), ENTRANCE), 25).values
     masses = [0.5 * 0.5**j for j in range(45)]
     masses.append(1.0 - sum(masses))
     full = BernoulliModel(p=np.array(masses))  # bypasses the k<=small validation path
-    dense = entrance_survival(full, (1, 2), 25).values
+    dense = exact_survival(build_product_chain(full, (1, 2), ENTRANCE), 25).values
     assert np.abs(lumped - dense).max() <= 1e-14
 
 
@@ -419,7 +419,7 @@ def test_zero_measure_target_refused():
 
 
 def test_curve_csv_export(tmp_path):
-    curve = entrance_survival(CHAIN, "01", 6)
+    curve = exact_survival(build_product_chain(CHAIN, "01", ENTRANCE), 6)
     path = tmp_path / "curve.csv"
     curve.to_csv(path)
     with open(path, newline="") as fh:

@@ -8,20 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hitstat import (
+    ENTRANCE,
+    RETURN,
     CapPolicy,
     CensoringExceeded,
     ExponentSamples,
     SurvivalExperiment,
+    build_product_chain,
     builtin_model,
     dkw_epsilon,
     empirical_return_survival,
     empirical_survival,
     entrance_exponent_samples,
-    entrance_survival,
     exact_mean_return,
+    exact_survival,
     orbit_sum_exponent_samples,
     recurrence_exponent_samples,
-    return_survival,
     shannon_entropy,
     survival_tail_integral,
 )
@@ -205,7 +207,7 @@ def test_exceedance_counts_both_tails():
 def test_empirical_survival_matches_the_exact_curve():
     grid = np.linspace(0.25, 2.5, 10)
     exp = empirical_survival(FAIR, "11", N=3000, t_grid=grid, seed=13)
-    exact = entrance_survival(FAIR, "11", m_max=int(exp.curve.m.max()))
+    exact = exact_survival(build_product_chain(FAIR, "11", ENTRANCE), m_max=int(exp.curve.m.max()))
     eps = dkw_epsilon(3000, alpha=0.001)
     for m, value in zip(exp.curve.m, exp.curve.values):
         assert abs(value - exact.values[m]) < eps
@@ -234,7 +236,7 @@ def test_return_ensemble_obeys_the_mean_return_identity():
 
 def test_return_ensemble_matches_the_exact_return_curve():
     word = (0, 1)
-    exact = return_survival(CHAIN, word, m_max=40)
+    exact = exact_survival(build_product_chain(CHAIN, word, RETURN), m_max=40)
     exp = empirical_return_survival(CHAIN, word, N=2000, t_grid=[0.2, 0.5, 1.0, 2.0], seed=31)
     for m, value in zip(exp.curve.m, exp.curve.values):
         p = exact.values[m]
