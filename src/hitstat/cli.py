@@ -115,6 +115,7 @@ def _array(item):
 # JSON gives exact types, so ``type(v) is int`` also rejects true and false
 _count = _checked("a positive integer", lambda v: type(v) is int and v >= 1)
 _number = _checked("a number", lambda v: type(v) in (int, float), float)
+_positive = _checked("a positive number", lambda v: type(v) in (int, float) and v > 0, float)
 # a key every kind must give; every other key has its default beside it
 REQUIRED = object()
 # 'word' stands for a one-entry 'words', and 's' for a one-entry 's_list'
@@ -147,14 +148,14 @@ READERS = {
     "model": _resolve_model,
     "seed": _checked("an integer", lambda v: type(v) is int),
     **dict.fromkeys(("n", "N", "m_max", "generate_length", "starts_per_n"), _count),
-    **dict.fromkeys(("s", "epsilon"), _number),
-    "cap_multiplier": _checked("a positive number", lambda v: type(v) in (int, float) and v > 0, float),
+    "s": _number,
+    **dict.fromkeys(("epsilon", "cap_multiplier"), _positive),
     "diagonal": _checked("true or false", lambda v: type(v) is bool),
     "word": as_word,
     "words": _array(as_word),
     "n_list": _array(_count),
     **dict.fromkeys(("s_list", "t_grid"), _array(_number)),
-    "data_file": Path,
+    "data_file": _checked("a non-empty path", lambda v: type(v) is str and v != "", Path),
     "map": named_map,
     "ow": functools.partial(_read, keys={"n_list": REQUIRED, "starts_per_n": 200}),
     "plugin": functools.partial(_read, keys={"n": REQUIRED, "s": REQUIRED}),

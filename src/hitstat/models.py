@@ -119,8 +119,6 @@ class MarkovModel:
         return UpdateMaps(
             breaks=breaks,
             table=table,
-            constant=np.all(table == table[:, :1], axis=1),
-            swap=np.all(table == np.arange(k - 1, -1, -1), axis=1),
             rows=table.tolist(),
             cum_pi=np.cumsum(self.pi).tolist(),
         )
@@ -143,8 +141,6 @@ class UpdateMaps:
 
     breaks: np.ndarray    # sorted distinct entries of cum_P
     table: np.ndarray     # (len(breaks) + 1, k) next states, int64
-    constant: np.ndarray  # the interval's map sends every state to one state
-    swap: np.ndarray      # the interval's map reverses the alphabet (on two states: the swap)
     rows: list            # table.tolist(), for the per-step lookup
     cum_pi: list          # cumsum(pi).tolist(), for the stationary first symbol
 

@@ -143,7 +143,9 @@ class ExponentSamples(Ensemble):
         }
 
     def exceedance(self, eps: float) -> dict:
-        """Fractions of samples straying beyond ``target +- eps``."""
+        """Fractions of samples straying beyond ``target +- eps``, for ``eps > 0``."""
+        if eps <= 0.0:
+            raise ValueError(f"eps must be > 0, got {eps}")
         v = self.values
         lower = float((v < self.target - eps).mean()) if len(v) else 0.0
         upper = float((v > self.target + eps).mean()) if len(v) else 0.0

@@ -18,8 +18,8 @@ Every scan is one pass of ``_scan``, which reads the stream in blocks of
 ``BLOCK`` symbols, carries the last ``n - 1`` symbols into the next
 block and applies a hard cap: when no event occurs within ``cap``
 windows the result is right-censored at the cap.  The target word is
-found by a vectorized search of each block, and orbit sums take every
-window log-measure of a block at once.
+found by a byte search of each block, and orbit sums take every window
+log-measure of a block at once.
 """
 from __future__ import annotations
 
@@ -114,10 +114,8 @@ class OrbitStream:
     def _generate(self, count: int) -> np.ndarray:
         model = self.model
         if isinstance(model, BernoulliModel):
-            u = self._rng.random(count)
-            out = np.searchsorted(model.cum_p, u, side="right").astype(np.int64)
-            np.clip(out, 0, model.k - 1, out=out)
-            return out
+            # the inner cut points at or below u: the clipped bisect of all k
+            return np.searchsorted(model.cum_p[:-1], self._rng.random(count), side="right")
         if isinstance(model, MarkovModel):
             maps = model.update_maps
             u = self._rng.random(count)
@@ -126,21 +124,22 @@ class OrbitStream:
             if fresh:  # the stationary first symbol
                 s = min(bisect_right(maps.cum_pi, u[0]), model.k - 1)
                 u = u[1:]
-            j = np.searchsorted(maps.breaks, u, side="right")
             if model.k == 2:
-                # every map is a constant, the identity or the swap: a state is
-                # the last constant's value (before any, the carried state s)
-                # XOR the parity of the swaps since; slot 0 carries s
-                value = np.concatenate(([s], maps.table[j, 0]))
-                parity = np.concatenate(([0], np.cumsum(maps.swap[j]))) & 1
-                last = np.where(np.concatenate(([True], maps.constant[j])), np.arange(len(value)), 0)
+                # from state s the next is u >= cum_P[s, 0]: a step maps (0, 1) to (a, b),
+                # a constant, the identity or the swap (a > b).  A state is the last
+                # constant's value (before any, s) XOR the parity of the swaps since
+                a = u >= model.cum_P[0, 0]
+                b = u >= model.cum_P[1, 0]
+                value = np.concatenate(([s], a))
+                parity = np.concatenate(([0], np.cumsum(a > b))) & 1
+                last = np.where(np.concatenate(([True], a == b)), np.arange(len(value)), 0)
                 np.maximum.accumulate(last, out=last)
                 out = ((value ^ parity)[last] ^ parity)[0 if fresh else 1:]
             else:
                 rows = maps.rows
                 path = [s] if fresh else []
                 append = path.append
-                for x in j.tolist():
+                for x in np.searchsorted(maps.breaks, u, side="right").tolist():
                     s = rows[x][s]
                     append(s)
                 out = np.array(path, dtype=np.int64)
@@ -239,18 +238,21 @@ def _scan(stream, n: int, cap: int, find, visit=None, head=_EMPTY) -> TimeResult
 def _word_finder(word):
     """``find`` for ``_scan``: the first window of a block equal to ``word``.
 
-    Candidates start where the first symbol matches and are narrowed one
-    symbol of the word at a time; exact on any integer alphabet.
+    ``bytes.find`` searches the windows with symbols taken mod 256 (free
+    for ``uint8`` data), so every match is a byte match; a byte match
+    counts only where the full symbols agree: exact on any integer alphabet.
     """
-    w = [int(x) for x in word]
+    w = np.array(word, dtype=np.int64)
+    needle = w.astype(np.uint8).tobytes()
+    n = len(w)
 
     def find(buf: np.ndarray, lo: int, hi: int) -> int:
-        q = np.flatnonzero(buf[lo:hi] == w[0]) + lo
-        for k in range(1, len(w)):
-            if len(q) == 0:
-                return -1
-            q = q[buf[q + k] == w[k]]
-        return int(q[0]) if len(q) else -1
+        windows = buf[lo:hi + n - 1]
+        hay = windows.astype(np.uint8, copy=False).tobytes()
+        q = hay.find(needle)
+        while q >= 0 and not np.array_equal(windows[q:q + n], w):
+            q = hay.find(needle, q + 1)
+        return q if q < 0 else lo + q
 
     return find
 

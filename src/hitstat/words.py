@@ -27,7 +27,13 @@ def as_word(w: Sequence[int] | Iterable[int] | str) -> Word:
             raise InvalidSymbol(f"word string must be decimal digits, got {w!r}")
         symbols = tuple(int(c) for c in w)
     else:
-        symbols = tuple(int(s) for s in w)
+        raw = tuple(w)
+        try:  # int() truncates a float: a symbol it changes was no integer
+            symbols = tuple(int(s) for s in raw)
+        except OverflowError:  # an infinite float
+            symbols = None
+        if symbols != raw:
+            raise InvalidSymbol(f"symbol indices must be integers, got {list(raw)!r}")
         if len(symbols) == 0:
             raise ValueError("word must have length >= 1")
     for s in symbols:

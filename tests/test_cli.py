@@ -283,6 +283,8 @@ NEVER_RUN = {
     "theorem2-epsilon": ({"kind": "theorem2", "model": "fair-coin", "seed": 1, "n_list": [6, 8],
                           "epsilon": "x", "N": 20}, "epsilon"),
     "entrance-epsilon": ({"kind": "entrance-exponent", **EXPONENT_RUN, "epsilon": "x"}, "epsilon"),
+    "entrance-epsilon-negative": ({"kind": "entrance-exponent", **EXPONENT_RUN, "epsilon": -0.1},
+                                  "epsilon: must be a positive number"),
     "wns-s": ({"kind": "wns", **EXPONENT_RUN, "s": "x"}, "s:"),
     "wns-diagonal": ({"kind": "wns", **EXPONENT_RUN, "s": 1.0, "diagonal": "false"}, "diagonal"),
     "plugin-n": ({"kind": "stream-estimate", **STREAM_RUN, "plugin": {"n": "abc", "s": 1.0}},
@@ -291,6 +293,10 @@ NEVER_RUN = {
     "data-map": ({"kind": "stream-estimate", "seed": 1, "data_file": str(DEMO_CONFIGS / "kac.json"),
                   "map": "octal", "plugin": {"n": 2, "s": 1.0}}, "map"),
     "kac-alphabet": ({"kind": "kac", "model": "fair-coin", "seed": 1, "word": "2"}, "out of range"),
+    "kac-fractional-word": ({"kind": "kac", "model": "fair-coin", "seed": 1, "word": [1.5, 0.2]},
+                            "must be integers"),
+    "data-file-empty": ({"kind": "stream-estimate", "seed": 1, "data_file": "",
+                         "plugin": {"n": 2, "s": 1.0}}, "data_file: must be a non-empty path"),
     "kac-unused-s": ({"kind": "kac", "model": "fair-coin", "seed": 1, "word": "11", "s": "x"}, "s:"),
     "ow-empty": ({"kind": "stream-estimate", **STREAM_RUN, "ow": {}}, "ow: missing key 'n_list'"),
 }

@@ -261,6 +261,10 @@ def test_out_of_alphabet_symbol_rejected():
         log_cylinder_measure(bernoulli([0.5, 0.5]), "012")
     with pytest.raises(InvalidSymbol):
         as_word([1, -2])
+    for word in ([1.5, 0.2], [1, 0.5], ["1", "0"], [math.inf]):  # never truncated to a symbol
+        with pytest.raises(InvalidSymbol):
+            as_word(word)
+    assert as_word(np.array([1, 0])) == as_word([1.0, False]) == (1, 0)
 
 
 def test_word_parsing_round_trip():

@@ -198,6 +198,9 @@ def test_exceedance_counts_both_tails():
     assert exc["lower"] == pytest.approx(0.25)
     assert exc["upper"] == pytest.approx(0.25)
     assert exc["two_sided"] == pytest.approx(0.5)
+    for eps in (0.0, -0.1):
+        with pytest.raises(ValueError):
+            run.exceedance(eps)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from hitstat.orbits import (
     OrbitSumResult,
     ReplayStream,
     TimeResult,
+    _word_finder,
     entrance_time,
     recurrence_time,
     sample_orbit,
@@ -415,6 +416,84 @@ def test_narrow_replay_scans_equal_the_int64_replay(name, seed, n, length, shape
     assert scans(narrow) == scans(sym)
 
 
+# --- the byte search against a sliding-window oracle -----------------------------
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_word_finder_matches_the_sliding_window_oracle(data):
+    """``_word_finder`` on blocks laced with the word's mod-256 aliases.
+
+    An alias ``w[i] + 256 r_i`` equals the word as bytes but not as
+    symbols; one placed before a true match makes the finder reject a
+    byte match and search on.  ``uint8`` blocks can only hold the alias
+    ``w mod 256`` of a word with a symbol of 256 or more.
+    """
+    draw = data.draw
+    n = draw(st.integers(1, 6))
+    word = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), dtype=np.int64)
+    if draw(st.booleans()):  # a wide symbol
+        word[draw(st.integers(0, n - 1))] += 256 * draw(st.integers(1, 3))
+    dtype = draw(st.sampled_from([np.uint8, np.int64]))
+    length = draw(st.integers(n, 3 * BLOCK))
+    sym = np.random.default_rng(draw(st.integers(0, 2**20))).integers(0, 3, length).astype(dtype)
+    spot = st.one_of(st.integers(BLOCK - n + 1, BLOCK), st.integers(0, length - n))
+    p = 0
+    for _ in range(draw(st.integers(0, 3))):
+        top = 0 if dtype is np.uint8 else 3
+        alias = word % 256 + 256 * np.array(draw(st.lists(st.integers(0, top), min_size=n,
+                                                          max_size=n)))
+        p = draw(spot)
+        if p + n <= length and not np.array_equal(alias, word):
+            sym[p:p + n] = alias
+    if word.max() < 256 or dtype is np.int64:
+        # a true match, often after the aliases, inside the last one or across the block edge
+        p = draw(st.one_of(spot, st.integers(p + 1, p + n - 1))) if n > 1 else draw(spot)
+        if p + n <= length:
+            sym[p:p + n] = word
+
+    hits = np.flatnonzero(window_matches(sym, word))
+    count = length - n + 1
+    lo = draw(st.integers(0, count))
+    hi = draw(st.integers(lo, count))
+    inside = hits[(hits >= lo) & (hits < hi)]
+    assert _word_finder(tuple(word))(sym, lo, hi) == (int(inside[0]) if len(inside) else -1)
+
+    cap = draw(st.integers(1, 3 * BLOCK + 10))
+    expect, read = oracle_scan(sym, word, cap)
+    stream = ReplayStream(sym)
+    if expect is None:
+        with pytest.raises(SequenceTooShort):
+            entrance_time(stream, tuple(word), cap=cap)
+    else:
+        assert entrance_time(stream, tuple(word), cap=cap) == expect
+        assert stream.position == read
+
+
+# --- Bernoulli generation against the frozen clipped bisect --------------------
+
+def test_bernoulli_symbols_equal_the_frozen_clipped_bisect():
+    """Draws at every cut point, beside it and past ``cum_p[-1]`` give the
+    symbols of the clipped bisect over all k cut points, the sampler's
+    former rule ``clip(searchsorted(cum_p, u), 0, k - 1)``."""
+    rng = np.random.default_rng(300)
+    masses = [rng.dirichlet(np.ones(k)) for k in range(1, 301)]
+    masses.append(np.full(10, 0.1))
+    assert np.cumsum(masses[-1])[-1] < 1.0  # so are 106 of the others, and 134 above
+    for p in masses:
+        model = BernoulliModel(p=p)
+        cum_p = np.cumsum(p)
+        u = [0.0, *rng.random(64).tolist()]
+        for c in cum_p.tolist():
+            u += [c, float(np.nextafter(c, -np.inf)), float(np.nextafter(c, np.inf))]
+        u = np.array([x for x in u if 0.0 <= x < 1.0])
+        stream = OrbitStream(model, 0)
+        stream._rng = FixedDraws(u)
+        got = stream.take(len(u))
+        assert got.dtype == np.int64
+        frozen = np.clip(np.searchsorted(cum_p, u, side="right").astype(np.int64), 0, len(p) - 1)
+        assert np.array_equal(got, frozen)
+
+
 # --- Markov generation against the frozen per-symbol loop ---------------------
 
 def frozen_markov_steps(model, u, start=()):
@@ -515,8 +594,6 @@ def test_update_map_table_equals_the_clipped_bisect_at_every_breakpoint():
             j = int(np.searchsorted(maps.breaks, u, side="right"))
             for s in range(k):
                 assert maps.table[j, s] == maps.rows[j][s] == min(bisect_right(rows[s], u), k - 1)
-        assert np.array_equal(maps.constant, [len(set(r)) == 1 for r in maps.rows])
-        assert np.array_equal(maps.swap, [r == list(range(k))[::-1] for r in maps.rows])
     # the clip: past row 0's last cumsum the bisect reads k, the table k - 1
     last = float(np.cumsum(SHORT_ROW[0])[-1])
     assert last < 1.0 and bisect_right(np.cumsum(SHORT_ROW[0]).tolist(), last) == 3
