@@ -189,14 +189,14 @@ def _shard_task(args):
 
 
 def _sharded_samples(jobs, workers: int) -> list:
-    """One ensemble per ``(sampler name, kwargs)`` job, from one pool for all of them."""
+    """One ensemble per ``(sampler name, kwargs)`` job, from one pool of at most one process per CPU."""
     if workers <= 1:
         return [_SAMPLERS[name](**kwargs) for name, kwargs in jobs]
     tasks = []
     for name, kwargs in jobs:
         N = kwargs["n_outer" if name == "tail-integral" else "N"]
         tasks += [(name, kwargs, c.tolist()) for c in np.array_split(np.arange(N), workers)]
-    with multiprocessing.Pool(workers) as pool:
+    with multiprocessing.Pool(min(workers, os.cpu_count() or 1)) as pool:
         parts = pool.map(_shard_task, tasks)
     return [functools.reduce(lambda a, b: a.merge(b), parts[i:i + workers])
             for i in range(0, len(parts), workers)]

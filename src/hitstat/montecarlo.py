@@ -21,6 +21,7 @@ from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
+from scipy.special import expm1
 
 from .errors import CensoringExceeded, ZeroMeasureTarget
 from .exact import ENTRANCE, RETURN, SurvivalCurve, build_product_chain, step_at, survival_at
@@ -270,11 +271,13 @@ class SurvivalExperiment(Ensemble):
 
     @cached_property
     def ks(self) -> KsResult:
-        from scipy import stats  # deferred: only this property needs it, and it is slow to load
-
-        rescaled = self.rescaled
-        statistic = float(stats.kstest(rescaled, "expon").statistic) if len(rescaled) else 1.0
-        return KsResult(statistic=statistic, sample_count=len(rescaled))
+        x = np.sort(self.rescaled)
+        n = len(x)
+        # scipy.stats.kstest(x, "expon").statistic without loading scipy.stats; its cdf
+        # is scipy.special's expm1, which np.expm1 does not match in every last bit
+        cdf = -expm1(-x)
+        d = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max()) if n else 1.0
+        return KsResult(statistic=float(d), sample_count=n)
 
 
 def _survival_cap(mu: float) -> int:

@@ -115,6 +115,8 @@ class OrbitStream:
         model = self.model
         if isinstance(model, BernoulliModel):
             # the inner cut points at or below u: the clipped bisect of all k
+            if model.k == 2:
+                return (self._rng.random(count) >= model.cum_p[0]).astype(np.int64)
             return np.searchsorted(model.cum_p[:-1], self._rng.random(count), side="right")
         if isinstance(model, MarkovModel):
             maps = model.update_maps
@@ -125,16 +127,23 @@ class OrbitStream:
                 s = min(bisect_right(maps.cum_pi, u[0]), model.k - 1)
                 u = u[1:]
             if model.k == 2:
-                # from state s the next is u >= cum_P[s, 0]: a step maps (0, 1) to (a, b),
-                # a constant, the identity or the swap (a > b).  A state is the last
-                # constant's value (before any, s) XOR the parity of the swaps since
-                a = u >= model.cum_P[0, 0]
-                b = u >= model.cum_P[1, 0]
-                value = np.concatenate(([s], a))
-                parity = np.concatenate(([0], np.cumsum(a > b))) & 1
-                last = np.where(np.concatenate(([True], a == b)), np.arange(len(value)), 0)
-                np.maximum.accumulate(last, out=last)
-                out = ((value ^ parity)[last] ^ parity)[0 if fresh else 1:]
+                # from state s the next is u >= cum_P[s, 0]: u below both cut points gives 0
+                # and u at or above both gives 1 (a constant); u between keeps s (c1 <= c0) or
+                # swaps it.  Every step but a constant keeps y_t = x_t XOR (t mod 2) on a swap
+                # chain (y = x else), so y_t is the last constant's y at or before t, else s
+                c0, c1 = model.cum_P[:, 0].tolist()
+                swap = c1 > c0
+                lo, hi = (c0, c1) if swap else (c1, c0)
+                top = u >= hi
+                hit = np.flatnonzero(top | (u < lo))  # the constants, at steps hit + 1
+                value = np.concatenate(([s], top[hit]))
+                if swap:
+                    value[1:] ^= (hit + 1) & 1
+                edges = np.concatenate(([-1], hit, [len(u)]))
+                out = np.repeat(value, edges[1:] - edges[:-1])
+                if swap:
+                    out[1::2] ^= 1
+                out = out[0 if fresh else 1:]
             else:
                 rows = maps.rows
                 path = [s] if fresh else []

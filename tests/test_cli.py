@@ -72,6 +72,22 @@ def test_import_loads_neither_scipy_stats_nor_sparse():
     assert out.stdout.strip() == "[]"
 
 
+def test_a_survival_run_leaves_scipy_stats_unloaded(tmp_path):
+    # a fresh interpreter: this one has loaded scipy.stats for other tests
+    cfg = tmp_path / "survival.json"
+    cfg.write_text(json.dumps({"kind": "survival", "model": "fair-coin", "seed": 1, "word": "0110",
+                               "N": 200, "t_grid": [0.5, 1.0], "tolerance": {"max_ks": 1.0}}),
+                   encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(hitstat.__file__).resolve().parents[1])}
+    probe = ("import sys; from hitstat.cli import main; "
+             f"code = main(['--config', {str(cfg)!r}, '--outdir', {str(tmp_path / 'out')!r}]); "
+             "print(code, 'scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "0 False"
+    assert "ks_statistic" in read_summary(tmp_path / "out")["results"]
+
+
 def test_every_kind_has_a_loadable_demo_config():
     # reads the configs through their kinds' key tables only; running all of them takes about 20 s
     for kind, (_, keys) in KINDS.items():
@@ -448,6 +464,44 @@ def test_worker_count_never_changes_the_outputs_on_a_chain(tmp_path):
         blobs.append(((outdir / "report.csv").read_bytes(),
                       (outdir / "summary.json").read_bytes()))
     assert blobs[0] == blobs[1]
+
+
+class SerialPool:
+    """Stands in for ``multiprocessing.Pool``: records its size and task count, maps here."""
+
+    sizes = []
+    tasks = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, tasks):
+        self.tasks.append(len(tasks))
+        return list(map(func, tasks))
+
+
+@pytest.mark.parametrize("cpus, size", [(2, 2), (None, 1)])
+def test_pool_starts_at_most_one_process_per_cpu(tmp_path, monkeypatch, cpus, size):
+    cfg = {"kind": "entrance-exponent", "model": "fair-coin", "seed": 4, "n": 6, "N": 30}
+    code, outdir = run_cli(tmp_path, cfg, name="w1.json", extra=("--workers", "1"))
+    assert code == 0
+    one = [(outdir / f).read_bytes() for f in ("report.csv", "summary.json")]
+    monkeypatch.setattr(cli.multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    SerialPool.sizes.clear()
+    SerialPool.tasks.clear()
+    code, outdir = run_cli(tmp_path, cfg, name="w5000.json", extra=("--workers", "5000"))
+    assert code == 0
+    assert SerialPool.sizes == [size]
+    # the indices are still split in 5000 chunks, and they merge to the one-worker run
+    assert SerialPool.tasks == [5000]
+    assert [(outdir / f).read_bytes() for f in ("report.csv", "summary.json")] == one
 
 
 def test_censored_summary_is_withheld_with_its_reason(tmp_path):

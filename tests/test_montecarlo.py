@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hitstat import (
@@ -227,6 +227,22 @@ def test_ks_statistic_shrinks_for_longer_words():
     long = empirical_survival(FAIR, word, N=400, t_grid=grid, seed=19)
     assert long.ks.statistic < short.ks.statistic
     assert long.ks.statistic < 0.08
+
+
+@given(st.lists(st.integers(1, 40), max_size=300), st.floats(1e-6, 1.0))
+@example([], 0.5)
+@example([3] * 50 + [7] * 20 + [1], 1 / 3)
+@settings(max_examples=200, deadline=None)
+def test_ks_statistic_equals_scipy_kstest(times, mu):
+    # small integer times, so most samples share their value with others
+    from scipy import stats
+
+    exp = SurvivalExperiment(indices=np.arange(len(times)), values=np.array(times, dtype=float),
+                             censored=np.empty(0, dtype=np.int64), kind=ENTRANCE, word=(1,),
+                             t_grid=(1.0,), mu=mu, cap=100)
+    expect = float(stats.kstest(exp.rescaled, "expon").statistic) if times else 1.0
+    assert exp.ks.statistic == expect
+    assert exp.ks.sample_count == len(times)
 
 
 def test_return_ensemble_obeys_the_mean_return_identity():

@@ -615,6 +615,40 @@ def test_markov_symbols_at_the_breakpoints_equal_the_frozen_bisect_loop(name):
         assert np.array_equal(got, frozen_markov_steps(model, u.tolist(), start))
 
 
+CUT = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@given(c0=CUT, c1=st.one_of(st.none(), CUT), start=st.sampled_from([(), (0,), (1,), (1, 0)]),
+       sizes=st.lists(st.one_of(st.just(1), st.integers(1, BLOCK + 10)), min_size=1, max_size=8),
+       seed=st.integers(0, 2**32))
+@example(0.9, 0.2, (), [1, 1, BLOCK, 1], 0)  # keeps between the cut points
+@example(0.2, 0.7, (1, 0), [1, 1, BLOCK, 1], 1)  # swaps between them
+@example(0.3, None, (), [1, BLOCK + 10, 1], 2)  # c1 == c0: every draw a constant
+@example(0.0, 1.0, (0,), [1, 7, BLOCK], 3)  # the periodic chain: every draw swaps
+@example(1.0, 0.0, (), [1, 7, BLOCK], 4)  # the identity: the first symbol forever
+@settings(max_examples=150, deadline=None)
+def test_two_state_symbols_equal_the_frozen_bisect_loop(c0, c1, start, sizes, seed):
+    """Any 2x2 kernel, its cut points among the draws, under any take split."""
+    c1 = c0 if c1 is None else c1
+    model = MarkovModel(P=np.array([[c0, 1.0 - c0], [c1, 1.0 - c1]]), pi=np.array([0.5, 0.5]))
+    total = sum(sizes)
+    rng = np.random.default_rng(seed)
+    u = rng.random(max(total - len(start), 0))
+    cuts = [0.0]
+    for c in (c0, c1):
+        cuts += [c, float(np.nextafter(c, -np.inf)), float(np.nextafter(c, np.inf))]
+    cuts = [x for x in cuts if 0.0 <= x < 1.0]
+    at = rng.random(len(u)) < 0.3
+    u[at] = rng.choice(cuts, size=int(at.sum()))
+    stream = OrbitStream(model, 0, start=start or None)
+    stream._rng = FixedDraws(u)
+    got = [stream.take(c) for c in sizes]
+    assert all(part.dtype == np.int64 for part in got)
+    assert stream._rng.used == len(u)
+    frozen = frozen_markov_steps(model, u.tolist(), start)[:total]
+    assert np.array_equal(np.concatenate(got), frozen)
+
+
 def test_update_maps_are_built_on_first_use():
     model = markov([[0.9, 0.1], [0.2, 0.8]])
     assert "update_maps" not in vars(model)
