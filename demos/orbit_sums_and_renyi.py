@@ -11,7 +11,7 @@ import numpy as np
 from hitstat import (
     builtin_model,
     orbit_sum_exponent_samples,
-    partition_slope,
+    partition_sum_exact,
     renyi_entropy,
     shannon_entropy,
 )
@@ -38,6 +38,6 @@ print("n     bernoulli gap  markov gap")
 r_b = renyi_entropy(model, 1.0)
 r_m = renyi_entropy(chain, 1.0)
 for n in (4, 8, 12, 16):
-    gb = abs(partition_slope(model, n, 1.0) - r_b)
-    gm = abs(partition_slope(chain, n, 1.0) - r_m)
+    gb = abs(abs(partition_sum_exact(model, n, 1.0)) / n - r_b)
+    gm = abs(abs(partition_sum_exact(chain, n, 1.0)) / n - r_m)
     print(f"{n:<5} {gb:<14.2e} {gm:.4f}")

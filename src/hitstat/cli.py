@@ -1,15 +1,16 @@
 """Configuration-driven experiment runner.
 
 ``hitstat --config exp.json [--workers N] [--outdir PATH]`` reads one
-experiment description, reads and checks every key its kind takes
-(``KINDS``, ``READERS``), runs it and writes ``report.csv`` plus
-``summary.json`` into the output directory.  Files contain no timestamps
-and all floats are written with ``repr``, so a config and seed reproduce
-their outputs byte for byte, at any worker count.
+experiment description, runs it and writes ``report.csv`` plus
+``summary.json`` into the output directory.  Every key of the config is
+read before the run by its one reader (``READERS``), as its kind's table
+(``KINDS``) or tolerance table (``TOLERANCES``) lists it; a key no table
+lists is rejected.  Files contain no timestamps and all floats are written
+with ``repr``, so a config and seed reproduce their outputs byte for byte,
+at any worker count.
 
-An optional ``tolerance`` block, with the keys ``TOLERANCES`` lists for
-its kind, turns a run into a check.  Exit codes: 0 success, 2 invalid
-config or tolerance block (nothing written), 3 runtime failure, 4 a
+An optional ``tolerance`` block turns a run into a check.  Exit codes: 0
+success, 2 invalid config (nothing written), 3 runtime failure, 4 a
 declared tolerance was not met (report still written).
 """
 from __future__ import annotations
@@ -112,22 +113,32 @@ def _array(item):
     return _checked("a JSON array", lambda v: type(v) is list, lambda v: [item(x) for x in v])
 
 
+def _finite(what: str, ok):
+    """A reader of a finite JSON number that ``ok`` accepts, as a float."""
+    return _checked(what, lambda v: type(v) in (int, float) and math.isfinite(v) and ok(v), float)
+
+
 # JSON gives exact types, so ``type(v) is int`` also rejects true and false
 _count = _checked("a positive integer", lambda v: type(v) is int and v >= 1)
-_number = _checked("a number", lambda v: type(v) in (int, float), float)
-_positive = _checked("a positive number", lambda v: type(v) in (int, float) and v > 0, float)
+_number = _finite("a finite number", lambda v: True)
+_flag = _checked("true or false", lambda v: type(v) is bool)
+_path = _checked("a non-empty path", lambda v: type(v) is str and v != "", Path)
 # a key every kind must give; every other key has its default beside it
 REQUIRED = object()
 # 'word' stands for a one-entry 'words', and 's' for a one-entry 's_list'
 _ONE_ENTRY = {"words": "word", "s_list": "s"}
 # what ``_read`` catches from a reader, and ``main`` from the whole validation
-_INVALID = (HitstatError, ValueError, TypeError, KeyError, OSError)
+_INVALID = (HitstatError, ValueError, TypeError, KeyError, OSError, OverflowError)
 
 
 def _read(cfg, keys: dict) -> dict:
-    """The object ``cfg`` read by ``keys``: each key's typed value, or its default."""
+    """Each key of ``keys`` read from the object ``cfg``, or its default; any other key is rejected."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"must be an object, got {cfg!r}")
+    listed = {*keys, *map(_ONE_ENTRY.get, keys)}
+    for key in cfg:
+        if key not in listed:
+            raise ConfigError(f"unknown key {key!r}; expected one of {sorted(keys)}")
     params = {}
     for key, default in keys.items():
         one = _ONE_ENTRY.get(key)
@@ -143,22 +154,28 @@ def _read(cfg, keys: dict) -> dict:
     return params
 
 
-# one reader per key name: a key means the same in every kind and section
+# one reader per key name: a key means the same in every kind, section and tolerance block
 READERS = {
+    "kind": _checked("a kind", lambda v: v in KINDS),
     "model": _resolve_model,
     "seed": _checked("an integer", lambda v: type(v) is int),
     **dict.fromkeys(("n", "N", "m_max", "generate_length", "starts_per_n"), _count),
     "s": _number,
-    **dict.fromkeys(("epsilon", "cap_multiplier"), _positive),
-    "diagonal": _checked("true or false", lambda v: type(v) is bool),
+    **dict.fromkeys(("epsilon", "cap_multiplier"), _finite("a finite number > 0", lambda v: v > 0)),
+    **dict.fromkeys(("diagonal", "require_bound", "require_decreasing", "require_monotone"), _flag),
     "word": as_word,
     "words": _array(as_word),
     "n_list": _array(_count),
     **dict.fromkeys(("s_list", "t_grid"), _array(_number)),
-    "data_file": _checked("a non-empty path", lambda v: type(v) is str and v != "", Path),
+    **dict.fromkeys(("data_file", "outdir"), _path),
     "map": named_map,
     "ow": functools.partial(_read, keys={"n_list": REQUIRED, "starts_per_n": 200}),
     "plugin": functools.partial(_read, keys={"n": REQUIRED, "s": REQUIRED}),
+    "tolerance": _checked("an object", lambda v: type(v) is dict),
+    **dict.fromkeys(("max_two_sided", "max_lower", "median_within", "max_ks", "max_mean_error",
+                     "max_abs_error", "max_residual", "max_final_gap", "max_ow_error",
+                     "max_plugin_error"), _finite("a finite number >= 0", lambda v: v >= 0)),
+    "dkw_alpha": _finite("a number in (0, 1)", lambda v: 0 < v < 1),
 }
 
 
@@ -228,33 +245,10 @@ TOLERANCES = {
 _MEASURED_ON = {"max_ow_error": "ow", "max_plugin_error": "plugin"}
 
 
-def _check_tolerance(cfg, kind, model) -> None:
-    """Reject a declared tolerance block that the kind's table cannot check."""
-    tol = cfg["tolerance"]
-    if not isinstance(tol, dict):
-        raise ConfigError(f"tolerance must be an object, got {tol!r}")
-    if model is None:
-        raise ConfigError("a tolerance needs a model: every bound is measured against it")
-    table = TOLERANCES[kind]
-    for key, value in tol.items():
-        if key not in table:
-            raise ConfigError(f"unknown tolerance key {key!r}; {kind} takes {sorted(table)}")
-        default = table[key]
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if default is None and not (number and 0 <= value < math.inf):
-            raise ConfigError(f"tolerance {key} must be a finite number >= 0, got {value!r}")
-        if isinstance(default, bool) and not isinstance(value, bool):
-            raise ConfigError(f"tolerance {key} must be true or false, got {value!r}")
-        if isinstance(default, float) and not (number and 0 < value < 1):
-            raise ConfigError(f"tolerance {key} must lie in (0, 1), got {value!r}")
-        if key in _MEASURED_ON and _MEASURED_ON[key] not in cfg:
-            raise ConfigError(f"tolerance {key} is measured on a missing {_MEASURED_ON[key]!r} section")
-
-
-def _verdict(cfg, kind, measured) -> bool:
-    """Whether the measured quantities meet the declared tolerance."""
+def _verdict(tolerance, kind, measured) -> bool:
+    """Whether the measured quantities meet the tolerance block, as read."""
     ok = True
-    for key, value in {**TOLERANCES[kind], **cfg["tolerance"]}.items():
+    for key, value in tolerance.items():
         if TOLERANCES[kind][key] is not None:  # a flag, or the band at dkw_alpha
             ok = ok and (value is False or measured[key])
         elif value is not None:  # a declared bound; a function is measured only now
@@ -312,7 +306,7 @@ def _run_survival(params, workers, sampler_name):
 
 def run_survival(params, workers):
     exp, rows, worst = _run_survival(params, workers, "survival")
-    alpha = (params["tolerance"] or {}).get("dkw_alpha", TOLERANCES["survival"]["dkw_alpha"])
+    alpha = (params["tolerance"] or TOLERANCES["survival"])["dkw_alpha"]
     band = dkw_epsilon(exp.total, alpha)
     results = {
         "ks_statistic": exp.ks.statistic,
@@ -343,17 +337,15 @@ def run_kac(params, workers):
     model, words = params["model"], params["words"]
     rows = []
     worst = 0.0
-    means = []
     for word in words:
         mu = cylinder_measure(model, word)
         mean = exact_mean_return(model, word)
         residual = abs(mean * mu - 1.0)
         worst = max(worst, residual)
-        means.append(mean)
         rows.append([word_str(word), _fmt(mu), _fmt(mean), _fmt(residual)])
     results = {"kac_residual": worst, "word_count": len(words)}
     if len(words) == 1:
-        results["expected_return"] = means[0]
+        results["expected_return"] = mean
     return ["word", "mu", "mean_return", "kac_residual"], rows, results, {"max_residual": worst}
 
 
@@ -460,7 +452,8 @@ def run_stream_estimate(params, workers):
 
 
 # each kind's runner and keys, with their defaults; ``word`` and ``s`` feed the constants
-_HEADER = {"model": REQUIRED, "seed": REQUIRED, "word": None, "s": None}
+_HEADER = {"kind": REQUIRED, "model": REQUIRED, "seed": REQUIRED, "word": None, "s": None,
+           "tolerance": None, "outdir": None}
 _EXPONENT = {"n": REQUIRED, "N": REQUIRED, "epsilon": None, "cap_multiplier": 100.0}
 _SURVIVAL = {"word": REQUIRED, "N": REQUIRED, "t_grid": REQUIRED}
 KINDS = {kind: (runner, {**_HEADER, **keys}) for kind, runner, keys in (
@@ -509,7 +502,7 @@ def _write_report(outdir: Path, cfg, params, columns, rows, results, tol_ok):
         "results": results,
     }
     if params["tolerance"] is not None:
-        summary["tolerance_check"] = {"declared": params["tolerance"], "passed": tol_ok}
+        summary["tolerance_check"] = {"declared": cfg["tolerance"], "passed": tol_ok}
     # the whole summary is built before either file; a numpy value is written as its builtin
     text = json.dumps(summary, indent=2, sort_keys=True, default=lambda obj: obj.tolist()) + "\n"
     outdir.mkdir(parents=True, exist_ok=True)
@@ -558,17 +551,22 @@ def main(argv=None) -> int:
         if params["model"] is not None:
             for word in filter(None, [params["word"], *params.get("words", ())]):
                 check_symbols(params["model"], word)
-        params["tolerance"] = cfg.get("tolerance")
         if params["tolerance"] is not None:
-            _check_tolerance(cfg, kind, params["model"])
-        outdir = Path(args.outdir or cfg.get("outdir") or "hitstat-out")
+            tol = params["tolerance"] = _read(params["tolerance"], TOLERANCES[kind])
+            # beyond its keys, a tolerance needs a model, and a bound the section it is measured on
+            if params["model"] is None:
+                raise ConfigError("a tolerance needs a model: every bound is measured against it")
+            for key, section in _MEASURED_ON.items():
+                if tol.get(key) is not None and params[section] is None:
+                    raise ConfigError(f"tolerance {key} is measured on a missing {section!r} section")
+        outdir = Path(args.outdir or params["outdir"] or "hitstat-out")
     except _INVALID as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     try:
         columns, rows, results, measured = run(params, workers)
-        tol_ok = None if params["tolerance"] is None else _verdict(cfg, kind, measured)
+        tol_ok = None if params["tolerance"] is None else _verdict(params["tolerance"], kind, measured)
         _write_report(outdir, cfg, params, columns, rows, results, tol_ok)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -33,7 +33,7 @@ class NonPositiveS(HitstatError, ValueError):
 
 
 class BudgetExceeded(HitstatError, ValueError):
-    """An exhaustive enumeration would exceed the configured budget."""
+    """An n-gram code would not fit in 64 bits."""
 
 
 class ContractionDegenerate(UserWarning):

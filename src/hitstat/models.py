@@ -402,7 +402,9 @@ def shannon_entropy(model: MeasureModel) -> float:
     if isinstance(model, BernoulliModel):
         return float(-(model.p * model.log_p).sum())
     if isinstance(model, MarkovModel):
-        row_entropy = -np.where(model.P > 0.0, model.P * model.log_P, 0.0).sum(axis=1)
+        # the product is taken only where P > 0: 0 * log 0 would warn
+        P = model.P
+        row_entropy = -np.multiply(P, model.log_P, out=np.zeros_like(P), where=P > 0.0).sum(axis=1)
         return float(model.pi @ row_entropy)
     t = model.theta
     return -math.log1p(-t) - t / (1.0 - t) * math.log(t)
@@ -478,7 +480,9 @@ def partition_sum_exact(model: MeasureModel, n: int, s: float) -> float:
     I.i.d. models factor exactly: ``log Z_n = n * log Z_1``, for any ``n``.
     Markov models need no enumeration either: ``Z_n`` is a bilinear form in
     powers of the entrywise kernel ``P**(1+s)``, applied as repeated
-    log-space matrix-vector products.
+    log-space matrix-vector products.  Their slope ``|log Z_n| / (s*n)``
+    sits ``|log C_n| / (s*n)`` from ``R(s)``, for a prefactor ``C_n`` that
+    converges; the increment ``(log Z_{n-1} - log Z_n) / s`` cancels it.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -492,21 +496,6 @@ def partition_sum_exact(model: MeasureModel, n: int, s: float) -> float:
             lv = logsumexp(lv[:, None] + log_Q, axis=0)
         return float(logsumexp(lv))
     return n * _iid_log_z1(model, s)
-
-
-def partition_slope(model: MeasureModel, n: int, s: float) -> float:
-    """Finite-n rate ``(1/(s*n)) * |log Z_n(s)|`` from the exact partition sum.
-
-    I.i.d. models factor exactly, so the ratio equals ``R(s)`` at every
-    ``n``.  For Markov models ``log Z_n(s) = log C_n - s*n*R(s)`` with a
-    prefactor ``C_n`` that converges to a constant, so the ratio sits
-    ``|log C_n|/(s*n)`` from ``R(s)``: an O(1/n) gap.  The increment
-    ``(log Z_{n-1}(s) - log Z_n(s))/s`` of ``partition_sum_exact`` cancels
-    the prefactor and converges geometrically, at the ratio of the two
-    leading eigenvalues of ``P**(1+s)``.
-    """
-    log_z = partition_sum_exact(model, n, s)
-    return abs(log_z) / (s * n)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from hitstat import (
     ingest,
     orbit_sum_exponent_samples,
     ow_entropy_estimate,
-    partition_slope,
     partition_sum_exact,
     plugin_renyi_estimate,
     recurrence_time,
@@ -60,7 +59,7 @@ def _nonincreasing(gaps):
 
 # Criterion 1.  For a Markov source Perron-Frobenius gives
 # log Z_n(s) = log C - s*n*R(s) + O(theta**n), with theta = lambda_2/lambda_1
-# ~ 0.70-0.80 for two-state-chain at s in {0.5, 1, 2}.  partition_slope is the
+# ~ 0.70-0.80 for two-state-chain at s in {0.5, 1, 2}.  The slope is the
 # ratio |log Z_n|/(s*n), so it sits |log C_n|/(s*n) = O(1/n) away from R(s):
 # log C_14 = -0.210, -0.498, -0.890 puts the ratio gaps at n=14 at 0.0300,
 # 0.0356 and 0.0318, and the ratio cannot meet 0.02 before n ~ 21-25.  The
@@ -76,7 +75,7 @@ def test_criterion_01_exact_renyi_consistency():
         r = renyi_entropy(CHAIN, s)
         log_z = {n: partition_sum_exact(CHAIN, n, s) for n in range(3, 15)}
         gaps = [abs((log_z[n - 1] - log_z[n]) / s - r) for n in range(4, 15)]
-        ratio_gaps = [abs(partition_slope(CHAIN, n, s) - r) for n in range(4, 15)]
+        ratio_gaps = [abs(abs(log_z[n]) / (s * n) - r) for n in range(4, 15)]
         monotone = monotone and _nonincreasing(gaps) and _nonincreasing(ratio_gaps)
         final_gaps[s] = gaps[-1]
     bern_worst = 0.0
@@ -84,7 +83,7 @@ def test_criterion_01_exact_renyi_consistency():
         for s in (0.5, 1.0, 2.0):
             r = renyi_entropy(model, s)
             for n in range(4, 15):
-                bern_worst = max(bern_worst, abs(partition_slope(model, n, s) - r))
+                bern_worst = max(bern_worst, abs(abs(partition_sum_exact(model, n, s)) / (s * n) - r))
     elapsed = time.perf_counter() - t0
     ok = (monotone and bern_worst <= 1e-10 and elapsed < 1.0
           and all(g <= 0.02 for g in final_gaps.values()))

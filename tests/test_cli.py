@@ -180,6 +180,15 @@ def test_config_validation_failures_exit_2(tmp_path):
         assert not outdir.exists()
 
 
+def test_the_config_outdir_is_used_without_the_flag(tmp_path):
+    outdir = tmp_path / "from-config"
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"kind": "kac", "model": "fair-coin", "seed": 1, "word": "1",
+                                "outdir": str(outdir)}), encoding="utf-8")
+    assert main(["--config", str(path)]) == 0
+    assert (outdir / "summary.json").exists()
+
+
 def test_unreadable_config_exits_2(tmp_path):
     outdir = tmp_path / "never"
     code = main(["--config", str(tmp_path / "absent.json"), "--outdir", str(outdir)])
@@ -300,7 +309,7 @@ NEVER_RUN = {
                           "epsilon": "x", "N": 20}, "epsilon"),
     "entrance-epsilon": ({"kind": "entrance-exponent", **EXPONENT_RUN, "epsilon": "x"}, "epsilon"),
     "entrance-epsilon-negative": ({"kind": "entrance-exponent", **EXPONENT_RUN, "epsilon": -0.1},
-                                  "epsilon: must be a positive number"),
+                                  "epsilon: must be a finite number > 0"),
     "wns-s": ({"kind": "wns", **EXPONENT_RUN, "s": "x"}, "s:"),
     "wns-diagonal": ({"kind": "wns", **EXPONENT_RUN, "s": 1.0, "diagonal": "false"}, "diagonal"),
     "plugin-n": ({"kind": "stream-estimate", **STREAM_RUN, "plugin": {"n": "abc", "s": 1.0}},
@@ -315,6 +324,25 @@ NEVER_RUN = {
                          "plugin": {"n": 2, "s": 1.0}}, "data_file: must be a non-empty path"),
     "kac-unused-s": ({"kind": "kac", "model": "fair-coin", "seed": 1, "word": "11", "s": "x"}, "s:"),
     "ow-empty": ({"kind": "stream-estimate", **STREAM_RUN, "ow": {}}, "ow: missing key 'n_list'"),
+    # Python's json parses NaN and Infinity, and neither is a finite number
+    "theorem2-epsilon-infinite": ({"kind": "theorem2", "model": "fair-coin", "seed": 1,
+                                   "n_list": [6, 8], "epsilon": math.inf, "N": 20},
+                                  "epsilon: must be a finite number > 0, got inf"),
+    "entrance-cap-infinite": ({"kind": "entrance-exponent", **EXPONENT_RUN,
+                               "cap_multiplier": math.inf}, "cap_multiplier: must be a finite"),
+    "renyi-s-nan": ({"kind": "renyi-exact", "model": "fair-coin", "seed": 1, "s_list": [math.nan],
+                     "n_list": [2]}, "s_list: must be a finite number, got nan"),
+    "entrance-epsilon-huge": ({"kind": "entrance-exponent", **EXPONENT_RUN, "epsilon": 10**400},
+                              "epsilon:"),
+    # a key that no table lists, at any level, is rejected rather than ignored
+    "entrance-misspelt": ({"kind": "entrance-exponent", **EXPONENT_RUN, "cap_multplier": 0.5,
+                           "epsilonn": 0.01}, "unknown key 'cap_multplier'"),
+    "ow-misspelt": ({"kind": "stream-estimate", **STREAM_RUN,
+                     "ow": {"n_list": [4], "start_per_n": 10}}, "ow: unknown key 'start_per_n'"),
+    "kac-tolerance-misspelt": ({"kind": "kac", "model": "fair-coin", "seed": 1, "word": "111",
+                                "tolerance": {"max_residul": 1e-30}}, "unknown key 'max_residul'"),
+    "outdir-empty": ({"kind": "kac", "model": "fair-coin", "seed": 1, "word": "111", "outdir": ""},
+                     "outdir: must be a non-empty path"),
 }
 
 

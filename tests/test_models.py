@@ -35,7 +35,6 @@ from hitstat import (
     model_fingerprint,
     model_from_dict,
     model_to_dict,
-    partition_slope,
     partition_sum_exact,
     phi_bound,
     renyi_entropy,
@@ -298,11 +297,15 @@ def test_markov_measure_extension_consistency(w):
 
 # --- entropies ----------------------------------------------------------------
 
+@pytest.mark.filterwarnings("error")
 def test_shannon_entropy_frozen_values():
     assert shannon_entropy(bernoulli([0.5, 0.5])) == pytest.approx(math.log(2), rel=1e-14)
     assert shannon_entropy(bernoulli([0.7, 0.3])) == pytest.approx(0.6108643020548935, rel=1e-13)
     assert shannon_entropy(markov(P_CHAIN)) == pytest.approx(0.38352279010702806, rel=1e-12)
     assert shannon_entropy(geometric(0.5)) == pytest.approx(2 * math.log(2), rel=1e-13)
+    # a zero transition adds nothing, and no 0 * log 0 is taken: each row is a fair coin
+    ring = markov([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+    assert shannon_entropy(ring) == pytest.approx(math.log(2), rel=1e-14)
 
 
 def test_renyi_entropy_frozen_values():
@@ -492,18 +495,22 @@ def test_bernoulli_partition_sum_matches_brute_force(p, n, s):
     assert partition_sum_exact(model, n, s) == pytest.approx(math.log(brute), abs=1e-10)
 
 
+def _slope(model, n, s):
+    return abs(partition_sum_exact(model, n, s)) / (s * n)
+
+
 def test_iid_partition_slope_equals_rate_exactly():
     # |log Z_n| = n |log Z_1| for product measures, so the slope is flat
     model = bernoulli([0.7, 0.3])
     r = renyi_entropy(model, 1.0)
     for n in (1, 4, 9):
-        assert partition_slope(model, n, 1.0) == pytest.approx(r, rel=1e-12)
+        assert _slope(model, n, 1.0) == pytest.approx(r, rel=1e-12)
 
 
 def test_markov_partition_slope_converges_to_rate():
     model = markov(P_CHAIN)
     r = renyi_entropy(model, 1.0)
-    gaps = [abs(partition_slope(model, n, 1.0) - r) for n in (4, 8, 16, 32)]
+    gaps = [abs(_slope(model, n, 1.0) - r) for n in (4, 8, 16, 32)]
     assert all(g <= 0.8 / n for g, n in zip(gaps, (4, 8, 16, 32)))
     assert gaps == sorted(gaps, reverse=True)
 
