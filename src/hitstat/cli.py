@@ -118,8 +118,11 @@ def _finite(what: str, ok):
     return _checked(what, lambda v: type(v) in (int, float) and math.isfinite(v) and ok(v), float)
 
 
-# JSON gives exact types, so ``type(v) is int`` also rejects true and false
-_count = _checked("a positive integer", lambda v: type(v) is int and v >= 1)
+# JSON gives exact types, so ``type(v) is int`` also rejects true and false;
+# a count sizes numpy arrays and loops, so it must fit in an index
+_MAX_COUNT = int(np.iinfo(np.intp).max)
+_count = _checked(f"a positive integer <= {_MAX_COUNT}",
+                  lambda v: type(v) is int and 1 <= v <= _MAX_COUNT)
 _number = _finite("a finite number", lambda v: True)
 _flag = _checked("true or false", lambda v: type(v) is bool)
 _path = _checked("a non-empty path", lambda v: type(v) is str and v != "", Path)

@@ -33,6 +33,8 @@ OW_METHOD = "OW-recurrence"
 PLUGIN_METHOD = "plugin-renyi"
 CENSOR_LIMIT = 0.05
 MIN_LENGTH_MULTIPLE = 64
+# windows coded and tallied at a time by ``window_counts``
+_BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +224,51 @@ def ow_entropy_estimate(sequence, n_list, starts_per_n: int = 200, seed: int = 0
 # plug-in Renyi entropy
 # ---------------------------------------------------------------------------
 
+def _window_codes(seg: np.ndarray, n: int, k: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Base-``k`` codes of the ``len(seg) - n + 1`` n-windows of ``seg``.
+
+    Built as exponentiation by squaring builds a power: a code of length
+    ``L`` doubles by ``code[i] * k**L + code[i + L]``, and a set bit of
+    ``n`` appends one symbol by ``code[i] * k + seg[i + L]``, for
+    ``floor(log2 n) + popcount(n) - 1`` passes in place of ``n - 1``.
+    ``a`` and ``b`` are scratch buffers of at least ``len(seg)`` codes;
+    the result is a view of one of them.  Every partial code of length
+    ``L`` is below ``k**L <= k**n``, so the buffers' dtype holds it exactly.
+    """
+    dtype = a.dtype.type
+    size = len(seg)
+    a[:size] = seg
+    length = 1
+    for bit in bin(n)[3:]:
+        size -= length
+        np.multiply(a[:size], dtype(k**length), out=b[:size])
+        b[:size] += a[length:length + size]
+        a, b = b, a
+        length *= 2
+        if bit == "1":
+            size -= 1
+            a[:size] *= dtype(k)
+            # the symbols are non-negative and below k, so adding in the
+            # codes' own dtype is exact
+            np.add(a[:size], seg[length:length + size], out=a[:size], dtype=dtype,
+                   casting="unsafe")
+            length += 1
+    return a[:size]
+
+
 def window_counts(sequence, n: int) -> np.ndarray:
     """Occurrence counts of the distinct overlapping n-windows, in code order.
 
     Each window is coded in base ``k = max + 1``, in ``uint32`` when the
-    ``k**n`` codes fit and in ``uint64`` otherwise; symbols of any integer
-    dtype are added straight into the codes, never widened first.  When
-    the code space ``k**n`` is no larger than the window count ``m`` (or
-    ``2**16``), ``np.bincount`` tabulates the codes in O(m) with a table of
-    at most ``8 m`` bytes; a larger space is sorted by ``np.unique``.  Both
-    give the counts of the windows present in ascending code order.
+    ``k**n`` codes fit and in ``uint64`` otherwise, one block of
+    ``_BLOCK`` windows at a time so the code passes run in cache; symbols
+    of any integer dtype are added straight into the codes, never widened
+    first.  A code space ``k**n`` no larger than a block is tallied per
+    block by ``np.bincount`` into one table, so no array of all the codes
+    exists.  A larger space keeps every code: ``np.bincount`` tabulates
+    them when ``k**n`` is no larger than the window count ``m``, and
+    ``np.unique`` sorts them otherwise.  All give the counts of the
+    windows present in ascending code order.
     """
     seq = as_symbols(sequence)
     if seq.ndim != 1 or len(seq) == 0:
@@ -252,16 +289,23 @@ def window_counts(sequence, n: int) -> np.ndarray:
     m = len(seq) - n + 1
     space = k**n
     dtype = np.uint32 if space <= 2**32 else np.uint64
-    codes = seq[:m].astype(dtype)
-    for j in range(1, n):
-        codes *= dtype(k)
-        # the symbols are non-negative and every partial code is below k**n,
-        # so adding in the codes' own dtype is exact
-        np.add(codes, seq[j:j + m], out=codes, dtype=dtype, casting="unsafe")
-    if space <= max(m, 2**16):
+    a = np.empty(min(m, _BLOCK) + n - 1, dtype=dtype)
+    b = np.empty_like(a)
+    starts = range(0, m, _BLOCK)
+    # each block's codes are a view of ``a`` or ``b``, overwritten by the next
+    blocks = (_window_codes(seq[lo:lo + _BLOCK + n - 1], n, k, a, b) for lo in starts)
+    if space <= _BLOCK:
+        counts = np.zeros(space, dtype=np.intp)
+        for part in blocks:
+            counts += np.bincount(part, minlength=space)
+    else:
+        codes = np.empty(m, dtype=dtype)
+        for lo, part in zip(starts, blocks):
+            codes[lo:lo + len(part)] = part
+        if space > m:
+            return np.unique(codes, return_counts=True)[1]
         counts = np.bincount(codes)
-        return counts[counts != 0]
-    return np.unique(codes, return_counts=True)[1]
+    return counts[counts != 0]
 
 
 def plugin_renyi_estimate(sequence, n: int, s: float) -> float:

@@ -343,6 +343,13 @@ NEVER_RUN = {
                                 "tolerance": {"max_residul": 1e-30}}, "unknown key 'max_residul'"),
     "outdir-empty": ({"kind": "kac", "model": "fair-coin", "seed": 1, "word": "111", "outdir": ""},
                      "outdir: must be a non-empty path"),
+    # a count no numpy index can hold
+    "entrance-N-huge": ({"kind": "entrance-exponent", **EXPONENT_RUN, "N": 10**23},
+                        "N: must be a positive integer <="),
+    "entrance-N-past-intp": ({"kind": "entrance-exponent", **EXPONENT_RUN,
+                              "N": cli._MAX_COUNT + 1}, "N: must be a positive integer <="),
+    "hlv-m-max-huge": ({"kind": "hlv", "model": "two-state-chain", "seed": 1, "words": ["1"],
+                        "m_max": 10**23}, "m_max: must be a positive integer <="),
 }
 
 

@@ -1,11 +1,12 @@
 """Byte ingestion and the two data-driven entropy estimators."""
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from hitstat import OrbitStream, bernoulli, builtin_model, shannon_entropy
+from hitstat import OrbitStream, bernoulli, builtin_model, shannon_entropy, streams
 from hitstat.errors import (
     BudgetExceeded,
     CensoringExceeded,
@@ -174,6 +175,83 @@ def test_window_counts_match_the_counter_oracle_on_both_paths(monkeypatch, k, lo
         counts = window_counts(data, n)
         assert counts.tolist() == expect
     assert bool(calls) == tabulated
+
+
+def passes_oracle(sequence, n):
+    """``window_counts`` as one pass per symbol over every window's code.
+
+    The reference builder: ``n - 1`` passes of ``code * k + sym`` over all
+    ``m`` windows at once, then one ``np.bincount`` or ``np.unique`` over
+    the full code array.
+    """
+    seq = np.asarray(sequence)
+    k = max(int(seq.max()) + 1, 2)
+    m = len(seq) - n + 1
+    space = k**n
+    dtype = np.uint32 if space <= 2**32 else np.uint64
+    codes = seq[:m].astype(dtype)
+    for j in range(1, n):
+        codes *= dtype(k)
+        np.add(codes, seq[j:j + m], out=codes, dtype=dtype, casting="unsafe")
+    if space <= max(m, 2**16):
+        counts = np.bincount(codes)
+        return counts[counts != 0]
+    return np.unique(codes, return_counts=True)[1]
+
+
+def assert_same_as_the_passes_oracle(monkeypatch, seq, n):
+    counts = window_counts(seq, n)
+    expect = passes_oracle(seq, n)
+    assert counts.dtype == expect.dtype
+    assert np.array_equal(counts, expect)
+    estimates = [plugin_renyi_estimate(seq, n, s) for s in (0.5, 1.0, 3.0)]
+    with monkeypatch.context() as patched:
+        patched.setattr(streams, "window_counts", passes_oracle)
+        assert estimates == [plugin_renyi_estimate(seq, n, s) for s in (0.5, 1.0, 3.0)]
+
+
+@pytest.mark.parametrize("k, n", [
+    (k, n) for k in (2, 3, 16, 256) for n in (1, 2, 3, 7, 8, 14, 15, 16, 17)
+    if n * math.log2(k) <= 64.0  # longer codes are refused
+])
+def test_block_codes_are_bit_identical_to_the_passes_oracle(monkeypatch, k, n):
+    block = 1 << 16
+    # windows: one short of a block, one block, one block and n - 1 more,
+    # two blocks and one more
+    for m in (block - 1, block, block + n - 1, 2 * block + 1):
+        seq = substream(k, n).integers(0, k, size=m + n - 1).astype(np.uint8)
+        seq[m // 2] = k - 1  # k is the alphabet the codes are built on
+        for data in (seq, seq.astype(np.int64)):
+            assert_same_as_the_passes_oracle(monkeypatch, data, n)
+
+
+def test_block_codes_on_a_wide_custom_table_match_the_passes_oracle(monkeypatch):
+    data = substream(7, 7).integers(0, 256, size=2 * (1 << 16) + 5).astype(np.uint8).tobytes()
+    seq = ingest(data, SymbolMap.custom([b * 3 for b in range(256)]))  # k = 766
+    assert seq.dtype == np.int64
+    for n in (1, 2, 3, 6):
+        assert_same_as_the_passes_oracle(monkeypatch, seq, n)
+
+
+def test_window_counts_peak_memory_stays_within_a_few_blocks():
+    seq = substream(12, 0).integers(0, 2, size=4 << 20).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        counts = window_counts(seq, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == len(seq) - 13
+    # the full code array alone would be 16 MB, and its intp cast 32 MB
+    assert peak < 4 * 10**6
+
+
+def test_plugin_estimates_on_a_packed_coin_file_are_pinned():
+    # a 1 MiB file of packed (0.7, 0.3) coin bits; the values are the
+    # estimates' reprs, so any change in the counts or their order fails
+    data = np.packbits(substream(20, 0).random(8 << 20) < 0.3).tobytes()
+    assert repr(plugin_renyi_estimate(ingest(data, named_map("bit")), 14, 1.0)) == "0.5446099701617536"
+    assert repr(plugin_renyi_estimate(ingest(data, named_map("nibble")), 4, 1.0)) == "2.1780124906384186"
 
 
 def test_estimates_are_the_same_on_every_integer_dtype():
