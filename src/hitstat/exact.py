@@ -4,11 +4,19 @@ The target's KMP automaton (``automata.build_automaton``) composed with
 the symbol process is a finite Markov chain on pairs (automaton node,
 last symbol); making the match node absorbing turns "no match among
 windows 1..m" into the transient mass after a fixed number of
-transitions.  Every such mass comes from one walk (``_walk``) of a
-vector over the sorted step counts asked for: short gaps one ``v @ Q``
-at a time, long ones by binary powering of ``Q``.  The chain is
-assembled with array operations, all (state, column) transitions at
-once.
+transitions.
+
+One builder, ``_build_stack``, assembles the chains of a stack of
+equal-length words at once, all their (state, column) transitions in
+one ``np.add.at``; ``build_product_chain`` is the stack of one.  One
+walk, ``_advance``, moves a stack of vectors by a gap per chain: short
+gaps one ``v @ Q`` at a time, long ones by binary powering of ``Q``
+(``_advance_by``, for the chains that share a gap).
+A lone chain's curve (``_walk``) is that walk with a stack of one over
+the sorted step counts asked for; ``entrance_survival_stack`` gives
+many words one build and one walk, each slice bit for bit its word's
+lone value.
+
 Infinite sums, such as the mean return time, are one subtraction-free GTH
 solve of ``(I - Q) x = 1`` (``models._gth_solve``), whose relative error
 bound is counted from the elimination's fill and does not depend on how
@@ -47,7 +55,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .automata import PatternAutomaton, build_automaton
+from .automata import build_automaton, build_tables
 from .errors import GridTooCoarse, ToleranceNotCertified, ZeroMeasureTarget
 from .models import (
     BernoulliModel,
@@ -62,6 +70,9 @@ from .words import Word, as_word
 
 ENTRANCE = "entrance"
 RETURN = "return"
+# bytes of ``Q`` that ``entrance_survival_stack`` builds and walks at once
+STACK_BYTES = 1 << 20
+_SUM_BATCH = 256  # walk vectors summed by one reduction
 
 
 @dataclass(frozen=True)
@@ -106,7 +117,7 @@ class ProductChain:
 
 
 def build_product_chain(model: MeasureModel, target, conditioning: str = ENTRANCE) -> ProductChain:
-    """Absorbing-chain representation of the entrance or return law."""
+    """Absorbing-chain representation of the entrance or return law: the stack of one of ``_build_stack``."""
     target = as_word(target)
     log_mu = log_cylinder_measure(model, target)
     if log_mu == -math.inf:
@@ -114,49 +125,14 @@ def build_product_chain(model: MeasureModel, target, conditioning: str = ENTRANC
     if conditioning not in (ENTRANCE, RETURN):
         raise ValueError(f"conditioning must be {ENTRANCE!r} or {RETURN!r}")
     auto = build_automaton(target, alphabet_size=model.k)
-    n = len(target)
-    # a context is the symbol the future depends on: the last one for a
-    # Markov model, none for an i.i.d. one; ``rows[c]`` are its column
-    # masses and ``ctx[col]`` the context after reading column ``col``
-    if isinstance(model, MarkovModel):
-        rows, first, contexts = model.P, model.pi, range(model.k)
-        ctx = np.arange(model.k)
-        # node 0 with every context, node u >= 1 with w[u-1] (see ProductChain)
-        live = np.concatenate((ctx, np.arange(1, n) * model.k + np.array(target[:-1], dtype=np.intp)))
-    else:
-        masses = _column_masses(model, auto)
-        rows, first, contexts = masses[None, :], masses, (None,)
-        ctx = np.zeros(len(masses), dtype=np.intp)
-        live = np.arange(n)
-    C = len(contexts)
-    states = [(u, c) for u in range(n) for c in contexts]
-    S = len(states)
-    # state (u, c) is u*C + c; node u reading column col goes to node
-    # T[u, col], where node n absorbs.  The transitions are listed in
-    # (state, column) order, the order in which ``np.add.at`` sums them
-    T = auto.table[:n]
-    nxt = T * C + ctx
-    src = np.repeat(np.arange(S), T.shape[1])
-    dst = np.repeat(nxt, C, axis=0).ravel()
-    mass = np.tile(rows.ravel(), n)
-    keep = np.repeat(T < n, C, axis=0).ravel()
-    Q, exit, initial = np.zeros((S, S)), np.zeros(S), np.zeros(S)
-    np.add.at(Q.reshape(-1), src[keep] * S + dst[keep], mass[keep])
-    np.add.at(exit, src[~keep], mass[~keep])
-    if conditioning == ENTRANCE:
-        keep = T[0] < n
-        np.add.at(initial, nxt[0][keep], first[keep])
-    else:
-        state = 0
-        for sym in target[1:]:
-            state = auto.step(state, sym)
-        initial[state * C + ctx[auto.columns[target[-1]]]] = 1.0
+    cols = np.array([[auto.columns[s] for s in target]], dtype=np.intp)
+    states, Q, exit, initial, live = _build_stack(model, [target], auto.table[None], cols, conditioning)
     return ProductChain(
-        states=tuple(states),
-        Q=Q,
-        exit=exit,
-        initial=initial,
-        live=live,
+        states=states,
+        Q=Q[0],
+        exit=exit[0],
+        initial=initial[0],
+        live=live[0],
         origin_consumed=1 if conditioning == ENTRANCE else len(target) - 1,
         kind=conditioning,
         word=target,
@@ -164,14 +140,75 @@ def build_product_chain(model: MeasureModel, target, conditioning: str = ENTRANC
     )
 
 
-def _column_masses(model: MeasureModel, auto: PatternAutomaton) -> np.ndarray:
-    """Per-column symbol masses for an i.i.d. model (fallback lumped)."""
+def _build_stack(model: MeasureModel, words, tables: np.ndarray, cols: np.ndarray, conditioning: str):
+    """``(states, Q, exit, initial, live)`` of the chains of equal-length words, stacked.
+
+    ``tables`` and ``cols`` are the words' KMP tables and columns
+    (``automata.build_tables``).  ``Q`` is ``(W, S, S)``, ``exit`` and
+    ``initial`` ``(W, S)`` and ``live`` ``(W, L)``; slice ``w`` is word
+    ``w``'s chain.  One ``np.add.at`` sums every word's transitions, in
+    each word's (state, column) order, so each slice is bit for bit the
+    chain of its word alone.  A zero-mass column (the padding of a
+    narrower word's table) leads to node 0 and adds ``0.0``, which
+    changes no sum.
+    """
+    W, n = cols.shape
+    width = tables.shape[2]
+    ar = np.arange(W)
+    # a context is the symbol the future depends on: the last one for a
+    # Markov model, none for an i.i.d. one; ``rows[w, c]`` are its column
+    # masses for word w, and ``ctx[col]`` the context after reading column ``col``
+    if isinstance(model, MarkovModel):
+        rows, first, contexts = model.P[None].repeat(W, 0), model.pi[None].repeat(W, 0), range(model.k)
+        ctx = np.arange(model.k)
+        # node 0 with every context, node u >= 1 with w[u-1] (see ProductChain)
+        live = np.concatenate((ctx[None].repeat(W, 0), np.arange(1, n) * model.k + cols[:, :-1]), axis=1)
+    else:
+        first = _column_masses(model, words, width)
+        rows, contexts = first[:, None, :], (None,)
+        ctx = np.zeros(width, dtype=np.intp)
+        live = np.arange(n)[None].repeat(W, 0)
+    C = len(contexts)
+    states = [(u, c) for u in range(n) for c in contexts]
+    S = len(states)
+    # state (u, c) is u*C + c; node u reading column col goes to node
+    # T[u, col], where node n absorbs.  The transitions are listed in
+    # (word, state, column) order, the order in which ``np.add.at`` sums them
+    T = tables[:, :n]
+    nxt = T * C + ctx
+    src = ar[:, None] * S + np.repeat(np.arange(S), width)
+    dst = np.repeat(nxt, C, axis=1).reshape(W, -1)
+    mass = rows.reshape(W, 1, -1).repeat(n, 1).reshape(W, -1)
+    keep = np.repeat(T < n, C, axis=1).reshape(W, -1)
+    Q, exit, initial = np.zeros((W, S, S)), np.zeros((W, S)), np.zeros((W, S))
+    np.add.at(Q.reshape(-1), src[keep] * S + dst[keep], mass[keep])
+    np.add.at(exit.reshape(-1), src[~keep], mass[~keep])
+    if conditioning == ENTRANCE:
+        keep = T[:, 0] < n
+        np.add.at(initial.reshape(-1), (ar[:, None] * S + nxt[:, 0])[keep], first[keep])
+    else:
+        # the node after the target's tail w[1:], and the context of w[-1]
+        state = np.zeros(W, dtype=np.intp)
+        for u in range(1, n):
+            state = tables[ar, state, cols[:, u]]
+        initial[ar, state * C + ctx[cols[:, -1]]] = 1.0
+    return tuple(states), Q, exit, initial, live
+
+
+def _column_masses(model: MeasureModel, words, width: int) -> np.ndarray:
+    """Per-column symbol masses for an i.i.d. model, one row per word.
+
+    A geometric word's columns are its symbols in sorted order, then the
+    lumped fallback; zero-mass columns pad each row to ``width``.
+    """
     if isinstance(model, BernoulliModel):
-        return model.p.copy()
-    masses = np.zeros(auto.other_col + 1)
-    for sym, col in auto.columns.items():
-        masses[col] = (1.0 - model.theta) * model.theta**sym
-    masses[auto.other_col] = 1.0 - masses.sum()
+        return model.p[None].repeat(len(words), 0)
+    masses = np.zeros((len(words), width))
+    for row, word in zip(masses, words):
+        symbols = sorted(set(word))
+        for col, sym in enumerate(symbols):
+            row[col] = (1.0 - model.theta) * model.theta**sym
+        row[len(symbols)] = 1.0 - row[:len(symbols) + 1].sum()
     return masses
 
 
@@ -232,38 +269,76 @@ def _live_block(chain: ProductChain) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return chain.Q[np.ix_(live, live)], chain.exit[live], chain.initial[live]
 
 
+def _advance(Q: np.ndarray, v: np.ndarray, gaps: list) -> np.ndarray:
+    """The stack ``v`` (W, 1, L) after ``gaps[w]`` transitions of ``Q[w]`` (W, L, L) each.
+
+    Slices with equal gaps advance together (``_advance_by``).  A stack
+    with several gaps is split into one group per gap; each group's
+    blocks are copied once, never per step.
+    """
+    if min(gaps) == max(gaps):
+        return _advance_by(Q, v, gaps[0])
+    gaps = np.asarray(gaps)
+    out = np.empty_like(v)
+    for gap in np.unique(gaps).tolist():
+        group = np.flatnonzero(gaps == gap)
+        out[group] = _advance_by(Q[group], v[group], gap)
+    return out
+
+
+def _advance_by(Q: np.ndarray, v: np.ndarray, gap: int) -> np.ndarray:
+    """The stack ``v`` after ``gap`` transitions of every slice of ``Q``.
+
+    A gap of at most L transitions is taken one ``v @ Q`` at a time,
+    ``L**2`` work each, so no gap costs more than one squaring of ``Q``;
+    a longer gap is binary powering of ``Q``, holding only the current
+    square.  numpy's ``matmul`` makes one BLAS call per slice of a
+    C-ordered stack, the call a stack of one makes, so every slice takes
+    exactly the products it would take alone.
+    """
+    if gap <= Q.shape[-1]:
+        for _ in range(gap):
+            v = v @ Q
+        return v
+    B = Q
+    while gap:
+        if gap & 1:
+            v = v @ B
+        gap >>= 1
+        if gap:
+            B = B @ B
+    return v
+
+
+def _masses(v: np.ndarray) -> list[float]:
+    """Each slice's transient mass ``P(tau > m)``, clamped to [0, 1]."""
+    return [min(max(x, 0.0), 1.0) for (x,) in np.add.reduce(v, axis=2).tolist()]
+
+
 def _walk(chain: ProductChain, m) -> list[float]:
     """``P(tau > m)`` at every entry of the integer sequence ``m``.
 
-    One vector ``v`` on the L live states walks from the origin through
-    the sorted distinct step counts ``chain.steps_for(m)``.  A gap of at
-    most L transitions is taken one ``v @ Q`` at a time, ``L**2`` work
-    each, so no gap costs more than one squaring of ``Q``; a longer gap
-    is binary powering of ``Q``, holding only the current square.
-    ``m = 0`` is 1.
+    One vector on the live states advances (``_advance_by``, a stack of
+    one) from the origin through the sorted distinct step counts
+    ``chain.steps_for(m)``.  The vectors are summed ``_SUM_BATCH`` at a
+    time, one reduction for many that sums each as it would sum it
+    alone.  ``m = 0`` is 1.
     """
     if min(m, default=0) < 0:
         raise ValueError(f"m must be >= 0, got {min(m)}")
     Q, _, v = _live_block(chain)
-    L = len(v)
+    Q, v = Q[None], v[None, None]
+    ks = sorted(set(m) - {0})
     done = 0  # transitions applied so far
     at = {0: 1.0}
-    for k in sorted(set(m) - {0}):
-        e = chain.steps_for(k)
-        gap = e - done
-        if gap <= L:
-            for _ in range(gap):
-                v = v @ Q
-        else:
-            B = Q
-            while gap > 0:
-                if gap & 1:
-                    v = v @ B
-                gap >>= 1
-                if gap:
-                    B = B @ B
-        done = e
-        at[k] = min(max(float(v.sum()), 0.0), 1.0)
+    for lo in range(0, len(ks), _SUM_BATCH):
+        held = []
+        for k in ks[lo:lo + _SUM_BATCH]:
+            e = chain.steps_for(k)
+            v = _advance_by(Q, v, e - done)
+            done = e
+            held.append(v)
+        at.update(zip(ks[lo:lo + _SUM_BATCH], _masses(np.concatenate(held))))
     return [at[k] for k in m]
 
 
@@ -296,6 +371,37 @@ def survival_at(chain: ProductChain, m):
         raise ValueError(f"m must be an integer or a 1-d array, got shape {steps.shape}")
     values = _walk(chain, steps.reshape(-1).tolist())
     return values[0] if steps.ndim == 0 else np.array(values)
+
+
+def entrance_survival_stack(model: MeasureModel, words, m) -> list[float]:
+    """``P(tau_w > m_w)`` for a list of equal-length words, one step count ``m_w >= 0`` each.
+
+    Each value is bit for bit ``survival_at(build_product_chain(model, w), m_w)``:
+    the entrance chains are built as one stack (``_build_stack``) and
+    their live blocks advanced by one ``_advance``, in stacks of at most
+    ``STACK_BYTES`` of ``Q``.
+    """
+    words = [as_word(w) for w in words]
+    out = []
+    if not words:
+        return out
+    n = len(words[0])
+    S = n * (model.k if isinstance(model, MarkovModel) else 1)
+    size = max(1, STACK_BYTES // (8 * S * S))
+    for lo in range(0, len(words), size):
+        part, steps = words[lo:lo + size], m[lo:lo + size]
+        tables, cols = build_tables(part, model.k)
+        _, Q, _, initial, live = _build_stack(model, part, tables, cols, ENTRANCE)
+        if live.shape[1] < S:
+            # C-ordered, as a lone chain's blocks are: ``matmul`` picks its
+            # BLAS call, and with it the rounding, by the strides
+            ar = np.arange(len(part))[:, None]
+            Q = np.ascontiguousarray(Q[ar[:, :, None], live[:, :, None], live[:, None, :]])
+            initial = np.ascontiguousarray(initial[ar, live])
+        # an entrance chain's ``steps_for(m)``, m + n - 2; m = 0 is 1 and takes no step
+        v = _advance(Q, initial[:, None, :], [k + n - 2 if k else 0 for k in steps])
+        out += [x if k else 1.0 for k, x in zip(steps, _masses(v))]
+    return out
 
 
 # ---------------------------------------------------------------------------

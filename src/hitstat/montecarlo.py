@@ -24,7 +24,10 @@ import numpy as np
 from scipy.special import expm1
 
 from .errors import CensoringExceeded, ZeroMeasureTarget
-from .exact import ENTRANCE, RETURN, SurvivalCurve, build_product_chain, step_at, survival_at
+from .exact import ENTRANCE, RETURN, SurvivalCurve, entrance_survival_stack, step_at
+# unused here, but perfbench/tracing.py patches ``montecarlo.build_product_chain``
+# and ``montecarlo.survival_at``
+from .exact import build_product_chain, survival_at  # noqa: F401
 from .models import (
     MeasureModel,
     cylinder_measure,
@@ -80,11 +83,11 @@ class Ensemble:
                        censored=np.sort(cens))
 
 
-def ensemble(sample, N: int, indices=None) -> Ensemble:
-    """Rows of ``sample(j)`` for each ``j`` in ``indices`` (default ``range(N)``).
+def ensemble(samples, N: int, indices=None) -> Ensemble:
+    """Rows of the samples ``indices`` (default ``range(N)``).
 
-    ``sample(j)`` returns the value of sample ``j``, or ``None`` when the
-    sample is censored.  Indices run in increasing order; one outside
+    ``samples(js)`` returns the value of each sample of the increasing
+    index list ``js``, or ``None`` for a censored one.  An index outside
     ``[0, N)`` or given twice raises ``ValueError`` before any sample runs.
     """
     idx = np.sort(np.fromiter(range(N) if indices is None else indices, dtype=np.int64))
@@ -92,15 +95,20 @@ def ensemble(sample, N: int, indices=None) -> Ensemble:
         raise ValueError("sample indices must lie in [0, N)")
     if np.any(idx[1:] == idx[:-1]):
         raise ValueError("duplicate sample indices")
-    values = [sample(j) for j in idx.tolist()]
+    values = samples(idx.tolist())
     done = np.array([v is not None for v in values], dtype=bool)
     return Ensemble(indices=idx[done], censored=idx[~done],
                     values=np.array([v for v in values if v is not None], dtype=float))
 
 
+def _each(sample):
+    """``samples`` for ``ensemble`` from a function of one index."""
+    return lambda js: [sample(j) for j in js]
+
+
 def _word(model: MeasureModel, seed: int, j: int, n: int) -> tuple:
     """Sample ``j``'s word: the n-prefix of its z-role substream."""
-    return tuple(int(x) for x in sample_orbit(model, (seed, j, 0), n))
+    return tuple(sample_orbit(model, (seed, j, 0), n).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +162,7 @@ class ExponentSamples(Ensemble):
 
 
 def _exponents(sample, N, indices, kind, n, s, target) -> ExponentSamples:
-    return ExponentSamples(**vars(ensemble(sample, N, indices)), kind=kind, n=n, s=s, target=target)
+    return ExponentSamples(**vars(ensemble(_each(sample), N, indices)), kind=kind, n=n, s=s, target=target)
 
 
 def entrance_exponent_samples(model: MeasureModel, n: int, N: int, seed: int,
@@ -301,7 +309,7 @@ def _survival_experiment(model, word, N, t_grid, seed, kind, indices) -> Surviva
         tau = entrance_time(OrbitStream(model, (seed, j, 1), start=start), word, cap=cap)
         return None if tau.censored else tau.value
 
-    return SurvivalExperiment(**vars(ensemble(sample, N, indices)), kind=kind, word=word,
+    return SurvivalExperiment(**vars(ensemble(_each(sample), N, indices)), kind=kind, word=word,
                               t_grid=tuple(t.tolist()), mu=mu, cap=cap)
 
 
@@ -344,6 +352,8 @@ class TailIntegral(Ensemble):
 
     @property
     def estimate(self) -> float:
+        if not len(self.values):
+            raise ValueError("no words to average: the ensemble part is empty")
         return float(self.values.mean())
 
     @property
@@ -359,15 +369,18 @@ def survival_tail_integral(model: MeasureModel, n: int, epsilon: float, n_outer:
     Outer Monte Carlo over words drawn from the measure; the inner
     probability is computed exactly from each word's absorbing chain.
     Its decay in ``n`` is the summability diagnostic behind the
-    exponential entrance law.
+    exponential entrance law.  Sample ``j``'s word is the n-prefix of
+    substream ``(seed, j, 0)``; the words of one run (or one part of it)
+    share one stacked chain build and one walk
+    (``exact.entrance_survival_stack``).
     """
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     threshold = math.exp(n * epsilon)
 
-    def sample(j):
-        word = _word(model, seed, j, n)
-        m = int(step_at(threshold, cylinder_measure(model, word)))
-        return survival_at(build_product_chain(model, word, ENTRANCE), m)
+    def samples(js):
+        words = [_word(model, seed, j, n) for j in js]
+        m = step_at(threshold, np.array([cylinder_measure(model, w) for w in words]))
+        return entrance_survival_stack(model, words, m.tolist())
 
-    return TailIntegral(**vars(ensemble(sample, n_outer, indices)), n=n, epsilon=epsilon)
+    return TailIntegral(**vars(ensemble(samples, n_outer, indices)), n=n, epsilon=epsilon)

@@ -263,12 +263,13 @@ def window_counts(sequence, n: int) -> np.ndarray:
     ``k**n`` codes fit and in ``uint64`` otherwise, one block of
     ``_BLOCK`` windows at a time so the code passes run in cache; symbols
     of any integer dtype are added straight into the codes, never widened
-    first.  A code space ``k**n`` no larger than a block is tallied per
-    block by ``np.bincount`` into one table, so no array of all the codes
-    exists.  A larger space keeps every code: ``np.bincount`` tabulates
-    them when ``k**n`` is no larger than the window count ``m``, and
-    ``np.unique`` sorts them otherwise.  All give the counts of the
-    windows present in ascending code order.
+    first.  A code space ``k**n`` no larger than a block or than the
+    window count ``m`` is tallied by ``np.bincount`` into one table, a
+    block at a time, or ``ceil(k**n / _BLOCK)`` blocks at a time when
+    the space is larger, so no table is zeroed and added for fewer
+    codes than it has entries and no array of all the codes exists.  A
+    space above both keeps every code and ``np.unique`` sorts them.
+    Both give the counts of the windows present in ascending code order.
     """
     seq = as_symbols(sequence)
     if seq.ndim != 1 or len(seq) == 0:
@@ -294,18 +295,36 @@ def window_counts(sequence, n: int) -> np.ndarray:
     starts = range(0, m, _BLOCK)
     # each block's codes are a view of ``a`` or ``b``, overwritten by the next
     blocks = (_window_codes(seq[lo:lo + _BLOCK + n - 1], n, k, a, b) for lo in starts)
-    if space <= _BLOCK:
-        counts = np.zeros(space, dtype=np.intp)
-        for part in blocks:
-            counts += np.bincount(part, minlength=space)
-    else:
+    if space > max(m, _BLOCK):
         codes = np.empty(m, dtype=dtype)
         for lo, part in zip(starts, blocks):
             codes[lo:lo + len(part)] = part
-        if space > m:
-            return np.unique(codes, return_counts=True)[1]
-        counts = np.bincount(codes)
+        return np.unique(codes, return_counts=True)[1]
+    counts = np.zeros(space, dtype=np.intp)
+    for part in _chunks(blocks, -(-space // _BLOCK)):
+        counts += np.bincount(part, minlength=space)
     return counts[counts != 0]
+
+
+def _chunks(blocks, group: int):
+    """The codes of ``group`` consecutive blocks at a time, the last run possibly shorter.
+
+    A group of one passes each block through; a longer group is copied
+    into one ``intp`` buffer, which ``np.bincount`` reads without a cast.
+    """
+    if group == 1:
+        yield from blocks
+        return
+    buf = np.empty(group * _BLOCK, dtype=np.intp)
+    filled = 0
+    for part in blocks:
+        buf[filled:filled + len(part)] = part
+        filled += len(part)
+        if filled == len(buf):
+            yield buf
+            filled = 0
+    if filled:
+        yield buf[:filled]
 
 
 def plugin_renyi_estimate(sequence, n: int, s: float) -> float:

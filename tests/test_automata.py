@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hitstat.automata import build_automaton
+from hitstat.automata import build_automaton, build_tables
 from hitstat.errors import InvalidSymbol
 
 
@@ -82,6 +82,26 @@ def test_table_is_the_longest_suffix_that_is_a_prefix(k, data):
     for u in range(n + 1):
         for col, sym in symbol_of.items():
             assert auto.table[u, col] == naive_next(word, u, sym)
+
+
+@given(st.sampled_from([2, 3, 16, None]), st.data())
+@settings(max_examples=120, deadline=None)
+def test_each_slice_of_a_stack_is_its_words_table(k, data):
+    top = 5 if k is None else k - 1
+    n = data.draw(st.integers(1, 12))
+    words = [tuple(data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n)))
+             for _ in range(data.draw(st.integers(1, 6)))]
+    tables, cols = build_tables(words, alphabet_size=k)
+    for w, word in enumerate(words):
+        auto = build_automaton(word, alphabet_size=k)
+        width = auto.table.shape[1]
+        assert tables[w, :, :width].tobytes() == auto.table.tobytes()
+        # a countable alphabet pads narrower words with columns that lead to node 0
+        assert not tables[w, :, width:].any()
+        assert cols[w].tolist() == [auto.columns[s] for s in word]
+        for u in range(n + 1):
+            for col, sym in {c: s for s, c in auto.columns.items()}.items():
+                assert tables[w, u, col] == naive_next(word, u, sym)
 
 
 @given(

@@ -16,9 +16,13 @@ from hitstat.errors import (
     ToleranceNotCertified,
     ZeroMeasureTarget,
 )
+from hitstat.automata import build_tables
 from hitstat.exact import (
     ENTRANCE,
     RETURN,
+    _advance,
+    _build_stack,
+    entrance_survival_stack,
     fit_survival_shape,
     build_product_chain,
     exact_mean_return,
@@ -302,6 +306,73 @@ def test_survival_is_bit_identical_to_stepping_and_to_powering(name, kind, data)
     m = L + 2 + data.draw(st.integers(0, 10**7))
     assert chain.steps_for(m) > L
     assert survival_at(chain, m) == powered_oracle(chain, m, Q, initial)
+
+
+def draw_words(model, data):
+    """One to five words of one drawn length, for a stacked build."""
+    top = 6 if model.k is None else model.k - 1
+    n = data.draw(st.integers(1, 10))
+    words = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        word = tuple(data.draw(st.lists(st.integers(0, top), min_size=1, max_size=n)))
+        words.append((word * n)[:n])  # short draws repeat: runs and periods
+    return words
+
+
+@given(st.sampled_from(sorted(ORACLE_MODELS)), st.sampled_from(["entrance", "return"]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_stacked_build_is_bit_identical_to_the_double_loop(name, kind, data):
+    model = ORACLE_MODELS[name]
+    words = draw_words(model, data)
+    tables, cols = build_tables(words, model.k)
+    states, Q, exit, initial, live = _build_stack(model, words, tables, cols, kind)
+    for w, word in enumerate(words):
+        # a geometric word narrower than the stack has zero-mass padding columns
+        want_states, *want = oracle_chain(model, word, kind)
+        assert states == want_states
+        for got, oracle in zip((Q[w], exit[w], initial[w]), want):
+            assert got.shape == oracle.shape and got.dtype == oracle.dtype
+            assert got.tobytes() == oracle.tobytes()
+        assert live[w].tolist() == build_product_chain(model, word, kind).live.tolist()
+
+
+def draw_steps(data, words, L):
+    """A step count per word: 0, a gap of at most ``L`` transitions, or a powered one."""
+    n = len(words[0])
+    return [data.draw(st.sampled_from([0, data.draw(st.integers(1, max(1, L - n + 2))),
+                                       data.draw(st.integers(L + 1, 10**7))]))
+            for _ in words]
+
+
+@given(st.sampled_from(sorted(ORACLE_MODELS)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_stacked_entrance_survival_is_bit_identical_to_each_lone_chain(name, data):
+    model = ORACLE_MODELS[name]
+    words = draw_words(model, data)
+    chains = [build_product_chain(model, word, ENTRANCE) for word in words]
+    m = draw_steps(data, words, len(chains[0].live))
+    if data.draw(st.booleans()):
+        m = [m[0]] * len(m)  # one gap for the whole stack
+    got = entrance_survival_stack(model, words, m)
+    assert got == [survival_at(chain, k) for chain, k in zip(chains, m)]
+
+
+@given(st.sampled_from(sorted(ORACLE_MODELS)), st.sampled_from(["entrance", "return"]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_stack_advances_each_slice_as_it_advances_alone(name, kind, data):
+    model = ORACLE_MODELS[name]
+    words = draw_words(model, data)
+    chains = [build_product_chain(model, word, kind) for word in words]
+    blocks = [live_block(chain) for chain in chains]
+    L = len(blocks[0][1])
+    gaps = [chain.steps_for(k) if k else 0 for chain, k in zip(chains, draw_steps(data, words, L))]
+    v = _advance(np.stack([Q for Q, _ in blocks]), np.stack([v for _, v in blocks])[:, None, :], gaps)
+    lone = [_advance(Q[None], v[None, None], [gap]) for (Q, v), gap in zip(blocks, gaps)]
+    assert v.tobytes() == np.concatenate(lone).tobytes()
+
+
+def test_entrance_survival_stack_of_no_words_is_empty():
+    assert entrance_survival_stack(FAIR, [], []) == []
 
 
 @st.composite

@@ -27,7 +27,10 @@ from hitstat import (
     shannon_entropy,
     survival_tail_integral,
 )
-from hitstat.models import BernoulliModel
+from hitstat import exact
+from hitstat.exact import step_at, survival_at
+from hitstat.models import BernoulliModel, cylinder_measure, geometric
+from hitstat.montecarlo import _word
 
 FAIR = builtin_model("fair-coin")
 BIASED = builtin_model("biased-coin")
@@ -287,6 +290,66 @@ def test_tail_integral_decays_in_n_and_in_epsilon():
     # same words, larger threshold: survival smaller word by word
     assert np.all(narrow.values <= wide.values)
     assert narrow.estimate < wide.estimate
+
+
+TAIL_MODELS = {"fair": FAIR, "biased": BIASED, "chain": CHAIN, "geometric": geometric(0.5)}
+
+
+@pytest.mark.parametrize("name", list(TAIL_MODELS))
+def test_tail_integral_values_are_the_lone_chain_values(name):
+    model = TAIL_MODELS[name]
+    run = survival_tail_integral(model, n=8, epsilon=0.1, n_outer=40, seed=9)
+    threshold = math.exp(8 * 0.1)
+    lone = []
+    for j in range(40):
+        word = _word(model, 9, j, 8)
+        m = int(step_at(threshold, cylinder_measure(model, word)))
+        lone.append(survival_at(build_product_chain(model, word, ENTRANCE), m))
+    assert run.values.tolist() == lone
+
+
+# recorded from the per-word path that built one chain per word
+TAIL_PINS = {
+    "fair": (0.11055896502607025, 0.005473532282925171),
+    "biased": (0.125570860762037, 0.014528793625243485),
+    "chain": (0.18976132910910487, 0.033408315660884466),
+    "geometric": (0.11338307081614465, 0.005358819668743876),
+}
+
+
+@pytest.mark.parametrize("name", list(TAIL_MODELS))
+def test_tail_integral_estimates_are_pinned(name):
+    run = survival_tail_integral(TAIL_MODELS[name], n=8, epsilon=0.1, n_outer=40, seed=9)
+    assert (run.estimate, run.std_error) == TAIL_PINS[name]
+
+
+@pytest.mark.parametrize("name", list(TAIL_MODELS))
+def test_tail_integral_parts_merge_to_the_one_pass_rows(name):
+    model = TAIL_MODELS[name]
+    kwargs = dict(model=model, n=6, epsilon=0.1, n_outer=30, seed=4)
+    whole = _fingerprint(survival_tail_integral(**kwargs))
+    for cuts in ([15], [1, 12], [0, 0, 7, 30, 30]):  # halves, uneven thirds, empty parts
+        bounds = [0, *cuts, 30]
+        parts = [survival_tail_integral(**kwargs, indices=range(a, b)) for a, b in zip(bounds, bounds[1:])]
+        assert _fingerprint(functools.reduce(lambda a, b: a.merge(b), parts)) == whole
+
+
+def test_a_cut_stack_gives_the_uncut_values(monkeypatch):
+    whole = {name: survival_tail_integral(model, n=10, epsilon=0.1, n_outer=25, seed=2).values.tobytes()
+             for name, model in TAIL_MODELS.items()}
+    for size in (1, 8 * 10 * 10 * 3, 8 * 20 * 20 * 7):  # one word, three and seven i.i.d. or chain words
+        monkeypatch.setattr(exact, "STACK_BYTES", size)
+        for name, model in TAIL_MODELS.items():
+            run = survival_tail_integral(model, n=10, epsilon=0.1, n_outer=25, seed=2)
+            assert run.values.tobytes() == whole[name]
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_empty_tail_part_has_no_estimate():
+    part = survival_tail_integral(FAIR, n=6, epsilon=0.1, n_outer=10, seed=1, indices=[])
+    assert part.total == 0 and part.std_error == 0.0
+    with pytest.raises(ValueError, match="empty"):
+        part.estimate
 
 
 def test_tail_integral_rejects_nonpositive_epsilon():

@@ -246,6 +246,25 @@ def test_window_counts_peak_memory_stays_within_a_few_blocks():
     assert peak < 4 * 10**6
 
 
+def test_a_code_space_above_a_block_is_tallied_in_chunks():
+    # 2**20 codes: above one block, below the 4 Mi windows
+    n = 20
+    seq = substream(12, 1).integers(0, 2, size=4 << 20).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        counts = window_counts(seq, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    codes = np.zeros(len(seq) - n + 1, dtype=np.int64)
+    for i in range(n):
+        codes = 2 * codes + seq[i:i + len(codes)]
+    assert counts.tolist() == np.unique(codes, return_counts=True)[1].tolist()
+    # the count table and each chunk's tally and codes, 8 MB each; the full
+    # code array with its intp cast took 59 MB
+    assert peak < 4 * 8 * 2**n
+
+
 def test_plugin_estimates_on_a_packed_coin_file_are_pinned():
     # a 1 MiB file of packed (0.7, 0.3) coin bits; the values are the
     # estimates' reprs, so any change in the counts or their order fails
