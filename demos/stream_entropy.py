@@ -10,9 +10,9 @@ import numpy as np
 
 from hitstat import (
     OrbitStream,
-    SymbolMap,
     builtin_model,
     ingest,
+    named_map,
     ow_entropy_estimate,
     plugin_renyi_estimate,
     renyi_entropy,
@@ -42,7 +42,7 @@ for s in (0.5, 1.0, 2.0):
 # byte plumbing: pack the bit stream into bytes, read it back through
 # the bit map, and the estimator sees the identical sequence
 data = np.packbits(seq[:80_000]).tobytes()
-symbols = ingest(data, SymbolMap.bits())
+symbols = ingest(data, named_map("bit"))
 assert np.array_equal(symbols, seq[:80_000])
 print(f"\nround trip through bytes: {len(data)} bytes -> {len(symbols)} bit symbols")
 est = ow_entropy_estimate(symbols, [12], starts_per_n=200, seed=3).rows[0]

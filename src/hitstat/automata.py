@@ -1,50 +1,27 @@
-"""The matching automaton of one word over a symbol stream.
+"""KMP tables: the matching automaton of a word over a symbol stream, as an array.
 
 For a word ``w`` of length ``n`` the automaton is the Knuth-Morris-Pratt
-table: node ``u`` means the longest suffix of the symbols read so far
-that is a prefix of ``w`` has length ``u``, and node ``n`` is a match.
-Row ``u`` of the table is row ``fail(u)`` (the node of ``w[1:u]``) with
-the column of ``w[u]`` set to ``u + 1``, so the rows are built in order
-from the rows before them, for a whole stack of equal-length words at
-once (``build_tables``).  The automaton carries no scan position, so
-one instance can serve any number of streams.
+table: ``table[u, col]`` is the node after node ``u`` reads column
+``col``, node ``u`` meaning that the longest suffix of the symbols read
+so far that is a prefix of ``w`` has length ``u``, and node ``n`` a
+match.  Row ``u`` of the table is row ``fail(u)`` (the node of
+``w[1:u]``) with the column of ``w[u]`` set to ``u + 1``, so the rows
+are built in order from the rows before them, for a whole stack of
+equal-length words at once (``build_tables``); ``build_automaton`` is
+the stack of one.  A table carries no scan position, so one table can
+serve any number of streams.
 
-Countable alphabets get one column per symbol of ``w``, in sorted order,
-plus a fallback column shared by every other symbol: such a symbol ends
-any partial match, so it leads to node 0 from every node.
+A finite alphabet's column is the symbol itself.  Countable alphabets
+get one column per symbol of ``w``, in sorted order, plus a fallback
+column shared by every other symbol: such a symbol ends any partial
+match, so it leads to node 0 from every node.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidSymbol
-from .words import Word, as_word
-
-
-@dataclass(frozen=True)
-class PatternAutomaton:
-    """KMP table of one word: ``table[u, col]`` is the node after node ``u`` reads ``col``."""
-
-    table: np.ndarray              # (n + 1, columns) intp; node n is the match
-    columns: dict[int, int]        # symbol -> column of ``table``
-    other_col: int | None          # column for symbols outside ``columns``
-    word: Word
-
-    def step(self, state: int, symbol: int) -> int:
-        col = self.columns.get(symbol, self.other_col)
-        if col is None:
-            raise InvalidSymbol(f"symbol {symbol} outside the automaton alphabet")
-        return int(self.table[state, col])
-
-
-def _columns(word: Word, alphabet_size: int | None) -> tuple[dict[int, int], int | None]:
-    """Symbol -> column map of ``word`` and its fallback column (``None`` on a finite alphabet)."""
-    if alphabet_size is not None:
-        return {s: s for s in range(alphabet_size)}, None
-    columns = {s: i for i, s in enumerate(sorted(set(word)))}
-    return columns, len(columns)
+from .words import as_word
 
 
 def build_tables(words, alphabet_size: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -59,9 +36,9 @@ def build_tables(words, alphabet_size: int | None = None) -> tuple[np.ndarray, n
     to node 0 from every node.
     """
     if alphabet_size is None:
-        maps = [_columns(w, None) for w in words]
-        width = max(len(c) + 1 for c, _ in maps)
-        cols = np.array([[c[s] for s in w] for w, (c, _) in zip(words, maps)], dtype=np.intp)
+        maps = [{s: i for i, s in enumerate(sorted(set(w)))} for w in words]
+        width = max(len(c) + 1 for c in maps)
+        cols = np.array([[c[s] for s in w] for w, c in zip(words, maps)], dtype=np.intp)
     else:
         width, cols = alphabet_size, np.array(words, dtype=np.intp)
         if cols.max(initial=0) >= width:
@@ -83,14 +60,11 @@ def build_tables(words, alphabet_size: int | None = None) -> tuple[np.ndarray, n
     return np.ascontiguousarray(rows.transpose(1, 0, 2)), cols
 
 
-def build_automaton(word, alphabet_size: int | None = None) -> PatternAutomaton:
-    """KMP automaton of ``word``: the stack of one of ``build_tables``.
+def build_automaton(word, alphabet_size: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """KMP table of ``word``: ``build_tables`` of the stack of one.
 
     ``alphabet_size`` fixes a finite alphabet ``{0, ..., k-1}`` with one
     column per symbol; omit it for countable alphabets, which get columns
     for the symbols of the word plus a shared fallback column.
     """
-    word = as_word(word)
-    tables, _ = build_tables([word], alphabet_size)
-    columns, other_col = _columns(word, alphabet_size)
-    return PatternAutomaton(table=tables[0], columns=columns, other_col=other_col, word=word)
+    return build_tables([as_word(word)], alphabet_size)

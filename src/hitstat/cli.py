@@ -518,17 +518,9 @@ def _write_report(outdir: Path, cfg, params, columns, rows, results, tol_ok):
 
 
 def _resolve_workers(args) -> int:
-    if args.workers is not None:
-        workers = args.workers
-    else:
-        env = os.environ.get("HITSTAT_WORKERS", "")
-        try:
-            workers = int(env) if env else 1
-        except ValueError as exc:
-            raise ConfigError(f"HITSTAT_WORKERS must be an integer, got {env!r}") from exc
-    if workers < 1:
-        raise ConfigError(f"worker count must be >= 1, got {workers}")
-    return workers
+    if args.workers < 1:
+        raise ConfigError(f"worker count must be >= 1, got {args.workers}")
+    return args.workers
 
 
 def main(argv=None) -> int:
@@ -537,8 +529,7 @@ def main(argv=None) -> int:
         description="Run one entrance-time / entropy experiment from a JSON config.",
     )
     parser.add_argument("--config", required=True, help="experiment JSON file")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="parallel workers (default: HITSTAT_WORKERS or 1)")
+    parser.add_argument("--workers", type=int, default=1, help="parallel workers (default: 1)")
     parser.add_argument("--outdir", default=None, help="output directory override")
     args = parser.parse_args(argv)
 

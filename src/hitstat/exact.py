@@ -1,21 +1,22 @@
 """Exact entrance and return time laws via absorbing product chains.
 
-The target's KMP automaton (``automata.build_automaton``) composed with
+The target's KMP table (``automata.build_automaton``) composed with
 the symbol process is a finite Markov chain on pairs (automaton node,
-last symbol); making the match node absorbing turns "no match among
-windows 1..m" into the transient mass after a fixed number of
-transitions.
+context), the context being the last symbol for a Markov source and
+nothing for an i.i.d. one; making the match node absorbing turns "no
+match among windows 1..m" into the transient mass after a fixed number
+of transitions.
 
 One builder, ``_build_stack``, assembles the chains of a stack of
 equal-length words at once, all their (state, column) transitions in
 one ``np.add.at``; ``build_product_chain`` is the stack of one.  One
-walk, ``_advance``, moves a stack of vectors by a gap per chain: short
-gaps one ``v @ Q`` at a time, long ones by binary powering of ``Q``
-(``_advance_by``, for the chains that share a gap).
-A lone chain's curve (``_walk``) is that walk with a stack of one over
-the sorted step counts asked for; ``entrance_survival_stack`` gives
-many words one build and one walk, each slice bit for bit its word's
-lone value.
+walk, ``_walk``, moves a stack of vectors through a table of step
+counts, one column at a time: short gaps one ``v @ Q`` at a time, long
+ones by binary powering of ``Q`` (``_advance``, ``_advance_by``).  A
+lone chain's curve (``survival_at``, ``exact_survival``) is that walk
+with a stack of one over the sorted step counts asked for;
+``entrance_survival_stack`` gives many words one build and one walk of
+one step count each, each value bit for bit its word's lone value.
 
 Infinite sums, such as the mean return time, are one subtraction-free GTH
 solve of ``(I - Q) x = 1`` (``models._gth_solve``), whose relative error
@@ -77,14 +78,14 @@ _SUM_BATCH = 256  # walk vectors summed by one reduction
 
 @dataclass(frozen=True)
 class ProductChain:
-    """Absorbing chain of (automaton node, last symbol) pairs.
+    """Absorbing chain of (automaton node, context) pairs.
 
-    ``states`` lists the transient states; i.i.d. models drop the last
-    symbol coordinate (stored as ``None``) since it never affects the
-    future.  ``Q`` is the transient-to-transient block and ``exit`` each
-    row's mass into the match node, summed from its transitions (not
-    ``1 - Q.sum(1)``).  ``origin_consumed`` records how many shifted
-    symbols the ``initial`` vector already accounts for.
+    State ``u*C + c`` is node ``u`` with context ``c``: the last symbol
+    (C = k) for a Markov model, none (C = 1) for an i.i.d. one, whose
+    future does not depend on it.  ``Q`` is the transient-to-transient
+    block and ``exit`` each row's mass into the match node, summed from
+    its transitions (not ``1 - Q.sum(1)``).  ``origin_consumed`` records
+    how many shifted symbols the ``initial`` vector already accounts for.
 
     ``live`` are the indices, ascending, of the states that can carry
     mass.  Every transition into node ``u >= 1`` reads the symbol
@@ -97,7 +98,6 @@ class ProductChain:
     For i.i.d. models every state is live.
     """
 
-    states: tuple
     Q: np.ndarray
     exit: np.ndarray
     initial: np.ndarray
@@ -111,9 +111,14 @@ class ProductChain:
     def n(self) -> int:
         return len(self.word)
 
-    def steps_for(self, m: int) -> int:
-        """Transitions from the origin until windows 1..m are decided."""
-        return (m + self.n - 1) - self.origin_consumed
+    def steps_for(self, m):
+        """Transitions from the origin until windows 1..m are decided (``_steps_for``)."""
+        return _steps_for(m, self.n, self.origin_consumed)
+
+
+def _steps_for(m, n: int, origin_consumed: int):
+    """``m + n - 1 - origin_consumed``: the transitions that decide windows 1..m; elementwise."""
+    return m + (n - 1 - origin_consumed)
 
 
 def build_product_chain(model: MeasureModel, target, conditioning: str = ENTRANCE) -> ProductChain:
@@ -124,11 +129,9 @@ def build_product_chain(model: MeasureModel, target, conditioning: str = ENTRANC
         raise ZeroMeasureTarget(f"target {target} has measure zero")
     if conditioning not in (ENTRANCE, RETURN):
         raise ValueError(f"conditioning must be {ENTRANCE!r} or {RETURN!r}")
-    auto = build_automaton(target, alphabet_size=model.k)
-    cols = np.array([[auto.columns[s] for s in target]], dtype=np.intp)
-    states, Q, exit, initial, live = _build_stack(model, [target], auto.table[None], cols, conditioning)
+    tables, cols = build_automaton(target, alphabet_size=model.k)
+    Q, exit, initial, live = _build_stack(model, [target], tables, cols, conditioning)
     return ProductChain(
-        states=states,
         Q=Q[0],
         exit=exit[0],
         initial=initial[0],
@@ -141,14 +144,15 @@ def build_product_chain(model: MeasureModel, target, conditioning: str = ENTRANC
 
 
 def _build_stack(model: MeasureModel, words, tables: np.ndarray, cols: np.ndarray, conditioning: str):
-    """``(states, Q, exit, initial, live)`` of the chains of equal-length words, stacked.
+    """``(Q, exit, initial, live)`` of the chains of equal-length words, stacked.
 
     ``tables`` and ``cols`` are the words' KMP tables and columns
     (``automata.build_tables``).  ``Q`` is ``(W, S, S)``, ``exit`` and
     ``initial`` ``(W, S)`` and ``live`` ``(W, L)``; slice ``w`` is word
-    ``w``'s chain.  One ``np.add.at`` sums every word's transitions, in
-    each word's (state, column) order, so each slice is bit for bit the
-    chain of its word alone.  A zero-mass column (the padding of a
+    ``w``'s chain, its states numbered as in ``ProductChain``.  One
+    ``np.add.at`` sums every word's transitions, in each word's (state,
+    column) order, so each slice is bit for bit the chain of its word
+    alone.  A zero-mass column (the padding of a
     narrower word's table) leads to node 0 and adds ``0.0``, which
     changes no sum.
     """
@@ -159,18 +163,16 @@ def _build_stack(model: MeasureModel, words, tables: np.ndarray, cols: np.ndarra
     # Markov model, none for an i.i.d. one; ``rows[w, c]`` are its column
     # masses for word w, and ``ctx[col]`` the context after reading column ``col``
     if isinstance(model, MarkovModel):
-        rows, first, contexts = model.P[None].repeat(W, 0), model.pi[None].repeat(W, 0), range(model.k)
+        rows, first, C = model.P[None].repeat(W, 0), model.pi[None].repeat(W, 0), model.k
         ctx = np.arange(model.k)
         # node 0 with every context, node u >= 1 with w[u-1] (see ProductChain)
         live = np.concatenate((ctx[None].repeat(W, 0), np.arange(1, n) * model.k + cols[:, :-1]), axis=1)
     else:
         first = _column_masses(model, words, width)
-        rows, contexts = first[:, None, :], (None,)
+        rows, C = first[:, None, :], 1
         ctx = np.zeros(width, dtype=np.intp)
         live = np.arange(n)[None].repeat(W, 0)
-    C = len(contexts)
-    states = [(u, c) for u in range(n) for c in contexts]
-    S = len(states)
+    S = n * C
     # state (u, c) is u*C + c; node u reading column col goes to node
     # T[u, col], where node n absorbs.  The transitions are listed in
     # (word, state, column) order, the order in which ``np.add.at`` sums them
@@ -192,7 +194,7 @@ def _build_stack(model: MeasureModel, words, tables: np.ndarray, cols: np.ndarra
         for u in range(1, n):
             state = tables[ar, state, cols[:, u]]
         initial[ar, state * C + ctx[cols[:, -1]]] = 1.0
-    return tuple(states), Q, exit, initial, live
+    return Q, exit, initial, live
 
 
 def _column_masses(model: MeasureModel, words, width: int) -> np.ndarray:
@@ -261,12 +263,17 @@ def step_at(t, mu: float) -> np.ndarray:
     return np.maximum(np.ceil(r).astype(np.int64) - 1, 0)
 
 
-def _live_block(chain: ProductChain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``Q``, ``exit`` and ``initial`` on the live states; the full arrays when all are live."""
-    live = chain.live
-    if len(live) == len(chain.states):
-        return chain.Q, chain.exit, chain.initial
-    return chain.Q[np.ix_(live, live)], chain.exit[live], chain.initial[live]
+def _live(Q: np.ndarray, exit: np.ndarray, initial: np.ndarray, live: np.ndarray):
+    """``Q``, ``exit`` and ``initial`` of a stack on its live states; the stack itself when all are live.
+
+    The blocks are C-ordered, as a lone chain's are: ``matmul`` picks its
+    BLAS call, and with it the rounding, by the strides.
+    """
+    if live.shape[1] == Q.shape[1]:
+        return Q, exit, initial
+    ar = np.arange(len(live))[:, None]
+    Q = np.ascontiguousarray(Q[ar[:, :, None], live[:, :, None], live[:, None, :]])
+    return Q, exit[ar, live], initial[ar, live]
 
 
 def _advance(Q: np.ndarray, v: np.ndarray, gaps: list) -> np.ndarray:
@@ -310,36 +317,51 @@ def _advance_by(Q: np.ndarray, v: np.ndarray, gap: int) -> np.ndarray:
     return v
 
 
-def _masses(v: np.ndarray) -> list[float]:
-    """Each slice's transient mass ``P(tau > m)``, clamped to [0, 1]."""
-    return [min(max(x, 0.0), 1.0) for (x,) in np.add.reduce(v, axis=2).tolist()]
+def _walk(Q: np.ndarray, v: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """The transient mass of the stack ``v`` (W, 1, L) after each entry of ``steps``, clamped to [0, 1].
 
-
-def _walk(chain: ProductChain, m) -> list[float]:
-    """``P(tau > m)`` at every entry of the integer sequence ``m``.
-
-    One vector on the live states advances (``_advance_by``, a stack of
-    one) from the origin through the sorted distinct step counts
-    ``chain.steps_for(m)``.  The vectors are summed ``_SUM_BATCH`` at a
-    time, one reduction for many that sums each as it would sum it
-    alone.  ``m = 0`` is 1.
+    ``steps`` is a ``(W, K)`` table of transition counts, non-decreasing
+    along each row.  The stack advances one column at a time by each
+    row's gap (``_advance``), and the vectors it holds are summed
+    ``_SUM_BATCH`` columns at a time, one reduction for many that sums
+    each as it would sum it alone.  Returns a ``(W, K)`` array.
     """
-    if min(m, default=0) < 0:
-        raise ValueError(f"m must be >= 0, got {min(m)}")
-    Q, _, v = _live_block(chain)
-    Q, v = Q[None], v[None, None]
-    ks = sorted(set(m) - {0})
-    done = 0  # transitions applied so far
-    at = {0: 1.0}
-    for lo in range(0, len(ks), _SUM_BATCH):
+    gaps = steps.copy()
+    gaps[:, 1:] -= steps[:, :-1]
+    gaps = gaps.T.tolist()
+    sums = np.empty(steps.shape)
+    for lo in range(0, len(gaps), _SUM_BATCH):
         held = []
-        for k in ks[lo:lo + _SUM_BATCH]:
-            e = chain.steps_for(k)
-            v = _advance_by(Q, v, e - done)
-            done = e
+        for column in gaps[lo:lo + _SUM_BATCH]:
+            v = _advance(Q, v, column)
             held.append(v)
-        at.update(zip(ks[lo:lo + _SUM_BATCH], _masses(np.concatenate(held))))
-    return [at[k] for k in m]
+        sums[:, lo:lo + len(held)] = np.add.reduce(np.concatenate(held, axis=1), axis=2)
+    return np.clip(sums, 0.0, 1.0)
+
+
+def _survival(stack, m: np.ndarray, n: int, origin_consumed: int) -> np.ndarray:
+    """``P(tau > m)`` for every chain of ``stack`` at each entry of its row of ``m``.
+
+    ``stack`` is ``(Q, exit, initial, live)`` as ``_build_stack`` gives
+    it, for words of length ``n``, and ``m`` a ``(W, K)`` table of step
+    counts, non-decreasing along each row.  Windows 1..m are decided
+    after ``_steps_for(m)`` transitions from the origin, and ``m = 0``
+    is 1 and takes none.  One ``_walk`` on the live blocks.  A negative
+    step count raises ``ValueError``.
+    """
+    if m.min(initial=0) < 0:
+        raise ValueError(f"m must be >= 0, got {m.min()}")
+    Q, _, v = _live(*stack)
+    hit = m > 0
+    values = _walk(Q, v[:, None], np.where(hit, _steps_for(m, n, origin_consumed), 0))
+    return np.where(hit, values, 1.0)
+
+
+def _chain_survival(chain: ProductChain, m: np.ndarray) -> np.ndarray:
+    """``P(tau > m)`` at every entry of the 1-d integer array ``m``: one walk of a stack of one."""
+    ks = sorted(set(m.tolist()))
+    stack = chain.Q[None], chain.exit[None], chain.initial[None], chain.live[None]
+    return _survival(stack, np.array([ks]), chain.n, chain.origin_consumed)[0, np.searchsorted(ks, m)]
 
 
 def exact_survival(chain: ProductChain, m_max: int) -> SurvivalCurve:
@@ -350,7 +372,7 @@ def exact_survival(chain: ProductChain, m_max: int) -> SurvivalCurve:
     return SurvivalCurve(
         m=m_grid,
         t=m_grid * chain.mu,
-        values=np.array(_walk(chain, range(m_max + 1))),
+        values=_chain_survival(chain, m_grid),
         kind=chain.kind,
         exactness="exact",
         mu=chain.mu,
@@ -369,8 +391,8 @@ def survival_at(chain: ProductChain, m):
     steps = np.asarray(m)
     if steps.ndim > 1:
         raise ValueError(f"m must be an integer or a 1-d array, got shape {steps.shape}")
-    values = _walk(chain, steps.reshape(-1).tolist())
-    return values[0] if steps.ndim == 0 else np.array(values)
+    values = _chain_survival(chain, steps.reshape(-1))
+    return float(values[0]) if steps.ndim == 0 else values
 
 
 def entrance_survival_stack(model: MeasureModel, words, m) -> list[float]:
@@ -378,8 +400,8 @@ def entrance_survival_stack(model: MeasureModel, words, m) -> list[float]:
 
     Each value is bit for bit ``survival_at(build_product_chain(model, w), m_w)``:
     the entrance chains are built as one stack (``_build_stack``) and
-    their live blocks advanced by one ``_advance``, in stacks of at most
-    ``STACK_BYTES`` of ``Q``.
+    walked by one ``_survival``, in stacks of at most ``STACK_BYTES`` of
+    ``Q``.
     """
     words = [as_word(w) for w in words]
     out = []
@@ -389,18 +411,11 @@ def entrance_survival_stack(model: MeasureModel, words, m) -> list[float]:
     S = n * (model.k if isinstance(model, MarkovModel) else 1)
     size = max(1, STACK_BYTES // (8 * S * S))
     for lo in range(0, len(words), size):
-        part, steps = words[lo:lo + size], m[lo:lo + size]
+        part = words[lo:lo + size]
         tables, cols = build_tables(part, model.k)
-        _, Q, _, initial, live = _build_stack(model, part, tables, cols, ENTRANCE)
-        if live.shape[1] < S:
-            # C-ordered, as a lone chain's blocks are: ``matmul`` picks its
-            # BLAS call, and with it the rounding, by the strides
-            ar = np.arange(len(part))[:, None]
-            Q = np.ascontiguousarray(Q[ar[:, :, None], live[:, :, None], live[:, None, :]])
-            initial = np.ascontiguousarray(initial[ar, live])
-        # an entrance chain's ``steps_for(m)``, m + n - 2; m = 0 is 1 and takes no step
-        v = _advance(Q, initial[:, None, :], [k + n - 2 if k else 0 for k in steps])
-        out += [x if k else 1.0 for k, x in zip(steps, _masses(v))]
+        stack = _build_stack(model, part, tables, cols, ENTRANCE)
+        # an entrance chain's origin has consumed one symbol
+        out += _survival(stack, np.array(m[lo:lo + size])[:, None], n, 1)[:, 0].tolist()
     return out
 
 
@@ -425,7 +440,8 @@ def _survival_total(chain: ProductChain, rel_tol: float) -> float:
     too.  The block's bound counts only the live rows, which is what
     certifies long Markov words at the default tolerances.
     """
-    Q, exit, initial = _live_block(chain)
+    stack = chain.Q[None], chain.exit[None], chain.initial[None], chain.live[None]
+    Q, exit, initial = (a[0] for a in _live(*stack))
     x, bound = _gth_solve(Q, exit, np.ones(len(exit)))
     bound = (bound + 3.0 * _UNIT_ROUNDOFF) * (1.0 + 4.0 * _UNIT_ROUNDOFF)
     if not bound <= rel_tol:

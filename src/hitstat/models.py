@@ -112,16 +112,11 @@ class MarkovModel:
         k = self.k
         breaks = np.unique(self.cum_P)
         reps = np.concatenate(([-1.0], breaks))  # one point of each interval
-        table = np.minimum(
+        rows = np.minimum(
             np.stack([np.searchsorted(row, reps, side="right") for row in self.cum_P], axis=1),
             k - 1,
-        ).astype(np.int64)
-        return UpdateMaps(
-            breaks=breaks,
-            table=table,
-            rows=table.tolist(),
-            cum_pi=np.cumsum(self.pi).tolist(),
         )
+        return UpdateMaps(breaks=breaks, rows=rows.tolist(), cum_pi=np.cumsum(self.pi).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,13 +130,12 @@ class UpdateMaps:
     distinct entries ``breaks`` cut the line into ``len(breaks) + 1``
     intervals and ``searchsorted(breaks, u, side="right")`` names the
     interval of ``u``: 0 is ``u < breaks[0]``, ``j >= 1`` is
-    ``[breaks[j-1], breaks[j])``.  ``table[j, s]`` is the map of interval
-    ``j`` at state ``s``; the table has at most ``k**2 + 1`` rows.
+    ``[breaks[j-1], breaks[j])``.  ``rows[j][s]`` is the map of interval
+    ``j`` at state ``s``; there are at most ``k**2 + 1`` rows.
     """
 
     breaks: np.ndarray    # sorted distinct entries of cum_P
-    table: np.ndarray     # (len(breaks) + 1, k) next states, int64
-    rows: list            # table.tolist(), for the per-step lookup
+    rows: list            # (len(breaks) + 1) lists of k next states, for the per-step lookup
     cum_pi: list          # cumsum(pi).tolist(), for the stationary first symbol
 
 

@@ -35,6 +35,8 @@ CENSOR_LIMIT = 0.05
 MIN_LENGTH_MULTIPLE = 64
 # windows coded and tallied at a time by ``window_counts``
 _BLOCK = 1 << 16
+# the alphabet size of each built-in symbol map (``named_map``)
+_NAMED_K = {"byte": 256, "nibble": 16, "bit": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -48,18 +50,6 @@ class SymbolMap:
     mode: str
     k: int
     table: tuple | None = None  # custom mode only: 256 symbol values
-
-    @staticmethod
-    def byte_identity() -> "SymbolMap":
-        return SymbolMap(mode="byte", k=256)
-
-    @staticmethod
-    def nibble() -> "SymbolMap":
-        return SymbolMap(mode="nibble", k=16)
-
-    @staticmethod
-    def bits() -> "SymbolMap":
-        return SymbolMap(mode="bit", k=2)
 
     @staticmethod
     def custom(table) -> "SymbolMap":
@@ -94,19 +84,15 @@ class SymbolMap:
 
 
 def named_map(name: str) -> SymbolMap:
-    makers = {
-        "byte": SymbolMap.byte_identity,
-        "nibble": SymbolMap.nibble,
-        "bit": SymbolMap.bits,
-    }
-    if name not in makers:
-        raise InvalidSymbol(f"unknown symbol map {name!r}; expected one of {sorted(makers)}")
-    return makers[name]()
+    """The built-in map ``name``: ``byte`` (k = 256), ``nibble`` (16) or ``bit`` (2)."""
+    if name not in _NAMED_K:
+        raise InvalidSymbol(f"unknown symbol map {name!r}; expected one of {sorted(_NAMED_K)}")
+    return SymbolMap(mode=name, k=_NAMED_K[name])
 
 
 def ingest(source, symbol_map: SymbolMap | None = None) -> np.ndarray:
     """Read bytes (or a file of bytes) into a symbol sequence."""
-    symbol_map = symbol_map or SymbolMap.byte_identity()
+    symbol_map = symbol_map or named_map("byte")
     if isinstance(source, (bytes, bytearray, memoryview)):
         data = bytes(source)
     else:

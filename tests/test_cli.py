@@ -469,7 +469,7 @@ def test_stream_estimate_kind_emits_series_rows(tmp_path):
     assert lines[2].startswith("plugin-renyi,8,1.0,")
 
 
-def test_worker_count_never_changes_the_outputs(tmp_path, monkeypatch):
+def test_worker_count_never_changes_the_outputs(tmp_path):
     cfg = {
         "kind": "entrance-exponent", "model": "biased-coin", "seed": 7,
         "n": 8, "N": 90, "epsilon": 0.15,
@@ -479,8 +479,7 @@ def test_worker_count_never_changes_the_outputs(tmp_path, monkeypatch):
     blobs = []
     for workers in ("1", "4"):
         outdir = tmp_path / f"w{workers}"
-        monkeypatch.setenv("HITSTAT_WORKERS", workers)
-        assert main(["--config", str(path), "--outdir", str(outdir)]) == 0
+        assert main(["--config", str(path), "--outdir", str(outdir), "--workers", workers]) == 0
         blobs.append(((outdir / "report.csv").read_bytes(),
                       (outdir / "summary.json").read_bytes()))
     assert blobs[0] == blobs[1]
@@ -560,15 +559,16 @@ def test_censored_summary_is_withheld_with_its_reason(tmp_path):
     assert blobs[0] == blobs[1]
 
 
-def test_workers_flag_overrides_the_environment(tmp_path, monkeypatch):
+def test_a_worker_count_below_one_exits_2_with_nothing_written(tmp_path):
     cfg = {"kind": "recurrence-exponent", "model": "fair-coin", "seed": 3,
            "n": 6, "N": 40}
     path = tmp_path / "flag.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
-    monkeypatch.setenv("HITSTAT_WORKERS", "junk")
-    assert main(["--config", str(path), "--outdir", str(tmp_path / "o1")]) == 2
-    assert main(["--config", str(path), "--outdir", str(tmp_path / "o2"),
-                 "--workers", "2"]) == 0
+    for workers in ("0", "-1"):
+        outdir = tmp_path / f"w{workers}"
+        assert main(["--config", str(path), "--outdir", str(outdir), "--workers", workers]) == 2
+        assert not outdir.exists()
+    assert main(["--config", str(path), "--outdir", str(tmp_path / "w2"), "--workers", "2"]) == 0
 
 
 def test_no_demo_experiment_reads_two_aliased_substreams(tmp_path, monkeypatch):

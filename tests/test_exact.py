@@ -22,6 +22,7 @@ from hitstat.exact import (
     RETURN,
     _advance,
     _build_stack,
+    _walk,
     entrance_survival_stack,
     fit_survival_shape,
     build_product_chain,
@@ -94,7 +95,7 @@ def test_state_count_bound():
     for model, k in ((CHAIN, 2), (FAIR, 2)):
         for word in ("0110", "111111"):
             chain = build_product_chain(model, word)
-            assert len(chain.states) <= (len(word) + 1) * k
+            assert chain.Q.shape[0] <= (len(word) + 1) * k
 
 
 def naive_next(word, u, symbol):
@@ -106,7 +107,7 @@ def naive_next(word, u, symbol):
 
 
 def oracle_chain(model, word, kind):
-    """``(states, Q, exit, initial)`` from the per-state, per-column double loop.
+    """``(Q, exit, initial)`` from the per-state, per-column double loop.
 
     A column is a symbol of a finite alphabet; on a countable one it is a
     symbol of ``word`` in sorted order, then one fallback column for every
@@ -146,7 +147,7 @@ def oracle_chain(model, word, kind):
         for sym in word[1:]:
             u = naive_next(word, u, sym)
         initial[index[(u, context(word[-1]))]] = 1.0
-    return tuple(states), Q, exit, initial
+    return Q, exit, initial
 
 
 ORACLE_MODELS = {
@@ -170,8 +171,7 @@ def test_chain_is_bit_identical_to_the_double_loop(name, kind, data):
     model = ORACLE_MODELS[name]
     word = draw_word(model, data)
     chain = build_product_chain(model, word, kind)
-    states, Q, exit, initial = oracle_chain(model, word, kind)
-    assert chain.states == states
+    Q, exit, initial = oracle_chain(model, word, kind)
     for got, want in ((chain.Q, Q), (chain.exit, exit), (chain.initial, initial)):
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
@@ -325,12 +325,10 @@ def test_stacked_build_is_bit_identical_to_the_double_loop(name, kind, data):
     model = ORACLE_MODELS[name]
     words = draw_words(model, data)
     tables, cols = build_tables(words, model.k)
-    states, Q, exit, initial, live = _build_stack(model, words, tables, cols, kind)
+    Q, exit, initial, live = _build_stack(model, words, tables, cols, kind)
     for w, word in enumerate(words):
         # a geometric word narrower than the stack has zero-mass padding columns
-        want_states, *want = oracle_chain(model, word, kind)
-        assert states == want_states
-        for got, oracle in zip((Q[w], exit[w], initial[w]), want):
+        for got, oracle in zip((Q[w], exit[w], initial[w]), oracle_chain(model, word, kind)):
             assert got.shape == oracle.shape and got.dtype == oracle.dtype
             assert got.tobytes() == oracle.tobytes()
         assert live[w].tolist() == build_product_chain(model, word, kind).live.tolist()
@@ -371,6 +369,32 @@ def test_a_stack_advances_each_slice_as_it_advances_alone(name, kind, data):
     assert v.tobytes() == np.concatenate(lone).tobytes()
 
 
+@given(st.sampled_from(sorted(ORACLE_MODELS)), st.sampled_from(["entrance", "return"]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_stack_walks_several_step_counts_per_chain_as_each_chain_alone(name, kind, data):
+    model = ORACLE_MODELS[name]
+    words = draw_words(model, data)
+    chains = [build_product_chain(model, word, kind) for word in words]
+    blocks = [live_block(chain) for chain in chains]
+    L = len(blocks[0][1])
+    K = data.draw(st.integers(2, 6))
+
+    def row():
+        """K sorted step counts m >= 1: repeats (zero gaps), gaps of at most L and powered ones."""
+        m = [data.draw(st.integers(1, L + 1))]
+        for _ in range(K - 1):
+            m.append(m[-1] + data.draw(st.sampled_from([0, data.draw(st.integers(1, L)),
+                                                        data.draw(st.integers(L + 1, 10**6))])))
+        return m
+
+    m = np.array([row() for _ in chains])
+    steps = np.array([chain.steps_for(r) for chain, r in zip(chains, m)])
+    got = _walk(np.stack([Q for Q, _ in blocks]), np.stack([v for _, v in blocks])[:, None, :], steps)
+    assert got.shape == m.shape
+    for chain, r, values in zip(chains, m, got):
+        assert values.tobytes() == survival_at(chain, r).tobytes()
+
+
 def test_entrance_survival_stack_of_no_words_is_empty():
     assert entrance_survival_stack(FAIR, [], []) == []
 
@@ -404,7 +428,7 @@ def live_case(draw):
 def test_live_states_are_closed_and_walk_matches_the_full_chain(case, kind, m_max):
     model, word = case
     chain = build_product_chain(model, word, kind)
-    S, live = len(chain.states), chain.live
+    S, live = chain.Q.shape[0], chain.live
     dead = np.setdiff1d(np.arange(S), live)
     assert np.all(np.diff(live) > 0)
     assert not np.any(chain.Q[np.ix_(live, dead)] > 0.0)

@@ -593,12 +593,12 @@ def test_update_map_table_equals_the_clipped_bisect_at_every_breakpoint():
         for u in breakpoint_draws(model):
             j = int(np.searchsorted(maps.breaks, u, side="right"))
             for s in range(k):
-                assert maps.table[j, s] == maps.rows[j][s] == min(bisect_right(rows[s], u), k - 1)
+                assert maps.rows[j][s] == min(bisect_right(rows[s], u), k - 1)
     # the clip: past row 0's last cumsum the bisect reads k, the table k - 1
     last = float(np.cumsum(SHORT_ROW[0])[-1])
     assert last < 1.0 and bisect_right(np.cumsum(SHORT_ROW[0]).tolist(), last) == 3
     maps = CHAINS["short-row-3"].update_maps
-    assert maps.table[np.searchsorted(maps.breaks, last, side="right"), 0] == 2
+    assert maps.rows[np.searchsorted(maps.breaks, last, side="right")][0] == 2
 
 
 @pytest.mark.parametrize("name", sorted(CHAINS))

@@ -39,13 +39,13 @@ def test_byte_identity_maps_bytes_to_their_values():
 
 
 def test_bit_map_expands_each_byte_msb_first():
-    symbols = ingest(b"\xa0\x01", SymbolMap.bits())
+    symbols = ingest(b"\xa0\x01", named_map("bit"))
     assert len(symbols) == 16
     assert symbols.tolist() == [1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]
 
 
 def test_nibble_map_splits_high_then_low():
-    assert ingest(b"\x4f", SymbolMap.nibble()).tolist() == [4, 15]
+    assert ingest(b"\x4f", named_map("nibble")).tolist() == [4, 15]
 
 
 def test_custom_table_must_cover_every_byte():
@@ -102,7 +102,7 @@ def test_constant_data_estimates_zero_exactly():
 
 def test_uniform_nibbles_recover_log16():
     data = substream(1234, 0).integers(0, 256, size=500_000).astype(np.uint8)
-    seq = SymbolMap.nibble().apply(data.tobytes())
+    seq = named_map("nibble").apply(data.tobytes())
     series = ow_entropy_estimate(seq, [2, 3], starts_per_n=150, seed=5)
     h = math.log(16.0)
     for row in series.rows:
