@@ -3,11 +3,13 @@
 Every experiment is an ensemble of samples addressed by index: sample
 ``j`` draws from the dedicated RNG substreams ``(seed, j, 0)`` (the z
 role: the word-defining path) and ``(seed, j, 1)`` (the x role: the
-scanned path).  One core, ``ensemble``, runs a per-index sample function
-and keeps the rows; every statistic is computed from the rows in index
-order.  A run over any part of the index range (``indices=``) therefore
-merges associatively into exactly the one-pass result, no matter how the
-range is split across workers.
+scanned path).  A sampler keys every substream of the part it runs in one
+pass and re-keys one generator per stream (``rng.Substreams``).  One
+core, ``ensemble``, hands a sampler all of a part's indices and keeps
+the rows; every statistic is computed from the rows in index order.  A
+run over any part of the index range (``indices=``) therefore merges
+associatively into exactly the one-pass result, no matter how the range
+is split across workers.
 
 Censored samples (no event within the cap) are tracked by index,
 excluded from summaries, and trip a hard ``CensoringExceeded`` once
@@ -35,7 +37,8 @@ from .models import (
     renyi_entropy,
     shannon_entropy,
 )
-from .orbits import CapPolicy, OrbitStream, entrance_time, sample_orbit, w_sum
+from .orbits import CapPolicy, OrbitStream, entrance_time, w_sum
+from .rng import Substreams
 from .words import as_word
 
 CENSOR_SUMMARY_LIMIT = 0.01
@@ -101,14 +104,22 @@ def ensemble(samples, N: int, indices=None) -> Ensemble:
                     values=np.array([v for v in values if v is not None], dtype=float))
 
 
-def _each(sample):
-    """``samples`` for ``ensemble`` from a function of one index."""
-    return lambda js: [sample(j) for j in js]
+def _keyed(seed: int, roles, sample):
+    """``samples`` for ``ensemble`` from ``sample(streams, i)``, the value of a part's i-th index.
+
+    The part's substreams of every role in ``roles`` are keyed in one pass;
+    ``streams.open(i, role)`` re-keys their one generator, so a sample
+    finishes with a stream before it opens the next.
+    """
+    def samples(js):
+        streams = Substreams(seed, js, roles)
+        return [sample(streams, i) for i in range(len(js))]
+    return samples
 
 
-def _word(model: MeasureModel, seed: int, j: int, n: int) -> tuple:
-    """Sample ``j``'s word: the n-prefix of its z-role substream."""
-    return tuple(sample_orbit(model, (seed, j, 0), n).tolist())
+def _prefix(model: MeasureModel, rng, n: int) -> tuple:
+    """The first ``n`` symbols of the path ``rng`` draws: a word, from its z-role substream."""
+    return tuple(OrbitStream(model, rng).take(n).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +172,8 @@ class ExponentSamples(Ensemble):
         return {"eps": eps, "lower": lower, "upper": upper, "two_sided": lower + upper}
 
 
-def _exponents(sample, N, indices, kind, n, s, target) -> ExponentSamples:
-    return ExponentSamples(**vars(ensemble(_each(sample), N, indices)), kind=kind, n=n, s=s, target=target)
+def _exponents(samples, N, indices, kind, n, s, target) -> ExponentSamples:
+    return ExponentSamples(**vars(ensemble(samples, N, indices)), kind=kind, n=n, s=s, target=target)
 
 
 def entrance_exponent_samples(model: MeasureModel, n: int, N: int, seed: int,
@@ -175,28 +186,35 @@ def entrance_exponent_samples(model: MeasureModel, n: int, N: int, seed: int,
     """
     policy = cap_policy or CapPolicy()
 
-    def sample(j):
-        word = _word(model, seed, j, n)
+    def sample(streams, i):
+        word = _prefix(model, streams.open(i, 0), n)
         cap = policy.cap_for(model, word)
-        t = entrance_time(OrbitStream(model, (seed, j, 1)), word, cap=cap)
+        t = entrance_time(OrbitStream(model, streams.open(i, 1)), word, cap=cap)
         return None if t.censored else math.log(t.value) / n
 
-    return _exponents(sample, N, indices, "entrance", n, None, shannon_entropy(model))
+    return _exponents(_keyed(seed, (0, 1), sample), N, indices, "entrance", n, None,
+                      shannon_entropy(model))
 
 
 def recurrence_exponent_samples(model: MeasureModel, n: int, N: int, seed: int,
                                 cap_policy: CapPolicy | None = None,
                                 indices=None) -> ExponentSamples:
-    """Diagonal variant: ``(1/n) log`` of the return to the own n-prefix."""
+    """Diagonal variant: ``(1/n) log`` of the return to the own n-prefix.
+
+    The scan replays the prefix drawn from substream ``(seed, j, 0)`` and
+    reads on from the same substream.
+    """
     policy = cap_policy or CapPolicy()
 
-    def sample(j):
-        prefix = _word(model, seed, j, n)
+    def sample(streams, i):
+        z = streams.open(i, 0)
+        prefix = _prefix(model, z, n)
         cap = policy.cap_for(model, prefix)
-        t = entrance_time(OrbitStream(model, (seed, j, 0)), prefix, cap=cap)
+        t = entrance_time(OrbitStream(model, z, start=prefix), prefix, cap=cap)
         return None if t.censored else math.log(t.value) / n
 
-    return _exponents(sample, N, indices, "recurrence", n, None, shannon_entropy(model))
+    return _exponents(_keyed(seed, (0,), sample), N, indices, "recurrence", n, None,
+                      shannon_entropy(model))
 
 
 def orbit_sum_exponent_samples(model: MeasureModel, n: int, s: float, N: int, seed: int,
@@ -212,16 +230,18 @@ def orbit_sum_exponent_samples(model: MeasureModel, n: int, s: float, N: int, se
     policy = cap_policy or CapPolicy()
     target = shannon_entropy(model) - (s * renyi_entropy(model, s) if s > 0.0 else 0.0)
 
-    def sample(j):
-        word = _word(model, seed, j, n)
+    def sample(streams, i):
+        z = streams.open(i, 0)
+        word = _prefix(model, z, n)
         cap = policy.cap_for(model, word)
         if diagonal:
-            res = w_sum(OrbitStream(model, (seed, j, 0)), s=s, cap=cap, n=n)
+            res = w_sum(OrbitStream(model, z, start=word), s=s, cap=cap, n=n)
         else:
-            res = w_sum(OrbitStream(model, (seed, j, 1)), target=word, s=s, cap=cap)
+            res = w_sum(OrbitStream(model, streams.open(i, 1)), target=word, s=s, cap=cap)
         return None if res.time.censored else res.log_value / n
 
-    return _exponents(sample, N, indices, "orbit-sum", n, s, target)
+    roles = (0,) if diagonal else (0, 1)
+    return _exponents(_keyed(seed, roles, sample), N, indices, "orbit-sum", n, s, target)
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +325,12 @@ def _survival_experiment(model, word, N, t_grid, seed, kind, indices) -> Surviva
     cap = _survival_cap(mu)
     start = word if kind == RETURN else None
 
-    def sample(j):
-        tau = entrance_time(OrbitStream(model, (seed, j, 1), start=start), word, cap=cap)
+    def sample(streams, i):
+        tau = entrance_time(OrbitStream(model, streams.open(i, 1), start=start), word, cap=cap)
         return None if tau.censored else tau.value
 
-    return SurvivalExperiment(**vars(ensemble(_each(sample), N, indices)), kind=kind, word=word,
-                              t_grid=tuple(t.tolist()), mu=mu, cap=cap)
+    return SurvivalExperiment(**vars(ensemble(_keyed(seed, (1,), sample), N, indices)), kind=kind,
+                              word=word, t_grid=tuple(t.tolist()), mu=mu, cap=cap)
 
 
 def empirical_survival(model: MeasureModel, z_word, N: int, t_grid, seed: int,
@@ -379,7 +399,8 @@ def survival_tail_integral(model: MeasureModel, n: int, epsilon: float, n_outer:
     threshold = math.exp(n * epsilon)
 
     def samples(js):
-        words = [_word(model, seed, j, n) for j in js]
+        streams = Substreams(seed, js, (0,))
+        words = [_prefix(model, streams.open(i, 0), n) for i in range(len(js))]
         m = step_at(threshold, np.array([cylinder_measure(model, w) for w in words]))
         return entrance_survival_stack(model, words, m.tolist())
 

@@ -5,7 +5,8 @@ measure model: the first symbol follows the stationary law, later ones
 the conditional kernel.  Everything downstream is a deterministic
 function of ``(model, seed)``; seeds may be tuples, so experiments can
 hand sample ``j`` the substream ``(seed, j)`` and stay reproducible under
-any parallel schedule.
+any parallel schedule.  A stream may also read a ready generator, such
+as one that ``rng.Substreams`` re-keyed to a sample's substream.
 
 Time conventions (fixed throughout the package):
 
@@ -78,7 +79,8 @@ class OrbitStream:
     ``start`` pins the first symbols: the stream plays them, then
     continues with the kernel from the last one (a path conditioned on
     its initial cylinder).  Without it the path starts from the
-    stationary law.
+    stationary law.  ``seed`` is a substream key (an int or a tuple) or a
+    ``numpy.random.Generator`` that the stream then draws from.
 
     Single-owner mutable state: one stream feeds one scan at a time.
     Many streams over one shared model may run concurrently.
@@ -86,8 +88,10 @@ class OrbitStream:
 
     def __init__(self, model: MeasureModel, seed, start=None):
         self.model = model
-        self.seed = seed
-        self._rng = substream(*seed) if isinstance(seed, tuple) else substream(seed)
+        if isinstance(seed, np.random.Generator):
+            self._rng = seed
+        else:
+            self._rng = substream(*seed) if isinstance(seed, tuple) else substream(seed)
         self.position = 0
         self._buf = _EMPTY if start is None else np.array(as_word(start), dtype=np.int64)
         self._off = 0

@@ -573,15 +573,23 @@ def test_a_worker_count_below_one_exits_2_with_nothing_written(tmp_path):
 
 def test_no_demo_experiment_reads_two_aliased_substreams(tmp_path, monkeypatch):
     # SeedSequence pads its entropy with zeros, so substream keys that differ
-    # only by trailing zeros give the same stream: (7,) and (7, 0, 0) alias
-    keys = set()
+    # only by trailing zeros give the same stream: (7,) and (7, 0, 0) alias.
+    # Lone streams are keyed by substream, the samplers' by substream_keys
+    keys, batches = set(), []
+    substream, substream_keys = rng.substream, rng.substream_keys
 
     def recording(*key):
         keys.add(tuple(int(k) for k in key))
-        return rng.substream(*key)
+        return substream(*key)
+
+    def recording_batch(seed, indices, roles):
+        batches.append(seed)
+        keys.update((int(seed), int(j), int(r)) for j in indices for r in roles)
+        return substream_keys(seed, indices, roles)
 
     monkeypatch.setattr(orbits, "substream", recording)
     monkeypatch.setattr(streams, "substream", recording)
+    monkeypatch.setattr(rng, "substream_keys", recording_batch)
     for path in sorted(DEMO_CONFIGS.glob("*.json")):
         keys.clear()
         assert main(["--config", str(path), "--outdir", str(tmp_path / path.stem),
@@ -594,3 +602,4 @@ def test_no_demo_experiment_reads_two_aliased_substreams(tmp_path, monkeypatch):
             stripped.setdefault(bare, []).append(key)
         aliased = [sorted(group) for group in stripped.values() if len(group) > 1]
         assert not aliased, f"{path.name}: {aliased[:3]}"
+    assert batches, "no sampler keyed its substreams through substream_keys"

@@ -1,4 +1,5 @@
 """Ensemble sampler behavior: determinism, merging, censoring, laws."""
+import collections
 import functools
 import math
 
@@ -27,10 +28,11 @@ from hitstat import (
     shannon_entropy,
     survival_tail_integral,
 )
-from hitstat import exact
+from hitstat import exact, montecarlo
 from hitstat.exact import step_at, survival_at
 from hitstat.models import BernoulliModel, cylinder_measure, geometric
-from hitstat.montecarlo import _word
+from hitstat.orbits import OrbitStream, entrance_time, sample_orbit, w_sum
+from hitstat.words import as_word
 
 FAIR = builtin_model("fair-coin")
 BIASED = builtin_model("biased-coin")
@@ -75,6 +77,8 @@ ENSEMBLES = {
                  dict(model=CHAIN, n=6, N=24, seed=3, cap_policy=CapPolicy(multiplier=0.5))),
     "recurrence": (recurrence_exponent_samples, dict(model=BIASED, n=6, N=24, seed=3)),
     "orbit-sum": (orbit_sum_exponent_samples, dict(model=CHAIN, n=6, s=1.5, N=24, seed=3)),
+    "diagonal-orbit-sum": (orbit_sum_exponent_samples,
+                           dict(model=BIASED, n=6, s=0.5, N=24, seed=3, diagonal=True)),
     "survival": (empirical_survival,
                  dict(model=FAIR, z_word="101", N=60, t_grid=[0.25, 0.5, 1.0, 2.0], seed=3)),
     "return-survival": (empirical_return_survival,
@@ -117,6 +121,60 @@ def test_any_split_merges_to_the_one_pass_ensemble(name, data):
     parts = [function(**kwargs, indices=chunks[i]) for i in order]
     merged = functools.reduce(lambda a, b: a.merge(b), parts)
     assert _fingerprint(merged) == _one_pass(name)
+
+
+@pytest.mark.parametrize("name", list(ENSEMBLES))
+def test_every_sampler_reaches_the_names_a_tracer_patches(monkeypatch, name):
+    # perfbench/tracing.py counts generation at OrbitStream.take and scans at
+    # montecarlo.entrance_time and montecarlo.w_sum: a sampler that bypassed
+    # them would read as generating and scanning nothing
+    counts = collections.Counter()
+    for owner, attr in ((montecarlo, "entrance_time"), (montecarlo, "w_sum"), (OrbitStream, "take")):
+        def counting(*args, _original=getattr(owner, attr), _attr=attr, **kwargs):
+            counts[_attr] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, counting)
+    function, kwargs = ENSEMBLES[name]
+    run = function(**kwargs)
+    scan = {"tail-integral": None, "orbit-sum": "w_sum", "diagonal-orbit-sum": "w_sum"}.get(name, "entrance_time")
+    assert run.total > 0 and counts["take"] >= run.total
+    if scan:
+        assert counts[scan] >= run.total
+
+
+def _lone_value(name, kwargs, j):
+    """Sample ``j`` as its own substreams give it, each built by ``rng.substream``."""
+    model, seed = kwargs["model"], kwargs["seed"]
+    if name in ("survival", "return-survival"):
+        word = as_word(kwargs["z_word"])
+        cap = montecarlo._survival_cap(cylinder_measure(model, word))
+        start = word if name == "return-survival" else None
+        t = entrance_time(OrbitStream(model, (seed, j, 1), start=start), word, cap=cap)
+        return None if t.censored else t.value
+    n = kwargs["n"]
+    word = tuple(sample_orbit(model, (seed, j, 0), n).tolist())
+    cap = kwargs.get("cap_policy", CapPolicy()).cap_for(model, word)
+    if name == "entrance":
+        t = entrance_time(OrbitStream(model, (seed, j, 1)), word, cap=cap)
+    elif name == "recurrence":
+        t = entrance_time(OrbitStream(model, (seed, j, 0)), word, cap=cap)
+    elif name == "orbit-sum":
+        res = w_sum(OrbitStream(model, (seed, j, 1)), target=word, s=kwargs["s"], cap=cap)
+        return None if res.time.censored else res.log_value / n
+    else:
+        res = w_sum(OrbitStream(model, (seed, j, 0)), s=kwargs["s"], cap=cap, n=n)
+        return None if res.time.censored else res.log_value / n
+    return None if t.censored else math.log(t.value) / n
+
+
+@pytest.mark.parametrize("name", [name for name in ENSEMBLES if name != "tail-integral"])
+def test_a_part_keyed_in_one_pass_reads_each_samples_own_substreams(name):
+    function, kwargs = ENSEMBLES[name]
+    run = function(**kwargs)
+    N = kwargs["N"]
+    lone = [_lone_value(name, kwargs, j) for j in range(N)]
+    assert run.censored.tolist() == [j for j in range(N) if lone[j] is None]
+    assert run.values.tolist() == [v for v in lone if v is not None]
 
 
 @pytest.mark.parametrize("name", list(ENSEMBLES))
@@ -302,7 +360,7 @@ def test_tail_integral_values_are_the_lone_chain_values(name):
     threshold = math.exp(8 * 0.1)
     lone = []
     for j in range(40):
-        word = _word(model, 9, j, 8)
+        word = tuple(sample_orbit(model, (9, j, 0), 8).tolist())
         m = int(step_at(threshold, cylinder_measure(model, word)))
         lone.append(survival_at(build_product_chain(model, word, ENTRANCE), m))
     assert run.values.tolist() == lone
