@@ -39,7 +39,6 @@ from .exact import (
 from .models import (
     BUILTIN_MODELS,
     builtin_model,
-    check_symbols,
     cylinder_measure,
     load_model,
     model_fingerprint,
@@ -47,6 +46,7 @@ from .models import (
     partition_sum_exact,
     renyi_entropy,
     shannon_entropy,
+    target_log_measure,
 )
 from .montecarlo import (
     dkw_epsilon,
@@ -123,9 +123,13 @@ def _finite(what: str, ok):
 _MAX_COUNT = int(np.iinfo(np.intp).max)
 _count = _checked(f"a positive integer <= {_MAX_COUNT}",
                   lambda v: type(v) is int and 1 <= v <= _MAX_COUNT)
-_number = _finite("a finite number", lambda v: True)
+_positive = _finite("a finite number > 0", lambda v: v > 0)
+_nonnegative = _finite("a finite number >= 0", lambda v: v >= 0)
 _flag = _checked("true or false", lambda v: type(v) is bool)
 _path = _checked("a non-empty path", lambda v: type(v) is str and v != "", Path)
+# a time grid, once its entries are read
+_increasing = _checked("a non-empty, strictly increasing array",
+                       lambda v: len(v) > 0 and all(a < b for a, b in zip(v, v[1:])))
 # a key every kind must give; every other key has its default beside it
 REQUIRED = object()
 # 'word' stands for a one-entry 'words', and 's' for a one-entry 's_list'
@@ -163,13 +167,14 @@ READERS = {
     "model": _resolve_model,
     "seed": _checked("an integer", lambda v: type(v) is int),
     **dict.fromkeys(("n", "N", "m_max", "generate_length", "starts_per_n"), _count),
-    "s": _number,
-    **dict.fromkeys(("epsilon", "cap_multiplier"), _finite("a finite number > 0", lambda v: v > 0)),
+    "s": _nonnegative,
+    **dict.fromkeys(("epsilon", "cap_multiplier"), _positive),
     **dict.fromkeys(("diagonal", "require_bound", "require_decreasing", "require_monotone"), _flag),
     "word": as_word,
     "words": _array(as_word),
     "n_list": _array(_count),
-    **dict.fromkeys(("s_list", "t_grid"), _array(_number)),
+    "s_list": _array(_positive),
+    "t_grid": lambda v: _increasing(_array(_nonnegative)(v)),
     **dict.fromkeys(("data_file", "outdir"), _path),
     "map": named_map,
     "ow": functools.partial(_read, keys={"n_list": REQUIRED, "starts_per_n": 200}),
@@ -177,7 +182,7 @@ READERS = {
     "tolerance": _checked("an object", lambda v: type(v) is dict),
     **dict.fromkeys(("max_two_sided", "max_lower", "median_within", "max_ks", "max_mean_error",
                      "max_abs_error", "max_residual", "max_final_gap", "max_ow_error",
-                     "max_plugin_error"), _finite("a finite number >= 0", lambda v: v >= 0)),
+                     "max_plugin_error"), _nonnegative),
     "dkw_alpha": _finite("a number in (0, 1)", lambda v: 0 < v < 1),
 }
 
@@ -544,7 +549,7 @@ def main(argv=None) -> int:
         params = _read(cfg, keys)
         if params["model"] is not None:
             for word in filter(None, [params["word"], *params.get("words", ())]):
-                check_symbols(params["model"], word)
+                target_log_measure(params["model"], word)
         if params["tolerance"] is not None:
             tol = params["tolerance"] = _read(params["tolerance"], TOLERANCES[kind])
             # beyond its keys, a tolerance needs a model, and a bound the section it is measured on

@@ -57,15 +57,15 @@ from pathlib import Path
 import numpy as np
 
 from .automata import build_automaton, build_tables
-from .errors import GridTooCoarse, ToleranceNotCertified, ZeroMeasureTarget
+from .errors import GridTooCoarse, ToleranceNotCertified
 from .models import (
     BernoulliModel,
     MarkovModel,
     MeasureModel,
     _UNIT_ROUNDOFF,
     _gth_solve,
-    log_cylinder_measure,
     phi_bound,
+    target_log_measure,
 )
 from .words import Word, as_word
 
@@ -124,9 +124,7 @@ def _steps_for(m, n: int, origin_consumed: int):
 def build_product_chain(model: MeasureModel, target, conditioning: str = ENTRANCE) -> ProductChain:
     """Absorbing-chain representation of the entrance or return law: the stack of one of ``_build_stack``."""
     target = as_word(target)
-    log_mu = log_cylinder_measure(model, target)
-    if log_mu == -math.inf:
-        raise ZeroMeasureTarget(f"target {target} has measure zero")
+    log_mu = target_log_measure(model, target)
     if conditioning not in (ENTRANCE, RETURN):
         raise ValueError(f"conditioning must be {ENTRANCE!r} or {RETURN!r}")
     tables, cols = build_automaton(target, alphabet_size=model.k)
@@ -471,15 +469,10 @@ def entrance_return_residual(model: MeasureModel, target, m_max: int, rel_tol: f
     entrance = exact_survival(ent_chain, max(m_max - 1, 1)).values
     ret = exact_survival(ret_chain, max(m_max - 1, 1)).values
     total = _survival_total(ret_chain, rel_tol)
-    mu = ent_chain.mu
-    worst = 0.0
-    partial = 0.0  # sum_{i <= k-2} P_B(tau_B > i)
-    for k in range(1, m_max + 1):
-        lhs = entrance[k - 1]             # P(tau >= k) = P(tau > k-1)
-        rhs = mu * (total - partial)      # mu * sum_{j >= k} P_B(tau_B >= j)
-        worst = max(worst, abs(lhs - rhs))
-        partial += ret[k - 1]
-    return worst
+    # at k = 1..m_max: P(tau >= k) = P(tau > k-1) against mu * sum_{j >= k} P_B(tau_B >= j),
+    # the total less the partial sum_{i <= k-2} P_B(tau_B > i), summed in order
+    partial = np.concatenate(([0.0], np.cumsum(ret[:m_max - 1])))
+    return float(np.max(np.abs(entrance[:m_max] - ent_chain.mu * (total - partial))))
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,9 @@ from .errors import (
     TailNotContracting,
     ToleranceNotCertified,
     ZeroMassSymbol,
+    ZeroMeasureTarget,
 )
-from .words import Word, as_word
+from .words import as_word
 
 _SUM_TOL = 1e-12          # row/vector stochasticity tolerance
 _STATIONARY_TOL = 1e-10   # accepted entrywise relative error of a supplied stationary vector
@@ -57,6 +58,7 @@ _LOG_ZERO = float("-inf")
 _UNIT_ROUNDOFF = 2.0**-53
 _NORMAL_PRODUCTS = 2.0**-511  # products of entries this large stay normal
 _PERRON_REFINE_STEPS = 8      # power steps allowed to narrow a Perron root's bracket
+GEOMETRIC_RESIDUAL_MASS = 1e-15  # tail mass a geometric sampler may clip (``geometric``)
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +146,8 @@ class GeometricModel:
     """I.i.d. symbols on ``{0, 1, 2, ...}`` with masses ``(1-theta)*theta**j``.
 
     ``truncation`` only bounds *sampling*: symbols are clipped to
-    ``truncation - 1``, losing mass below the construction-time residual
-    target.  Measures and entropies always use the exact infinite law.
+    ``truncation - 1``, losing mass below ``GEOMETRIC_RESIDUAL_MASS``.
+    Measures and entropies always use the exact infinite law.
     """
 
     theta: float
@@ -188,15 +190,15 @@ def markov(P, pi=None) -> MarkovModel:
     return model
 
 
-def geometric(theta: float, residual_mass: float = 1e-15) -> GeometricModel:
+def geometric(theta: float) -> GeometricModel:
     """Validated countable-alphabet model with geometric symbol masses.
 
     The sampling truncation level is the smallest ``L`` with
-    ``theta**L < residual_mass``.
+    ``theta**L < GEOMETRIC_RESIDUAL_MASS``.
     """
     if not (0.0 < theta < 1.0):
         raise BadThetaRange(f"theta must lie in (0, 1), got {theta}")
-    truncation = max(1, math.ceil(math.log(residual_mass) / math.log(theta)))
+    truncation = max(1, math.ceil(math.log(GEOMETRIC_RESIDUAL_MASS) / math.log(theta)))
     model = GeometricModel(theta=float(theta), truncation=truncation)
     validate(model)
     return model
@@ -354,18 +356,12 @@ def _gth_solve(Q: np.ndarray, exit: np.ndarray, rhs: np.ndarray,
 # cylinder measures
 # ---------------------------------------------------------------------------
 
-def check_symbols(model: MeasureModel, word: Word) -> Word:
-    """Validate that every symbol of ``word`` lies in the model's alphabet."""
-    word = as_word(word)
-    k = model.k
-    if k is not None and any(s >= k for s in word):
-        raise InvalidSymbol(f"symbol out of range for alphabet of size {k}: {word}")
-    return word
-
-
 def log_cylinder_measure(model: MeasureModel, word) -> float:
-    """``log mu([w])`` in nats; ``-inf`` for a zero-measure word."""
-    w = check_symbols(model, word)
+    """``log mu([w])`` in nats; ``-inf`` for a zero-measure word, ``InvalidSymbol`` off the alphabet."""
+    w = as_word(word)
+    k = model.k
+    if k is not None and any(s >= k for s in w):
+        raise InvalidSymbol(f"symbol out of range for alphabet of size {k}: {w}")
     if isinstance(model, BernoulliModel):
         return float(model.log_p[list(w)].sum())
     if isinstance(model, MarkovModel):
@@ -375,6 +371,18 @@ def log_cylinder_measure(model: MeasureModel, word) -> float:
             total += float(model.log_P[idx[:-1], idx[1:]].sum())
         return total
     return len(w) * model.log_one_minus_theta + sum(w) * model.log_theta
+
+
+def target_log_measure(model: MeasureModel, word) -> float:
+    """``log mu([w])`` of a word that can be a target, or raise.
+
+    The entrance laws rescale time by ``mu(w)``, so a word of measure zero
+    raises ``ZeroMeasureTarget`` (and a symbol off the alphabet ``InvalidSymbol``).
+    """
+    log_mu = log_cylinder_measure(model, word)
+    if log_mu == _LOG_ZERO:
+        raise ZeroMeasureTarget(f"target {as_word(word)} has measure zero")
+    return log_mu
 
 
 def cylinder_measure(model: MeasureModel, word) -> float:

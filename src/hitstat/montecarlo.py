@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import expm1
 
-from .errors import CensoringExceeded, ZeroMeasureTarget
+from .errors import CensoringExceeded
 from .exact import ENTRANCE, RETURN, SurvivalCurve, entrance_survival_stack, step_at
 # unused here, but perfbench/tracing.py patches ``montecarlo.build_product_chain``
 # and ``montecarlo.survival_at``
@@ -33,9 +33,9 @@ from .exact import build_product_chain, survival_at  # noqa: F401
 from .models import (
     MeasureModel,
     cylinder_measure,
-    log_cylinder_measure,
     renyi_entropy,
     shannon_entropy,
+    target_log_measure,
 )
 from .orbits import CapPolicy, OrbitStream, entrance_time, w_sum
 from .rng import Substreams
@@ -184,12 +184,9 @@ def entrance_exponent_samples(model: MeasureModel, n: int, N: int, seed: int,
     Sample ``j`` draws the word from the n-prefix of substream
     ``(seed, j, 0)`` and scans substream ``(seed, j, 1)``.
     """
-    policy = cap_policy or CapPolicy()
-
     def sample(streams, i):
         word = _prefix(model, streams.open(i, 0), n)
-        cap = policy.cap_for(model, word)
-        t = entrance_time(OrbitStream(model, streams.open(i, 1)), word, cap=cap)
+        t = entrance_time(OrbitStream(model, streams.open(i, 1)), word, cap=cap_policy)
         return None if t.censored else math.log(t.value) / n
 
     return _exponents(_keyed(seed, (0, 1), sample), N, indices, "entrance", n, None,
@@ -204,13 +201,10 @@ def recurrence_exponent_samples(model: MeasureModel, n: int, N: int, seed: int,
     The scan replays the prefix drawn from substream ``(seed, j, 0)`` and
     reads on from the same substream.
     """
-    policy = cap_policy or CapPolicy()
-
     def sample(streams, i):
         z = streams.open(i, 0)
         prefix = _prefix(model, z, n)
-        cap = policy.cap_for(model, prefix)
-        t = entrance_time(OrbitStream(model, z, start=prefix), prefix, cap=cap)
+        t = entrance_time(OrbitStream(model, z, start=prefix), prefix, cap=cap_policy)
         return None if t.censored else math.log(t.value) / n
 
     return _exponents(_keyed(seed, (0,), sample), N, indices, "recurrence", n, None,
@@ -227,17 +221,15 @@ def orbit_sum_exponent_samples(model: MeasureModel, n: int, s: float, N: int, se
     """
     if s < 0.0:
         raise ValueError(f"s must be >= 0, got {s}")
-    policy = cap_policy or CapPolicy()
     target = shannon_entropy(model) - (s * renyi_entropy(model, s) if s > 0.0 else 0.0)
 
     def sample(streams, i):
         z = streams.open(i, 0)
         word = _prefix(model, z, n)
-        cap = policy.cap_for(model, word)
         if diagonal:
-            res = w_sum(OrbitStream(model, z, start=word), s=s, cap=cap, n=n)
+            res = w_sum(OrbitStream(model, z, start=word), s=s, cap=cap_policy, n=n)
         else:
-            res = w_sum(OrbitStream(model, streams.open(i, 1)), target=word, s=s, cap=cap)
+            res = w_sum(OrbitStream(model, streams.open(i, 1)), target=word, s=s, cap=cap_policy)
         return None if res.time.censored else res.log_value / n
 
     roles = (0,) if diagonal else (0, 1)
@@ -314,9 +306,7 @@ def _survival_cap(mu: float) -> int:
 
 def _survival_experiment(model, word, N, t_grid, seed, kind, indices) -> SurvivalExperiment:
     word = as_word(word)
-    log_mu = log_cylinder_measure(model, word)
-    if log_mu == -math.inf:
-        raise ZeroMeasureTarget(f"word {word} has measure zero")
+    log_mu = target_log_measure(model, word)
     t = np.asarray(list(t_grid), dtype=float)
     if (t.ndim != 1 or len(t) == 0 or not np.all(np.isfinite(t)) or np.any(t < 0)
             or np.any(np.diff(t) <= 0)):

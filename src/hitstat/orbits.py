@@ -32,13 +32,8 @@ import numpy as np
 
 # unused here, but perfbench/tracing.py patches ``orbits.build_automaton``
 from .automata import build_automaton  # noqa: F401
-from .errors import EmptyInput, SequenceTooShort, ZeroMeasureTarget
-from .models import (
-    BernoulliModel,
-    MarkovModel,
-    MeasureModel,
-    log_cylinder_measure,
-)
+from .errors import EmptyInput, SequenceTooShort
+from .models import BernoulliModel, MarkovModel, MeasureModel, target_log_measure
 from .rng import substream
 from .words import as_word
 
@@ -67,10 +62,7 @@ class CapPolicy:
     multiplier: float = 100.0
 
     def cap_for(self, model: MeasureModel, target) -> int:
-        log_mu = log_cylinder_measure(model, target)
-        if log_mu == -math.inf:
-            raise ZeroMeasureTarget(f"target {as_word(target)} has measure zero")
-        return max(math.ceil(self.multiplier * math.exp(-log_mu)), 1)
+        return _resolve_cap(model, target, self)
 
 
 class OrbitStream:
@@ -271,12 +263,17 @@ def _word_finder(word):
 
 
 def _resolve_cap(model: MeasureModel | None, target, cap) -> int:
-    if model is not None and log_cylinder_measure(model, target) == -math.inf:
-        raise ZeroMeasureTarget(f"target {as_word(target)} has measure zero")
-    if cap is None:
-        if model is None:
+    """Every scan's cap: ``cap`` itself, or a ``CapPolicy`` (``None``: the default) of the target.
+
+    Under a model the target is measured once (``models.target_log_measure``),
+    for the gate and the policy alike.
+    """
+    log_mu = None if model is None else target_log_measure(model, target)
+    if cap is None or isinstance(cap, CapPolicy):
+        if log_mu is None:
             raise ValueError("replay streams without a model need an explicit cap")
-        return CapPolicy().cap_for(model, target)
+        policy = CapPolicy() if cap is None else cap
+        return max(math.ceil(policy.multiplier * math.exp(-log_mu)), 1)
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     return int(cap)
@@ -293,19 +290,19 @@ def _take_head(stream, n: int) -> np.ndarray:
 # entrance and recurrence
 # ---------------------------------------------------------------------------
 
-def entrance_time(stream, target, cap: int | None = None) -> TimeResult:
+def entrance_time(stream, target, cap: int | CapPolicy | None = None) -> TimeResult:
     """First step ``i in [1, cap]`` whose window matches ``target``.
 
     Consumes at most ``cap + n`` symbols from the stream; a match in the
-    window at ``i = 0`` does not count.  Without an explicit ``cap`` the
-    default ``CapPolicy`` is applied to the target's measure.
+    window at ``i = 0`` does not count.  A ``CapPolicy`` as ``cap`` (the
+    default one without it) is applied to the target's measure.
     """
     target = as_word(target)
     cap = _resolve_cap(stream.model, target, cap)
     return _scan(stream, len(target), cap, find=_word_finder(target))
 
 
-def recurrence_time(stream, n: int, cap: int | None = None) -> TimeResult:
+def recurrence_time(stream, n: int, cap: int | CapPolicy | None = None) -> TimeResult:
     """Entrance time of the stream into its own first ``n`` symbols."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -374,7 +371,7 @@ class _OrbitSum:
         self.last = float(log_mu[-1])
 
 
-def w_sum(stream, target=None, s: float = 0.0, cap: int | None = None,
+def w_sum(stream, target=None, s: float = 0.0, cap: int | CapPolicy | None = None,
           n: int | None = None) -> OrbitSumResult:
     """Accumulate ``sum_i mu(x_i..x_{i+n-1})**s`` until entrance into ``target``.
 

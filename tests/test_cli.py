@@ -227,6 +227,8 @@ def test_declared_tolerance_failure_exits_4_but_writes(tmp_path):
 
 EXPONENT_RUN = {"model": "fair-coin", "seed": 1, "n": 6, "N": 30}
 SURVIVAL_RUN = {"model": "two-state-chain", "seed": 5, "N": 60, "word": "01", "t_grid": [0.5, 1.0]}
+# P[0][0] = 0: the word 00 has measure zero on this primitive chain
+ZERO_00 = {"kind": "markov", "P": [[0.0, 1.0], [0.5, 0.5]]}
 STREAM_RUN = {"model": "biased-coin", "seed": 1, "generate_length": 20_000,
               "ow": {"n_list": [6], "starts_per_n": 40}, "plugin": {"n": 4, "s": 1.0}}
 # one run per kind; each tolerance key below fails on it at the value given
@@ -331,7 +333,7 @@ NEVER_RUN = {
     "entrance-cap-infinite": ({"kind": "entrance-exponent", **EXPONENT_RUN,
                                "cap_multiplier": math.inf}, "cap_multiplier: must be a finite"),
     "renyi-s-nan": ({"kind": "renyi-exact", "model": "fair-coin", "seed": 1, "s_list": [math.nan],
-                     "n_list": [2]}, "s_list: must be a finite number, got nan"),
+                     "n_list": [2]}, "s_list: must be a finite number > 0, got nan"),
     "entrance-epsilon-huge": ({"kind": "entrance-exponent", **EXPONENT_RUN, "epsilon": 10**400},
                               "epsilon:"),
     # a key that no table lists, at any level, is rejected rather than ignored
@@ -350,6 +352,28 @@ NEVER_RUN = {
                               "N": cli._MAX_COUNT + 1}, "N: must be a positive integer <="),
     "hlv-m-max-huge": ({"kind": "hlv", "model": "two-state-chain", "seed": 1, "words": ["1"],
                         "m_max": 10**23}, "m_max: must be a positive integer <="),
+    # a word of measure zero is no target, wherever it is given
+    "kac-zero-measure": ({"kind": "kac", "model": ZERO_00, "seed": 1, "word": "00"},
+                         "target (0, 0) has measure zero"),
+    "survival-zero-measure": ({"kind": "survival", **SURVIVAL_RUN, "model": ZERO_00, "word": "00"},
+                              "target (0, 0) has measure zero"),
+    "stream-header-zero-measure": ({"kind": "stream-estimate", **STREAM_RUN, "model": ZERO_00,
+                                    "word": "00"}, "target (0, 0) has measure zero"),
+    # orders and grids that no kind accepts
+    "renyi-s-negative": ({"kind": "renyi-exact", "model": "fair-coin", "seed": 1, "s_list": [-1],
+                          "n_list": [2]}, "s_list: must be a finite number > 0, got -1"),
+    "renyi-s-zero": ({"kind": "renyi-exact", "model": "fair-coin", "seed": 1, "s": 0,
+                      "n_list": [2]}, "s_list: must be a finite number > 0, got 0"),
+    "wns-s-negative": ({"kind": "wns", **EXPONENT_RUN, "s": -0.5},
+                       "s: must be a finite number >= 0, got -0.5"),
+    "kac-s-negative": ({"kind": "kac", "model": "fair-coin", "seed": 1, "word": "11", "s": -1.0},
+                       "s: must be a finite number >= 0, got -1.0"),
+    "survival-grid-decreasing": ({"kind": "survival", **SURVIVAL_RUN, "t_grid": [2, 1]},
+                                 "t_grid: must be a non-empty, strictly increasing array"),
+    "survival-grid-empty": ({"kind": "survival", **SURVIVAL_RUN, "t_grid": []},
+                            "t_grid: must be a non-empty, strictly increasing array"),
+    "survival-grid-negative": ({"kind": "survival", **SURVIVAL_RUN, "t_grid": [-1.0, 1.0]},
+                               "t_grid: must be a finite number >= 0, got -1.0"),
 }
 
 

@@ -1,5 +1,6 @@
 """Exact laws: enumeration oracles, Kac, the entrance/return identity, tail shape."""
 import csv
+import itertools
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from hitstat.exact import (
     RETURN,
     _advance,
     _build_stack,
+    _survival_total,
     _walk,
     entrance_survival_stack,
     fit_survival_shape,
@@ -236,6 +238,29 @@ def test_entrance_return_identity_residuals():
     # 48 and 47 product states, certified at the default rel_tol = 1e-12
     for model, word in ((CHAIN, "011010011101001011010010"), (CHAIN16, (4, 11, 9)), (BIASED, "1" * 47)):
         assert entrance_return_residual(model, word, 60) <= 1e-12
+
+
+def _residual_loop(model, word, m_max):
+    """The identity's defect summed one k at a time: the reference for the cumsum."""
+    ent_chain = build_product_chain(model, word, ENTRANCE)
+    ret_chain = build_product_chain(model, word, RETURN)
+    entrance = exact_survival(ent_chain, max(m_max - 1, 1)).values
+    ret = exact_survival(ret_chain, max(m_max - 1, 1)).values
+    total = _survival_total(ret_chain, 1e-12)
+    worst = 0.0
+    partial = 0.0  # sum_{i <= k-2} P_B(tau_B > i)
+    for k in range(1, m_max + 1):
+        worst = max(worst, abs(entrance[k - 1] - ent_chain.mu * (total - partial)))
+        partial += ret[k - 1]
+    return worst
+
+
+def test_entrance_return_residual_matches_the_loop_bit_for_bit():
+    words = ["".join(w) for n in (1, 2, 3, 4) for w in itertools.product("01", repeat=n)]
+    for model in (FAIR, BIASED, CHAIN, geometric(0.5)):
+        for word in words:
+            for m_max in (1, 2, 3, 17, 500):
+                assert entrance_return_residual(model, word, m_max) == _residual_loop(model, word, m_max)
 
 
 def test_long_markov_words_certify_at_the_default_tolerance():

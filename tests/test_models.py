@@ -25,6 +25,7 @@ from hitstat import (
     MarkovModel,
     ReducibleChain,
     ZeroMassSymbol,
+    ZeroMeasureTarget,
     as_word,
     bernoulli,
     builtin_model,
@@ -44,7 +45,7 @@ from hitstat import (
     word_str,
 )
 from hitstat.errors import ToleranceNotCertified
-from hitstat.models import _gth_solve, _perron_root
+from hitstat.models import _gth_solve, _perron_root, target_log_measure
 
 P_CHAIN = [[0.9, 0.1], [0.2, 0.8]]
 
@@ -253,6 +254,12 @@ def test_geometric_cylinder_measure_hand_value():
 def test_zero_measure_word_gives_minus_inf():
     model = markov([[0.0, 1.0], [0.5, 0.5]])  # P[0][0] = 0, still irreducible aperiodic
     assert log_cylinder_measure(model, "00") == -math.inf
+    # a target must have positive measure: the one rule every scan and chain applies
+    with pytest.raises(ZeroMeasureTarget):
+        target_log_measure(model, "00")
+    with pytest.raises(InvalidSymbol):
+        target_log_measure(model, "02")
+    assert target_log_measure(model, "01") == log_cylinder_measure(model, "01")
 
 
 def test_out_of_alphabet_symbol_rejected():

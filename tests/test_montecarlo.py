@@ -2,6 +2,7 @@
 import collections
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from hitstat import (
     shannon_entropy,
     survival_tail_integral,
 )
-from hitstat import exact, montecarlo
+from hitstat import exact, models, montecarlo
 from hitstat.exact import step_at, survival_at
 from hitstat.models import BernoulliModel, cylinder_measure, geometric
 from hitstat.orbits import OrbitStream, entrance_time, sample_orbit, w_sum
@@ -140,6 +141,25 @@ def test_every_sampler_reaches_the_names_a_tracer_patches(monkeypatch, name):
     assert run.total > 0 and counts["take"] >= run.total
     if scan:
         assert counts[scan] >= run.total
+
+
+@pytest.mark.parametrize("name", ["entrance", "recurrence", "orbit-sum", "diagonal-orbit-sum"])
+def test_each_exponent_sample_measures_its_word_once(monkeypatch, name):
+    # one rule gates a target and gives its cap inside the scan, so a sample
+    # measures its word once, wherever the name is imported
+    original = models.log_cylinder_measure
+    calls = []
+
+    def counting(model, word):
+        calls.append(word)
+        return original(model, word)
+
+    for key, module in list(sys.modules.items()):
+        if key.split(".")[0] == "hitstat" and getattr(module, "log_cylinder_measure", None) is original:
+            monkeypatch.setattr(module, "log_cylinder_measure", counting)
+    function, kwargs = ENSEMBLES[name]
+    run = function(**kwargs)
+    assert run.total == kwargs["N"] and len(calls) == run.total
 
 
 def _lone_value(name, kwargs, j):

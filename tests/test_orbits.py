@@ -234,6 +234,12 @@ def test_sliding_measure_drift_stays_tiny():
 def test_cap_policy_default_scale():
     assert CapPolicy().cap_for(FAIR, "11") == 400  # ceil(100 / 0.25)
     assert CapPolicy(multiplier=10.0).cap_for(FAIR, "1") == 20
+    # a scan makes a policy's cap itself; without a model it has no measure to apply it to
+    never = [0] * 500
+    assert entrance_time(ReplayStream(never, FAIR), "11", cap=CapPolicy()) == TimeResult(400, True)
+    assert entrance_time(ReplayStream(never, FAIR), "11") == TimeResult(400, True)
+    with pytest.raises(ValueError, match="explicit cap"):
+        entrance_time(ReplayStream(never), "11", cap=CapPolicy())
 
 
 def test_cap_policy_zero_measure_target():
