@@ -393,18 +393,21 @@ def survival_at(chain: ProductChain, m):
     return float(values[0]) if steps.ndim == 0 else values
 
 
-def entrance_survival_stack(model: MeasureModel, words, m) -> list[float]:
-    """``P(tau_w > m_w)`` for a list of equal-length words, one step count ``m_w >= 0`` each.
+def entrance_survival_stack(model: MeasureModel, words, t) -> list[float]:
+    """``P(tau_w >= t/mu(w))`` for a list of equal-length words at a rescaled time ``t``.
 
-    Each value is bit for bit ``survival_at(build_product_chain(model, w), m_w)``:
-    the entrance chains are built as one stack (``_build_stack``) and
-    walked by one ``_survival``, in stacks of at most ``STACK_BYTES`` of
-    ``Q``.
+    ``t`` is one time, or one per word.  Each word is gated and measured
+    as ``build_product_chain`` does (``models.target_log_measure``), and
+    its value is bit for bit ``survival_at(build_product_chain(model, w),
+    step_at(t, mu(w)))``: the entrance chains are built as one stack
+    (``_build_stack``) and walked by one ``_survival``, in stacks of at
+    most ``STACK_BYTES`` of ``Q``.
     """
     words = [as_word(w) for w in words]
     out = []
     if not words:
         return out
+    m = step_at(t, np.array([math.exp(target_log_measure(model, w)) for w in words]))
     n = len(words[0])
     S = n * (model.k if isinstance(model, MarkovModel) else 1)
     size = max(1, STACK_BYTES // (8 * S * S))
@@ -413,7 +416,7 @@ def entrance_survival_stack(model: MeasureModel, words, m) -> list[float]:
         tables, cols = build_tables(part, model.k)
         stack = _build_stack(model, part, tables, cols, ENTRANCE)
         # an entrance chain's origin has consumed one symbol
-        out += _survival(stack, np.array(m[lo:lo + size])[:, None], n, 1)[:, 0].tolist()
+        out += _survival(stack, m[lo:lo + size, None], n, 1)[:, 0].tolist()
     return out
 
 

@@ -10,7 +10,8 @@ measure on one-sided sequences over a symbolic alphabet:
 * ``GeometricModel`` -- i.i.d. symbols on the countable alphabet
   ``{0, 1, 2, ...}`` with masses ``(1 - theta) * theta**j``.  This is the
   standard witness for an infinite partition whose tail mass decays
-  geometrically.
+  geometrically.  The model is its ``theta`` alone: it is sampled, like
+  it is measured, from the exact infinite law.
 
 The measure of the cylinder set fixing the first ``n`` symbols to a word
 ``w`` is ``mu(w)``; all measures are handled in natural-log space (nats)
@@ -23,6 +24,9 @@ with the sum over all n-cylinders.  For i.i.d. models ``Z_n`` factorizes,
 giving ``R(s) = -(1/s) * log sum_i p_i**(1+s)``; for Markov models
 ``R(s) = -(1/s) * log lambda(s)`` where ``lambda(s)`` is the Perron root
 of the entrywise power matrix ``P**(1+s)``.
+
+A model's JSON spec (``model_from_dict``) names its kind and that kind's
+keys only; a missing or unknown key raises.
 """
 from __future__ import annotations
 
@@ -58,7 +62,6 @@ _LOG_ZERO = float("-inf")
 _UNIT_ROUNDOFF = 2.0**-53
 _NORMAL_PRODUCTS = 2.0**-511  # products of entries this large stay normal
 _PERRON_REFINE_STEPS = 8      # power steps allowed to narrow a Perron root's bracket
-GEOMETRIC_RESIDUAL_MASS = 1e-15  # tail mass a geometric sampler may clip (``geometric``)
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +148,10 @@ class UpdateMaps:
 class GeometricModel:
     """I.i.d. symbols on ``{0, 1, 2, ...}`` with masses ``(1-theta)*theta**j``.
 
-    ``truncation`` only bounds *sampling*: symbols are clipped to
-    ``truncation - 1``, losing mass below ``GEOMETRIC_RESIDUAL_MASS``.
-    Measures and entropies always use the exact infinite law.
+    Measures, entropies and the sampler all use the exact infinite law.
     """
 
     theta: float
-    truncation: int
 
     @property
     def k(self) -> None:
@@ -191,15 +191,8 @@ def markov(P, pi=None) -> MarkovModel:
 
 
 def geometric(theta: float) -> GeometricModel:
-    """Validated countable-alphabet model with geometric symbol masses.
-
-    The sampling truncation level is the smallest ``L`` with
-    ``theta**L < GEOMETRIC_RESIDUAL_MASS``.
-    """
-    if not (0.0 < theta < 1.0):
-        raise BadThetaRange(f"theta must lie in (0, 1), got {theta}")
-    truncation = max(1, math.ceil(math.log(GEOMETRIC_RESIDUAL_MASS) / math.log(theta)))
-    model = GeometricModel(theta=float(theta), truncation=truncation)
+    """Validated countable-alphabet model with geometric symbol masses."""
+    model = GeometricModel(theta=float(theta))
     validate(model)
     return model
 
@@ -228,8 +221,6 @@ def validate(model: MeasureModel) -> None:
     elif isinstance(model, GeometricModel):
         if not (0.0 < model.theta < 1.0):
             raise BadThetaRange(f"theta must lie in (0, 1), got {model.theta}")
-        if model.truncation < 1:
-            raise BadThetaRange("sampling truncation must be >= 1")
     else:
         raise TypeError(f"not a measure model: {model!r}")
 
@@ -546,29 +537,35 @@ def model_to_dict(model: MeasureModel) -> dict:
     return {"kind": "geometric", "theta": float(model.theta)}
 
 
+# each kind's builder, its required keys and its optional ones
+_SPECS = {
+    "bernoulli": (lambda spec: bernoulli(spec["p"]), ("p",), ()),
+    "markov": (lambda spec: markov(spec["P"], pi=spec.get("pi")), ("P",), ("pi",)),
+    "geometric": (lambda spec: geometric(float(spec["theta"])), ("theta",), ()),
+}
+
+
 def model_from_dict(spec: dict) -> MeasureModel:
     """Build and validate a model from its JSON description.
 
     Recognized shapes: ``{"kind": "bernoulli", "p": [...]}``,
     ``{"kind": "markov", "P": [[...]], "pi": [...](optional)}`` and
-    ``{"kind": "geometric", "theta": x}``.
+    ``{"kind": "geometric", "theta": x}``.  A missing key, or any key
+    its kind does not list, raises ``ValueError``.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("model spec must be a dict with a 'kind' key")
     kind = spec["kind"]
-    if kind == "bernoulli":
-        if "p" not in spec:
-            raise ValueError("bernoulli spec needs 'p'")
-        return bernoulli(spec["p"])
-    if kind == "markov":
-        if "P" not in spec:
-            raise ValueError("markov spec needs 'P'")
-        return markov(spec["P"], pi=spec.get("pi"))
-    if kind == "geometric":
-        if "theta" not in spec:
-            raise ValueError("geometric spec needs 'theta'")
-        return geometric(float(spec["theta"]))
-    raise ValueError(f"unknown model kind: {kind!r}")
+    if not isinstance(kind, str) or kind not in _SPECS:
+        raise ValueError(f"unknown model kind: {kind!r}")
+    build, required, optional = _SPECS[kind]
+    for key in required:
+        if key not in spec:
+            raise ValueError(f"{kind} spec needs {key!r}")
+    for key in spec:
+        if key not in ("kind", *required, *optional):
+            raise ValueError(f"{kind} spec: unknown key {key!r}")
+    return build(spec)
 
 
 def load_model(path) -> MeasureModel:

@@ -32,7 +32,6 @@ from .exact import ENTRANCE, RETURN, SurvivalCurve, entrance_survival_stack, ste
 from .exact import build_product_chain, survival_at  # noqa: F401
 from .models import (
     MeasureModel,
-    cylinder_measure,
     renyi_entropy,
     shannon_entropy,
     target_log_measure,
@@ -144,7 +143,8 @@ class ExponentSamples(Ensemble):
 
         Raises ``CensoringExceeded`` beyond the 1% censoring budget:
         truncation clips exactly the large-exponent tail, so a summary
-        over such an ensemble would be silently biased.
+        over such an ensemble would be silently biased.  An empty part
+        raises ``ValueError``.
         """
         if self.censored_fraction > CENSOR_SUMMARY_LIMIT:
             raise CensoringExceeded(
@@ -152,6 +152,8 @@ class ExponentSamples(Ensemble):
                 f"{CENSOR_SUMMARY_LIMIT:.2%}"
             )
         v = self.values
+        if not len(v):
+            raise ValueError("no samples to summarize: the ensemble part is empty")
         return {
             "count": int(len(v)),
             "censored": int(len(self.censored)),
@@ -226,10 +228,11 @@ def orbit_sum_exponent_samples(model: MeasureModel, n: int, s: float, N: int, se
     def sample(streams, i):
         z = streams.open(i, 0)
         word = _prefix(model, z, n)
-        if diagonal:
-            res = w_sum(OrbitStream(model, z, start=word), s=s, cap=cap_policy, n=n)
+        if diagonal:  # the path goes on from its own prefix
+            stream = OrbitStream(model, z, start=word)
         else:
-            res = w_sum(OrbitStream(model, streams.open(i, 1)), target=word, s=s, cap=cap_policy)
+            stream = OrbitStream(model, streams.open(i, 1))
+        res = w_sum(stream, word, s=s, cap=cap_policy)
         return None if res.time.censored else res.log_value / n
 
     roles = (0,) if diagonal else (0, 1)
@@ -272,6 +275,8 @@ class SurvivalExperiment(Ensemble):
 
     @property
     def mean_time(self) -> float:
+        if not len(self.values):
+            raise ValueError("no uncensored times to average: the part is empty or all censored")
         return float(self.times.mean())
 
     @property
@@ -280,6 +285,8 @@ class SurvivalExperiment(Ensemble):
 
     @cached_property
     def curve(self) -> SurvivalCurve:
+        if not self.total:
+            raise ValueError("no samples for a curve: the ensemble part is empty")
         t = np.asarray(self.t_grid, dtype=float)
         m_of = step_at(t, self.mu)
         # times above m, and the censored samples while m <= cap: they certify tau > cap
@@ -391,7 +398,6 @@ def survival_tail_integral(model: MeasureModel, n: int, epsilon: float, n_outer:
     def samples(js):
         streams = Substreams(seed, js, (0,))
         words = [_prefix(model, streams.open(i, 0), n) for i in range(len(js))]
-        m = step_at(threshold, np.array([cylinder_measure(model, w) for w in words]))
-        return entrance_survival_stack(model, words, m.tolist())
+        return entrance_survival_stack(model, words, threshold)
 
     return TailIntegral(**vars(ensemble(samples, n_outer, indices)), n=n, epsilon=epsilon)

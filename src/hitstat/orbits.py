@@ -6,7 +6,9 @@ the conditional kernel.  Everything downstream is a deterministic
 function of ``(model, seed)``; seeds may be tuples, so experiments can
 hand sample ``j`` the substream ``(seed, j)`` and stay reproducible under
 any parallel schedule.  A stream may also read a ready generator, such
-as one that ``rng.Substreams`` re-keyed to a sample's substream.
+as one that ``rng.Substreams`` re-keyed to a sample's substream.  A
+stream started at a word (``start=``) plays it first, so the return to a
+path's own n-prefix is a scan of such a stream for that prefix.
 
 Time conventions (fixed throughout the package):
 
@@ -150,10 +152,8 @@ class OrbitStream:
                 out = np.array(path, dtype=np.int64)
             self._last = int(out[-1])
             return out
-        u = self._rng.random(count)
-        out = np.floor(np.log1p(-u) / model.log_theta).astype(np.int64)
-        np.clip(out, 0, model.truncation - 1, out=out)
-        return out
+        # inversion: u < 1 keeps every symbol below -log(2**-53) / |log theta|
+        return np.floor(np.log1p(-self._rng.random(count)) / model.log_theta).astype(np.int64)
 
 
 def as_symbols(symbols) -> np.ndarray:
@@ -371,29 +371,23 @@ class _OrbitSum:
         self.last = float(log_mu[-1])
 
 
-def w_sum(stream, target=None, s: float = 0.0, cap: int | CapPolicy | None = None,
-          n: int | None = None) -> OrbitSumResult:
+def w_sum(stream, target, s: float = 0.0, cap: int | CapPolicy | None = None) -> OrbitSumResult:
     """Accumulate ``sum_i mu(x_i..x_{i+n-1})**s`` until entrance into ``target``.
 
-    ``target=None`` selects the diagonal variant: the target is the
-    stream's own first ``n`` symbols (then ``n`` is required).  Window
-    log-measures are summed afresh from per-symbol increments in every
-    block of ``BLOCK`` symbols, so no rounding drift accumulates along
-    the scan, and merged into a running log-sum-exp.
+    The return to a path's own n-prefix is the scan of a stream started
+    at that prefix (``OrbitStream(model, seed, start=word)``) for it.
+    Window log-measures are summed afresh from per-symbol increments in
+    every block of ``BLOCK`` symbols, so no rounding drift accumulates
+    along the scan, and merged into a running log-sum-exp.
     """
     model = stream.model
     if model is None:
         raise ValueError("orbit measure sums need a measure model")
     if s < 0.0:
         raise ValueError(f"s must be >= 0, got {s}")
-    if target is not None:
-        target = as_word(target)
-        n = len(target)
-    elif n is None:
-        raise ValueError("diagonal variant needs the window length n")
+    target = as_word(target)
+    n = len(target)
     head = _take_head(stream, n)
-    if target is None:
-        target = tuple(int(x) for x in head)
     cap = _resolve_cap(model, target, cap)
     acc = _OrbitSum(model, n, s)
     t = _scan(stream, n, cap, find=_word_finder(target), visit=acc, head=head)

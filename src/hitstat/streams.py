@@ -1,11 +1,13 @@
 """Entropy estimation from raw byte data.
 
-Two estimators over a symbol sequence: window-recurrence times give
-Shannon entropy (the exponent of the first repeat of an n-window scales
-with the entropy rate), and plug-in n-gram frequencies give the Renyi
-entropy function.  Both work on finite data, so recurrence scans can be
-censored by the end of the sequence; the censored fraction is reported
-and a hard error fires once it could visibly bias the median.
+Bytes become ``uint8`` symbols through one of three named maps
+(``named_map``: ``byte``, ``nibble`` or ``bit``).  Two estimators run over
+a symbol sequence: window-recurrence times give Shannon entropy (the
+exponent of the first repeat of an n-window scales with the entropy
+rate), and plug-in n-gram frequencies give the Renyi entropy function.
+Both work on finite data, so recurrence scans can be censored by the end
+of the sequence; the censored fraction is reported and a hard error
+fires once it could visibly bias the median.
 """
 from __future__ import annotations
 
@@ -45,30 +47,13 @@ _NAMED_K = {"byte": 256, "nibble": 16, "bit": 2}
 
 @dataclass(frozen=True)
 class SymbolMap:
-    """Total, deterministic map from bytes to symbol tuples."""
+    """One of the named maps from bytes to symbols (``named_map``)."""
 
     mode: str
     k: int
-    table: tuple | None = None  # custom mode only: 256 symbol values
-
-    @staticmethod
-    def custom(table) -> "SymbolMap":
-        values = tuple(int(v) for v in table)
-        if len(values) != 256:
-            raise InvalidSymbol(
-                f"custom tables must map all 256 byte values, got {len(values)}"
-            )
-        if any(v < 0 for v in values):
-            raise InvalidSymbol("custom table symbols must be >= 0")
-        return SymbolMap(mode="custom", k=max(values) + 1, table=values)
 
     def apply(self, data: bytes) -> np.ndarray:
-        """Symbols of ``data``, one byte each while they fit in one.
-
-        ``byte``, ``nibble``, ``bit`` and ``custom`` tables with ``k <= 256``
-        return ``uint8`` (one byte per symbol, 8 per input byte for ``bit``);
-        a custom table with ``k > 256`` returns ``int64``.
-        """
+        """Symbols of ``data`` as ``uint8``, one byte per symbol (8 per input byte for ``bit``)."""
         raw = np.frombuffer(data, dtype=np.uint8)
         if self.mode == "byte":
             return raw.copy()
@@ -79,8 +64,7 @@ class SymbolMap:
             return out
         if self.mode == "bit":
             return np.unpackbits(raw)  # MSB first
-        dtype = np.uint8 if self.k <= 256 else np.int64
-        return np.asarray(self.table, dtype=dtype)[raw]
+        raise InvalidSymbol(f"unknown symbol map {self.mode!r}")
 
 
 def named_map(name: str) -> SymbolMap:
@@ -91,7 +75,11 @@ def named_map(name: str) -> SymbolMap:
 
 
 def ingest(source, symbol_map: SymbolMap | None = None) -> np.ndarray:
-    """Read bytes (or a file of bytes) into a symbol sequence."""
+    """Read bytes (or a file of bytes) into a ``uint8`` symbol sequence.
+
+    Another alphabet is a table indexed by the bytes:
+    ``np.asarray(table)[ingest(source)]``.
+    """
     symbol_map = symbol_map or named_map("byte")
     if isinstance(source, (bytes, bytearray, memoryview)):
         data = bytes(source)

@@ -271,7 +271,8 @@ def test_criterion_08_diagonal_identity():
         for n in (4, 8, 12):
             for j in range(100):
                 tau = recurrence_time(OrbitStream(model, (50, j)), n)
-                res = w_sum(OrbitStream(model, (50, j)), s=0.0, n=n)
+                prefix = tuple(sample_orbit(model, (50, j), n).tolist())
+                res = w_sum(OrbitStream(model, (50, j)), target=prefix, s=0.0)
                 assert not tau.censored
                 assert res.terms == tau.value  # exact integer identity
                 checked += 1

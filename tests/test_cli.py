@@ -343,6 +343,9 @@ NEVER_RUN = {
                      "ow": {"n_list": [4], "start_per_n": 10}}, "ow: unknown key 'start_per_n'"),
     "kac-tolerance-misspelt": ({"kind": "kac", "model": "fair-coin", "seed": 1, "word": "111",
                                 "tolerance": {"max_residul": 1e-30}}, "unknown key 'max_residul'"),
+    "kac-model-misspelt": ({"kind": "kac", "seed": 1, "word": "11",
+                            "model": {"kind": "markov", "P": [[0.9, 0.1], [0.2, 0.8]],
+                                      "pii": [0.5, 0.5]}}, "markov spec: unknown key 'pii'"),
     "outdir-empty": ({"kind": "kac", "model": "fair-coin", "seed": 1, "word": "111", "outdir": ""},
                      "outdir: must be a non-empty path"),
     # a count no numpy index can hold

@@ -374,9 +374,11 @@ def test_stacked_entrance_survival_is_bit_identical_to_each_lone_chain(name, dat
     words = draw_words(model, data)
     chains = [build_product_chain(model, word, ENTRANCE) for word in words]
     m = draw_steps(data, words, len(chains[0].live))
+    t = [(k + 0.5) * chain.mu for chain, k in zip(chains, m)]  # a time that steps to k
     if data.draw(st.booleans()):
-        m = [m[0]] * len(m)  # one gap for the whole stack
-    got = entrance_survival_stack(model, words, m)
+        t = t[0]  # one time for the whole stack
+    got = entrance_survival_stack(model, words, t)
+    m = step_at(np.broadcast_to(t, len(words)), np.array([chain.mu for chain in chains]))
     assert got == [survival_at(chain, k) for chain, k in zip(chains, m)]
 
 
@@ -421,7 +423,16 @@ def test_a_stack_walks_several_step_counts_per_chain_as_each_chain_alone(name, k
 
 
 def test_entrance_survival_stack_of_no_words_is_empty():
-    assert entrance_survival_stack(FAIR, [], []) == []
+    assert entrance_survival_stack(FAIR, [], 1.0) == []
+
+
+def test_entrance_survival_stack_gates_every_word():
+    # as build_product_chain does: "00" has measure zero, so it is no target
+    model = markov([[0.0, 1.0], [0.5, 0.5]])
+    with pytest.raises(ZeroMeasureTarget):
+        entrance_survival_stack(model, ["00", "01"], 3.0)
+    with pytest.raises(ZeroMeasureTarget):
+        build_product_chain(model, "00")
 
 
 @st.composite

@@ -197,10 +197,6 @@ def test_bad_theta_rejected():
             geometric(theta)
 
 
-def test_geometric_truncation_matches_residual_target():
-    assert geometric(0.5).truncation == 50  # ceil(log(1e-15)/log(0.5))
-
-
 def exact_stationary(P):
     """Stationary vector in exact rationals, each diagonal set so its row sums to one."""
     k = len(P)
@@ -557,8 +553,16 @@ def test_model_from_dict_computes_stationary_vector():
 
 def test_model_from_dict_rejects_malformed_specs():
     for spec in ({}, {"kind": "nope"}, {"kind": "bernoulli"}, {"kind": "markov"},
-                 {"kind": "geometric"}, "fair-coin"):
+                 {"kind": "geometric"}, "fair-coin", {"kind": ["markov"]}):
         with pytest.raises(ValueError):
+            model_from_dict(spec)
+
+
+def test_model_from_dict_rejects_keys_its_kind_does_not_list():
+    for spec, key in (({"kind": "markov", "P": P_CHAIN, "pii": [2 / 3, 1 / 3]}, "pii"),
+                      ({"kind": "bernoulli", "p": [0.5, 0.5], "pi": [0.5, 0.5]}, "pi"),
+                      ({"kind": "geometric", "theta": 0.5, "truncation": 50}, "truncation")):
+        with pytest.raises(ValueError, match=f"unknown key '{key}'"):
             model_from_dict(spec)
 
 

@@ -1,5 +1,6 @@
 """Ensemble sampler behavior: determinism, merging, censoring, laws."""
 import collections
+import dataclasses
 import functools
 import math
 import sys
@@ -182,7 +183,7 @@ def _lone_value(name, kwargs, j):
         res = w_sum(OrbitStream(model, (seed, j, 1)), target=word, s=kwargs["s"], cap=cap)
         return None if res.time.censored else res.log_value / n
     else:
-        res = w_sum(OrbitStream(model, (seed, j, 0)), s=kwargs["s"], cap=cap, n=n)
+        res = w_sum(OrbitStream(model, (seed, j, 0)), target=word, s=kwargs["s"], cap=cap)
         return None if res.time.censored else res.log_value / n
     return None if t.censored else math.log(t.value) / n
 
@@ -428,6 +429,25 @@ def test_an_empty_tail_part_has_no_estimate():
     assert part.total == 0 and part.std_error == 0.0
     with pytest.raises(ValueError, match="empty"):
         part.estimate
+
+
+@pytest.mark.filterwarnings("error")
+def test_no_statistic_of_an_empty_part_is_nan():
+    with pytest.raises(ValueError, match="empty"):
+        entrance_exponent_samples(FAIR, 4, 10, 1, indices=[]).summary()
+    for sampler in (empirical_survival, empirical_return_survival):
+        part = sampler(FAIR, "101", 10, [0.5, 1.0], 1, indices=[])
+        with pytest.raises(ValueError, match="empty"):
+            part.curve
+        with pytest.raises(ValueError, match="empty"):
+            part.mean_time
+        # a part whose every sample hit the cap has a curve but no mean time
+        whole = sampler(FAIR, "101", 10, [0.5, 1.0], 1)
+        censored = dataclasses.replace(whole, indices=whole.indices[:0], values=whole.values[:0],
+                                       censored=np.arange(10))
+        assert censored.curve.values.tolist() == [1.0, 1.0]
+        with pytest.raises(ValueError, match="all censored"):
+            censored.mean_time
 
 
 def test_tail_integral_rejects_nonpositive_epsilon():

@@ -170,7 +170,8 @@ def test_recurrence_equals_entrance_on_own_prefix():
 def test_w_sum_at_zero_equals_recurrence_time():
     for seed in range(100):
         n = 2 + (seed % 3)
-        res = w_sum(OrbitStream(FAIR, seed), s=0.0, cap=5000, n=n)
+        prefix = tuple(sample_orbit(FAIR, seed, n).tolist())
+        res = w_sum(OrbitStream(FAIR, seed), target=prefix, s=0.0, cap=5000)
         rec = recurrence_time(OrbitStream(FAIR, seed), n, cap=5000)
         assert res.terms == rec.value
         assert res.time == rec
@@ -189,13 +190,14 @@ def test_w_sum_equal_measure_windows():
 
 def test_w_sum_matches_naive_recomputation():
     for seed in range(20):
-        res = w_sum(OrbitStream(CHAIN, seed), s=0.5, cap=10**4, n=4)
+        prefix = tuple(sample_orbit(CHAIN, seed, 4).tolist())
+        res = w_sum(OrbitStream(CHAIN, seed), target=prefix, s=0.5, cap=10**4)
         assert not res.time.censored
         sym = sample_orbit(CHAIN, seed, res.time.value + 4)
         logs = [log_cylinder_measure(CHAIN, window_at(sym, i, 4))
                 for i in range(1, res.time.value + 1)]
         assert res.log_value == pytest.approx(float(logsumexp(0.5 * np.array(logs))), abs=1e-9)
-        assert window_at(sym, 0, 4) == tuple(int(x) for x in sample_orbit(CHAIN, seed, 4))
+        assert window_at(sym, res.time.value, 4) == prefix
 
 
 def test_w_sum_censored_keeps_partial_sum():
@@ -207,9 +209,7 @@ def test_w_sum_censored_keeps_partial_sum():
 
 def test_w_sum_argument_validation():
     with pytest.raises(ValueError):
-        w_sum(OrbitStream(FAIR, 0), s=-0.5, cap=10, n=2)
-    with pytest.raises(ValueError):
-        w_sum(OrbitStream(FAIR, 0), s=1.0, cap=10)  # diagonal needs n
+        w_sum(OrbitStream(FAIR, 0), target=(1, 1), s=-0.5, cap=10)
 
 
 def test_sliding_measure_drift_stays_tiny():
@@ -410,7 +410,9 @@ def test_narrow_replay_scans_equal_the_int64_replay(name, seed, n, length, shape
             except SequenceTooShort as exc:
                 return str(exc), stream.position
         sums = [run(lambda st_: w_sum(st_, target=word, s=s, cap=cap)) for s in (0.0, 1.0, 2.5)]
-        sums.append(run(lambda st_: w_sum(st_, s=0.5, cap=cap, n=n)))
+        # the return to the replay's own prefix
+        prefix = tuple(int(x) for x in symbols[:n])
+        sums.append(run(lambda st_: w_sum(st_, target=prefix, s=0.5, cap=cap)))
         return [
             run(lambda st_: entrance_time(st_, word, cap=cap)),
             run(lambda st_: recurrence_time(st_, n, cap=cap)),

@@ -48,13 +48,6 @@ def test_nibble_map_splits_high_then_low():
     assert ingest(b"\x4f", named_map("nibble")).tolist() == [4, 15]
 
 
-def test_custom_table_must_cover_every_byte():
-    with pytest.raises(InvalidSymbol):
-        SymbolMap.custom([0] * 255)
-    table = [1 if b % 2 else 0 for b in range(256)]
-    assert ingest(b"\x02\x03", SymbolMap.custom(table)).tolist() == [0, 1]
-
-
 def test_ingest_reads_files_and_reports_failures(tmp_path):
     path = tmp_path / "data.bin"
     path.write_bytes(b"\x00\xff")
@@ -75,17 +68,13 @@ def test_named_maps_resolve():
 
 def test_ingest_returns_one_byte_symbols_while_they_fit():
     data = bytes(range(256)) * 3
-    for name in ("byte", "nibble", "bit"):
-        assert ingest(data, named_map(name)).dtype == np.uint8
-    narrow = SymbolMap.custom([255 - b for b in range(256)])  # k = 256
-    assert narrow.k == 256
-    symbols = ingest(data, narrow)
-    assert symbols.dtype == np.uint8
-    assert symbols.tolist() == [255 - b for b in data]
-    wide = SymbolMap.custom([b * 3 for b in range(256)])  # k = 766
-    symbols = ingest(data, wide)
-    assert symbols.dtype == np.int64
-    assert symbols.tolist() == [b * 3 for b in data]
+    for name, per_byte in (("byte", 1), ("nibble", 2), ("bit", 8)):
+        symbols = ingest(data, named_map(name))
+        assert symbols.dtype == np.uint8
+        assert len(symbols) == per_byte * len(data)
+        assert symbols.max() == named_map(name).k - 1
+    with pytest.raises(InvalidSymbol):
+        ingest(data, SymbolMap(mode="octal", k=8))
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +216,7 @@ def test_block_codes_are_bit_identical_to_the_passes_oracle(monkeypatch, k, n):
 
 def test_block_codes_on_a_wide_custom_table_match_the_passes_oracle(monkeypatch):
     data = substream(7, 7).integers(0, 256, size=2 * (1 << 16) + 5).astype(np.uint8).tobytes()
-    seq = ingest(data, SymbolMap.custom([b * 3 for b in range(256)]))  # k = 766
-    assert seq.dtype == np.int64
+    seq = 3 * ingest(data).astype(np.int64)  # a table of 3 * byte: k = 766
     for n in (1, 2, 3, 6):
         assert_same_as_the_passes_oracle(monkeypatch, seq, n)
 
