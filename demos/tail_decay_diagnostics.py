@@ -26,6 +26,9 @@ for eps in (0.05, 0.2):
     r = survival_tail_integral(fair, 10, epsilon=eps, n_outer=1500, seed=3)
     print(f"eps={eps:<5} n=10: {r.estimate:.4f} (+- {r.std_error:.4f})")
 
+# the floor n*mu + phi(n): phi(g) is the source's mixing coefficient across g
+# transitions, 0 for the fair coin and max_i 1/2 sum_j |P^g[i,j] - pi_j| for the
+# chain, (2/3) 0.7^g here; the chain's '01' floor is 2/15 + phi(2) = 0.46
 print("\nper-word envelope F(t) <= exp(-rate t) + n*mu + phi(n)")
 for model, name, word in ((fair, "fair", "1"), (chain, "chain", "01")):
     rep = fit_survival_shape(model, word, np.linspace(0.3, 5.0, 24))

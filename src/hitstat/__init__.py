@@ -5,7 +5,6 @@ from .errors import (
     BadThetaRange,
     BudgetExceeded,
     CensoringExceeded,
-    ContractionDegenerate,
     EmptyInput,
     GridTooCoarse,
     HitstatError,

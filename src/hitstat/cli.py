@@ -34,6 +34,7 @@ from .exact import (
     entrance_return_residual,
     exact_mean_return,
     fit_survival_shape,
+    step_at,
     survival_at,
 )
 from .models import (
@@ -522,12 +523,6 @@ def _write_report(outdir: Path, cfg, params, columns, rows, results, tol_ok):
         fh.write(text)
 
 
-def _resolve_workers(args) -> int:
-    if args.workers < 1:
-        raise ConfigError(f"worker count must be >= 1, got {args.workers}")
-    return args.workers
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="hitstat",
@@ -540,7 +535,8 @@ def main(argv=None) -> int:
 
     # validation phase: every key is read, and nothing is on disk, until this block succeeds
     try:
-        workers = _resolve_workers(args)
+        if args.workers < 1:
+            raise ConfigError(f"worker count must be >= 1, got {args.workers}")
         cfg = _load_config(args.config)
         kind = cfg.get("kind")
         if kind not in KINDS:
@@ -550,6 +546,8 @@ def main(argv=None) -> int:
         if params["model"] is not None:
             for word in filter(None, [params["word"], *params.get("words", ())]):
                 target_log_measure(params["model"], word)
+            if "t_grid" in params:  # every time's step count must fit in int64
+                step_at(params["t_grid"], cylinder_measure(params["model"], params["word"]))
         if params["tolerance"] is not None:
             tol = params["tolerance"] = _read(params["tolerance"], TOLERANCES[kind])
             # beyond its keys, a tolerance needs a model, and a bound the section it is measured on
@@ -564,7 +562,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        columns, rows, results, measured = run(params, workers)
+        columns, rows, results, measured = run(params, args.workers)
         tol_ok = None if params["tolerance"] is None else _verdict(params["tolerance"], kind, measured)
         _write_report(outdir, cfg, params, columns, rows, results, tol_ok)
     except ConfigError as exc:

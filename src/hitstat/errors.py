@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 from __future__ import annotations
 
 
@@ -34,11 +34,6 @@ class NonPositiveS(HitstatError, ValueError):
 
 class BudgetExceeded(HitstatError, ValueError):
     """An n-gram code would not fit in 64 bits."""
-
-
-class ContractionDegenerate(UserWarning):
-    """The one-step contraction coefficient equals one; the mixing bound
-    decays no faster than its constant and is vacuous."""
 
 
 # --- orbit engine -------------------------------------------------------

@@ -248,14 +248,26 @@ class SurvivalCurve:
                                  self.kind, self.exactness_label])
 
 
+def _time_grid(t_grid) -> np.ndarray:
+    """``t_grid`` as floats: 1-d, non-empty, finite, >= 0 and strictly increasing, or ``ValueError``."""
+    t = np.asarray(list(t_grid), dtype=float)
+    if t.ndim != 1 or not len(t) or not (np.all(np.isfinite(t) & (t >= 0)) and np.all(np.diff(t) > 0)):
+        raise ValueError("t grid must be non-empty, finite, non-negative and strictly increasing")
+    return t
+
+
 def step_at(t, mu: float) -> np.ndarray:
     """Step ``m`` with ``P(tau >= t/mu) = P(tau > m)``: ``ceil(t/mu) - 1``, at least 0.
 
     A ratio ``t/mu`` within four units in the last place of an integer
     is taken as that integer, so a last-bit change of ``mu`` cannot move
-    the step.  Works elementwise on arrays.
+    the step.  Works elementwise on arrays.  A ratio not finite or past
+    ``2**62`` in size raises ``ValueError``: then any word length added fits in int64.
     """
-    r = np.asarray(t, dtype=float) / mu
+    with np.errstate(all="ignore"):  # an infinite or undefined ratio is rejected below
+        r = np.asarray(t, dtype=float) / mu
+    if not np.all(np.abs(r) <= 2.0**62):
+        raise ValueError("a step count t/mu must be finite and at most 2**62 in size")
     k = np.rint(r)
     r = np.where(np.abs(r - k) <= 4.0 * np.spacing(k), k, r)
     return np.maximum(np.ceil(r).astype(np.int64) - 1, 0)
@@ -488,8 +500,9 @@ class TailShapeReport:
 
     ``rate`` is the fitted decay per unit rescaled time; ``floor`` is
     the additive slack ``n * mu(B) + phi(n)`` below which no exponential
-    statement is attempted; ``bound_holds`` records the pointwise check
-    ``F(t) <= exp(-rate * t) + floor`` on the whole grid.
+    statement is attempted, ``phi(n)`` (``models.phi_bound``) mixing the past
+    ``sigma(x_0..x_j)`` with the future ``sigma(x_{j+n}, ...)``, hence ``P**n``;
+    ``bound_holds`` records the check ``F(t) <= exp(-rate * t) + floor`` on the grid.
     """
 
     rate: float
@@ -503,16 +516,12 @@ class TailShapeReport:
 
 def fit_survival_shape(model: MeasureModel, target, t_grid) -> TailShapeReport:
     """Fit ``log F(t) ~ intercept - rate * t`` above the additive floor."""
-    t = np.asarray(list(t_grid), dtype=float)
-    if t.ndim != 1 or len(t) < 2:
-        raise GridTooCoarse("need at least two grid points")
-    if np.any(t <= 0.0) or np.any(np.diff(t) <= 0.0):
-        raise ValueError("t grid must be positive and strictly increasing")
+    t = _time_grid(t_grid)
+    if len(t) < 2 or t[0] <= 0.0:
+        raise GridTooCoarse("need at least two grid points, all > 0")
     chain = build_product_chain(model, target, ENTRANCE)
-    mu = chain.mu
-    n = chain.n
-    floor = n * mu + phi_bound(model, n)
-    m_of = step_at(t, mu)
+    floor = chain.n * chain.mu + phi_bound(model, chain.n)
+    m_of = step_at(t, chain.mu)
     values = survival_at(chain, m_of)
     # points still at m = 0 sit before the discretized curve moves; they
     # carry no decay information and would flatten the fit

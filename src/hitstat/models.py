@@ -25,6 +25,9 @@ giving ``R(s) = -(1/s) * log sum_i p_i**(1+s)``; for Markov models
 ``R(s) = -(1/s) * log lambda(s)`` where ``lambda(s)`` is the Perron root
 of the entrywise power matrix ``P**(1+s)``.
 
+``phi_bound`` gives the phi-mixing coefficient across ``g`` transitions: 0
+for i.i.d. models, ``max_i 1/2 sum_j |P**g[i, j] - pi_j|`` plus a stated term for Markov ones.
+
 A model's JSON spec (``model_from_dict``) names its kind and that kind's
 keys only; a missing or unknown key raises.
 """
@@ -33,7 +36,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -44,7 +46,6 @@ from scipy.special import logsumexp
 
 from .errors import (
     BadThetaRange,
-    ContractionDegenerate,
     InvalidSymbol,
     NonPositiveS,
     NonStochasticRow,
@@ -492,32 +493,33 @@ def partition_sum_exact(model: MeasureModel, n: int, s: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# mixing and tail certificates
+# mixing
 # ---------------------------------------------------------------------------
 
 def phi_bound(model: MeasureModel, gap: int) -> float:
-    """Certified upper bound on the phi-mixing coefficient at ``gap``.
+    """The phi-mixing coefficient ``phi(gap)`` plus a rounding term, at most 1.
 
-    I.i.d. models are exactly independent across any gap, so the bound is
-    zero.  Markov models get the one-step contraction certificate
-    ``C * rho**gap`` with ``rho = 1 - sum_j min_i P[i, j]`` (Dobrushin
-    coefficient) and ``C = max_j 1/pi_j``.  Geometric decay makes the
-    sequence summable, which is the standing mixing hypothesis for the
-    exponential entrance-law and orbit-sum limits.  When ``rho == 1`` the
-    bound cannot decay; a ``ContractionDegenerate`` warning is issued and
-    the constant is returned as a (vacuous) bound.
+    ``phi(g)`` is the sup of ``|P(B | A) - P(B)|`` over past events ``A`` of ``sigma(x_0..x_j)``,
+    ``P(A) > 0``, and future events ``B`` of ``sigma(x_{j+g}, ...)``, ``g`` steps apart, hence
+    ``P**g``: 0.0 for i.i.d. models, ``max_i 1/2 sum_j |P**g[i, j] - pi_j|`` for a stationary
+    Markov chain (Bradley, *Probab. Surveys* 2, 2005).  The term has three parts (``u = 2**-53``):
+    the powering, whose products of non-negative matrices leave each entry of ``P**g`` within
+    ``(1 + gamma_k)**g - 1`` relative (Higham 2002, section 3.5) on rows summing to at most
+    ``(1 + 2 _SUM_TOL)**g``; ``pi``, within ``_STATIONARY_TOL`` of the GTH vector and that
+    within ``(1-u)**-(8 k**2 + 2) - 1`` of the stationary one (``stationary_distribution``);
+    and the final sum, whose ``k + 3`` roundings the divisor ``1 - (k+3) u`` covers.
     """
     if gap < 0:
         raise ValueError(f"gap must be >= 0, got {gap}")
     if isinstance(model, (BernoulliModel, GeometricModel)):
         return 0.0
-    rho = 1.0 - float(model.P.min(axis=0).sum())
-    c = float(1.0 / model.pi.min())
-    if rho >= 1.0 - 1e-15:
-        warnings.warn("contraction coefficient is 1; mixing bound does not decay",
-                      ContractionDegenerate, stacklevel=2)
-        return c
-    return c * rho**gap
+    k, u = model.k, _UNIT_ROUNDOFF
+    # ((1 + gamma_k)**g - 1) (1 + 2 _SUM_TOL)**g <= expm1(exponent); past 2 it alone passes 1
+    exponent = gap * (math.log1p(k * u / (1.0 - k * u)) + math.log1p(2.0 * _SUM_TOL))
+    powering = 0.5 * math.expm1(min(exponent, 2.0))
+    stationary = 0.5 * ((1.0 + _STATIONARY_TOL) * (1.0 - u) ** -(8 * k * k + 2) - 1.0)
+    value = 0.5 * float(np.abs(np.linalg.matrix_power(model.P, gap) - model.pi).sum(axis=1).max())
+    return min(1.0, (value + powering + stationary) / (1.0 - (k + 3) * u))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import expm1
 
 from .errors import CensoringExceeded
-from .exact import ENTRANCE, RETURN, SurvivalCurve, entrance_survival_stack, step_at
+from .exact import ENTRANCE, RETURN, SurvivalCurve, _time_grid, entrance_survival_stack, step_at
 # unused here, but perfbench/tracing.py patches ``montecarlo.build_product_chain``
 # and ``montecarlo.survival_at``
 from .exact import build_product_chain, survival_at  # noqa: F401
@@ -313,12 +313,8 @@ def _survival_cap(mu: float) -> int:
 
 def _survival_experiment(model, word, N, t_grid, seed, kind, indices) -> SurvivalExperiment:
     word = as_word(word)
-    log_mu = target_log_measure(model, word)
-    t = np.asarray(list(t_grid), dtype=float)
-    if (t.ndim != 1 or len(t) == 0 or not np.all(np.isfinite(t)) or np.any(t < 0)
-            or np.any(np.diff(t) <= 0)):
-        raise ValueError("t grid must be finite, non-negative and strictly increasing")
-    mu = math.exp(log_mu)
+    mu = math.exp(target_log_measure(model, word))
+    t = _time_grid(t_grid)
     cap = _survival_cap(mu)
     start = word if kind == RETURN else None
 

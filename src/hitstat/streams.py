@@ -50,7 +50,6 @@ class SymbolMap:
     """One of the named maps from bytes to symbols (``named_map``)."""
 
     mode: str
-    k: int
 
     def apply(self, data: bytes) -> np.ndarray:
         """Symbols of ``data`` as ``uint8``, one byte per symbol (8 per input byte for ``bit``)."""
@@ -71,7 +70,7 @@ def named_map(name: str) -> SymbolMap:
     """The built-in map ``name``: ``byte`` (k = 256), ``nibble`` (16) or ``bit`` (2)."""
     if name not in _NAMED_K:
         raise InvalidSymbol(f"unknown symbol map {name!r}; expected one of {sorted(_NAMED_K)}")
-    return SymbolMap(mode=name, k=_NAMED_K[name])
+    return SymbolMap(mode=name)
 
 
 def ingest(source, symbol_map: SymbolMap | None = None) -> np.ndarray:

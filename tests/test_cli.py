@@ -377,6 +377,11 @@ NEVER_RUN = {
                             "t_grid: must be a non-empty, strictly increasing array"),
     "survival-grid-negative": ({"kind": "survival", **SURVIVAL_RUN, "t_grid": [-1.0, 1.0]},
                                "t_grid: must be a finite number >= 0, got -1.0"),
+    # t / mu(word) steps: past 2**62 no int64 holds them with the word's length
+    "survival-grid-past-int64": ({"kind": "survival", **SURVIVAL_RUN, "t_grid": [0.5, 1e30]},
+                                 "a step count t/mu must be finite and at most 2**62"),
+    "abadi-grid-past-int64": ({"kind": "abadi-shape", "model": "fair-coin", "seed": 1,
+                               "word": "1", "t_grid": [0.5, 1e19]}, "at most 2**62"),
 }
 
 
@@ -465,6 +470,26 @@ def test_theorem2_kind_checks_decay(tmp_path):
     assert code == 0
     ests = read_summary(outdir)["results"]["estimates"]
     assert ests[0] > ests[1] > ests[2]
+
+
+def test_theorem2_past_int64_steps_exits_3(tmp_path):
+    # at n = 40 the threshold e^(40 * 0.5) is about 5e20 steps of a fair-coin word
+    cfg = {"kind": "theorem2", "model": "fair-coin", "seed": 1, "N": 4,
+           "n_list": [20, 40], "epsilon": 0.5}
+    code, outdir = run_cli(tmp_path, cfg)
+    assert code == 3
+    assert not outdir.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_abadi_shape_markov_demo_has_a_floor_below_1(tmp_path):
+    # a zero in every column: the contraction certificate never decays, phi(2) = 1/6 does
+    code = main(["--config", str(DEMO_CONFIGS / "abadi_shape_markov.json"), "--outdir", str(tmp_path)])
+    assert code == 0
+    results = read_summary(tmp_path)["results"]
+    assert results["floor"] == pytest.approx(2 / 6 + 1 / 6, rel=0, abs=1e-10)
+    assert results["floor"] < 1.0
+    assert results["bound_holds"] is True
 
 
 def test_wns_kind_reports_median_against_target(tmp_path):

@@ -35,6 +35,7 @@ from hitstat.exact import (
     survival_at,
 )
 from hitstat.models import BernoulliModel, MarkovModel, cylinder_measure
+from hitstat.montecarlo import empirical_survival
 from hitstat.orbits import OrbitStream, entrance_time
 
 FAIR = bernoulli([0.5, 0.5])
@@ -512,8 +513,10 @@ def test_abadi_fit_fair_coin():
 
 
 def test_abadi_markov_floor_includes_mixing_bound():
+    # n mu = 2/15, and phi(2) = (2/3) 0.7**2 on this chain, plus a rounding term near 5e-11
     report = fit_survival_shape(CHAIN, "01", np.linspace(0.2, 4.0, 20))
-    assert report.floor == pytest.approx(2 / 15 + 3 * 0.7**2, rel=1e-10)
+    assert report.floor == pytest.approx(2 / 15 + 2 / 3 * 0.7**2, rel=0, abs=1e-10)
+    assert report.floor > 2 / 15 + 2 / 3 * 0.7**2
     assert report.rate > 0.0
 
 
@@ -588,3 +591,25 @@ def test_step_ignores_a_last_bit_change_of_mu():
                 assert step_at([t, t], mu).tolist() == [k - 1, k - 1]
     assert step_at([1.0, 2.0, 3.0], 1 / 15).tolist() == [14, 29, 44]
     assert step_at([0.0, 0.5, 1.01], 0.25).tolist() == [0, 1, 4]
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_step_count_past_int64_raises():
+    # a step count and a word length must add in int64; no cast may wrap
+    assert step_at(2.0**62 * 0.5, 0.5) == 2**62 - 1
+    for t, mu in ((1e30, 0.5), (math.inf, 0.5), (math.nan, 0.5), (-math.inf, 0.5), (1.0, 0.0),
+                  (2.0**62 * 0.5 * 1.01, 0.5), (1.0, 2.0**-70)):
+        with pytest.raises(ValueError, match="2\\*\\*62"):
+            step_at([0.5, t], mu)
+
+
+@pytest.mark.filterwarnings("error")
+def test_survival_grids_share_one_check():
+    for grid in ([0.5, math.inf], [math.nan], [[0.5, 1.0]], [], [1.0, 0.5], [-0.5, 1.0]):
+        with pytest.raises(ValueError, match="t grid"):
+            fit_survival_shape(FAIR, "1", grid)
+        with pytest.raises(ValueError, match="t grid"):
+            empirical_survival(FAIR, "1", 4, grid, seed=1)
+    # beyond it, a fit needs two times, all > 0
+    with pytest.raises(GridTooCoarse, match="all > 0"):
+        fit_survival_shape(FAIR, "1", [0.0, 1.0])

@@ -18,7 +18,6 @@ from scipy.sparse.csgraph import connected_components
 
 from hitstat import (
     BadThetaRange,
-    ContractionDegenerate,
     InvalidSymbol,
     NonPositiveS,
     NonStochasticRow,
@@ -520,21 +519,92 @@ def test_markov_partition_slope_converges_to_rate():
 
 # --- mixing and tails ----------------------------------------------------------
 
+RING = [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]  # a zero in every column
+
+
+def stated_phi_term(k: int, gap: int) -> float:
+    """The most ``phi_bound`` adds to the computed phi of a k-state chain, as its docstring states."""
+    u = 2.0**-53
+    gamma = k * u / (1.0 - k * u)
+    powering = 0.5 * (((1.0 + gamma) * (1.0 + 2e-12)) ** gap - 1.0)
+    stationary = 0.5 * ((1.0 + 1e-10) * (1.0 - u) ** -(8 * k * k + 2) - 1.0)
+    return (1.0 + powering + stationary) / (1.0 - (k + 3) * u) - 1.0
+
+
 def test_phi_bound_frozen_values():
+    # two-state chain: P**g = 1 pi + 0.7**g (I - 1 pi), so phi(g) = (1 - min(pi)) 0.7**g = (2/3) 0.7**g
     chain = markov(P_CHAIN)
-    # rho = 1 - (0.2 + 0.1) = 0.7, C = 1/min(pi) = 3
-    assert phi_bound(chain, 0) == pytest.approx(3.0, rel=1e-11)
-    assert phi_bound(chain, 3) == pytest.approx(3 * 0.7**3, rel=1e-11)
+    for gap in (0, 1, 2, 4, 16):
+        assert phi_bound(chain, gap) == pytest.approx(2 / 3 * 0.7**gap, rel=0, abs=stated_phi_term(2, gap))
+        assert phi_bound(chain, gap) > 2 / 3 * 0.7**gap
+    ring = markov(RING)
+    for gap, phi in ((1, 1 / 3), (4, 1 / 24), (16, 1.0172591e-05)):
+        assert phi_bound(ring, gap) == pytest.approx(phi, rel=1e-7, abs=stated_phi_term(3, gap))
     assert phi_bound(bernoulli([0.5, 0.5]), 5) == 0.0
     assert phi_bound(geometric(0.5), 5) == 0.0
+    # no phi exceeds 1, and a gap past the rounding term's reach says so
+    assert phi_bound(chain, 10**13) == 1.0
 
 
-def test_phi_bound_degenerate_contraction_warns():
-    P = [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]
-    chain = markov(P)
-    with pytest.warns(ContractionDegenerate):
-        bound = phi_bound(chain, 10)
-    assert bound >= 1.0  # vacuous constant, never decays
+@pytest.mark.filterwarnings("error")
+def test_phi_bound_decays_where_the_contraction_is_degenerate():
+    # every column holds a zero, so 1 - sum_j min_i P[i, j] = 1 and Dobrushin's
+    # coefficient certifies nothing; the chain's own phi still decays
+    ring = markov(RING)
+    values = [phi_bound(ring, gap) for gap in range(1, 25)]
+    assert values == sorted(values, reverse=True)
+    assert values[-1] < 1e-6
+
+
+def _brute_phi(P: np.ndarray, pi: np.ndarray, gap: int) -> float:
+    """``sup |P(B | A) - P(B)|`` over every event A of (x_0, x_1) and B of (x_{1+gap}, x_{2+gap})."""
+    k = len(P)
+    Pg = np.eye(k)
+    for _ in range(gap):
+        Pg = Pg @ P
+    # joint[a0 k + a1, b0 k + b1] = mu(x_0 x_1 = a0 a1, x_{1+gap} x_{2+gap} = b0 b1)
+    past = (pi[:, None] * P).reshape(-1)
+    joint = past[:, None] * np.repeat(np.tile(Pg, (k, 1)), k, axis=1) * np.tile(P.reshape(-1), (k * k, 1))
+    events = np.array(list(itertools.product((0.0, 1.0), repeat=k * k)))[1:]
+    pa, pb = events @ joint.sum(axis=1), events @ joint.sum(axis=0)
+    both = events @ joint @ events.T
+    seen = pa > 0.0
+    return float(np.abs(both[seen] / pa[seen, None] - pb[None, :]).max())
+
+
+@st.composite
+def sparse_kernels(draw, max_states=3):
+    """Primitive chains that may hold zeros: the cycle i -> i+1 and one loop are positive."""
+    k = draw(st.integers(min_value=2, max_value=max_states))
+    weight = st.floats(min_value=0.05, max_value=1.0)
+    P = np.array([[draw(st.one_of(st.just(0.0), weight)) for _ in range(k)] for _ in range(k)])
+    P[np.arange(k), (np.arange(k) + 1) % k] = [draw(weight) for _ in range(k)]
+    loop = draw(st.integers(min_value=0, max_value=k - 1))
+    P[loop, loop] = draw(weight)
+    return markov(P / P.sum(axis=1, keepdims=True))
+
+
+@given(sparse_kernels())
+@example(markov(P_CHAIN))
+@example(markov(RING))
+@settings(max_examples=25, deadline=None)
+def test_phi_bound_is_the_brute_force_supremum(model):
+    for gap in range(7):
+        brute = _brute_phi(model.P, model.pi, gap)
+        assert brute <= phi_bound(model, gap) <= brute + 2.0 * stated_phi_term(model.k, gap) + 1e-14
+
+
+@given(sparse_kernels(max_states=4), st.integers(min_value=0, max_value=40))
+@example(markov(RING), 10)
+@example(markov([[0.0, 1.0], [1 / 9, 8 / 9]]), 16)  # the computed phi is 2.5 rho**g, all rounding
+@settings(max_examples=60, deadline=None)
+def test_phi_bound_never_exceeds_the_contraction_certificate(model, gap):
+    # Dobrushin: phi(g) <= rho**g <= C rho**g, with C = 1 / min(pi).  The computed
+    # phi may sit up to the term above the exact one, and the term is added to it
+    rho = 1.0 - float(model.P.min(axis=0).sum())
+    term = stated_phi_term(model.k, gap)
+    assert phi_bound(model, gap) <= rho**gap + 2.0 * term
+    assert phi_bound(model, gap) <= rho**gap / model.pi.min() + 2.0 * term
 
 
 # --- serialization ---------------------------------------------------------------

@@ -387,6 +387,13 @@ def test_tail_integral_values_are_the_lone_chain_values(name):
     assert run.values.tolist() == lone
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_tail_threshold_past_int64_raises():
+    # e^(40 * 0.5) / 2**-40 is about 5e20 steps; the cast used to wrap and give 1.0 for every word
+    with pytest.raises(ValueError, match="2\\*\\*62"):
+        survival_tail_integral(FAIR, 40, 0.5, n_outer=4, seed=1)
+
+
 # recorded from the per-word path that built one chain per word
 TAIL_PINS = {
     "fair": (0.11055896502607025, 0.005473532282925171),

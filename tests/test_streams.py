@@ -59,9 +59,9 @@ def test_ingest_reads_files_and_reports_failures(tmp_path):
 
 
 def test_named_maps_resolve():
-    assert named_map("bit").k == 2
-    assert named_map("nibble").k == 16
-    assert named_map("byte").k == 256
+    for name in ("bit", "nibble", "byte"):
+        assert named_map(name).mode == name
+    assert streams._NAMED_K == {"bit": 2, "nibble": 16, "byte": 256}
     with pytest.raises(InvalidSymbol):
         named_map("trit")
 
@@ -72,9 +72,9 @@ def test_ingest_returns_one_byte_symbols_while_they_fit():
         symbols = ingest(data, named_map(name))
         assert symbols.dtype == np.uint8
         assert len(symbols) == per_byte * len(data)
-        assert symbols.max() == named_map(name).k - 1
+        assert symbols.max() == streams._NAMED_K[name] - 1
     with pytest.raises(InvalidSymbol):
-        ingest(data, SymbolMap(mode="octal", k=8))
+        ingest(data, SymbolMap(mode="octal"))
 
 
 # ---------------------------------------------------------------------------
