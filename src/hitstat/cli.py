@@ -45,6 +45,7 @@ from .models import (
     model_fingerprint,
     model_from_dict,
     partition_sum_exact,
+    plain_measure,
     renyi_entropy,
     shannon_entropy,
     target_log_measure,
@@ -546,8 +547,8 @@ def main(argv=None) -> int:
         if params["model"] is not None:
             for word in filter(None, [params["word"], *params.get("words", ())]):
                 target_log_measure(params["model"], word)
-            if "t_grid" in params:  # every time's step count must fit in int64
-                step_at(params["t_grid"], cylinder_measure(params["model"], params["word"]))
+            if "t_grid" in params:  # mu must not underflow, and every time's step count fit in int64
+                step_at(params["t_grid"], plain_measure(target_log_measure(params["model"], params["word"])))
         if params["tolerance"] is not None:
             tol = params["tolerance"] = _read(params["tolerance"], TOLERANCES[kind])
             # beyond its keys, a tolerance needs a model, and a bound the section it is measured on

@@ -42,6 +42,10 @@ class ZeroMeasureTarget(HitstatError, ValueError):
     """The target word has zero measure under the model."""
 
 
+class MeasureUnderflow(HitstatError, ValueError):
+    """A target's measure rounds to 0.0 in plain floats, so no time ``t/mu`` exists."""
+
+
 class CensoringExceeded(HitstatError, RuntimeError):
     """Too many censored samples for a trustworthy summary."""
 

@@ -65,6 +65,7 @@ from .models import (
     _UNIT_ROUNDOFF,
     _gth_solve,
     phi_bound,
+    plain_measure,
     target_log_measure,
 )
 from .words import Word, as_word
@@ -519,6 +520,7 @@ def fit_survival_shape(model: MeasureModel, target, t_grid) -> TailShapeReport:
     t = _time_grid(t_grid)
     if len(t) < 2 or t[0] <= 0.0:
         raise GridTooCoarse("need at least two grid points, all > 0")
+    plain_measure(target_log_measure(model, target))  # t/mu needs mu > 0 before any chain is built
     chain = build_product_chain(model, target, ENTRANCE)
     floor = chain.n * chain.mu + phi_bound(model, chain.n)
     m_of = step_at(t, chain.mu)

@@ -47,6 +47,7 @@ from scipy.special import logsumexp
 from .errors import (
     BadThetaRange,
     InvalidSymbol,
+    MeasureUnderflow,
     NonPositiveS,
     NonStochasticRow,
     ReducibleChain,
@@ -375,6 +376,14 @@ def target_log_measure(model: MeasureModel, word) -> float:
     if log_mu == _LOG_ZERO:
         raise ZeroMeasureTarget(f"target {as_word(word)} has measure zero")
     return log_mu
+
+
+def plain_measure(log_mu: float) -> float:
+    """A target's measure ``exp(log_mu)`` for the rescaling ``t/mu``; ``MeasureUnderflow`` where it is 0.0."""
+    mu = math.exp(log_mu)
+    if mu == 0.0:
+        raise MeasureUnderflow(f"target measure underflows: mu = exp({log_mu:.6g}) is 0.0 in floats")
+    return mu
 
 
 def cylinder_measure(model: MeasureModel, word) -> float:

@@ -32,11 +32,12 @@ from .exact import ENTRANCE, RETURN, SurvivalCurve, _time_grid, entrance_surviva
 from .exact import build_product_chain, survival_at  # noqa: F401
 from .models import (
     MeasureModel,
+    plain_measure,
     renyi_entropy,
     shannon_entropy,
     target_log_measure,
 )
-from .orbits import CapPolicy, OrbitStream, entrance_time, w_sum
+from .orbits import CapPolicy, OrbitStream, Target, entrance_time, w_sum
 from .rng import Substreams
 from .words import as_word
 
@@ -313,13 +314,15 @@ def _survival_cap(mu: float) -> int:
 
 def _survival_experiment(model, word, N, t_grid, seed, kind, indices) -> SurvivalExperiment:
     word = as_word(word)
-    mu = math.exp(target_log_measure(model, word))
+    log_mu = target_log_measure(model, word)
+    mu = plain_measure(log_mu)
     t = _time_grid(t_grid)
     cap = _survival_cap(mu)
+    target = Target(word, cap, log_mu)  # every sample scans for the one word, measured once
     start = word if kind == RETURN else None
 
     def sample(streams, i):
-        tau = entrance_time(OrbitStream(model, streams.open(i, 1), start=start), word, cap=cap)
+        tau = entrance_time(OrbitStream(model, streams.open(i, 1), start=start), target)
         return None if tau.censored else tau.value
 
     return SurvivalExperiment(**vars(ensemble(_keyed(seed, (1,), sample), N, indices)), kind=kind,

@@ -17,12 +17,17 @@ Time conventions (fixed throughout the package):
   equals it -- the window at ``i = 0`` never counts;
 * orbit measure sums run over ``i = 1 .. tau`` inclusive.
 
-Every scan is one pass of ``_scan``, which reads the stream in blocks of
-``BLOCK`` symbols, carries the last ``n - 1`` symbols into the next
-block and applies a hard cap: when no event occurs within ``cap``
-windows the result is right-censored at the cap.  The target word is
-found by a byte search of each block, and orbit sums take every window
-log-measure of a block at once.
+Every scan is one pass of ``_scan``, which reads the stream in blocks,
+carries the last ``n - 1`` symbols into the next block and applies a
+hard cap: when no event occurs within ``cap`` windows the result is
+right-censored at the cap.  The target word is found by a byte search
+of each block, and orbit sums take every window log-measure of a block
+at once.  The entrance law rescales time by ``mu(w)``, so an entrance or
+recurrence scan under a model expects about ``1/mu(w)`` symbols: its
+first block is ``clip(ceil(FIRST_SCALE / mu(w)), FIRST_FLOOR, BLOCK)``
+symbols, and later ones double up to ``BLOCK``.  Orbit sums, and replays
+without a model, read blocks of ``BLOCK``.  A block cut moves no symbol,
+so no time depends on it.
 """
 from __future__ import annotations
 
@@ -40,6 +45,8 @@ from .rng import substream
 from .words import as_word
 
 BLOCK = 4096
+FIRST_SCALE = 1.0  # a first block holds about FIRST_SCALE / mu(w) symbols ...
+FIRST_FLOOR = 64  # ... and never fewer than this
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -64,7 +71,7 @@ class CapPolicy:
     multiplier: float = 100.0
 
     def cap_for(self, model: MeasureModel, target) -> int:
-        return _resolve_cap(model, target, self)
+        return prepare_target(model, target, self).cap
 
 
 class OrbitStream:
@@ -198,27 +205,31 @@ def sample_orbit(model: MeasureModel, seed, length: int) -> np.ndarray:
 # the block scanner
 # ---------------------------------------------------------------------------
 
-def _scan(stream, n: int, cap: int, find, visit=None, head=_EMPTY) -> TimeResult:
+def _scan(stream, target: Target, first: int, visit=None, head=_EMPTY) -> TimeResult:
     """One pass over the windows ``i = 0 .. cap`` of ``stream``, in blocks.
 
     ``head`` holds symbols already taken from the stream (the first
     ``len(head)`` of window 0).  Each block ``buf`` is the carried tail
-    of the previous one plus ``stream.take(min(BLOCK, budget))``; its
-    window at offset ``q`` is ``buf[q:q+n]``, window ``i0 + q`` of the
-    orbit.  ``find(buf, lo, hi)`` returns the first offset in
-    ``[lo, hi)`` whose window is an event, or -1; ``visit(buf, i0, lo,
-    hi)`` then sees the block's windows up to and including the event.
-    ``lo`` skips window 0, which is never an event.
+    of the previous one plus ``stream.take(min(size, budget))``, where
+    ``size`` is ``first``, then doubles up to ``BLOCK``; its window at
+    offset ``q`` is ``buf[q:q+n]``, window ``i0 + q`` of the orbit.
+    ``target.find(buf, lo, hi)`` returns the first offset in ``[lo, hi)``
+    whose window is an event, or -1; ``visit(buf, i0, lo, hi)`` then sees
+    the block's windows up to and including the event.  ``lo`` skips
+    window 0, which is never an event.
 
-    Returns the first event step, else ``cap`` censored.  When a replay
-    stream runs dry first, the result is censored at the last complete
-    window, ``consumed - n``.
+    Returns the first event step, else ``target.cap`` censored.  When a
+    replay stream runs dry first, the result is censored at the last
+    complete window, ``consumed - n``.
     """
+    n, find = len(target.word), target.find
     carry = head
     i0 = 0
-    budget = cap + n - len(head)
+    budget = target.cap + n - len(head)
+    size = first
     while budget > 0:
-        chunk = stream.take(min(BLOCK, budget))
+        chunk = stream.take(min(size, budget))
+        size = min(2 * size, BLOCK)
         if len(chunk) == 0:
             if i0 < 2:
                 raise SequenceTooShort("data ends before the first candidate window")
@@ -237,7 +248,7 @@ def _scan(stream, n: int, cap: int, find, visit=None, head=_EMPTY) -> TimeResult
             return TimeResult(value=i0 + q)
         carry = buf[count:]
         i0 += count
-    return TimeResult(value=cap, censored=True)
+    return TimeResult(value=target.cap, censored=True)
 
 
 def _word_finder(word):
@@ -262,21 +273,35 @@ def _word_finder(word):
     return find
 
 
-def _resolve_cap(model: MeasureModel | None, target, cap) -> int:
-    """Every scan's cap: ``cap`` itself, or a ``CapPolicy`` (``None``: the default) of the target.
+class Target:
+    """A word ready to scan: its cap, byte finder and first block, made once for any number of scans."""
+
+    def __init__(self, word, cap: int, log_mu: float | None):
+        self.word, self.cap = word, cap
+        self.find = _word_finder(word)
+        # clip(ceil(FIRST_SCALE / mu), FIRST_FLOOR, BLOCK), the top clip in log space; no measure: BLOCK
+        if log_mu is None or math.log(FIRST_SCALE) - log_mu >= math.log(BLOCK):
+            self.first = BLOCK
+        else:
+            self.first = min(max(math.ceil(FIRST_SCALE * math.exp(-log_mu)), FIRST_FLOOR), BLOCK)
+
+
+def prepare_target(model: MeasureModel | None, target, cap=None) -> Target:
+    """``target`` with its cap: ``cap`` itself, or a ``CapPolicy`` (``None``: the default) of it.
 
     Under a model the target is measured once (``models.target_log_measure``),
-    for the gate and the policy alike.
+    for the gate, the policy and the first block alike.
     """
-    log_mu = None if model is None else target_log_measure(model, target)
+    word = as_word(target)
+    log_mu = None if model is None else target_log_measure(model, word)
     if cap is None or isinstance(cap, CapPolicy):
         if log_mu is None:
             raise ValueError("replay streams without a model need an explicit cap")
         policy = CapPolicy() if cap is None else cap
-        return max(math.ceil(policy.multiplier * math.exp(-log_mu)), 1)
-    if cap < 1:
+        cap = max(math.ceil(policy.multiplier * math.exp(-log_mu)), 1)
+    elif cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    return int(cap)
+    return Target(word, int(cap), log_mu)
 
 
 def _take_head(stream, n: int) -> np.ndarray:
@@ -295,11 +320,14 @@ def entrance_time(stream, target, cap: int | CapPolicy | None = None) -> TimeRes
 
     Consumes at most ``cap + n`` symbols from the stream; a match in the
     window at ``i = 0`` does not count.  A ``CapPolicy`` as ``cap`` (the
-    default one without it) is applied to the target's measure.
+    default one without it) is applied to the target's measure; a
+    ``Target`` made for the stream's model carries its own cap.
     """
-    target = as_word(target)
-    cap = _resolve_cap(stream.model, target, cap)
-    return _scan(stream, len(target), cap, find=_word_finder(target))
+    if not isinstance(target, Target):
+        target = prepare_target(stream.model, target, cap)
+    elif cap is not None:
+        raise ValueError("a prepared target carries its own cap")
+    return _scan(stream, target, target.first)
 
 
 def recurrence_time(stream, n: int, cap: int | CapPolicy | None = None) -> TimeResult:
@@ -307,8 +335,8 @@ def recurrence_time(stream, n: int, cap: int | CapPolicy | None = None) -> TimeR
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     head = _take_head(stream, n)
-    cap = _resolve_cap(stream.model, tuple(int(x) for x in head), cap)
-    return _scan(stream, n, cap, find=_word_finder(head), head=head)
+    target = prepare_target(stream.model, head.tolist(), cap)
+    return _scan(stream, target, target.first, head=head)
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +405,9 @@ def w_sum(stream, target, s: float = 0.0, cap: int | CapPolicy | None = None) ->
     The return to a path's own n-prefix is the scan of a stream started
     at that prefix (``OrbitStream(model, seed, start=word)``) for it.
     Window log-measures are summed afresh from per-symbol increments in
-    every block of ``BLOCK`` symbols, so no rounding drift accumulates
-    along the scan, and merged into a running log-sum-exp.
+    every block, so no rounding drift accumulates along the scan, and
+    merged into a running log-sum-exp; the blocks stay at ``BLOCK``
+    symbols, since a finer cut would move the sums' last bits.
     """
     model = stream.model
     if model is None:
@@ -386,11 +415,10 @@ def w_sum(stream, target, s: float = 0.0, cap: int | CapPolicy | None = None) ->
     if s < 0.0:
         raise ValueError(f"s must be >= 0, got {s}")
     target = as_word(target)
-    n = len(target)
-    head = _take_head(stream, n)
-    cap = _resolve_cap(model, target, cap)
-    acc = _OrbitSum(model, n, s)
-    t = _scan(stream, n, cap, find=_word_finder(target), visit=acc, head=head)
+    head = _take_head(stream, len(target))
+    target = prepare_target(model, target, cap)
+    acc = _OrbitSum(model, len(head), s)
+    t = _scan(stream, target, BLOCK, visit=acc, head=head)
     return OrbitSumResult(
         time=t,
         log_value=acc.run_max + math.log(acc.run_sum),

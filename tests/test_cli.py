@@ -382,6 +382,13 @@ NEVER_RUN = {
                                  "a step count t/mu must be finite and at most 2**62"),
     "abadi-grid-past-int64": ({"kind": "abadi-shape", "model": "fair-coin", "seed": 1,
                                "word": "1", "t_grid": [0.5, 1e19]}, "at most 2**62"),
+    # a word so long that mu(word) is 0.0 in floats has no time t / mu at all
+    "survival-measure-underflows": ({"kind": "survival", **SURVIVAL_RUN, "model": "fair-coin",
+                                     "word": "1" * 1100}, "target measure underflows"),
+    "return-survival-measure-underflows": ({"kind": "return-survival", **SURVIVAL_RUN, "model": "fair-coin",
+                                            "word": "1" * 1100}, "target measure underflows"),
+    "abadi-measure-underflows": ({"kind": "abadi-shape", "model": "fair-coin", "seed": 1,
+                                  "word": "1" * 1100, "t_grid": [0.5, 1.0]}, "target measure underflows"),
 }
 
 

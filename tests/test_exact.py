@@ -13,6 +13,7 @@ from enumeration import enumerate_survival
 from hitstat.errors import (
     BudgetExceeded,
     GridTooCoarse,
+    MeasureUnderflow,
     TailNotContracting,
     ToleranceNotCertified,
     ZeroMeasureTarget,
@@ -378,8 +379,14 @@ def test_stacked_entrance_survival_is_bit_identical_to_each_lone_chain(name, dat
     t = [(k + 0.5) * chain.mu for chain, k in zip(chains, m)]  # a time that steps to k
     if data.draw(st.booleans()):
         t = t[0]  # one time for the whole stack
+    mu = np.array([chain.mu for chain in chains])
+    if not np.all(np.broadcast_to(t, len(words)) / mu <= 2.0**62):
+        # one word's time, shared by a far rarer word, is past every int64 step count
+        with pytest.raises(ValueError, match="at most 2"):
+            entrance_survival_stack(model, words, t)
+        return
     got = entrance_survival_stack(model, words, t)
-    m = step_at(np.broadcast_to(t, len(words)), np.array([chain.mu for chain in chains]))
+    m = step_at(np.broadcast_to(t, len(words)), mu)
     assert got == [survival_at(chain, k) for chain, k in zip(chains, m)]
 
 
@@ -537,6 +544,8 @@ def test_abadi_grid_validation():
     with pytest.raises(GridTooCoarse):
         # survival underflows to exactly 0 this deep in the tail
         fit_survival_shape(FAIR, "1", [600.0, 700.0])
+    with pytest.raises(MeasureUnderflow, match="underflows"):  # mu(1^1100) is 0.0 in floats
+        fit_survival_shape(FAIR, "1" * 1100, [0.5, 1.0])
 
 
 def test_unreachable_target_tail_never_contracts():

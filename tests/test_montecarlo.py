@@ -31,6 +31,7 @@ from hitstat import (
     survival_tail_integral,
 )
 from hitstat import exact, models, montecarlo
+from hitstat.errors import MeasureUnderflow
 from hitstat.exact import step_at, survival_at
 from hitstat.models import BernoulliModel, cylinder_measure, geometric
 from hitstat.orbits import OrbitStream, entrance_time, sample_orbit, w_sum
@@ -161,6 +162,34 @@ def test_each_exponent_sample_measures_its_word_once(monkeypatch, name):
     function, kwargs = ENSEMBLES[name]
     run = function(**kwargs)
     assert run.total == kwargs["N"] and len(calls) == run.total
+
+
+@pytest.mark.parametrize("name", ["survival", "return-survival"])
+def test_a_survival_part_measures_its_word_once(monkeypatch, name):
+    # every sample of a survival part scans for one word: it is gated and
+    # measured once per part, however many samples the part holds
+    original = models.log_cylinder_measure
+    calls = []
+
+    def counting(model, word):
+        calls.append(word)
+        return original(model, word)
+
+    for key, module in list(sys.modules.items()):
+        if key.split(".")[0] == "hitstat" and getattr(module, "log_cylinder_measure", None) is original:
+            monkeypatch.setattr(module, "log_cylinder_measure", counting)
+    function, kwargs = ENSEMBLES[name]
+    run = function(**kwargs)
+    assert run.total == kwargs["N"] and len(calls) == 1
+    calls.clear()
+    parts = [function(**kwargs, indices=range(a, b)) for a, b in ((0, 17), (17, 60))]
+    assert parts[0].merge(parts[1]).total == kwargs["N"] and len(calls) == 2
+
+
+@pytest.mark.parametrize("function", [empirical_survival, empirical_return_survival])
+def test_survival_of_a_word_whose_measure_underflows_is_refused(function):
+    with pytest.raises(MeasureUnderflow, match="underflows"):
+        function(FAIR, "1" * 1100, 2, [0.5, 1.0], seed=1)
 
 
 def _lone_value(name, kwargs, j):

@@ -18,6 +18,8 @@ from hitstat.errors import (
 from hitstat.models import BernoulliModel, MarkovModel
 from hitstat.orbits import (
     BLOCK,
+    FIRST_FLOOR,
+    FIRST_SCALE,
     CapPolicy,
     OrbitStream,
     OrbitSumResult,
@@ -25,6 +27,7 @@ from hitstat.orbits import (
     TimeResult,
     _word_finder,
     entrance_time,
+    prepare_target,
     recurrence_time,
     sample_orbit,
     w_sum,
@@ -260,13 +263,22 @@ def window_matches(sym, word):
     return np.all(sliding_window_view(np.asarray(sym), len(word)) == np.asarray(word), axis=1)
 
 
-def oracle_scan(sym, word, cap, head=0):
+def block_ends(first):
+    """Symbols a block reader has taken after each block: ``first``, then doubling up to ``BLOCK``."""
+    total, size = 0, first
+    while True:
+        total += size
+        yield total
+        size = min(2 * size, BLOCK)
+
+
+def oracle_scan(sym, word, cap, head=0, first=BLOCK):
     """Entrance into ``word`` over the windows ``1..cap`` of the data ``sym``.
 
     Also returns the symbols a block reader takes: ``head`` first, then
-    blocks of ``BLOCK`` up to ``cap + n`` in all, through the block that
-    holds the match's last symbol.  The result is ``None`` when the data
-    ends before window 1.
+    blocks of ``first``, ``2 * first``, ... up to ``BLOCK`` each, up to
+    ``cap + n`` in all, through the block that holds the match's last
+    symbol.  The result is ``None`` when the data ends before window 1.
     """
     n = len(word)
     last = min(cap, len(sym) - n)
@@ -276,7 +288,7 @@ def oracle_scan(sym, word, cap, head=0):
     budget = cap + n - head
     if len(hits):
         tau = int(hits[0])
-        read = head + min(budget, ((tau + n - 1 - head) // BLOCK + 1) * BLOCK)
+        read = head + min(budget, next(e for e in block_ends(first) if e > tau + n - 1 - head))
         return TimeResult(tau), min(read, len(sym))
     return TimeResult(last, censored=True), min(head + budget, len(sym))
 
@@ -316,7 +328,7 @@ def test_generated_scans_match_the_oracle(case, s):
     model, word, seed, cap = case
     n = len(word)
     sym = sample_orbit(model, seed, cap + n)  # every symbol a scan may read
-    expect, read = oracle_scan(sym, word, cap)
+    expect, read = oracle_scan(sym, word, cap, first=prepare_target(model, word, cap).first)
     stream = OrbitStream(model, seed)
     assert entrance_time(stream, word, cap=cap) == expect
     assert stream.position == read
@@ -327,7 +339,7 @@ def test_generated_scans_match_the_oracle(case, s):
             assert got == TimeResult(expect.value - 1, censored=True)
 
     head = tuple(int(x) for x in sym[:n])
-    expect_rec, read_rec = oracle_scan(sym, head, cap, head=n)
+    expect_rec, read_rec = oracle_scan(sym, head, cap, head=n, first=prepare_target(model, head, cap).first)
     stream = OrbitStream(model, seed)
     assert recurrence_time(stream, n, cap=cap) == expect_rec
     assert stream.position == read_rec
@@ -340,6 +352,80 @@ def test_generated_scans_match_the_oracle(case, s):
     log_w, last = oracle_log_w(model, sym, n, res.terms, s)
     assert abs(res.log_value - log_w) <= 1e-9
     assert abs(res.window_log_measure - last) <= 1e-9
+
+
+def test_first_block_is_sized_from_the_target():
+    # fair-coin words: 1/mu = 2**n, clipped to [FIRST_FLOOR, BLOCK]
+    for n in range(1, 15):
+        got = prepare_target(FAIR, (1,) * n, cap=10).first
+        expect = min(max(math.ceil(FIRST_SCALE * 2.0**n), FIRST_FLOOR), BLOCK)
+        assert abs(got - expect) <= 1 and FIRST_FLOOR <= got <= BLOCK
+    assert prepare_target(FAIR, (1,) * 12, cap=10).first == BLOCK
+    assert prepare_target(FAIR, (1,), cap=10).first == FIRST_FLOOR
+    # far beyond BLOCK the rule stays in log space: no overflow where mu underflows
+    assert prepare_target(FAIR, (1,) * 1100, cap=10).first == BLOCK
+    # without a model there is no measure: the blocks stay at BLOCK
+    assert prepare_target(None, (1, 0), cap=10).first == BLOCK
+
+
+SWEEP_MODELS = {
+    "fair": FAIR,
+    "bernoulli-3": bernoulli([0.5, 0.3, 0.2]),
+    "chain": CHAIN,
+    "chain-3": markov([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]),  # the k > 2 loop
+    "geometric": GEO,
+}
+
+
+@st.composite
+def sized_scan_cases(draw):
+    """Run and period-2 words, caps near their first block, its end, and near ``BLOCK``."""
+    name = draw(st.sampled_from(sorted(SWEEP_MODELS)))
+    model = SWEEP_MODELS[name]
+    n = draw(st.integers(1, 9))
+    top = 2 if model.k is None else model.k - 1
+    a, b = draw(st.integers(0, top)), draw(st.integers(0, top))
+    word = (a,) * n if draw(st.booleans()) else tuple(a if i % 2 == 0 else b for i in range(n))
+    first = min(max(math.ceil(FIRST_SCALE / math.exp(log_cylinder_measure(model, word))),
+                    FIRST_FLOOR), BLOCK)
+    near = draw(st.sampled_from([first, 3 * first, BLOCK, 1]))  # the first two block ends
+    cap = max(near - n + draw(st.integers(-3, 3)), 1)
+    return name, model, word, first, cap, draw(st.integers(0, 2**20))
+
+
+@given(sized_scan_cases())
+@settings(max_examples=150, deadline=None)
+def test_scans_sized_from_their_target_match_the_oracle(case):
+    """Entrance and recurrence scans read blocks sized from the target's measure.
+
+    Times, censoring and the symbols read equal a brute-force search of
+    the path, and a replay of the same path under the model reads alike.
+    """
+    name, model, word, first, cap, seed = case
+    n = len(word)
+    sym = sample_orbit(model, seed, cap + n)
+    target = prepare_target(model, word, cap)
+    assert abs(target.first - first) <= 1  # the rule, up to the last bit of exp
+    expect, read = oracle_scan(sym, word, cap, first=target.first)
+    for stream in (OrbitStream(model, seed), ReplayStream(sym, model=model)):
+        assert entrance_time(stream, word, cap=cap) == expect
+        assert stream.position == read
+    stream = OrbitStream(model, seed)
+    assert entrance_time(stream, target) == expect  # the prepared target scans alike
+    assert stream.position == read
+
+    head = tuple(int(x) for x in sym[:n])
+    expect_rec, read_rec = oracle_scan(sym, head, cap, head=n, first=prepare_target(model, head, cap).first)
+    for stream in (OrbitStream(model, seed), ReplayStream(sym, model=model)):
+        assert recurrence_time(stream, n, cap=cap) == expect_rec
+        assert stream.position == read_rec
+
+
+def test_a_prepared_target_carries_its_own_cap():
+    target = prepare_target(FAIR, "11", cap=7)
+    assert entrance_time(ReplayStream([0] * 20, FAIR), target) == TimeResult(7, censored=True)
+    with pytest.raises(ValueError, match="own cap"):
+        entrance_time(ReplayStream([0] * 20, FAIR), target, cap=3)
 
 
 @given(st.data())
