@@ -43,7 +43,9 @@ class ZeroMeasureTarget(HitstatError, ValueError):
 
 
 class MeasureUnderflow(HitstatError, ValueError):
-    """A target's measure rounds to 0.0 in plain floats, so no time ``t/mu`` exists."""
+    """A target's measure is too small to scan or walk to: it rounds to 0.0
+    in plain floats, or the step scale it needs (a scan cap or a time
+    ``t/mu``) passes ``models.STEP_CEILING``."""
 
 
 class CensoringExceeded(HitstatError, RuntimeError):

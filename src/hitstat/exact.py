@@ -10,13 +10,14 @@ of transitions.
 One builder, ``_build_stack``, assembles the chains of a stack of
 equal-length words at once, all their (state, column) transitions in
 one ``np.add.at``; ``build_product_chain`` is the stack of one.  One
-walk, ``_walk``, moves a stack of vectors through a table of step
-counts, one column at a time: short gaps one ``v @ Q`` at a time, long
-ones by binary powering of ``Q`` (``_advance``, ``_advance_by``).  A
-lone chain's curve (``survival_at``, ``exact_survival``) is that walk
-with a stack of one over the sorted step counts asked for;
-``entrance_survival_stack`` gives many words one build and one walk of
-one step count each, each value bit for bit its word's lone value.
+walk, ``_walk``, moves a stack of vectors through one sorted list of
+step counts that the whole stack shares: short gaps one ``v @ Q`` at a
+time, long ones by binary powering of ``Q`` (``_advance``).  A lone
+chain's curve (``survival_at``, ``exact_survival``) is that walk with a
+stack of one over the sorted step counts asked for;
+``entrance_survival_stack`` groups its words by step count and gives
+each group one build and one walk, each value bit for bit its word's
+lone value.
 
 Infinite sums, such as the mean return time, are one subtraction-free GTH
 solve of ``(I - Q) x = 1`` (``models._gth_solve``), whose relative error
@@ -62,6 +63,7 @@ from .models import (
     BernoulliModel,
     MarkovModel,
     MeasureModel,
+    STEP_CEILING,
     _UNIT_ROUNDOFF,
     _gth_solve,
     phi_bound,
@@ -263,11 +265,11 @@ def step_at(t, mu: float) -> np.ndarray:
     A ratio ``t/mu`` within four units in the last place of an integer
     is taken as that integer, so a last-bit change of ``mu`` cannot move
     the step.  Works elementwise on arrays.  A ratio not finite or past
-    ``2**62`` in size raises ``ValueError``: then any word length added fits in int64.
+    ``models.STEP_CEILING`` (``2**62``) in size raises ``ValueError``.
     """
     with np.errstate(all="ignore"):  # an infinite or undefined ratio is rejected below
         r = np.asarray(t, dtype=float) / mu
-    if not np.all(np.abs(r) <= 2.0**62):
+    if not np.all(np.abs(r) <= STEP_CEILING):
         raise ValueError("a step count t/mu must be finite and at most 2**62 in size")
     k = np.rint(r)
     r = np.where(np.abs(r - k) <= 4.0 * np.spacing(k), k, r)
@@ -287,25 +289,8 @@ def _live(Q: np.ndarray, exit: np.ndarray, initial: np.ndarray, live: np.ndarray
     return Q, exit[ar, live], initial[ar, live]
 
 
-def _advance(Q: np.ndarray, v: np.ndarray, gaps: list) -> np.ndarray:
-    """The stack ``v`` (W, 1, L) after ``gaps[w]`` transitions of ``Q[w]`` (W, L, L) each.
-
-    Slices with equal gaps advance together (``_advance_by``).  A stack
-    with several gaps is split into one group per gap; each group's
-    blocks are copied once, never per step.
-    """
-    if min(gaps) == max(gaps):
-        return _advance_by(Q, v, gaps[0])
-    gaps = np.asarray(gaps)
-    out = np.empty_like(v)
-    for gap in np.unique(gaps).tolist():
-        group = np.flatnonzero(gaps == gap)
-        out[group] = _advance_by(Q[group], v[group], gap)
-    return out
-
-
-def _advance_by(Q: np.ndarray, v: np.ndarray, gap: int) -> np.ndarray:
-    """The stack ``v`` after ``gap`` transitions of every slice of ``Q``.
+def _advance(Q: np.ndarray, v: np.ndarray, gap: int) -> np.ndarray:
+    """The stack ``v`` (W, 1, L) after ``gap`` transitions of every slice of ``Q`` (W, L, L).
 
     A gap of at most L transitions is taken one ``v @ Q`` at a time,
     ``L**2`` work each, so no gap costs more than one squaring of ``Q``;
@@ -328,51 +313,50 @@ def _advance_by(Q: np.ndarray, v: np.ndarray, gap: int) -> np.ndarray:
     return v
 
 
-def _walk(Q: np.ndarray, v: np.ndarray, steps: np.ndarray) -> np.ndarray:
+def _walk(Q: np.ndarray, v: np.ndarray, steps: list) -> np.ndarray:
     """The transient mass of the stack ``v`` (W, 1, L) after each entry of ``steps``, clamped to [0, 1].
 
-    ``steps`` is a ``(W, K)`` table of transition counts, non-decreasing
-    along each row.  The stack advances one column at a time by each
-    row's gap (``_advance``), and the vectors it holds are summed
-    ``_SUM_BATCH`` columns at a time, one reduction for many that sums
-    each as it would sum it alone.  Returns a ``(W, K)`` array.
+    ``steps`` is one non-decreasing list of transition counts, shared by
+    the whole stack.  The stack advances by each gap (``_advance``), and
+    the vectors it holds are summed ``_SUM_BATCH`` steps at a time, one
+    reduction for many that sums each as it would sum it alone.  Returns
+    a ``(W, K)`` array.
     """
-    gaps = steps.copy()
-    gaps[:, 1:] -= steps[:, :-1]
-    gaps = gaps.T.tolist()
-    sums = np.empty(steps.shape)
+    gaps = [b - a for a, b in zip([0] + steps, steps)]
+    sums = np.empty((len(v), len(gaps)))
     for lo in range(0, len(gaps), _SUM_BATCH):
         held = []
-        for column in gaps[lo:lo + _SUM_BATCH]:
-            v = _advance(Q, v, column)
+        for gap in gaps[lo:lo + _SUM_BATCH]:
+            v = _advance(Q, v, gap)
             held.append(v)
         sums[:, lo:lo + len(held)] = np.add.reduce(np.concatenate(held, axis=1), axis=2)
     return np.clip(sums, 0.0, 1.0)
 
 
-def _survival(stack, m: np.ndarray, n: int, origin_consumed: int) -> np.ndarray:
-    """``P(tau > m)`` for every chain of ``stack`` at each entry of its row of ``m``.
+def _survival(stack, m: list, n: int, origin_consumed: int) -> np.ndarray:
+    """``P(tau > m)`` for every chain of ``stack`` at each entry of ``m``, a ``(W, K)`` array.
 
     ``stack`` is ``(Q, exit, initial, live)`` as ``_build_stack`` gives
-    it, for words of length ``n``, and ``m`` a ``(W, K)`` table of step
-    counts, non-decreasing along each row.  Windows 1..m are decided
-    after ``_steps_for(m)`` transitions from the origin, and ``m = 0``
-    is 1 and takes none.  One ``_walk`` on the live blocks.  A negative
-    step count raises ``ValueError``.
+    it, for words of length ``n``, and ``m`` the sorted distinct step
+    counts, one list that the whole stack shares.  Windows 1..m are
+    decided after ``_steps_for(m)`` transitions from the origin, and
+    ``m = 0`` is 1 and takes none.  One ``_walk`` on the live blocks.  A
+    negative step count raises ``ValueError``.
     """
-    if m.min(initial=0) < 0:
-        raise ValueError(f"m must be >= 0, got {m.min()}")
+    if m and m[0] < 0:
+        raise ValueError(f"m must be >= 0, got {m[0]}")
     Q, _, v = _live(*stack)
-    hit = m > 0
-    values = _walk(Q, v[:, None], np.where(hit, _steps_for(m, n, origin_consumed), 0))
-    return np.where(hit, values, 1.0)
+    zero = int(m[:1] == [0])
+    values = np.ones((len(v), len(m)))
+    values[:, zero:] = _walk(Q, v[:, None], [_steps_for(k, n, origin_consumed) for k in m[zero:]])
+    return values
 
 
 def _chain_survival(chain: ProductChain, m: np.ndarray) -> np.ndarray:
     """``P(tau > m)`` at every entry of the 1-d integer array ``m``: one walk of a stack of one."""
     ks = sorted(set(m.tolist()))
     stack = chain.Q[None], chain.exit[None], chain.initial[None], chain.live[None]
-    return _survival(stack, np.array([ks]), chain.n, chain.origin_consumed)[0, np.searchsorted(ks, m)]
+    return _survival(stack, ks, chain.n, chain.origin_consumed)[0, np.searchsorted(ks, m)]
 
 
 def exact_survival(chain: ProductChain, m_max: int) -> SurvivalCurve:
@@ -412,25 +396,28 @@ def entrance_survival_stack(model: MeasureModel, words, t) -> list[float]:
     ``t`` is one time, or one per word.  Each word is gated and measured
     as ``build_product_chain`` does (``models.target_log_measure``), and
     its value is bit for bit ``survival_at(build_product_chain(model, w),
-    step_at(t, mu(w)))``: the entrance chains are built as one stack
-    (``_build_stack``) and walked by one ``_survival``, in stacks of at
-    most ``STACK_BYTES`` of ``Q``.
+    step_at(t, mu(w)))``: the words of one step count, in input order,
+    are built as one stack (``_build_stack``) and walked by one
+    ``_survival``, in stacks of at most ``STACK_BYTES`` of ``Q``.  A
+    measure that is 0.0 in floats raises ``MeasureUnderflow``.
     """
     words = [as_word(w) for w in words]
-    out = []
     if not words:
-        return out
-    m = step_at(t, np.array([math.exp(target_log_measure(model, w)) for w in words]))
+        return []
+    m = step_at(t, np.array([plain_measure(target_log_measure(model, w)) for w in words]))
     n = len(words[0])
     S = n * (model.k if isinstance(model, MarkovModel) else 1)
     size = max(1, STACK_BYTES // (8 * S * S))
-    for lo in range(0, len(words), size):
-        part = words[lo:lo + size]
-        tables, cols = build_tables(part, model.k)
-        stack = _build_stack(model, part, tables, cols, ENTRANCE)
-        # an entrance chain's origin has consumed one symbol
-        out += _survival(stack, m[lo:lo + size, None], n, 1)[:, 0].tolist()
-    return out
+    out = np.empty(len(words))
+    order = np.argsort(m, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(m[order])) + 1):
+        for lo in range(0, len(group), size):
+            part = group[lo:lo + size]
+            chosen = [words[i] for i in part]
+            stack = _build_stack(model, chosen, *build_tables(chosen, model.k), ENTRANCE)
+            # an entrance chain's origin has consumed one symbol
+            out[part] = _survival(stack, m[part[:1]].tolist(), n, 1)[:, 0]
+    return out.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,8 @@ _LOG_ZERO = float("-inf")
 _UNIT_ROUNDOFF = 2.0**-53
 _NORMAL_PRODUCTS = 2.0**-511  # products of entries this large stay normal
 _PERRON_REFINE_STEPS = 8      # power steps allowed to narrow a Perron root's bracket
+# the largest scan cap or step count t/mu: any word length added still fits in int64
+STEP_CEILING = 2**62
 
 
 # ---------------------------------------------------------------------------

@@ -30,16 +30,9 @@ from .exact import ENTRANCE, RETURN, SurvivalCurve, _time_grid, entrance_surviva
 # unused here, but perfbench/tracing.py patches ``montecarlo.build_product_chain``
 # and ``montecarlo.survival_at``
 from .exact import build_product_chain, survival_at  # noqa: F401
-from .models import (
-    MeasureModel,
-    plain_measure,
-    renyi_entropy,
-    shannon_entropy,
-    target_log_measure,
-)
-from .orbits import CapPolicy, OrbitStream, Target, entrance_time, w_sum
+from .models import MeasureModel, plain_measure, renyi_entropy, shannon_entropy
+from .orbits import CapPolicy, OrbitStream, entrance_time, prepare_target, w_sum
 from .rng import Substreams
-from .words import as_word
 
 CENSOR_SUMMARY_LIMIT = 0.01
 SURVIVAL_CENSOR_MASS = 1e-3  # exponential-reference mass allowed beyond the cap
@@ -308,25 +301,19 @@ class SurvivalExperiment(Ensemble):
         return KsResult(statistic=float(d), sample_count=n)
 
 
-def _survival_cap(mu: float) -> int:
-    return math.ceil(-math.log(SURVIVAL_CENSOR_MASS) / mu)
-
-
 def _survival_experiment(model, word, N, t_grid, seed, kind, indices) -> SurvivalExperiment:
-    word = as_word(word)
-    log_mu = target_log_measure(model, word)
-    mu = plain_measure(log_mu)
+    # every sample scans for the one word, gated and measured once
+    target = prepare_target(model, word, CapPolicy(multiplier=-math.log(SURVIVAL_CENSOR_MASS)))
+    mu = plain_measure(target.log_mu)
     t = _time_grid(t_grid)
-    cap = _survival_cap(mu)
-    target = Target(word, cap, log_mu)  # every sample scans for the one word, measured once
-    start = word if kind == RETURN else None
+    start = target.word if kind == RETURN else None
 
     def sample(streams, i):
         tau = entrance_time(OrbitStream(model, streams.open(i, 1), start=start), target)
         return None if tau.censored else tau.value
 
     return SurvivalExperiment(**vars(ensemble(_keyed(seed, (1,), sample), N, indices)), kind=kind,
-                              word=word, t_grid=tuple(t.tolist()), mu=mu, cap=cap)
+                              word=target.word, t_grid=tuple(t.tolist()), mu=mu, cap=target.cap)
 
 
 def empirical_survival(model: MeasureModel, z_word, N: int, t_grid, seed: int,

@@ -24,8 +24,8 @@ right-censored at the cap.  The target word is found by a byte search
 of each block, and orbit sums take every window log-measure of a block
 at once.  The entrance law rescales time by ``mu(w)``, so an entrance or
 recurrence scan under a model expects about ``1/mu(w)`` symbols: its
-first block is ``clip(ceil(FIRST_SCALE / mu(w)), FIRST_FLOOR, BLOCK)``
-symbols, and later ones double up to ``BLOCK``.  Orbit sums, and replays
+first block is ``clip(ceil(1 / mu(w)), FIRST_FLOOR, BLOCK)`` symbols,
+and later ones double up to ``BLOCK``.  Orbit sums, and replays
 without a model, read blocks of ``BLOCK``.  A block cut moves no symbol,
 so no time depends on it.
 """
@@ -39,14 +39,13 @@ import numpy as np
 
 # unused here, but perfbench/tracing.py patches ``orbits.build_automaton``
 from .automata import build_automaton  # noqa: F401
-from .errors import EmptyInput, SequenceTooShort
-from .models import BernoulliModel, MarkovModel, MeasureModel, target_log_measure
+from .errors import EmptyInput, MeasureUnderflow, SequenceTooShort
+from .models import STEP_CEILING, BernoulliModel, MarkovModel, MeasureModel, target_log_measure
 from .rng import substream
 from .words import as_word
 
 BLOCK = 4096
-FIRST_SCALE = 1.0  # a first block holds about FIRST_SCALE / mu(w) symbols ...
-FIRST_FLOOR = 64  # ... and never fewer than this
+FIRST_FLOOR = 64  # a first block holds about 1 / mu(w) symbols, and never fewer than this
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -69,6 +68,10 @@ class CapPolicy:
     """
 
     multiplier: float = 100.0
+
+    def __post_init__(self):
+        if not 0.0 < self.multiplier < math.inf:
+            raise ValueError(f"cap multiplier must be finite and > 0, got {self.multiplier}")
 
     def cap_for(self, model: MeasureModel, target) -> int:
         return prepare_target(model, target, self).cap
@@ -274,23 +277,24 @@ def _word_finder(word):
 
 
 class Target:
-    """A word ready to scan: its cap, byte finder and first block, made once for any number of scans."""
+    """A word ready for any number of scans: its cap, log-measure, byte finder and first block."""
 
     def __init__(self, word, cap: int, log_mu: float | None):
-        self.word, self.cap = word, cap
+        self.word, self.cap, self.log_mu = word, cap, log_mu
         self.find = _word_finder(word)
-        # clip(ceil(FIRST_SCALE / mu), FIRST_FLOOR, BLOCK), the top clip in log space; no measure: BLOCK
-        if log_mu is None or math.log(FIRST_SCALE) - log_mu >= math.log(BLOCK):
+        # clip(ceil(1 / mu), FIRST_FLOOR, BLOCK), the top clip in log space; no measure: BLOCK
+        if log_mu is None or -log_mu >= math.log(BLOCK):
             self.first = BLOCK
         else:
-            self.first = min(max(math.ceil(FIRST_SCALE * math.exp(-log_mu)), FIRST_FLOOR), BLOCK)
+            self.first = min(max(math.ceil(math.exp(-log_mu)), FIRST_FLOOR), BLOCK)
 
 
 def prepare_target(model: MeasureModel | None, target, cap=None) -> Target:
     """``target`` with its cap: ``cap`` itself, or a ``CapPolicy`` (``None``: the default) of it.
 
     Under a model the target is measured once (``models.target_log_measure``),
-    for the gate, the policy and the first block alike.
+    for the gate, the policy and the first block alike.  A policy's cap past
+    ``models.STEP_CEILING``, compared in log space, raises ``MeasureUnderflow``.
     """
     word = as_word(target)
     log_mu = None if model is None else target_log_measure(model, word)
@@ -298,6 +302,9 @@ def prepare_target(model: MeasureModel | None, target, cap=None) -> Target:
         if log_mu is None:
             raise ValueError("replay streams without a model need an explicit cap")
         policy = CapPolicy() if cap is None else cap
+        log_cap = math.log(policy.multiplier) - log_mu
+        if log_cap > math.log(STEP_CEILING):
+            raise MeasureUnderflow(f"target measure underflows: its cap exp({log_cap:.6g}) passes 2**62")
         cap = max(math.ceil(policy.multiplier * math.exp(-log_mu)), 1)
     elif cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")

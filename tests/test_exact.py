@@ -18,6 +18,7 @@ from hitstat.errors import (
     ToleranceNotCertified,
     ZeroMeasureTarget,
 )
+from hitstat import exact
 from hitstat.automata import build_tables
 from hitstat.exact import (
     ENTRANCE,
@@ -398,9 +399,10 @@ def test_a_stack_advances_each_slice_as_it_advances_alone(name, kind, data):
     chains = [build_product_chain(model, word, kind) for word in words]
     blocks = [live_block(chain) for chain in chains]
     L = len(blocks[0][1])
-    gaps = [chain.steps_for(k) if k else 0 for chain, k in zip(chains, draw_steps(data, words, L))]
-    v = _advance(np.stack([Q for Q, _ in blocks]), np.stack([v for _, v in blocks])[:, None, :], gaps)
-    lone = [_advance(Q[None], v[None, None], [gap]) for (Q, v), gap in zip(blocks, gaps)]
+    # one gap for the whole stack: none, stepped or powered
+    gap = data.draw(st.sampled_from([0, data.draw(st.integers(1, L)), data.draw(st.integers(L + 1, 10**7))]))
+    v = _advance(np.stack([Q for Q, _ in blocks]), np.stack([v for _, v in blocks])[:, None, :], gap)
+    lone = [_advance(Q[None], v[None, None], gap) for Q, v in blocks]
     assert v.tobytes() == np.concatenate(lone).tobytes()
 
 
@@ -422,16 +424,43 @@ def test_a_stack_walks_several_step_counts_per_chain_as_each_chain_alone(name, k
                                                         data.draw(st.integers(L + 1, 10**6))])))
         return m
 
-    m = np.array([row() for _ in chains])
-    steps = np.array([chain.steps_for(r) for chain, r in zip(chains, m)])
-    got = _walk(np.stack([Q for Q, _ in blocks]), np.stack([v for _, v in blocks])[:, None, :], steps)
-    assert got.shape == m.shape
-    for chain, r, values in zip(chains, m, got):
-        assert values.tobytes() == survival_at(chain, r).tobytes()
+    m = row()
+    # equal-length words of one kind take the same transitions to decide windows 1..m
+    got = _walk(np.stack([Q for Q, _ in blocks]), np.stack([v for _, v in blocks])[:, None, :],
+                [chains[0].steps_for(k) for k in m])
+    assert got.shape == (len(chains), K)
+    for chain, values in zip(chains, got):
+        assert values.tobytes() == survival_at(chain, m).tobytes()
 
 
 def test_entrance_survival_stack_of_no_words_is_empty():
     assert entrance_survival_stack(FAIR, [], 1.0) == []
+
+
+def test_stacks_cut_within_each_step_count_keep_every_lone_value(monkeypatch):
+    # words of length 4 on the chain have several measures, so a shared time gives several
+    # step counts; at most two 8-state chains per stack cuts every group of three or more
+    words = list(itertools.product((0, 1), repeat=4)) * 3
+    np.random.default_rng(4).shuffle(words)
+    monkeypatch.setattr(exact, "STACK_BYTES", 2 * 8 * 8 * 8)
+    stacks = []
+    survival = exact._survival
+
+    def recording(stack, m, n, origin_consumed):
+        stacks.append((len(stack[0]), m))
+        return survival(stack, m, n, origin_consumed)
+
+    monkeypatch.setattr(exact, "_survival", recording)
+    got = entrance_survival_stack(CHAIN, words, 1.5)
+    chains = [build_product_chain(CHAIN, word, ENTRANCE) for word in words]
+    assert got == [survival_at(chain, step_at(1.5, chain.mu)) for chain in chains]
+    counts = sorted({m for _, (m,) in stacks})
+    assert len(counts) > 1 and len(stacks) > len(counts) and max(size for size, _ in stacks) == 2
+
+
+def test_entrance_survival_stack_refuses_a_measure_that_underflows():
+    with pytest.raises(MeasureUnderflow, match="underflows"):  # mu(1^1100) is 0.0 in floats
+        entrance_survival_stack(FAIR, ["1" * 1100], 1.0)
 
 
 def test_entrance_survival_stack_gates_every_word():

@@ -192,12 +192,22 @@ def test_survival_of_a_word_whose_measure_underflows_is_refused(function):
         function(FAIR, "1" * 1100, 2, [0.5, 1.0], seed=1)
 
 
+def test_survival_of_a_word_past_the_step_ceiling_is_refused_before_any_scan(monkeypatch):
+    # mu(1^1000) is about 9.3e-302, not 0.0, but its cap of about 7.4e301 passes 2**62
+    def scan(*args, **kwargs):
+        raise AssertionError("no sample may scan for this word")
+
+    monkeypatch.setattr(montecarlo, "entrance_time", scan)
+    with pytest.raises(MeasureUnderflow, match="underflows"):
+        empirical_survival(FAIR, "1" * 1000, 2, [0.0], seed=1)
+
+
 def _lone_value(name, kwargs, j):
     """Sample ``j`` as its own substreams give it, each built by ``rng.substream``."""
     model, seed = kwargs["model"], kwargs["seed"]
     if name in ("survival", "return-survival"):
         word = as_word(kwargs["z_word"])
-        cap = montecarlo._survival_cap(cylinder_measure(model, word))
+        cap = CapPolicy(multiplier=-math.log(montecarlo.SURVIVAL_CENSOR_MASS)).cap_for(model, word)
         start = word if name == "return-survival" else None
         t = entrance_time(OrbitStream(model, (seed, j, 1), start=start), word, cap=cap)
         return None if t.censored else t.value

@@ -12,6 +12,7 @@ from scipy.special import logsumexp
 from hitstat import bernoulli, geometric, log_cylinder_measure, markov
 from hitstat.errors import (
     EmptyInput,
+    MeasureUnderflow,
     SequenceTooShort,
     ZeroMeasureTarget,
 )
@@ -19,7 +20,6 @@ from hitstat.models import BernoulliModel, MarkovModel
 from hitstat.orbits import (
     BLOCK,
     FIRST_FLOOR,
-    FIRST_SCALE,
     CapPolicy,
     OrbitStream,
     OrbitSumResult,
@@ -245,6 +245,26 @@ def test_cap_policy_default_scale():
         entrance_time(ReplayStream(never), "11", cap=CapPolicy())
 
 
+def test_a_cap_past_the_step_ceiling_is_refused():
+    # 100 * 2**55 is below 2**62 and keeps its formula; 100 * 2**56 passes it
+    log_mu = log_cylinder_measure(FAIR, "1" * 55)
+    assert CapPolicy().cap_for(FAIR, "1" * 55) == math.ceil(100.0 * math.exp(-log_mu))
+    with pytest.raises(MeasureUnderflow, match=r"underflows: its cap exp\(43\.4"):
+        CapPolicy().cap_for(FAIR, "1" * 56)
+    # far past it, where 1/mu overflows a float or mu is 0.0
+    for n in (1000, 1100):
+        with pytest.raises(MeasureUnderflow, match="underflows"):
+            CapPolicy().cap_for(FAIR, "1" * n)
+        with pytest.raises(MeasureUnderflow, match="underflows"):
+            entrance_time(OrbitStream(FAIR, 1), "1" * n)
+    # an explicit cap needs no policy, so no ceiling applies to it
+    assert prepare_target(FAIR, "1" * 1100, cap=10).cap == 10
+    # the cap is compared in log space, which needs a finite positive multiplier
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="multiplier must be finite and > 0"):
+            CapPolicy(multiplier=bad)
+
+
 def test_cap_policy_zero_measure_target():
     model = markov([[0.0, 1.0], [0.5, 0.5]])
     with pytest.raises(ZeroMeasureTarget):
@@ -358,7 +378,7 @@ def test_first_block_is_sized_from_the_target():
     # fair-coin words: 1/mu = 2**n, clipped to [FIRST_FLOOR, BLOCK]
     for n in range(1, 15):
         got = prepare_target(FAIR, (1,) * n, cap=10).first
-        expect = min(max(math.ceil(FIRST_SCALE * 2.0**n), FIRST_FLOOR), BLOCK)
+        expect = min(max(math.ceil(2.0**n), FIRST_FLOOR), BLOCK)
         assert abs(got - expect) <= 1 and FIRST_FLOOR <= got <= BLOCK
     assert prepare_target(FAIR, (1,) * 12, cap=10).first == BLOCK
     assert prepare_target(FAIR, (1,), cap=10).first == FIRST_FLOOR
@@ -386,8 +406,7 @@ def sized_scan_cases(draw):
     top = 2 if model.k is None else model.k - 1
     a, b = draw(st.integers(0, top)), draw(st.integers(0, top))
     word = (a,) * n if draw(st.booleans()) else tuple(a if i % 2 == 0 else b for i in range(n))
-    first = min(max(math.ceil(FIRST_SCALE / math.exp(log_cylinder_measure(model, word))),
-                    FIRST_FLOOR), BLOCK)
+    first = min(max(math.ceil(1.0 / math.exp(log_cylinder_measure(model, word))), FIRST_FLOOR), BLOCK)
     near = draw(st.sampled_from([first, 3 * first, BLOCK, 1]))  # the first two block ends
     cap = max(near - n + draw(st.integers(-3, 3)), 1)
     return name, model, word, first, cap, draw(st.integers(0, 2**20))
