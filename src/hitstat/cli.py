@@ -51,6 +51,7 @@ from .models import (
     target_log_measure,
 )
 from .montecarlo import (
+    SURVIVAL_CAP,
     dkw_epsilon,
     empirical_return_survival,
     empirical_survival,
@@ -59,7 +60,7 @@ from .montecarlo import (
     recurrence_exponent_samples,
     survival_tail_integral,
 )
-from .orbits import CapPolicy, OrbitStream
+from .orbits import CapPolicy, OrbitStream, prepare_target
 from .streams import (
     EstimateRow,
     EstimateSeries,
@@ -549,6 +550,8 @@ def main(argv=None) -> int:
                 target_log_measure(params["model"], word)
             if "t_grid" in params:  # mu must not underflow, and every time's step count fit in int64
                 step_at(params["t_grid"], plain_measure(target_log_measure(params["model"], params["word"])))
+            if kind in ("survival", "return-survival"):  # nor the cap of a scan for the word
+                prepare_target(params["model"], params["word"], SURVIVAL_CAP)
         if params["tolerance"] is not None:
             tol = params["tolerance"] = _read(params["tolerance"], TOLERANCES[kind])
             # beyond its keys, a tolerance needs a model, and a bound the section it is measured on

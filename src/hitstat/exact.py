@@ -15,9 +15,9 @@ step counts that the whole stack shares: short gaps one ``v @ Q`` at a
 time, long ones by binary powering of ``Q`` (``_advance``).  A lone
 chain's curve (``survival_at``, ``exact_survival``) is that walk with a
 stack of one over the sorted step counts asked for;
-``entrance_survival_stack`` groups its words by step count and gives
-each group one build and one walk, each value bit for bit its word's
-lone value.
+``entrance_survival_stack`` sorts its words by step count, builds them
+in stacks, and walks each step count's slice of a stack once, each
+value bit for bit its word's lone value.
 
 Infinite sums, such as the mean return time, are one subtraction-free GTH
 solve of ``(I - Q) x = 1`` (``models._gth_solve``), whose relative error
@@ -333,19 +333,18 @@ def _walk(Q: np.ndarray, v: np.ndarray, steps: list) -> np.ndarray:
     return np.clip(sums, 0.0, 1.0)
 
 
-def _survival(stack, m: list, n: int, origin_consumed: int) -> np.ndarray:
-    """``P(tau > m)`` for every chain of ``stack`` at each entry of ``m``, a ``(W, K)`` array.
+def _survival(Q: np.ndarray, v: np.ndarray, m: list, n: int, origin_consumed: int) -> np.ndarray:
+    """``P(tau > m)`` for every chain of a stack at each entry of ``m``, a ``(W, K)`` array.
 
-    ``stack`` is ``(Q, exit, initial, live)`` as ``_build_stack`` gives
-    it, for words of length ``n``, and ``m`` the sorted distinct step
-    counts, one list that the whole stack shares.  Windows 1..m are
+    ``Q`` and ``v`` are the stack's live blocks and initial vectors
+    (``_live``), for words of length ``n``, and ``m`` the sorted distinct
+    step counts, one list that the whole stack shares.  Windows 1..m are
     decided after ``_steps_for(m)`` transitions from the origin, and
-    ``m = 0`` is 1 and takes none.  One ``_walk`` on the live blocks.  A
-    negative step count raises ``ValueError``.
+    ``m = 0`` is 1 and takes none.  One ``_walk``.  A negative step
+    count raises ``ValueError``.
     """
     if m and m[0] < 0:
         raise ValueError(f"m must be >= 0, got {m[0]}")
-    Q, _, v = _live(*stack)
     zero = int(m[:1] == [0])
     values = np.ones((len(v), len(m)))
     values[:, zero:] = _walk(Q, v[:, None], [_steps_for(k, n, origin_consumed) for k in m[zero:]])
@@ -355,8 +354,8 @@ def _survival(stack, m: list, n: int, origin_consumed: int) -> np.ndarray:
 def _chain_survival(chain: ProductChain, m: np.ndarray) -> np.ndarray:
     """``P(tau > m)`` at every entry of the 1-d integer array ``m``: one walk of a stack of one."""
     ks = sorted(set(m.tolist()))
-    stack = chain.Q[None], chain.exit[None], chain.initial[None], chain.live[None]
-    return _survival(stack, ks, chain.n, chain.origin_consumed)[0, np.searchsorted(ks, m)]
+    Q, _, v = _live(chain.Q[None], chain.exit[None], chain.initial[None], chain.live[None])
+    return _survival(Q, v, ks, chain.n, chain.origin_consumed)[0, np.searchsorted(ks, m)]
 
 
 def exact_survival(chain: ProductChain, m_max: int) -> SurvivalCurve:
@@ -396,9 +395,9 @@ def entrance_survival_stack(model: MeasureModel, words, t) -> list[float]:
     ``t`` is one time, or one per word.  Each word is gated and measured
     as ``build_product_chain`` does (``models.target_log_measure``), and
     its value is bit for bit ``survival_at(build_product_chain(model, w),
-    step_at(t, mu(w)))``: the words of one step count, in input order,
-    are built as one stack (``_build_stack``) and walked by one
-    ``_survival``, in stacks of at most ``STACK_BYTES`` of ``Q``.  A
+    step_at(t, mu(w)))``: the words, sorted by step count, are built in
+    stacks of at most ``STACK_BYTES`` of ``Q`` (``_build_stack``), and
+    each step count's slice of a stack is walked by one ``_survival``.  A
     measure that is 0.0 in floats raises ``MeasureUnderflow``.
     """
     words = [as_word(w) for w in words]
@@ -410,13 +409,19 @@ def entrance_survival_stack(model: MeasureModel, words, t) -> list[float]:
     size = max(1, STACK_BYTES // (8 * S * S))
     out = np.empty(len(words))
     order = np.argsort(m, kind="stable")
-    for group in np.split(order, np.flatnonzero(np.diff(m[order])) + 1):
-        for lo in range(0, len(group), size):
-            part = group[lo:lo + size]
-            chosen = [words[i] for i in part]
-            stack = _build_stack(model, chosen, *build_tables(chosen, model.k), ENTRANCE)
+    for lo in range(0, len(words), size):
+        part, steps = order[lo:lo + size], m[order[lo:lo + size]]
+        chosen = [words[i] for i in part]
+        # ``stack`` stays bound until the next build has allocated its own:
+        # freed first, its pages go back to the system and the next build
+        # faults them in again, which made ``np.add.at`` about 5x slower
+        stack = _build_stack(model, chosen, *build_tables(chosen, model.k), ENTRANCE)
+        Q, _, v = _live(*stack)
+        # a step count's slices of the C-ordered blocks are C-ordered views
+        cuts = [0, *(np.flatnonzero(np.diff(steps)) + 1).tolist(), len(part)]
+        for a, b in zip(cuts, cuts[1:]):
             # an entrance chain's origin has consumed one symbol
-            out[part] = _survival(stack, m[part[:1]].tolist(), n, 1)[:, 0]
+            out[part[a:b]] = _survival(Q[a:b], v[a:b], [int(steps[a])], n, 1)[:, 0]
     return out.tolist()
 
 

@@ -36,6 +36,7 @@ from .rng import Substreams
 
 CENSOR_SUMMARY_LIMIT = 0.01
 SURVIVAL_CENSOR_MASS = 1e-3  # exponential-reference mass allowed beyond the cap
+SURVIVAL_CAP = CapPolicy(multiplier=-math.log(SURVIVAL_CENSOR_MASS))  # the survival samplers' scan cap
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +304,7 @@ class SurvivalExperiment(Ensemble):
 
 def _survival_experiment(model, word, N, t_grid, seed, kind, indices) -> SurvivalExperiment:
     # every sample scans for the one word, gated and measured once
-    target = prepare_target(model, word, CapPolicy(multiplier=-math.log(SURVIVAL_CENSOR_MASS)))
+    target = prepare_target(model, word, SURVIVAL_CAP)
     mu = plain_measure(target.log_mu)
     t = _time_grid(t_grid)
     start = target.word if kind == RETURN else None
@@ -374,8 +375,8 @@ def survival_tail_integral(model: MeasureModel, n: int, epsilon: float, n_outer:
     Its decay in ``n`` is the summability diagnostic behind the
     exponential entrance law.  Sample ``j``'s word is the n-prefix of
     substream ``(seed, j, 0)``; the words of one run (or one part of it)
-    share one stacked chain build and one walk
-    (``exact.entrance_survival_stack``).
+    are sorted by step count and built in shared stacks, each step
+    count's slice walked once (``exact.entrance_survival_stack``).
     """
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")

@@ -387,6 +387,11 @@ NEVER_RUN = {
                                      "word": "1" * 1100}, "target measure underflows"),
     "return-survival-measure-underflows": ({"kind": "return-survival", **SURVIVAL_RUN, "model": "fair-coin",
                                             "word": "1" * 1100}, "target measure underflows"),
+    # mu(1^1000) is a float, but a scan for it would need a cap past 2**62
+    "survival-cap-past-ceiling": ({"kind": "survival", **SURVIVAL_RUN, "model": "fair-coin",
+                                   "word": "1" * 1000, "t_grid": [0.0]}, "passes 2**62"),
+    "return-survival-cap-past-ceiling": ({"kind": "return-survival", **SURVIVAL_RUN, "model": "fair-coin",
+                                          "word": "1" * 1000, "t_grid": [0.0]}, "passes 2**62"),
     "abadi-measure-underflows": ({"kind": "abadi-shape", "model": "fair-coin", "seed": 1,
                                   "word": "1" * 1100, "t_grid": [0.5, 1.0]}, "target measure underflows"),
 }

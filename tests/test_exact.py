@@ -446,9 +446,9 @@ def test_stacks_cut_within_each_step_count_keep_every_lone_value(monkeypatch):
     stacks = []
     survival = exact._survival
 
-    def recording(stack, m, n, origin_consumed):
-        stacks.append((len(stack[0]), m))
-        return survival(stack, m, n, origin_consumed)
+    def recording(Q, v, m, n, origin_consumed):
+        stacks.append((len(Q), m))
+        return survival(Q, v, m, n, origin_consumed)
 
     monkeypatch.setattr(exact, "_survival", recording)
     got = entrance_survival_stack(CHAIN, words, 1.5)
