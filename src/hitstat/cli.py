@@ -406,8 +406,7 @@ def run_renyi_exact(params, workers):
     for s in s_list:
         r = renyi_entropy(model, s)
         gaps = []
-        for n in params["n_list"]:
-            log_z = partition_sum_exact(model, n, s)
+        for n, log_z in zip(params["n_list"], partition_sum_exact(model, params["n_list"], s)):
             slope = abs(log_z) / (s * n)
             gaps.append(abs(slope - r))
             rows.append([_fmt(s), n, _fmt(log_z), _fmt(slope), _fmt(r), _fmt(gaps[-1])])

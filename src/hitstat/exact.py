@@ -127,7 +127,7 @@ def _steps_for(m, n: int, origin_consumed: int):
 def build_product_chain(model: MeasureModel, target, conditioning: str = ENTRANCE) -> ProductChain:
     """Absorbing-chain representation of the entrance or return law: the stack of one of ``_build_stack``."""
     target = as_word(target)
-    log_mu = target_log_measure(model, target)
+    mu = plain_measure(target_log_measure(model, target))  # t/mu needs mu > 0 before the chain is built
     if conditioning not in (ENTRANCE, RETURN):
         raise ValueError(f"conditioning must be {ENTRANCE!r} or {RETURN!r}")
     tables, cols = build_automaton(target, alphabet_size=model.k)
@@ -140,7 +140,7 @@ def build_product_chain(model: MeasureModel, target, conditioning: str = ENTRANC
         origin_consumed=1 if conditioning == ENTRANCE else len(target) - 1,
         kind=conditioning,
         word=target,
-        mu=math.exp(log_mu),
+        mu=mu,
     )
 
 
@@ -512,7 +512,6 @@ def fit_survival_shape(model: MeasureModel, target, t_grid) -> TailShapeReport:
     t = _time_grid(t_grid)
     if len(t) < 2 or t[0] <= 0.0:
         raise GridTooCoarse("need at least two grid points, all > 0")
-    plain_measure(target_log_measure(model, target))  # t/mu needs mu > 0 before any chain is built
     chain = build_product_chain(model, target, ENTRANCE)
     floor = chain.n * chain.mu + phi_bound(model, chain.n)
     m_of = step_at(t, chain.mu)

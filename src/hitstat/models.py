@@ -36,13 +36,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     BadThetaRange,
@@ -444,7 +444,7 @@ def _iid_log_z1(model: BernoulliModel | GeometricModel, s: float) -> float:
     The countable model sums its geometric series in closed form.
     """
     if isinstance(model, BernoulliModel):
-        return float(logsumexp((1.0 + s) * model.log_p))
+        return float(_logsumexp((1.0 + s) * model.log_p))
     t = model.theta
     return (1.0 + s) * math.log1p(-t) - math.log1p(-(t ** (1.0 + s)))
 
@@ -479,7 +479,34 @@ def _perron_root(A: np.ndarray, rel_tol: float) -> tuple[float, float, float]:
     return min(max(float(w[i].real), lo), hi), lo, hi
 
 
-def partition_sum_exact(model: MeasureModel, n: int, s: float) -> float:
+def _logsumexp(a: np.ndarray, axis=None):
+    """``log sum exp(a)`` over ``axis`` (all of ``a`` when None), bit for bit as
+    ``scipy.special.logsumexp`` gives it on real input.
+
+    The ``m`` entries tied at the max are counted apart and the rest,
+    shifted by the max, summed to ``s``; ``log1p(s / m) + log(m) + max``
+    then keeps full precision however small ``s`` is (Blanchard, Higham &
+    Higham, IMA J. Numer. Anal. 41, 2021).  Where that is not finite (a
+    slice all ``-inf``, or an ``inf`` entry) the direct ``log(sum(exp(a)))``
+    is taken, which gives ``-inf`` and ``inf`` there.
+    """
+    a = np.asarray(a, dtype=float)
+    axes = tuple(range(a.ndim)) if axis is None else (axis,)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max(axis=axes, keepdims=True)
+        tied = a == a_max
+        m = tied.sum(axis=axes, keepdims=True, dtype=float)
+        s = np.exp(np.where(tied, _LOG_ZERO, a) - a_max).sum(axis=axes, keepdims=True)
+        s = np.where(s == 0.0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.exp(a).sum(axis=axes, keepdims=True)))
+    out = out.squeeze(axis=axes)
+    return out[()] if out.ndim == 0 else out
+
+
+def partition_sum_exact(model: MeasureModel, n, s: float):
     """``log Z_n(s) = log sum_w mu([w])**(1+s)`` over all n-cylinders.
 
     I.i.d. models factor exactly: ``log Z_n = n * log Z_1``, for any ``n``.
@@ -488,8 +515,13 @@ def partition_sum_exact(model: MeasureModel, n: int, s: float) -> float:
     log-space matrix-vector products.  Their slope ``|log Z_n| / (s*n)``
     sits ``|log C_n| / (s*n)`` from ``R(s)``, for a prefactor ``C_n`` that
     converges; the increment ``(log Z_{n-1} - log Z_n) / s`` cancels it.
+
+    ``n`` may be a 1-d sequence: the list of ``log Z_n`` in its order comes
+    back, each value bit for bit the one ``n`` alone gives, from one walk
+    of the products to the largest ``n``.
     """
-    if n < 1:
+    ns = [operator.index(k) for k in np.atleast_1d(n)]
+    if min(ns, default=1) < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0.0 < s < math.inf:
         raise NonPositiveS(f"s must be positive and finite, got {s}")
@@ -497,10 +529,17 @@ def partition_sum_exact(model: MeasureModel, n: int, s: float) -> float:
         power = 1.0 + s
         log_Q = np.where(model.P > 0.0, power * model.log_P, _LOG_ZERO)
         lv = power * model.log_pi
-        for _ in range(n - 1):
-            lv = logsumexp(lv[:, None] + log_Q, axis=0)
-        return float(logsumexp(lv))
-    return n * _iid_log_z1(model, s)
+        wanted, at = set(ns), {}
+        for step in range(1, max(ns, default=0) + 1):
+            if step > 1:
+                lv = _logsumexp(lv[:, None] + log_Q, axis=0)
+            if step in wanted:
+                at[step] = float(_logsumexp(lv))
+        values = [at[k] for k in ns]
+    else:
+        log_z1 = _iid_log_z1(model, s)
+        values = [k * log_z1 for k in ns]
+    return values if np.ndim(n) else values[0]
 
 
 # ---------------------------------------------------------------------------

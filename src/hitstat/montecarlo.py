@@ -23,7 +23,6 @@ from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.special import expm1
 
 from .errors import CensoringExceeded
 from .exact import ENTRANCE, RETURN, SurvivalCurve, _time_grid, entrance_survival_stack, step_at
@@ -37,6 +36,10 @@ from .rng import Substreams
 CENSOR_SUMMARY_LIMIT = 0.01
 SURVIVAL_CENSOR_MASS = 1e-3  # exponential-reference mass allowed beyond the cap
 SURVIVAL_CAP = CapPolicy(multiplier=-math.log(SURVIVAL_CENSOR_MASS))  # the survival samplers' scan cap
+# Cephes' rational expm1 on [-0.5, 0.5] (Moshier, Methods and Programs for Mathematical Functions, 1989)
+_EXPM1_P = (1.2617719307481059087798e-4, 3.0299440770744196129956e-2, 9.9999999999999999991025e-1)
+_EXPM1_Q = (3.0019850513866445504159e-6, 2.5244834034968410419224e-3, 2.2726554820815502876593e-1,
+            2.0000000000000000000897e0)
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +298,33 @@ class SurvivalExperiment(Ensemble):
     def ks(self) -> KsResult:
         x = np.sort(self.rescaled)
         n = len(x)
-        # scipy.stats.kstest(x, "expon").statistic without loading scipy.stats; its cdf
+        # scipy.stats.kstest(x, "expon").statistic, bit for bit, without scipy: its cdf
         # is scipy.special's expm1, which np.expm1 does not match in every last bit
-        cdf = -expm1(-x)
+        cdf = -_expm1(-x)
         d = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max()) if n else 1.0
         return KsResult(statistic=float(d), sample_count=n)
+
+
+def _expm1(x: np.ndarray) -> np.ndarray:
+    """``exp(x) - 1`` elementwise for ``x <= 0``, bit for bit as ``scipy.special.expm1`` gives it.
+
+    That is Cephes' form: a rational function of ``x**2`` for ``|x| <= 0.5``,
+    evaluated in Horner order, and libm's ``exp(x) - 1.0`` beyond.  The far
+    points go through ``math.exp`` (which cannot overflow for ``x <= 0``):
+    ``np.exp`` differs from libm in the last bit on a few of them.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    near = np.abs(x) <= 0.5
+    y = x[near]
+    yy = y * y
+    p0, p1, p2 = _EXPM1_P
+    q0, q1, q2, q3 = _EXPM1_Q
+    r = y * ((p0 * yy + p1) * yy + p2)
+    r = r / ((((q0 * yy + q1) * yy + q2) * yy + q3) - r)
+    out[near] = r + r
+    out[~near] = [math.exp(v) - 1.0 for v in x[~near].tolist()]
+    return out
 
 
 def _survival_experiment(model, word, N, t_grid, seed, kind, indices) -> SurvivalExperiment:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     BudgetExceeded,
@@ -28,6 +27,7 @@ from .errors import (
     NonPositiveS,
     SequenceTooShort,
 )
+from .models import _logsumexp
 from .orbits import ReplayStream, as_symbols, recurrence_time
 from .rng import substream
 
@@ -312,5 +312,5 @@ def plugin_renyi_estimate(sequence, n: int, s: float) -> float:
     counts = window_counts(sequence, n)
     log_c = np.log(counts.astype(float))
     log_total = math.log(counts.sum())
-    log_z = float(logsumexp((1.0 + s) * log_c)) - (1.0 + s) * log_total
+    log_z = float(_logsumexp((1.0 + s) * log_c)) - (1.0 + s) * log_total
     return -log_z / (s * n) + 0.0

@@ -62,30 +62,41 @@ def test_renyi_exact_uniform_reports_log_k(tmp_path):
     assert summary["results"]["renyi"] == pytest.approx(math.log(4.0), abs=1e-12)
 
 
-def test_import_loads_neither_scipy_stats_nor_sparse():
-    # a fresh interpreter: this one has loaded scipy.stats for other tests
+def test_import_loads_no_scipy():
+    # a fresh interpreter: this one has loaded scipy for other tests
     env = {**os.environ, "PYTHONPATH": str(Path(hitstat.__file__).resolve().parents[1])}
     probe = ("import sys, hitstat, hitstat.cli; "
-             "print([m for m in ('scipy.stats', 'scipy.sparse') if m in sys.modules])")
+             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
 
 
-def test_a_survival_run_leaves_scipy_stats_unloaded(tmp_path):
-    # a fresh interpreter: this one has loaded scipy.stats for other tests
-    cfg = tmp_path / "survival.json"
-    cfg.write_text(json.dumps({"kind": "survival", "model": "fair-coin", "seed": 1, "word": "0110",
-                               "N": 200, "t_grid": [0.5, 1.0], "tolerance": {"max_ks": 1.0}}),
-                   encoding="utf-8")
+def test_survival_renyi_and_stream_runs_load_no_scipy(tmp_path):
+    # a fresh interpreter: this one has loaded scipy for other tests
+    configs = {
+        "survival": {"kind": "survival", "model": "fair-coin", "seed": 1, "word": "0110",
+                     "N": 200, "t_grid": [0.5, 1.0], "tolerance": {"max_ks": 1.0}},
+        "renyi": {"kind": "renyi-exact", "model": "two-state-chain", "seed": 1,
+                  "s_list": [0.5, 1.0], "n_list": [4, 6, 5]},
+        "stream": {"kind": "stream-estimate", "model": "biased-coin", "seed": 1,
+                   "generate_length": 20000, "plugin": {"n": 4, "s": 1.0}},
+    }
+    runs = []
+    for name, cfg in configs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        runs.append(["--config", str(path), "--outdir", str(tmp_path / name)])
     env = {**os.environ, "PYTHONPATH": str(Path(hitstat.__file__).resolve().parents[1])}
     probe = ("import sys; from hitstat.cli import main; "
-             f"code = main(['--config', {str(cfg)!r}, '--outdir', {str(tmp_path / 'out')!r}]); "
-             "print(code, 'scipy.stats' in sys.modules)")
+             f"codes = [main(argv) for argv in {runs!r}]; "
+             "print(codes, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "0 False"
-    assert "ks_statistic" in read_summary(tmp_path / "out")["results"]
+    assert out.stdout.strip() == "[0, 0, 0] []"
+    assert "ks_statistic" in read_summary(tmp_path / "survival")["results"]
+    assert set(read_summary(tmp_path / "renyi")["results"]["per_s"]) == {"0.5", "1.0"}
+    assert "plugin" in read_summary(tmp_path / "stream")["results"]
 
 
 def test_every_kind_has_a_loadable_demo_config():

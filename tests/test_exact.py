@@ -463,6 +463,15 @@ def test_entrance_survival_stack_refuses_a_measure_that_underflows():
         entrance_survival_stack(FAIR, ["1" * 1100], 1.0)
 
 
+def test_a_lone_chain_refuses_a_measure_that_underflows():
+    # its curve would carry mu 0.0 and a time axis of zeros
+    for kind in (ENTRANCE, RETURN):
+        with pytest.raises(MeasureUnderflow, match="underflows"):  # mu(1^1100) is 0.0 in floats
+            build_product_chain(FAIR, "1" * 1100, kind)
+    with pytest.raises(MeasureUnderflow, match="underflows"):
+        exact_mean_return(FAIR, "1" * 1100)
+
+
 def test_entrance_survival_stack_gates_every_word():
     # as build_product_chain does: "00" has measure zero, so it is no target
     model = markov([[0.0, 1.0], [0.5, 0.5]])

@@ -44,7 +44,7 @@ from hitstat import (
     word_str,
 )
 from hitstat.errors import ToleranceNotCertified
-from hitstat.models import _gth_solve, _perron_root, target_log_measure
+from hitstat.models import _gth_solve, _logsumexp, _perron_root, target_log_measure
 
 P_CHAIN = [[0.9, 0.1], [0.2, 0.8]]
 
@@ -515,6 +515,43 @@ def test_markov_partition_slope_converges_to_rate():
     gaps = [abs(_slope(model, n, 1.0) - r) for n in (4, 8, 16, 32)]
     assert all(g <= 0.8 / n for g, n in zip(gaps, (4, 8, 16, 32)))
     assert gaps == sorted(gaps, reverse=True)
+
+
+@given(kernels(), st.lists(st.integers(1, 12), min_size=1, max_size=6),
+       st.floats(min_value=0.05, max_value=4.0))
+@example(P_CHAIN, [5, 2, 5, 1, 9], 1.0)
+@settings(max_examples=40, deadline=None)
+def test_partition_sum_of_a_list_is_its_scalar_calls_bit_for_bit(P, ns, s):
+    # one walk to max(ns), read in the list's order; unsorted and repeated n included
+    for model in (markov(P), bernoulli(P[0]), geometric(P[0][0])):
+        got = partition_sum_exact(model, ns, s)
+        assert [v.hex() for v in got] == [partition_sum_exact(model, n, s).hex() for n in ns]
+        with pytest.raises(ValueError):
+            partition_sum_exact(model, [*ns, 0], s)
+
+
+@st.composite
+def log_arrays(draw):
+    """(rows, cols) arrays of signed magnitudes 1e-3..1e3 and -inf, with ties drawn from a pool."""
+    magnitude = st.floats(min_value=1e-3, max_value=1e3)
+    entry = st.one_of(st.just(-math.inf), st.builds(lambda m, sign: sign * m, magnitude,
+                                                     st.sampled_from([-1.0, 1.0])))
+    pool = draw(st.lists(entry, min_size=1, max_size=3))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    return np.array([[draw(st.one_of(st.sampled_from(pool), entry)) for _ in range(cols)]
+                     for _ in range(rows)])
+
+
+@given(log_arrays())
+@example(np.array([[0.0, -math.inf, 2.0], [0.0, -math.inf, -1e3], [-1e-3, -math.inf, 2.0]]))
+@settings(max_examples=300, deadline=None)
+def test_logsumexp_equals_scipy_bit_for_bit(a):
+    # the oracle: scipy.special.logsumexp, which the package no longer imports
+    from scipy.special import logsumexp
+
+    assert _logsumexp(a, axis=0).tobytes() == np.asarray(logsumexp(a, axis=0)).tobytes()
+    for column in a.T:
+        assert np.float64(_logsumexp(column)).tobytes() == np.float64(logsumexp(column)).tobytes()
 
 
 # --- mixing and tails ----------------------------------------------------------
