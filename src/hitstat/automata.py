@@ -11,10 +11,9 @@ equal-length words at once (``build_tables``); ``build_automaton`` is
 the stack of one.  A table carries no scan position, so one table can
 serve any number of streams.
 
-A finite alphabet's column is the symbol itself.  Countable alphabets
-get one column per symbol of ``w``, in sorted order, plus a fallback
-column shared by every other symbol: such a symbol ends any partial
-match, so it leads to node 0 from every node.
+The alphabet is finite, ``{0, ..., k-1}``, and a column is the symbol
+itself.  A countable alphabet is lumped to a finite one before a table
+is built, by the exact layer (``exact._lump``).
 """
 from __future__ import annotations
 
@@ -24,25 +23,17 @@ from .errors import InvalidSymbol
 from .words import as_word
 
 
-def build_tables(words, alphabet_size: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """KMP tables of equal-length words, stacked: ``(tables, cols)``.
+def build_tables(words, alphabet_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """KMP tables of equal-length words over ``{0, ..., alphabet_size-1}``, stacked: ``(tables, cols)``.
 
     ``words`` are symbol tuples (``as_word``).  ``tables[w]`` is word
-    ``w``'s table, shape ``(n + 1, width)``, and ``cols[w, u]`` the
-    column that ``words[w][u]`` reads.  Row ``u`` of every table is
-    built at once from the rows before it.  On a countable alphabet the
-    words have different column counts; the stack is as wide as the
-    widest, and a narrower word's extra columns, like its fallback, lead
-    to node 0 from every node.
+    ``w``'s table, shape ``(n + 1, alphabet_size)``, and ``cols[w, u]``
+    the column that ``words[w][u]`` reads, the symbol itself.  Row ``u``
+    of every table is built at once from the rows before it.
     """
-    if alphabet_size is None:
-        maps = [{s: i for i, s in enumerate(sorted(set(w)))} for w in words]
-        width = max(len(c) + 1 for c in maps)
-        cols = np.array([[c[s] for s in w] for w, c in zip(words, maps)], dtype=np.intp)
-    else:
-        width, cols = alphabet_size, np.array(words, dtype=np.intp)
-        if cols.max(initial=0) >= width:
-            raise InvalidSymbol(f"symbol {cols[cols >= width][0]} outside alphabet of size {width}")
+    width, cols = alphabet_size, np.array(words, dtype=np.intp)
+    if cols.max(initial=0) >= width:
+        raise InvalidSymbol(f"symbol {cols[cols >= width][0]} outside alphabet of size {width}")
     W, n = cols.shape
     # node-major while building: row u of every word is ``rows[u]``, and
     # ``at[u]`` the flat offsets of each word's column ``cols[:, u]`` in it
@@ -60,11 +51,6 @@ def build_tables(words, alphabet_size: int | None = None) -> tuple[np.ndarray, n
     return np.ascontiguousarray(rows.transpose(1, 0, 2)), cols
 
 
-def build_automaton(word, alphabet_size: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """KMP table of ``word``: ``build_tables`` of the stack of one.
-
-    ``alphabet_size`` fixes a finite alphabet ``{0, ..., k-1}`` with one
-    column per symbol; omit it for countable alphabets, which get columns
-    for the symbols of the word plus a shared fallback column.
-    """
+def build_automaton(word, alphabet_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """KMP table of ``word`` over ``{0, ..., alphabet_size-1}``: ``build_tables`` of the stack of one."""
     return build_tables([as_word(word)], alphabet_size)

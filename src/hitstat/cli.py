@@ -545,10 +545,11 @@ def main(argv=None) -> int:
         run, keys = KINDS[kind]
         params = _read(cfg, keys)
         if params["model"] is not None:
-            for word in filter(None, [params["word"], *params.get("words", ())]):
-                target_log_measure(params["model"], word)
-            if "t_grid" in params:  # mu must not underflow, and every time's step count fit in int64
-                step_at(params["t_grid"], plain_measure(target_log_measure(params["model"], params["word"])))
+            # every word's mu must not underflow, as every chain build takes it
+            mu = {word: plain_measure(target_log_measure(params["model"], word))
+                  for word in filter(None, [params["word"], *params.get("words", ())])}
+            if "t_grid" in params:  # and every time's step count must fit in int64
+                step_at(params["t_grid"], mu[params["word"]])
             if kind in ("survival", "return-survival"):  # nor the cap of a scan for the word
                 prepare_target(params["model"], params["word"], SURVIVAL_CAP)
         if params["tolerance"] is not None:

@@ -44,9 +44,10 @@ smallest matching ``i >= 1``):
   window), carrying total mass 1 on the conditional measure over ``B``;
   ``P_B(tau > m)`` is the transient mass after ``m`` more transitions.
 
-Countable alphabets are lumped: symbols absent from the target share
-one fallback column and one aggregated mass, which is exact because the
-automaton treats them identically.
+A KMP table reads a finite alphabet, so a countable one is lumped here
+and only here (``_lump``): every symbol absent from the target reads one
+fallback column with their summed mass, which is exact because such a
+symbol ends any partial match and leads to node 0 from every node.
 """
 from __future__ import annotations
 
@@ -60,7 +61,6 @@ import numpy as np
 from .automata import build_automaton, build_tables
 from .errors import GridTooCoarse, ToleranceNotCertified
 from .models import (
-    BernoulliModel,
     MarkovModel,
     MeasureModel,
     STEP_CEILING,
@@ -87,8 +87,7 @@ class ProductChain:
     (C = k) for a Markov model, none (C = 1) for an i.i.d. one, whose
     future does not depend on it.  ``Q`` is the transient-to-transient
     block and ``exit`` each row's mass into the match node, summed from
-    its transitions (not ``1 - Q.sum(1)``).  ``origin_consumed`` records
-    how many shifted symbols the ``initial`` vector already accounts for.
+    its transitions (not ``1 - Q.sum(1)``).
 
     ``live`` are the indices, ascending, of the states that can carry
     mass.  Every transition into node ``u >= 1`` reads the symbol
@@ -105,7 +104,6 @@ class ProductChain:
     exit: np.ndarray
     initial: np.ndarray
     live: np.ndarray
-    origin_consumed: int
     kind: str
     word: Word
     mu: float
@@ -116,12 +114,12 @@ class ProductChain:
 
     def steps_for(self, m):
         """Transitions from the origin until windows 1..m are decided (``_steps_for``)."""
-        return _steps_for(m, self.n, self.origin_consumed)
+        return _steps_for(m, self.n, self.kind)
 
 
-def _steps_for(m, n: int, origin_consumed: int):
-    """``m + n - 1 - origin_consumed``: the transitions that decide windows 1..m; elementwise."""
-    return m + (n - 1 - origin_consumed)
+def _steps_for(m, n: int, conditioning: str):
+    """Transitions deciding windows 1..m: ``m + n - 1`` less the ``x_1`` or ``B[1:]`` its origin consumed."""
+    return m + (n - 2 if conditioning == ENTRANCE else 0)
 
 
 def build_product_chain(model: MeasureModel, target, conditioning: str = ENTRANCE) -> ProductChain:
@@ -130,32 +128,51 @@ def build_product_chain(model: MeasureModel, target, conditioning: str = ENTRANC
     mu = plain_measure(target_log_measure(model, target))  # t/mu needs mu > 0 before the chain is built
     if conditioning not in (ENTRANCE, RETURN):
         raise ValueError(f"conditioning must be {ENTRANCE!r} or {RETURN!r}")
-    tables, cols = build_automaton(target, alphabet_size=model.k)
-    Q, exit, initial, live = _build_stack(model, [target], tables, cols, conditioning)
+    (cols,), width, masses = _lump(model, [target])
+    Q, exit, initial, live = _build_stack(model, masses, *build_automaton(cols, width), conditioning)
     return ProductChain(
         Q=Q[0],
         exit=exit[0],
         initial=initial[0],
         live=live[0],
-        origin_consumed=1 if conditioning == ENTRANCE else len(target) - 1,
         kind=conditioning,
         word=target,
         mu=mu,
     )
 
 
-def _build_stack(model: MeasureModel, words, tables: np.ndarray, cols: np.ndarray, conditioning: str):
+def _lump(model: MeasureModel, words):
+    """``(cols, width, masses)``: a stack's words as columns below ``width``, and their i.i.d. column masses.
+
+    A finite alphabet's column is the symbol itself, and a Markov model has no ``masses``.  A
+    countable one is lumped: a word's columns are its symbols in sorted order, then a fallback
+    with the rest of the mass, and zero-mass columns pad each row to the widest word's.
+    """
+    if model.k is not None:
+        masses = None if isinstance(model, MarkovModel) else model.p[None].repeat(len(words), 0)
+        return words, model.k, masses
+    symbols = [sorted(set(word)) for word in words]
+    width = max(len(row) for row in symbols) + 1
+    masses = np.zeros((len(words), width))
+    for row, present in zip(masses, symbols):
+        for col, sym in enumerate(present):
+            row[col] = (1.0 - model.theta) * model.theta**sym
+        row[len(present)] = 1.0 - row[:len(present) + 1].sum()
+    return [[present.index(s) for s in word] for word, present in zip(words, symbols)], width, masses
+
+
+def _build_stack(model: MeasureModel, masses, tables: np.ndarray, cols: np.ndarray, conditioning: str):
     """``(Q, exit, initial, live)`` of the chains of equal-length words, stacked.
 
-    ``tables`` and ``cols`` are the words' KMP tables and columns
-    (``automata.build_tables``).  ``Q`` is ``(W, S, S)``, ``exit`` and
-    ``initial`` ``(W, S)`` and ``live`` ``(W, L)``; slice ``w`` is word
-    ``w``'s chain, its states numbered as in ``ProductChain``.  One
+    ``masses``, ``tables`` and ``cols`` are the words' i.i.d. column
+    masses (``_lump``), KMP tables and columns (``automata.build_tables``).
+    ``Q`` is ``(W, S, S)``, ``exit`` and ``initial`` ``(W, S)`` and ``live``
+    ``(W, L)``; slice ``w`` is word ``w``'s chain, its states numbered as
+    in ``ProductChain``.  One
     ``np.add.at`` sums every word's transitions, in each word's (state,
     column) order, so each slice is bit for bit the chain of its word
-    alone.  A zero-mass column (the padding of a
-    narrower word's table) leads to node 0 and adds ``0.0``, which
-    changes no sum.
+    alone.  A zero-mass column (the padding of a narrower word's table)
+    leads to node 0 and adds ``0.0``, which changes no sum.
     """
     W, n = cols.shape
     width = tables.shape[2]
@@ -169,8 +186,7 @@ def _build_stack(model: MeasureModel, words, tables: np.ndarray, cols: np.ndarra
         # node 0 with every context, node u >= 1 with w[u-1] (see ProductChain)
         live = np.concatenate((ctx[None].repeat(W, 0), np.arange(1, n) * model.k + cols[:, :-1]), axis=1)
     else:
-        first = _column_masses(model, words, width)
-        rows, C = first[:, None, :], 1
+        rows, first, C = masses[:, None, :], masses, 1
         ctx = np.zeros(width, dtype=np.intp)
         live = np.arange(n)[None].repeat(W, 0)
     S = n * C
@@ -196,23 +212,6 @@ def _build_stack(model: MeasureModel, words, tables: np.ndarray, cols: np.ndarra
             state = tables[ar, state, cols[:, u]]
         initial[ar, state * C + ctx[cols[:, -1]]] = 1.0
     return Q, exit, initial, live
-
-
-def _column_masses(model: MeasureModel, words, width: int) -> np.ndarray:
-    """Per-column symbol masses for an i.i.d. model, one row per word.
-
-    A geometric word's columns are its symbols in sorted order, then the
-    lumped fallback; zero-mass columns pad each row to ``width``.
-    """
-    if isinstance(model, BernoulliModel):
-        return model.p[None].repeat(len(words), 0)
-    masses = np.zeros((len(words), width))
-    for row, word in zip(masses, words):
-        symbols = sorted(set(word))
-        for col, sym in enumerate(symbols):
-            row[col] = (1.0 - model.theta) * model.theta**sym
-        row[len(symbols)] = 1.0 - row[:len(symbols) + 1].sum()
-    return masses
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +243,7 @@ class SurvivalCurve:
 
     def to_csv(self, path) -> None:
         with open(Path(path), "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["m", "t", "survival", "kind", "exactness"])
             for m, t, v in zip(self.m, self.t, self.values):
                 writer.writerow([int(m), repr(float(t)), repr(float(v)),
@@ -333,21 +332,21 @@ def _walk(Q: np.ndarray, v: np.ndarray, steps: list) -> np.ndarray:
     return np.clip(sums, 0.0, 1.0)
 
 
-def _survival(Q: np.ndarray, v: np.ndarray, m: list, n: int, origin_consumed: int) -> np.ndarray:
+def _survival(Q: np.ndarray, v: np.ndarray, m: list, n: int, conditioning: str) -> np.ndarray:
     """``P(tau > m)`` for every chain of a stack at each entry of ``m``, a ``(W, K)`` array.
 
     ``Q`` and ``v`` are the stack's live blocks and initial vectors
-    (``_live``), for words of length ``n``, and ``m`` the sorted distinct
-    step counts, one list that the whole stack shares.  Windows 1..m are
-    decided after ``_steps_for(m)`` transitions from the origin, and
-    ``m = 0`` is 1 and takes none.  One ``_walk``.  A negative step
+    (``_live``) for words of length ``n`` and one ``conditioning``, and
+    ``m`` the sorted distinct step counts, one list that the whole stack
+    shares.  Windows 1..m are decided after ``_steps_for(m)`` transitions
+    from the origin, and ``m = 0`` is 1 and takes none.  One ``_walk``.  A negative step
     count raises ``ValueError``.
     """
     if m and m[0] < 0:
         raise ValueError(f"m must be >= 0, got {m[0]}")
     zero = int(m[:1] == [0])
     values = np.ones((len(v), len(m)))
-    values[:, zero:] = _walk(Q, v[:, None], [_steps_for(k, n, origin_consumed) for k in m[zero:]])
+    values[:, zero:] = _walk(Q, v[:, None], [_steps_for(k, n, conditioning) for k in m[zero:]])
     return values
 
 
@@ -355,7 +354,7 @@ def _chain_survival(chain: ProductChain, m: np.ndarray) -> np.ndarray:
     """``P(tau > m)`` at every entry of the 1-d integer array ``m``: one walk of a stack of one."""
     ks = sorted(set(m.tolist()))
     Q, _, v = _live(chain.Q[None], chain.exit[None], chain.initial[None], chain.live[None])
-    return _survival(Q, v, ks, chain.n, chain.origin_consumed)[0, np.searchsorted(ks, m)]
+    return _survival(Q, v, ks, chain.n, chain.kind)[0, np.searchsorted(ks, m)]
 
 
 def exact_survival(chain: ProductChain, m_max: int) -> SurvivalCurve:
@@ -415,13 +414,13 @@ def entrance_survival_stack(model: MeasureModel, words, t) -> list[float]:
         # ``stack`` stays bound until the next build has allocated its own:
         # freed first, its pages go back to the system and the next build
         # faults them in again, which made ``np.add.at`` about 5x slower
-        stack = _build_stack(model, chosen, *build_tables(chosen, model.k), ENTRANCE)
+        cols, width, masses = _lump(model, chosen)
+        stack = _build_stack(model, masses, *build_tables(cols, width), ENTRANCE)
         Q, _, v = _live(*stack)
         # a step count's slices of the C-ordered blocks are C-ordered views
         cuts = [0, *(np.flatnonzero(np.diff(steps)) + 1).tolist(), len(part)]
         for a, b in zip(cuts, cuts[1:]):
-            # an entrance chain's origin has consumed one symbol
-            out[part[a:b]] = _survival(Q[a:b], v[a:b], [int(steps[a])], n, 1)[:, 0]
+            out[part[a:b]] = _survival(Q[a:b], v[a:b], [int(steps[a])], n, ENTRANCE)[:, 0]
     return out.tolist()
 
 

@@ -172,8 +172,36 @@ class ExponentSamples(Ensemble):
         return {"eps": eps, "lower": lower, "upper": upper, "two_sided": lower + upper}
 
 
-def _exponents(samples, N, indices, kind, n, s, target) -> ExponentSamples:
-    return ExponentSamples(**vars(ensemble(samples, N, indices)), kind=kind, n=n, s=s, target=target)
+def _exponent_samples(scan, diagonal, kind, model, n, s, N, seed, cap_policy, indices) -> ExponentSamples:
+    """Samples of ``scan(stream, word, cap_policy, s) / n``, a log time or sum, ``None`` if censored.
+
+    Sample ``j``'s word is the n-prefix of substream ``(seed, j, 0)``, and the scanned stream reads
+    ``(seed, j, 1)``, or, when ``diagonal``, ``(seed, j, 0)`` on from the word.  The ensemble's
+    target is ``h - s R(s)``, or ``h`` when ``s`` is ``None``.
+    """
+    if s is not None and s < 0.0:
+        raise ValueError(f"s must be >= 0, got {s}")
+    target = shannon_entropy(model) - (s * renyi_entropy(model, s) if s is not None and s > 0.0 else 0.0)
+
+    def sample(streams, i):
+        z = streams.open(i, 0)
+        word = _prefix(model, z, n)
+        stream = OrbitStream(model, z, start=word) if diagonal else OrbitStream(model, streams.open(i, 1))
+        value = scan(stream, word, cap_policy, s)
+        return None if value is None else value / n
+
+    rows = ensemble(_keyed(seed, (0,) if diagonal else (0, 1), sample), N, indices)
+    return ExponentSamples(**vars(rows), kind=kind, n=n, s=s, target=target)
+
+
+def _log_tau(stream, word, cap_policy, s) -> float | None:
+    t = entrance_time(stream, word, cap=cap_policy)
+    return None if t.censored else math.log(t.value)
+
+
+def _log_w_sum(stream, word, cap_policy, s) -> float | None:
+    res = w_sum(stream, word, s=s, cap=cap_policy)
+    return None if res.time.censored else res.log_value
 
 
 def entrance_exponent_samples(model: MeasureModel, n: int, N: int, seed: int,
@@ -184,13 +212,7 @@ def entrance_exponent_samples(model: MeasureModel, n: int, N: int, seed: int,
     Sample ``j`` draws the word from the n-prefix of substream
     ``(seed, j, 0)`` and scans substream ``(seed, j, 1)``.
     """
-    def sample(streams, i):
-        word = _prefix(model, streams.open(i, 0), n)
-        t = entrance_time(OrbitStream(model, streams.open(i, 1)), word, cap=cap_policy)
-        return None if t.censored else math.log(t.value) / n
-
-    return _exponents(_keyed(seed, (0, 1), sample), N, indices, "entrance", n, None,
-                      shannon_entropy(model))
+    return _exponent_samples(_log_tau, False, "entrance", model, n, None, N, seed, cap_policy, indices)
 
 
 def recurrence_exponent_samples(model: MeasureModel, n: int, N: int, seed: int,
@@ -201,14 +223,7 @@ def recurrence_exponent_samples(model: MeasureModel, n: int, N: int, seed: int,
     The scan replays the prefix drawn from substream ``(seed, j, 0)`` and
     reads on from the same substream.
     """
-    def sample(streams, i):
-        z = streams.open(i, 0)
-        prefix = _prefix(model, z, n)
-        t = entrance_time(OrbitStream(model, z, start=prefix), prefix, cap=cap_policy)
-        return None if t.censored else math.log(t.value) / n
-
-    return _exponents(_keyed(seed, (0,), sample), N, indices, "recurrence", n, None,
-                      shannon_entropy(model))
+    return _exponent_samples(_log_tau, True, "recurrence", model, n, None, N, seed, cap_policy, indices)
 
 
 def orbit_sum_exponent_samples(model: MeasureModel, n: int, s: float, N: int, seed: int,
@@ -219,22 +234,7 @@ def orbit_sum_exponent_samples(model: MeasureModel, n: int, s: float, N: int, se
     ``diagonal=True`` targets the stream's own prefix (at ``s = 0`` this
     is exactly the recurrence ensemble).
     """
-    if s < 0.0:
-        raise ValueError(f"s must be >= 0, got {s}")
-    target = shannon_entropy(model) - (s * renyi_entropy(model, s) if s > 0.0 else 0.0)
-
-    def sample(streams, i):
-        z = streams.open(i, 0)
-        word = _prefix(model, z, n)
-        if diagonal:  # the path goes on from its own prefix
-            stream = OrbitStream(model, z, start=word)
-        else:
-            stream = OrbitStream(model, streams.open(i, 1))
-        res = w_sum(stream, word, s=s, cap=cap_policy)
-        return None if res.time.censored else res.log_value / n
-
-    roles = (0,) if diagonal else (0, 1)
-    return _exponents(_keyed(seed, roles, sample), N, indices, "orbit-sum", n, s, target)
+    return _exponent_samples(_log_w_sum, diagonal, "orbit-sum", model, n, s, N, seed, cap_policy, indices)
 
 
 # ---------------------------------------------------------------------------

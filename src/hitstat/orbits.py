@@ -39,7 +39,7 @@ import numpy as np
 
 # unused here, but perfbench/tracing.py patches ``orbits.build_automaton``
 from .automata import build_automaton  # noqa: F401
-from .errors import EmptyInput, MeasureUnderflow, SequenceTooShort
+from .errors import EmptyInput, InvalidSymbol, MeasureUnderflow, SequenceTooShort
 from .models import STEP_CEILING, BernoulliModel, MarkovModel, MeasureModel, target_log_measure
 from .rng import substream
 from .words import as_word
@@ -97,25 +97,18 @@ class OrbitStream:
         else:
             self._rng = substream(*seed) if isinstance(seed, tuple) else substream(seed)
         self.position = 0
-        self._buf = _EMPTY if start is None else np.array(as_word(start), dtype=np.int64)
-        self._off = 0
+        self._start = _EMPTY if start is None else np.array(as_word(start), dtype=np.int64)
         # previous symbol, the Markov state between blocks
-        self._last = -1 if start is None else int(self._buf[-1])
+        self._last = -1 if start is None else int(self._start[-1])
 
     def take(self, count: int) -> np.ndarray:
-        """Next ``count`` symbols (always full for generated streams)."""
+        """Next ``count`` symbols, always full: the rest of ``start``, then generated ones."""
         if count <= 0:
             return _EMPTY
-        avail = len(self._buf) - self._off
-        if avail >= count:
-            out = self._buf[self._off:self._off + count]
-            self._off += count
-        else:
-            parts = [self._buf[self._off:]] if avail else []
-            parts.append(self._generate(count - avail))
-            self._buf = _EMPTY
-            self._off = 0
-            out = np.concatenate(parts) if len(parts) > 1 else parts[0]
+        out = self._start[self.position:self.position + count]
+        if len(out) < count:
+            fresh = self._generate(count - len(out))
+            out = np.concatenate((out, fresh)) if len(out) else fresh
         self.position += count
         return out
 
@@ -167,27 +160,33 @@ class OrbitStream:
 
 
 def as_symbols(symbols) -> np.ndarray:
-    """Contiguous symbol array in its own integer dtype; anything else as int64."""
+    """A non-empty 1-d contiguous symbol array in its own integer dtype, else as int64.
+
+    Any other shape raises ``EmptyInput`` and a value that is no integer ``InvalidSymbol``, as
+    in ``words.as_word``; an integer array passes without a read of its values.
+    """
     arr = np.asarray(symbols)
+    if arr.ndim != 1 or arr.size == 0:
+        raise EmptyInput("need a non-empty 1-d symbol sequence")
     if not np.issubdtype(arr.dtype, np.integer):
-        arr = arr.astype(np.int64)
+        with np.errstate(invalid="ignore"):  # a NaN, infinite or huge value casts to garbage, rejected below
+            ints = arr.astype(np.int64)
+        if not np.array_equal(ints, arr):
+            raise InvalidSymbol(f"symbols must be integers, got {arr[ints != arr][0].item()!r}")
+        arr = ints
     return np.ascontiguousarray(arr)
 
 
 class ReplayStream:
     """Stream interface over recorded symbols; exhausts with short reads.
 
-    The symbols keep their integer dtype (``uint8`` from ``streams.ingest``
-    stays one byte per symbol); non-integer input is read as int64.  Every
-    scan gives the same results on any integer dtype holding the same
-    values.
+    The symbols keep their integer dtype (``as_symbols``: ``uint8`` from
+    ``streams.ingest`` stays one byte per symbol).  Every scan gives the
+    same results on any integer dtype holding the same values.
     """
 
     def __init__(self, symbols, model: MeasureModel | None = None):
-        arr = as_symbols(symbols)
-        if arr.ndim != 1 or arr.size == 0:
-            raise EmptyInput("replay data must be a non-empty 1-d symbol array")
-        self.symbols = arr
+        self.symbols = as_symbols(symbols)
         self.model = model
         self.position = 0
 

@@ -144,8 +144,6 @@ def ow_entropy_estimate(sequence, n_list, starts_per_n: int = 200, seed: int = 0
     fraction the median itself is suspect and the run fails hard.
     """
     seq = as_symbols(sequence)
-    if seq.ndim != 1 or len(seq) == 0:
-        raise EmptyInput("need a non-empty 1-d symbol sequence")
     n_list = [int(n) for n in n_list]
     if not n_list or any(n < 1 for n in n_list):
         raise ValueError("n_list must hold positive window lengths")
@@ -245,8 +243,6 @@ def window_counts(sequence, n: int) -> np.ndarray:
     Both give the counts of the windows present in ascending code order.
     """
     seq = as_symbols(sequence)
-    if seq.ndim != 1 or len(seq) == 0:
-        raise EmptyInput("need a non-empty 1-d symbol sequence")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if len(seq) < n:

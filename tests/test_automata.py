@@ -3,8 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hitstat import geometric
 from hitstat.automata import build_automaton, build_tables
 from hitstat.errors import InvalidSymbol
+from hitstat.exact import _lump
+
+# the countable alphabet whose words ``_lump`` maps to columns
+GEOMETRIC = geometric(0.5)
 
 
 def naive_scan(word, text):
@@ -23,9 +28,17 @@ def column_of(word, k):
     return lambda sym: columns.get(sym, len(columns))
 
 
+def table_of(word, k):
+    """``(table, cols)`` of a word over ``{0, ..., k-1}``; with ``k`` None, as the exact layer lumps it."""
+    if k is None:
+        (word,), k, _ = _lump(GEOMETRIC, [tuple(word)])
+    (table,), (cols,) = build_automaton(word, alphabet_size=k)
+    return table, cols
+
+
 def scan(word, symbols, k=None):
     """End positions of every match of ``word`` in ``symbols``, walking its KMP table."""
-    (table,), _ = build_automaton(word, alphabet_size=k)
+    table, _ = table_of(word, k)
     col = column_of(word, k)
     state = 0
     out = []
@@ -56,11 +69,13 @@ def test_failure_links_reuse_matched_prefix():
 
 
 def test_countable_alphabet_fallback_goes_to_root():
-    (table,), cols = build_automaton((0, 2))
+    table, cols = table_of((0, 2), None)
     # 999 has no column of its own: the fallback must reset any progress
     assert scan((0, 2), [0, 999, 0, 2]) == [3]
-    assert cols.tolist() == [[0, 1]] and table.shape == (3, 3)
+    assert cols.tolist() == [0, 1] and table.shape == (3, 3)
     assert table[table[0, 0], 2] == 0
+    # the fallback column carries every other symbol's mass: 1 - mu(0) - mu(2)
+    assert _lump(GEOMETRIC, [(0, 2)])[2].tolist() == [[0.5, 0.125, 0.375]]
 
 
 def test_finite_alphabet_rejects_foreign_symbols():
@@ -75,7 +90,7 @@ def test_table_is_the_longest_suffix_that_is_a_prefix(k, data):
     word = tuple(data.draw(st.lists(st.integers(0, top), min_size=1, max_size=12)))
     if data.draw(st.booleans()):  # runs and periods, where the failure links matter
         word = (word * 12)[:data.draw(st.integers(len(word), 12))]
-    (table,), (cols,) = build_automaton(word, alphabet_size=k)
+    table, cols = table_of(word, k)
     n = len(word)
     # a symbol outside a countable word reads the fallback column
     symbols = range(k) if k is not None else sorted(set(word)) + [max(word) + 1]
@@ -95,9 +110,11 @@ def test_each_slice_of_a_stack_is_its_words_table(k, data):
     n = data.draw(st.integers(1, 12))
     words = [tuple(data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n)))
              for _ in range(data.draw(st.integers(1, 6)))]
-    tables, cols = build_tables(words, alphabet_size=k)
+    # a countable alphabet is lumped first, the stack as wide as its widest word
+    columns, size, _ = (words, k, None) if k is not None else _lump(GEOMETRIC, words)
+    tables, cols = build_tables(columns, alphabet_size=size)
     for w, word in enumerate(words):
-        (table,), (lone_cols,) = build_automaton(word, alphabet_size=k)
+        table, lone_cols = table_of(word, k)
         width = table.shape[1]
         assert tables[w, :, :width].tobytes() == table.tobytes()
         # a countable alphabet pads narrower words with columns that lead to node 0

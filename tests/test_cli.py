@@ -405,6 +405,11 @@ NEVER_RUN = {
                                           "word": "1" * 1000, "t_grid": [0.0]}, "passes 2**62"),
     "abadi-measure-underflows": ({"kind": "abadi-shape", "model": "fair-coin", "seed": 1,
                                   "word": "1" * 1100, "t_grid": [0.5, 1.0]}, "target measure underflows"),
+    # the kinds without a time grid gate the measure as every chain build does
+    "kac-measure-underflows": ({"kind": "kac", "model": "fair-coin", "seed": 1, "word": "1" * 1100},
+                               "target measure underflows"),
+    "hlv-measure-underflows": ({"kind": "hlv", "model": "fair-coin", "seed": 1, "words": ["1" * 1100],
+                                "m_max": 3}, "target measure underflows"),
 }
 
 

@@ -25,6 +25,7 @@ from hitstat.exact import (
     RETURN,
     _advance,
     _build_stack,
+    _lump,
     _survival_total,
     _walk,
     entrance_survival_stack,
@@ -352,8 +353,8 @@ def draw_words(model, data):
 def test_stacked_build_is_bit_identical_to_the_double_loop(name, kind, data):
     model = ORACLE_MODELS[name]
     words = draw_words(model, data)
-    tables, cols = build_tables(words, model.k)
-    Q, exit, initial, live = _build_stack(model, words, tables, cols, kind)
+    cols, width, masses = _lump(model, words)
+    Q, exit, initial, live = _build_stack(model, masses, *build_tables(cols, width), kind)
     for w, word in enumerate(words):
         # a geometric word narrower than the stack has zero-mass padding columns
         for got, oracle in zip((Q[w], exit[w], initial[w]), oracle_chain(model, word, kind)):
@@ -446,9 +447,9 @@ def test_stacks_cut_within_each_step_count_keep_every_lone_value(monkeypatch):
     stacks = []
     survival = exact._survival
 
-    def recording(Q, v, m, n, origin_consumed):
+    def recording(Q, v, m, n, conditioning):
         stacks.append((len(Q), m))
-        return survival(Q, v, m, n, origin_consumed)
+        return survival(Q, v, m, n, conditioning)
 
     monkeypatch.setattr(exact, "_survival", recording)
     got = entrance_survival_stack(CHAIN, words, 1.5)
@@ -607,6 +608,9 @@ def test_curve_csv_export(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["m", "t", "survival", "kind", "exactness"]
     assert len(rows) == 8
+    # every CSV the package writes ends its lines in a bare newline
+    assert path.read_bytes().startswith(b"m,t,survival,kind,exactness\n0,0.0,1.0,entrance,exact\n")
+    assert path.read_bytes().count(b"\n") == 8 and b"\r" not in path.read_bytes()
     for row, m, t, v in zip(rows[1:], curve.m, curve.t, curve.values):
         assert int(row[0]) == m
         assert float(row[1]) == t  # repr round-trips exactly

@@ -12,6 +12,7 @@ from scipy.special import logsumexp
 from hitstat import bernoulli, geometric, log_cylinder_measure, markov
 from hitstat.errors import (
     EmptyInput,
+    InvalidSymbol,
     MeasureUnderflow,
     SequenceTooShort,
     ZeroMeasureTarget,
@@ -146,6 +147,8 @@ def test_replay_exhaustion_censors_at_last_window():
 def test_replay_stream_validation():
     with pytest.raises(EmptyInput):
         ReplayStream([])
+    with pytest.raises(InvalidSymbol):
+        ReplayStream([0.0, 1.5])  # truncated, it would replay 0, 1
     with pytest.raises(ValueError):
         entrance_time(ReplayStream([0, 1]), "01")  # no model, no cap
 

@@ -272,6 +272,30 @@ def test_estimates_are_the_same_on_every_integer_dtype():
                 == ow_entropy_estimate(narrow, [n], starts_per_n=40, seed=3))
 
 
+def test_non_integer_symbols_are_rejected_not_truncated():
+    # int() would read 0.2, 0.7, 1.9, 1.2 as 0, 0, 1, 1, and 0.5 and 1.5 as 0 and 1
+    with pytest.raises(InvalidSymbol, match="must be integers, got 0.2"):
+        window_counts(np.array([0.2, 0.7, 1.9, 1.2]), 1)
+    with pytest.raises(InvalidSymbol, match="must be integers, got 0.5"):
+        plugin_renyi_estimate([0.5] * 100 + [1.5] * 100, 1, 1.0)
+    for bad in ([np.nan, 1.0], [np.inf, 0.0], [1e30, 0.0]):
+        with pytest.raises(InvalidSymbol):
+            ow_entropy_estimate(np.array(bad * 40), [1], starts_per_n=4)
+    # integer-valued floats are the integers they hold
+    assert window_counts(np.array([0.0, 1.0, 1.0]), 1).tolist() == [1, 2]
+    for shape in ([], [[0, 1], [1, 0]]):
+        with pytest.raises(EmptyInput):
+            window_counts(np.array(shape), 1)
+
+
+def test_an_integer_symbol_array_is_used_in_place():
+    # ow_entropy_estimate wraps a ReplayStream around the rest of the data for every start
+    data = substream(4, 4).integers(0, 2, size=1 << 20).astype(np.uint8)
+    assert streams.as_symbols(data) is data
+    tail = data[5:]
+    assert np.shares_memory(streams.as_symbols(tail), data)
+
+
 def test_plugin_recovers_the_bernoulli_renyi_value():
     model = bernoulli([0.7, 0.3])
     seq = OrbitStream(model, 17).take(1_000_000)
