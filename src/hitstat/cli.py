@@ -285,62 +285,43 @@ def _run_exponent(params, workers, sampler_name):
     run, = _sharded_samples([(sampler_name, kwargs)], workers)
     results = {"target": run.target, "censored_fraction": run.censored_fraction}
     try:
-        results["summary"] = run.summary()
+        summary = results["summary"] = run.summary()
     except CensoringExceeded as exc:  # a biased summary is withheld, with the reason
-        results["summary"] = None
+        summary = results["summary"] = None
         results["summary_withheld"] = str(exc)
     eps = params["epsilon"]
     exc = run.exceedance(0.15 if eps is None else eps)
     if eps is not None or params["tolerance"] is not None:
         results["exceedance"] = exc
-    # an all-censored ensemble has no median: take it only when it is bounded
-    measured = {"max_two_sided": exc["two_sided"], "max_lower": exc["lower"],
-                "median_within": lambda: abs(float(np.median(run.values)) - run.target)}
+    # beyond the censoring budget the uncensored mass is biased: every bound measures inf, and fails
+    measured = dict.fromkeys(_EXPONENT_TOLERANCE, math.inf) if summary is None else {
+        "max_two_sided": exc["two_sided"], "max_lower": exc["lower"],
+        "median_within": abs(summary["median"] - run.target)}
     return ["sample", "exponent", "censored"], _ensemble_rows(run), results, measured
 
 
 def _run_survival(params, workers, sampler_name):
-    """The sampled curve against the exact one: (experiment, rows, worst error)."""
+    """The sampled curve against the exact one; only the results of its kind differ."""
     model, word = params["model"], params["word"]
     exp, = _sharded_samples([(sampler_name, dict(model=model, z_word=word, N=params["N"],
                                                  t_grid=params["t_grid"], seed=params["seed"]))],
                             workers)
-    chain = build_product_chain(model, word, exp.kind)
-    rows = []
-    worst = 0.0
     curve = exp.curve
-    for m, t, value, exact in zip(curve.m, curve.t, curve.values, survival_at(chain, curve.m).tolist()):
-        worst = max(worst, abs(value - exact))
-        rows.append([int(m), _fmt(t), _fmt(value), _fmt(exact), _fmt(abs(value - exact))])
-    return exp, rows, worst
-
-
-def run_survival(params, workers):
-    exp, rows, worst = _run_survival(params, workers, "survival")
-    alpha = (params["tolerance"] or TOLERANCES["survival"])["dkw_alpha"]
-    band = dkw_epsilon(exp.total, alpha)
-    results = {
-        "ks_statistic": exp.ks.statistic,
-        "ks_samples": exp.ks.sample_count,
-        "censored": exp.censored_count,
-        "cap": exp.cap,
-        "max_abs_error": worst,
-        "dkw_band": band,
-    }
-    measured = {"max_ks": exp.ks.statistic, "dkw_alpha": worst <= band}
-    return ["m", "t", "empirical", "exact", "abs_error"], rows, results, measured
-
-
-def run_return_survival(params, workers):
-    exp, rows, worst = _run_survival(params, workers, "return-survival")
-    exact_mean = exact_mean_return(params["model"], exp.word)
-    results = {
-        "mean_time": exp.mean_time,
-        "exact_mean_return": exact_mean,
-        "censored": exp.censored_count,
-        "max_abs_error": worst,
-    }
-    measured = {"max_mean_error": abs(exp.mean_time - exact_mean), "max_abs_error": worst}
+    exact = survival_at(build_product_chain(model, word, exp.kind), curve.m)
+    errors = np.abs(curve.values - exact)
+    rows = [[m, _fmt(t), _fmt(value), _fmt(x), _fmt(err)] for m, t, value, x, err in zip(
+        curve.m.tolist(), curve.t, curve.values, exact, errors)]
+    worst = float(errors.max())
+    results = {"censored": exp.censored_count, "max_abs_error": worst}
+    if sampler_name == "survival":
+        band = dkw_epsilon(exp.total, (params["tolerance"] or TOLERANCES["survival"])["dkw_alpha"])
+        results.update(ks_statistic=exp.ks.statistic, ks_samples=exp.ks.sample_count, cap=exp.cap,
+                       dkw_band=band)
+        measured = {"max_ks": exp.ks.statistic, "dkw_alpha": worst <= band}
+    else:
+        exact_mean = exact_mean_return(model, exp.word)
+        results.update(mean_time=exp.mean_time, exact_mean_return=exact_mean)
+        measured = {"max_mean_error": abs(exp.mean_time - exact_mean), "max_abs_error": worst}
     return ["m", "t", "empirical", "exact", "abs_error"], rows, results, measured
 
 
@@ -425,10 +406,6 @@ def run_renyi_exact(params, workers):
 
 def run_stream_estimate(params, workers):
     model, ow, pg = params["model"], params["ow"], params["plugin"]
-    if ow is None and pg is None:
-        raise ConfigError("stream-estimate needs an 'ow' or 'plugin' section")
-    if params["data_file"] is None and (model is None or params["generate_length"] is None):
-        raise ConfigError("stream-estimate needs a data_file, or a model and a generate_length")
     if params["data_file"] is not None:
         seq = ingest(params["data_file"], params["map"])
     else:
@@ -469,8 +446,8 @@ _SURVIVAL = {"word": REQUIRED, "N": REQUIRED, "t_grid": REQUIRED}
 KINDS = {kind: (runner, {**_HEADER, **keys}) for kind, runner, keys in (
     ("entrance-exponent", functools.partial(_run_exponent, sampler_name="entrance"), _EXPONENT),
     ("recurrence-exponent", functools.partial(_run_exponent, sampler_name="recurrence"), _EXPONENT),
-    ("survival", run_survival, _SURVIVAL),
-    ("return-survival", run_return_survival, _SURVIVAL),
+    ("survival", functools.partial(_run_survival, sampler_name="survival"), _SURVIVAL),
+    ("return-survival", functools.partial(_run_survival, sampler_name="return-survival"), _SURVIVAL),
     ("kac", run_kac, {"words": REQUIRED}),
     ("hlv", run_hlv, {"words": REQUIRED, "m_max": REQUIRED}),
     ("abadi-shape", run_abadi_shape, {"word": REQUIRED, "t_grid": REQUIRED}),
@@ -552,6 +529,12 @@ def main(argv=None) -> int:
                 step_at(params["t_grid"], mu[params["word"]])
             if kind in ("survival", "return-survival"):  # nor the cap of a scan for the word
                 prepare_target(params["model"], params["word"], SURVIVAL_CAP)
+        if kind == "stream-estimate":
+            if params["ow"] is None and params["plugin"] is None:
+                raise ConfigError("stream-estimate needs an 'ow' or 'plugin' section")
+            if params["data_file"] is None and (params["model"] is None
+                                                or params["generate_length"] is None):
+                raise ConfigError("stream-estimate needs a data_file, or a model and a generate_length")
         if params["tolerance"] is not None:
             tol = params["tolerance"] = _read(params["tolerance"], TOLERANCES[kind])
             # beyond its keys, a tolerance needs a model, and a bound the section it is measured on
@@ -569,9 +552,6 @@ def main(argv=None) -> int:
         columns, rows, results, measured = run(params, args.workers)
         tol_ok = None if params["tolerance"] is None else _verdict(params["tolerance"], kind, measured)
         _write_report(outdir, cfg, params, columns, rows, results, tol_ok)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except (HitstatError, ValueError, ArithmeticError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3

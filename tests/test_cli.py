@@ -13,6 +13,7 @@ import hitstat
 from hitstat import cli, orbits, rng, streams
 from hitstat.cli import KINDS, _load_config, _read, main
 from hitstat.errors import ToleranceNotCertified
+from hitstat.montecarlo import CENSOR_SUMMARY_LIMIT
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMO_CONFIGS = ROOT / "demos" / "configs"
@@ -242,6 +243,7 @@ SURVIVAL_RUN = {"model": "two-state-chain", "seed": 5, "N": 60, "word": "01", "t
 ZERO_00 = {"kind": "markov", "P": [[0.0, 1.0], [0.5, 0.5]]}
 STREAM_RUN = {"model": "biased-coin", "seed": 1, "generate_length": 20_000,
               "ow": {"n_list": [6], "starts_per_n": 40}, "plugin": {"n": 4, "s": 1.0}}
+EXPONENT_KINDS = ("entrance-exponent", "recurrence-exponent", "wns")
 # one run per kind; each tolerance key below fails on it at the value given
 TOLERANCE_RUNS = {
     "entrance-exponent": EXPONENT_RUN,
@@ -259,7 +261,7 @@ TOLERANCE_RUNS = {
     "renyi-exact": {"model": "two-state-chain", "seed": 1, "s": 1.0, "n_list": [6, 4]},
     "stream-estimate": STREAM_RUN,
 }
-FAILING = [(kind, key, 0.0) for kind in ("entrance-exponent", "recurrence-exponent", "wns")
+FAILING = [(kind, key, 0.0) for kind in EXPONENT_KINDS
            for key in ("max_two_sided", "max_lower", "median_within")] + [
     ("survival", "max_ks", 0.0),
     ("return-survival", "max_mean_error", 0.0),
@@ -284,6 +286,48 @@ def test_every_tolerance_key_can_fail(tmp_path, kind, key, failing):
         got, outdir = run_cli(tmp_path, cfg, name=f"{value}.json")
         assert got == code
         assert read_summary(outdir)["tolerance_check"]["passed"] is (code == 0)
+
+
+# every kind's result keys, without a tolerance block; the exponent kinds add their exceedance with one
+RESULT_KEYS = {
+    **dict.fromkeys(EXPONENT_KINDS, {"target", "censored_fraction", "summary"}),
+    "survival": {"ks_statistic", "ks_samples", "censored", "cap", "max_abs_error", "dkw_band"},
+    "return-survival": {"mean_time", "exact_mean_return", "censored", "max_abs_error"},
+    "kac": {"kac_residual", "word_count", "expected_return"},
+    "hlv": {"max_residual", "m_max"},
+    "abadi-shape": {"rate", "intercept", "floor", "bound_holds", "fit_points"},
+    "theorem2": {"estimates", "strictly_decreasing", "epsilon"},
+    "renyi-exact": {"per_s", "renyi"},
+    "stream-estimate": {"length", "ow", "plugin"},
+}
+
+
+@pytest.mark.parametrize("kind", list(TOLERANCE_RUNS))
+def test_each_kind_reports_its_result_keys(tmp_path, kind):
+    # every tolerance key of the kind, loose or off, so that the run passes
+    loose = {key: False if isinstance(failing, bool) else 1e6 for k, key, failing in FAILING if k == kind}
+    for tolerance in (None, loose):
+        extra = {} if tolerance is None else {"tolerance": tolerance}
+        code, outdir = run_cli(tmp_path, {"kind": kind, **TOLERANCE_RUNS[kind], **extra},
+                               name=f"keys-{tolerance is None}.json")
+        assert code == 0
+        exceedance = {"exceedance"} if tolerance and kind in EXPONENT_KINDS else set()
+        assert set(read_summary(outdir)["results"]) == RESULT_KEYS[kind] | exceedance
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", EXPONENT_KINDS)
+@pytest.mark.parametrize("key", list(cli.TOLERANCES["wns"]))
+def test_no_exponent_bound_passes_beyond_the_censoring_budget(tmp_path, kind, key):
+    # a cap below one step censors every sample: no exceedance or median is measured
+    cfg = {"kind": kind, **TOLERANCE_RUNS[kind], "N": 5, "cap_multiplier": 1e-9,
+           "tolerance": {key: 1e300}}
+    code, outdir = run_cli(tmp_path, cfg)
+    assert code == 4
+    summary = read_summary(outdir)
+    assert summary["results"]["censored_fraction"] > CENSOR_SUMMARY_LIMIT
+    assert summary["results"]["summary"] is None
+    assert summary["tolerance_check"]["passed"] is False
 
 
 def test_malformed_tolerance_exits_2_before_the_run(tmp_path):
@@ -410,6 +454,12 @@ NEVER_RUN = {
                                "target measure underflows"),
     "hlv-measure-underflows": ({"kind": "hlv", "model": "fair-coin", "seed": 1, "words": ["1" * 1100],
                                 "m_max": 3}, "target measure underflows"),
+    # stream-estimate's rules across keys: a section to run, and a source of data
+    "stream-no-section": ({"kind": "stream-estimate", "seed": 1, "model": "biased-coin",
+                           "generate_length": 20000}, "needs an 'ow' or 'plugin' section"),
+    "stream-no-data": ({"kind": "stream-estimate", "seed": 1, "model": "biased-coin",
+                        "plugin": {"n": 4, "s": 1.0}},
+                       "needs a data_file, or a model and a generate_length"),
 }
 
 
@@ -420,6 +470,8 @@ def test_a_malformed_key_exits_2_before_anything_runs(tmp_path, monkeypatch, cap
 
     for name in list(cli._SAMPLERS):
         monkeypatch.setitem(cli._SAMPLERS, name, started)
+    for kind, (_, keys) in list(cli.KINDS.items()):
+        monkeypatch.setitem(cli.KINDS, kind, (started, keys))
     monkeypatch.setattr(cli, "OrbitStream", started)
     monkeypatch.setattr(cli, "ingest", started)
     cfg, fragment = NEVER_RUN[case]
