@@ -425,7 +425,7 @@ def run_stream_estimate(params, workers):
         n, s = pg["n"], pg["s"]
         est = plugin_renyi_estimate(seq, n, s)
         series_rows.append(EstimateRow(
-            method=PLUGIN_METHOD, n=n, s=s, estimate_nats=est, stderr=0.0,
+            method=PLUGIN_METHOD, n=n, s=s, estimate_nats=est, stderr=None,
             censored_fraction=0.0, sample_count=int(len(seq)) - n + 1,
         ))
         results["plugin"] = {"n": n, "s": s, "estimate": est}

@@ -27,7 +27,9 @@ recurrence scan under a model expects about ``1/mu(w)`` symbols: its
 first block is ``clip(ceil(1 / mu(w)), FIRST_FLOOR, BLOCK)`` symbols,
 and later ones double up to ``BLOCK``.  Orbit sums, and replays
 without a model, read blocks of ``BLOCK``.  A block cut moves no symbol,
-so no time depends on it.
+so no time depends on it.  The OW estimator (``streams.ow_entropy_estimate``)
+replays nothing: it runs the same byte search (``_find_word``) over the
+whole recorded sequence, once per sampled start.
 """
 from __future__ import annotations
 
@@ -253,24 +255,29 @@ def _scan(stream, target: Target, first: int, visit=None, head=_EMPTY) -> TimeRe
     return TimeResult(value=target.cap, censored=True)
 
 
-def _word_finder(word):
-    """``find`` for ``_scan``: the first window of a block equal to ``word``.
+def _find_word(hay: bytes, needle: bytes, symbols: np.ndarray, word, q: int) -> int:
+    """The first offset ``>= q`` of ``hay`` at which ``symbols`` holds ``word``, else -1.
 
-    ``bytes.find`` searches the windows with symbols taken mod 256 (free
-    for ``uint8`` data), so every match is a byte match; a byte match
-    counts only where the full symbols agree: exact on any integer alphabet.
+    ``hay`` and ``needle`` are ``symbols`` and ``word`` taken mod 256 (free
+    for ``uint8`` data), so every match is a byte match that ``bytes.find``
+    finds; a byte match counts only where the full symbols agree: exact on
+    any integer alphabet.
     """
+    n = len(word)
+    q = hay.find(needle, q)
+    while q >= 0 and not np.array_equal(symbols[q:q + n], word):
+        q = hay.find(needle, q + 1)
+    return q
+
+
+def _word_finder(word):
+    """``find`` for ``_scan``: the first window of a block equal to ``word``, by ``_find_word``."""
     w = np.array(word, dtype=np.int64)
     needle = w.astype(np.uint8).tobytes()
     n = len(w)
 
     def find(buf: np.ndarray, lo: int, hi: int) -> int:
-        windows = buf[lo:hi + n - 1]
-        hay = windows.astype(np.uint8, copy=False).tobytes()
-        q = hay.find(needle)
-        while q >= 0 and not np.array_equal(windows[q:q + n], w):
-            q = hay.find(needle, q + 1)
-        return q if q < 0 else lo + q
+        return _find_word(buf[:hi + n - 1].astype(np.uint8, copy=False).tobytes(), needle, buf, w, lo)
 
     return find
 

@@ -28,7 +28,9 @@ from .errors import (
     SequenceTooShort,
 )
 from .models import _logsumexp
-from .orbits import ReplayStream, as_symbols, recurrence_time
+from .orbits import _find_word, as_symbols
+# unused here, but perfbench/tracing.py patches ``streams.recurrence_time``
+from .orbits import recurrence_time  # noqa: F401
 from .rng import substream
 
 OW_METHOD = "OW-recurrence"
@@ -102,7 +104,7 @@ class EstimateRow:
     n: int
     s: float | None
     estimate_nats: float
-    stderr: float
+    stderr: float | None  # None: no standard error is known (the plug-in)
     censored_fraction: float
     sample_count: int
 
@@ -118,9 +120,9 @@ class EstimateSeries:
                 raise ValueError(f"negative entropy estimate in row {row}")
 
     def csv_rows(self) -> list:
-        """One row per estimate under ``COLUMNS``, floats by ``repr``."""
+        """One row per estimate under ``COLUMNS``, floats by ``repr``, ``None`` as an empty cell."""
         return [[r.method, r.n, "" if r.s is None else repr(float(r.s)),
-                 repr(float(r.estimate_nats)), repr(float(r.stderr)),
+                 repr(float(r.estimate_nats)), "" if r.stderr is None else repr(float(r.stderr)),
                  repr(float(r.censored_fraction)), r.sample_count] for r in self.rows]
 
     def to_csv(self, path) -> None:
@@ -137,11 +139,13 @@ class EstimateSeries:
 def ow_entropy_estimate(sequence, n_list, starts_per_n: int = 200, seed: int = 0) -> EstimateSeries:
     """Shannon entropy from the first repeats of sampled n-windows.
 
-    For each sampled start offset the scan looks for the next occurrence
-    of that offset's n-window within the remainder of the sequence; the
-    estimate is the median of ``(1/n) log tau``.  Windows whose repeat
-    falls past the end of the data are censored; beyond a 5% censored
-    fraction the median itself is suspect and the run fails hard.
+    For each sampled start offset ``i`` one byte search of the whole
+    sequence (``orbits._find_word``, from offset ``i + 1``) finds the next
+    occurrence of that offset's n-window; the estimate is the median of
+    ``(1/n) log tau``.  Windows whose repeat falls past the end of the data
+    are censored; beyond a 5% censored fraction the median itself is
+    suspect and the run fails hard.  Negative symbols raise
+    ``InvalidSymbol`` before any search.
     """
     seq = as_symbols(sequence)
     n_list = [int(n) for n in n_list]
@@ -155,6 +159,9 @@ def ow_entropy_estimate(sequence, n_list, starts_per_n: int = 200, seed: int = 0
         raise SequenceTooShort(
             f"sequence of length {L} is shorter than {MIN_LENGTH_MULTIPLE} x max(n) = {needed}"
         )
+    if seq.dtype.kind == "i" and seq.min() < 0:
+        raise InvalidSymbol("negative symbols in sequence")
+    hay = seq.astype(np.uint8, copy=False).tobytes()
     rows = []
     for n in n_list:
         rng = substream(seed, n)
@@ -164,12 +171,12 @@ def ow_entropy_estimate(sequence, n_list, starts_per_n: int = 200, seed: int = 0
         starts = np.sort(rng.choice(top + 1, size=count, replace=False))
         values = []
         censored = 0
-        for i in starts:
-            t = recurrence_time(ReplayStream(seq[int(i):]), n, cap=L)
-            if t.censored:
+        for i in starts.tolist():
+            q = _find_word(hay, hay[i:i + n], seq, seq[i:i + n], i + 1)
+            if q < 0:
                 censored += 1
             else:
-                values.append(math.log(t.value) / n)
+                values.append(math.log(q - i) / n)
         frac = censored / count
         if frac > CENSOR_LIMIT:
             raise CensoringExceeded(
@@ -230,9 +237,10 @@ def _window_codes(seg: np.ndarray, n: int, k: int, a: np.ndarray, b: np.ndarray)
 def window_counts(sequence, n: int) -> np.ndarray:
     """Occurrence counts of the distinct overlapping n-windows, in code order.
 
-    Each window is coded in base ``k = max + 1``, in ``uint32`` when the
-    ``k**n`` codes fit and in ``uint64`` otherwise, one block of
-    ``_BLOCK`` windows at a time so the code passes run in cache; symbols
+    Each window is coded in base ``k = max + 1``, in the narrowest
+    unsigned dtype that holds ``k**n - 1`` (``uint8`` up to ``uint64``),
+    one block of ``_BLOCK`` windows at a time so the code passes run in
+    cache; symbols
     of any integer dtype are added straight into the codes, never widened
     first.  A code space ``k**n`` no larger than a block or than the
     window count ``m`` is tallied by ``np.bincount`` into one table, a
@@ -258,7 +266,7 @@ def window_counts(sequence, n: int) -> np.ndarray:
         )
     m = len(seq) - n + 1
     space = k**n
-    dtype = np.uint32 if space <= 2**32 else np.uint64
+    dtype = np.min_scalar_type(space - 1)
     a = np.empty(min(m, _BLOCK) + n - 1, dtype=dtype)
     b = np.empty_like(a)
     starts = range(0, m, _BLOCK)

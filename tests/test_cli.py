@@ -599,6 +599,7 @@ def test_stream_estimate_kind_emits_series_rows(tmp_path):
     assert len(lines) == 3
     assert lines[1].startswith("OW-recurrence,8,,")
     assert lines[2].startswith("plugin-renyi,8,1.0,")
+    assert lines[2].split(",")[4] == ""  # the plug-in has no standard error
 
 
 def test_worker_count_never_changes_the_outputs(tmp_path):

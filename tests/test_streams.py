@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from hitstat import OrbitStream, bernoulli, builtin_model, shannon_entropy, streams
 from hitstat.errors import (
@@ -81,12 +82,52 @@ def test_ingest_returns_one_byte_symbols_while_they_fit():
 # recurrence-time entropy
 # ---------------------------------------------------------------------------
 
+def ow_oracle(sequence, n_list, starts_per_n, seed):
+    """``ow_entropy_estimate`` by brute force: each start's window against every later one.
+
+    The starts are drawn as the estimator draws them; a start's first
+    repeat is the first later window of ``sliding_window_view`` equal to it.
+    """
+    seq = np.asarray(sequence)
+    rows = []
+    for n in n_list:
+        top = len(seq) - 2 * n
+        count = min(starts_per_n, top + 1)
+        starts = np.sort(substream(seed, n).choice(top + 1, size=count, replace=False))
+        windows = sliding_window_view(seq, n)
+        taus = []
+        for i in starts:
+            hits = np.flatnonzero((windows[i + 1:] == windows[i]).all(axis=1))
+            taus.append(int(hits[0]) + 1 if len(hits) else None)
+        frac = taus.count(None) / count
+        if frac > streams.CENSOR_LIMIT:
+            raise CensoringExceeded(f"{frac:.1%} of n={n} windows never recur")
+        v = np.array([math.log(t) / n for t in taus if t is not None])
+        stderr = 1.2533 * float(v.std(ddof=1)) / math.sqrt(len(v)) if len(v) > 1 else 0.0
+        rows.append(streams.EstimateRow(streams.OW_METHOD, n, None, float(np.median(v)) + 0.0,
+                                        stderr, frac, count))
+    return EstimateSeries(rows=tuple(rows))
+
+
+def assert_ow_matches_the_oracle(seq, n_list, starts_per_n, seed):
+    try:
+        expect = ow_oracle(seq, n_list, starts_per_n, seed)
+    except CensoringExceeded:
+        with pytest.raises(CensoringExceeded):
+            ow_entropy_estimate(seq, n_list, starts_per_n=starts_per_n, seed=seed)
+        return None
+    series = ow_entropy_estimate(seq, n_list, starts_per_n=starts_per_n, seed=seed)
+    assert series == expect
+    return series
+
+
 def test_constant_data_estimates_zero_exactly():
-    series = ow_entropy_estimate(np.zeros(5000, dtype=np.int64), [3, 7], starts_per_n=50)
-    for row in series.rows:
-        assert row.estimate_nats == 0.0  # tau = 1 at every start
-        assert row.censored_fraction == 0.0
-        assert row.stderr == 0.0
+    for seq in (np.zeros(5000, dtype=np.int64), np.full(5000, 300), np.full(5000, 7, dtype=np.uint8)):
+        series = assert_ow_matches_the_oracle(seq, [3, 7], 50, 0)
+        for row in series.rows:
+            assert row.estimate_nats == 0.0  # tau = 1 at every start
+            assert row.censored_fraction == 0.0
+            assert row.stderr == 0.0
 
 
 def test_uniform_nibbles_recover_log16():
@@ -122,6 +163,45 @@ def test_ow_runs_are_deterministic_in_the_seed():
     c = ow_entropy_estimate(seq, [8], starts_per_n=100, seed=12)
     assert a == b
     assert a.rows[0].estimate_nats != c.rows[0].estimate_nats
+
+
+def test_ow_rows_match_the_brute_force_oracle_on_bit_data():
+    data = np.packbits(substream(21, 0).random(8 << 13) < 0.3).tobytes()
+    seq = ingest(data, named_map("bit"))
+    assert seq.dtype == np.uint8
+    for seed in (0, 1):
+        assert_ow_matches_the_oracle(seq, [4, 8, 12], 150, seed)
+
+
+def test_ow_counts_only_full_symbol_matches_where_low_bytes_agree():
+    # 1, 257 and 513 are all 1 mod 256: every window is a byte match of every other
+    seq = np.array([1, 257, 513])[substream(22, 0).integers(0, 3, size=20_000)]
+    series = assert_ow_matches_the_oracle(seq, [2, 5], 120, 4)
+    assert all(row.estimate_nats > 0.5 for row in series.rows)  # near log 3, not 0
+    assert all(row.estimate_nats == 0.0 for row in ow_entropy_estimate(
+        seq % 256, [2, 5], starts_per_n=120, seed=4).rows)
+
+
+def test_ow_censoring_matches_the_oracle():
+    # 8 equiprobable symbols at n = 3: 3.5 % of 200 starts never recur in
+    # 12000 symbols, and more than 5 % in 4000
+    for length, refused in ((12_000, False), (4000, True)):
+        seq = substream(3, 1).integers(0, 8, size=length)
+        for data in (seq, seq.astype(np.uint8)):
+            series = assert_ow_matches_the_oracle(data, [3], 200, 2)
+            if refused:
+                assert series is None
+            else:
+                assert 0.0 < series.rows[0].censored_fraction <= streams.CENSOR_LIMIT
+
+
+def test_ow_rejects_negative_symbols_before_any_search():
+    # the sampled windows never reach the one negative symbol at the end
+    seq = np.array([0, 1] * 800 + [-3])
+    with pytest.raises(InvalidSymbol, match="negative"):
+        ow_entropy_estimate(seq, [2], starts_per_n=20)
+    with pytest.raises(InvalidSymbol, match="negative"):
+        ow_entropy_estimate(seq.astype(np.int8), [2], starts_per_n=20)
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +282,20 @@ def assert_same_as_the_passes_oracle(monkeypatch, seq, n):
 @pytest.mark.parametrize("k, n", [
     (k, n) for k in (2, 3, 16, 256) for n in (1, 2, 3, 7, 8, 14, 15, 16, 17)
     if n * math.log2(k) <= 64.0  # longer codes are refused
+] + [
+    # code spaces at each edge of the codes' dtype (uint8 .. uint64): 2**8
+    # and 2**16 are in the grid above (k = 2 at n = 8, 16 and 17; k = 256 at
+    # n = 2), 257 on int64 data and 2**32 and past it here
+    (257, 1), (2, 32), (2, 33),
 ])
 def test_block_codes_are_bit_identical_to_the_passes_oracle(monkeypatch, k, n):
     block = 1 << 16
     # windows: one short of a block, one block, one block and n - 1 more,
     # two blocks and one more
     for m in (block - 1, block, block + n - 1, 2 * block + 1):
-        seq = substream(k, n).integers(0, k, size=m + n - 1).astype(np.uint8)
+        seq = substream(k, n).integers(0, k, size=m + n - 1)
         seq[m // 2] = k - 1  # k is the alphabet the codes are built on
-        for data in (seq, seq.astype(np.int64)):
+        for data in ((seq.astype(np.uint8), seq) if k <= 256 else (seq,)):
             assert_same_as_the_passes_oracle(monkeypatch, data, n)
 
 
@@ -261,6 +346,20 @@ def test_plugin_estimates_on_a_packed_coin_file_are_pinned():
     assert repr(plugin_renyi_estimate(ingest(data, named_map("nibble")), 4, 1.0)) == "2.1780124906384186"
 
 
+def test_ow_estimates_on_a_packed_coin_file_are_pinned():
+    # the file of the plug-in pins; the rows' reprs, so any change in a
+    # start's first repeat, the censoring or the formulas fails
+    data = np.packbits(substream(20, 0).random(8 << 20) < 0.3).tobytes()
+    bit = ow_entropy_estimate(ingest(data, named_map("bit")), [14], starts_per_n=200, seed=1)
+    assert repr(bit.rows[0]) == (
+        "EstimateRow(method='OW-recurrence', n=14, s=None, estimate_nats=0.5750730148707628, "
+        "stderr=0.012935455510426032, censored_fraction=0.015, sample_count=200)")
+    nibble = ow_entropy_estimate(ingest(data, named_map("nibble")), [3], starts_per_n=200, seed=1)
+    assert repr(nibble.rows[0]) == (
+        "EstimateRow(method='OW-recurrence', n=3, s=None, estimate_nats=2.2152469140588957, "
+        "stderr=0.04996551894564489, censored_fraction=0.0, sample_count=200)")
+
+
 def test_estimates_are_the_same_on_every_integer_dtype():
     data = substream(6, 6).integers(0, 256, size=1 << 14).astype(np.uint8).tobytes()
     for name, n in (("bit", 6), ("nibble", 2), ("byte", 1)):
@@ -289,7 +388,7 @@ def test_non_integer_symbols_are_rejected_not_truncated():
 
 
 def test_an_integer_symbol_array_is_used_in_place():
-    # ow_entropy_estimate wraps a ReplayStream around the rest of the data for every start
+    # the estimators and ReplayStream read a caller's integer array, or a tail of it, as given
     data = substream(4, 4).integers(0, 2, size=1 << 20).astype(np.uint8)
     assert streams.as_symbols(data) is data
     tail = data[5:]
