@@ -26,7 +26,7 @@ exp8 = empirical_survival(fair, word, N=4000, t_grid=grid, seed=42)
 chain = build_product_chain(fair, word, ENTRANCE)
 
 print(f"N=4000 entrance times into {''.join(map(str, word))}, cap={exp8.cap}, "
-      f"censored={exp8.censored_count}")
+      f"censored={len(exp8.censored)}")
 print(f"KS distance to unit exponential: {exp8.ks.statistic:.4f}")
 band = dkw_epsilon(4000, alpha=0.001)
 print(f"DKW 99.9% band half-width at N=4000: {band:.4f}")

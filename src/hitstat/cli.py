@@ -168,7 +168,7 @@ def _read(cfg, keys: dict) -> dict:
 READERS = {
     "kind": _checked("a kind", lambda v: v in KINDS),
     "model": _resolve_model,
-    "seed": _checked("an integer", lambda v: type(v) is int),
+    "seed": _checked("a non-negative integer", lambda v: type(v) is int and v >= 0),
     **dict.fromkeys(("n", "N", "m_max", "generate_length", "starts_per_n"), _count),
     "s": _nonnegative,
     **dict.fromkeys(("epsilon", "cap_multiplier"), _positive),
@@ -199,15 +199,15 @@ def _fmt(x) -> str:
 # workers; the exact and stream kinds run in one process
 # ---------------------------------------------------------------------------
 
-# workers receive a sampler's name, never the function, so a function
-# patched in place (a tracer's wrapper, say) need not pickle
+# each Monte Carlo kind's sampler; workers receive the kind, never the
+# function, so a function patched in place (a tracer's wrapper, say) need not pickle
 _SAMPLERS = {
-    "entrance": entrance_exponent_samples,
-    "recurrence": recurrence_exponent_samples,
-    "orbit-sum": orbit_sum_exponent_samples,
+    "entrance-exponent": entrance_exponent_samples,
+    "recurrence-exponent": recurrence_exponent_samples,
+    "wns": orbit_sum_exponent_samples,
     "survival": empirical_survival,
     "return-survival": empirical_return_survival,
-    "tail-integral": survival_tail_integral,
+    "theorem2": survival_tail_integral,
 }
 
 
@@ -217,12 +217,12 @@ def _shard_task(args):
 
 
 def _sharded_samples(jobs, workers: int) -> list:
-    """One ensemble per ``(sampler name, kwargs)`` job, from one pool of at most one process per CPU."""
+    """One ensemble per ``(kind, kwargs)`` job, from one pool of at most one process per CPU."""
     if workers <= 1:
         return [_SAMPLERS[name](**kwargs) for name, kwargs in jobs]
     tasks = []
     for name, kwargs in jobs:
-        N = kwargs["n_outer" if name == "tail-integral" else "N"]
+        N = kwargs["n_outer" if name == "theorem2" else "N"]
         tasks += [(name, kwargs, c.tolist()) for c in np.array_split(np.arange(N), workers)]
     with multiprocessing.Pool(min(workers, os.cpu_count() or 1)) as pool:
         parts = pool.map(_shard_task, tasks)
@@ -277,12 +277,12 @@ def _ensemble_rows(run):
     return [[j, _fmt(values[j]), 0] if j in values else [j, "", 1] for j in range(run.total)]
 
 
-def _run_exponent(params, workers, sampler_name):
+def _run_exponent(params, workers):
     kwargs = dict(model=params["model"], n=params["n"], N=params["N"], seed=params["seed"],
                   cap_policy=CapPolicy(multiplier=params["cap_multiplier"]))
-    if sampler_name == "orbit-sum":
+    if params["kind"] == "wns":
         kwargs.update(s=params["s"], diagonal=params["diagonal"])
-    run, = _sharded_samples([(sampler_name, kwargs)], workers)
+    run, = _sharded_samples([(params["kind"], kwargs)], workers)
     results = {"target": run.target, "censored_fraction": run.censored_fraction}
     try:
         summary = results["summary"] = run.summary()
@@ -300,11 +300,11 @@ def _run_exponent(params, workers, sampler_name):
     return ["sample", "exponent", "censored"], _ensemble_rows(run), results, measured
 
 
-def _run_survival(params, workers, sampler_name):
+def _run_survival(params, workers):
     """The sampled curve against the exact one; only the results of its kind differ."""
     model, word = params["model"], params["word"]
-    exp, = _sharded_samples([(sampler_name, dict(model=model, z_word=word, N=params["N"],
-                                                 t_grid=params["t_grid"], seed=params["seed"]))],
+    exp, = _sharded_samples([(params["kind"], dict(model=model, z_word=word, N=params["N"],
+                                                   t_grid=params["t_grid"], seed=params["seed"]))],
                             workers)
     curve = exp.curve
     exact = survival_at(build_product_chain(model, word, exp.kind), curve.m)
@@ -312,8 +312,8 @@ def _run_survival(params, workers, sampler_name):
     rows = [[m, _fmt(t), _fmt(value), _fmt(x), _fmt(err)] for m, t, value, x, err in zip(
         curve.m.tolist(), curve.t, curve.values, exact, errors)]
     worst = float(errors.max())
-    results = {"censored": exp.censored_count, "max_abs_error": worst}
-    if sampler_name == "survival":
+    results = {"censored": len(exp.censored), "max_abs_error": worst}
+    if params["kind"] == "survival":
         band = dkw_epsilon(exp.total, (params["tolerance"] or TOLERANCES["survival"])["dkw_alpha"])
         results.update(ks_statistic=exp.ks.statistic, ks_samples=exp.ks.sample_count, cap=exp.cap,
                        dkw_band=band)
@@ -371,8 +371,8 @@ def run_abadi_shape(params, workers):
 
 def run_theorem2(params, workers):
     model, n_list, epsilon, N = params["model"], params["n_list"], params["epsilon"], params["N"]
-    runs = _sharded_samples([("tail-integral", dict(model=model, n=n, epsilon=epsilon, n_outer=N,
-                                                    seed=params["seed"])) for n in n_list], workers)
+    runs = _sharded_samples([("theorem2", dict(model=model, n=n, epsilon=epsilon, n_outer=N,
+                                                seed=params["seed"])) for n in n_list], workers)
     estimates = [res.estimate for res in runs]
     rows = [[n, _fmt(res.estimate), _fmt(res.std_error), N] for n, res in zip(n_list, runs)]
     decreasing = all(a > b for a, b in zip(estimates, estimates[1:]))
@@ -444,16 +444,15 @@ _HEADER = {"kind": REQUIRED, "model": REQUIRED, "seed": REQUIRED, "word": None, 
 _EXPONENT = {"n": REQUIRED, "N": REQUIRED, "epsilon": None, "cap_multiplier": 100.0}
 _SURVIVAL = {"word": REQUIRED, "N": REQUIRED, "t_grid": REQUIRED}
 KINDS = {kind: (runner, {**_HEADER, **keys}) for kind, runner, keys in (
-    ("entrance-exponent", functools.partial(_run_exponent, sampler_name="entrance"), _EXPONENT),
-    ("recurrence-exponent", functools.partial(_run_exponent, sampler_name="recurrence"), _EXPONENT),
-    ("survival", functools.partial(_run_survival, sampler_name="survival"), _SURVIVAL),
-    ("return-survival", functools.partial(_run_survival, sampler_name="return-survival"), _SURVIVAL),
+    ("entrance-exponent", _run_exponent, _EXPONENT),
+    ("recurrence-exponent", _run_exponent, _EXPONENT),
+    ("survival", _run_survival, _SURVIVAL),
+    ("return-survival", _run_survival, _SURVIVAL),
     ("kac", run_kac, {"words": REQUIRED}),
     ("hlv", run_hlv, {"words": REQUIRED, "m_max": REQUIRED}),
     ("abadi-shape", run_abadi_shape, {"word": REQUIRED, "t_grid": REQUIRED}),
     ("theorem2", run_theorem2, {"n_list": REQUIRED, "epsilon": REQUIRED, "N": REQUIRED}),
-    ("wns", functools.partial(_run_exponent, sampler_name="orbit-sum"),
-     {**_EXPONENT, "s": REQUIRED, "diagonal": False}),
+    ("wns", _run_exponent, {**_EXPONENT, "s": REQUIRED, "diagonal": False}),
     ("renyi-exact", run_renyi_exact, {"s_list": REQUIRED, "n_list": REQUIRED}),
     # map None is ingest's default, the 'byte' map
     ("stream-estimate", run_stream_estimate, {"model": None, "data_file": None, "map": None,

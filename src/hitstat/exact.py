@@ -224,6 +224,7 @@ class SurvivalCurve:
 
     ``t`` is the rescaled grid ``m * mu(B)``; the curve value at ``t``
     reads as ``P(tau >= t / mu)`` via ``P(tau >= m) = P(tau > m - 1)``.
+    ``exactness`` is ``"exact"``, or ``"empirical(N)"`` for a curve of N samples.
     """
 
     m: np.ndarray
@@ -233,13 +234,6 @@ class SurvivalCurve:
     exactness: str
     mu: float
     word: Word
-    sample_count: int | None = None
-
-    @property
-    def exactness_label(self) -> str:
-        if self.exactness == "exact":
-            return "exact"
-        return f"empirical({self.sample_count})"
 
     def to_csv(self, path) -> None:
         with open(Path(path), "w", newline="", encoding="utf-8") as fh:
@@ -247,7 +241,7 @@ class SurvivalCurve:
             writer.writerow(["m", "t", "survival", "kind", "exactness"])
             for m, t, v in zip(self.m, self.t, self.values):
                 writer.writerow([int(m), repr(float(t)), repr(float(v)),
-                                 self.kind, self.exactness_label])
+                                 self.kind, self.exactness])
 
 
 def _time_grid(t_grid) -> np.ndarray:

@@ -268,10 +268,6 @@ class SurvivalExperiment(Ensemble):
         return self.values.astype(np.int64)
 
     @property
-    def censored_count(self) -> int:
-        return len(self.censored)
-
-    @property
     def mean_time(self) -> float:
         if not len(self.values):
             raise ValueError("no uncensored times to average: the part is empty or all censored")
@@ -289,10 +285,9 @@ class SurvivalExperiment(Ensemble):
         m_of = step_at(t, self.mu)
         # times above m, and the censored samples while m <= cap: they certify tau > cap
         hold = len(self.values) - np.searchsorted(np.sort(self.times), m_of, side="right")
-        hold += np.where(m_of <= self.cap, self.censored_count, 0)
+        hold += np.where(m_of <= self.cap, len(self.censored), 0)
         return SurvivalCurve(m=m_of, t=t, values=hold / self.total, kind=self.kind,
-                             exactness="empirical", mu=self.mu, word=self.word,
-                             sample_count=self.total)
+                             exactness=f"empirical({self.total})", mu=self.mu, word=self.word)
 
     @cached_property
     def ks(self) -> KsResult:

@@ -164,8 +164,9 @@ class OrbitStream:
 def as_symbols(symbols) -> np.ndarray:
     """A non-empty 1-d contiguous symbol array in its own integer dtype, else as int64.
 
-    Any other shape raises ``EmptyInput`` and a value that is no integer ``InvalidSymbol``, as
-    in ``words.as_word``; an integer array passes without a read of its values.
+    Any other shape raises ``EmptyInput``, and a value that is no integer (as in
+    ``words.as_word``) or is negative ``InvalidSymbol``; an unsigned array passes
+    without a read of its values.
     """
     arr = np.asarray(symbols)
     if arr.ndim != 1 or arr.size == 0:
@@ -176,6 +177,8 @@ def as_symbols(symbols) -> np.ndarray:
         if not np.array_equal(ints, arr):
             raise InvalidSymbol(f"symbols must be integers, got {arr[ints != arr][0].item()!r}")
         arr = ints
+    if arr.dtype.kind == "i" and arr.min() < 0:
+        raise InvalidSymbol("negative symbols in sequence")
     return np.ascontiguousarray(arr)
 
 
@@ -218,7 +221,7 @@ def _scan(stream, target: Target, first: int, visit=None, head=_EMPTY) -> TimeRe
     ``size`` is ``first``, then doubles up to ``BLOCK``; its window at
     offset ``q`` is ``buf[q:q+n]``, window ``i0 + q`` of the orbit.
     ``target.find(buf, lo, hi)`` returns the first offset in ``[lo, hi)``
-    whose window is an event, or -1; ``visit(buf, i0, lo, hi)`` then sees
+    whose window is an event, or -1; ``visit(buf, lo, hi)`` then sees
     the block's windows up to and including the event.  ``lo`` skips
     window 0, which is never an event.
 
@@ -247,7 +250,7 @@ def _scan(stream, target: Target, first: int, visit=None, head=_EMPTY) -> TimeRe
         lo = 1 if i0 == 0 else 0
         q = find(buf, lo, count)
         if visit is not None:
-            visit(buf, i0, lo, count if q < 0 else q + 1)
+            visit(buf, lo, count if q < 0 else q + 1)
         if q >= 0:
             return TimeResult(value=i0 + q)
         carry = buf[count:]
@@ -400,7 +403,7 @@ class _OrbitSum:
         self.run_sum = 0.0
         self.last = -math.inf  # log-measure of the latest window summed
 
-    def __call__(self, buf, i0, lo, hi):
+    def __call__(self, buf, lo, hi):
         log_mu = _window_log_measures(self.model, buf[lo:hi + self.n - 1], self.n)
         assert np.all(log_mu > -math.inf), "zero-measure window on a realized orbit"
         terms = self.s * log_mu
@@ -427,9 +430,8 @@ def w_sum(stream, target, s: float = 0.0, cap: int | CapPolicy | None = None) ->
         raise ValueError("orbit measure sums need a measure model")
     if s < 0.0:
         raise ValueError(f"s must be >= 0, got {s}")
-    target = as_word(target)
-    head = _take_head(stream, len(target))
     target = prepare_target(model, target, cap)
+    head = _take_head(stream, len(target.word))
     acc = _OrbitSum(model, len(head), s)
     t = _scan(stream, target, BLOCK, visit=acc, head=head)
     return OrbitSumResult(

@@ -104,7 +104,7 @@ class EstimateRow:
     n: int
     s: float | None
     estimate_nats: float
-    stderr: float | None  # None: no standard error is known (the plug-in)
+    stderr: float | None  # None: no standard error is known (the plug-in, or OW on < 2 repeats)
     censored_fraction: float
     sample_count: int
 
@@ -144,8 +144,8 @@ def ow_entropy_estimate(sequence, n_list, starts_per_n: int = 200, seed: int = 0
     occurrence of that offset's n-window; the estimate is the median of
     ``(1/n) log tau``.  Windows whose repeat falls past the end of the data
     are censored; beyond a 5% censored fraction the median itself is
-    suspect and the run fails hard.  Negative symbols raise
-    ``InvalidSymbol`` before any search.
+    suspect and the run fails hard.  With fewer than two recurring starts
+    the standard error is unknown, ``None``.
     """
     seq = as_symbols(sequence)
     n_list = [int(n) for n in n_list]
@@ -159,8 +159,6 @@ def ow_entropy_estimate(sequence, n_list, starts_per_n: int = 200, seed: int = 0
         raise SequenceTooShort(
             f"sequence of length {L} is shorter than {MIN_LENGTH_MULTIPLE} x max(n) = {needed}"
         )
-    if seq.dtype.kind == "i" and seq.min() < 0:
-        raise InvalidSymbol("negative symbols in sequence")
     hay = seq.astype(np.uint8, copy=False).tobytes()
     rows = []
     for n in n_list:
@@ -185,7 +183,7 @@ def ow_entropy_estimate(sequence, n_list, starts_per_n: int = 200, seed: int = 0
             )
         v = np.array(values)
         # stderr of a sample median under approximate normality
-        stderr = 1.2533 * float(v.std(ddof=1)) / math.sqrt(len(v)) if len(v) > 1 else 0.0
+        stderr = 1.2533 * float(v.std(ddof=1)) / math.sqrt(len(v)) if len(v) > 1 else None
         rows.append(EstimateRow(
             method=OW_METHOD,
             n=n,
@@ -255,11 +253,7 @@ def window_counts(sequence, n: int) -> np.ndarray:
         raise ValueError(f"n must be >= 1, got {n}")
     if len(seq) < n:
         raise SequenceTooShort(f"need at least {n} symbols, have {len(seq)}")
-    if seq.min() < 0:
-        raise InvalidSymbol("negative symbols in sequence")
-    k = int(seq.max()) + 1
-    if k < 2:
-        k = 2  # constant data still encodes
+    k = max(int(seq.max()) + 1, 2)  # constant data still encodes
     if n * math.log2(k) > 64.0:
         raise BudgetExceeded(
             f"n-gram codes for k={k}, n={n} exceed 64 bits; reduce n or remap symbols"

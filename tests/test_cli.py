@@ -454,6 +454,9 @@ NEVER_RUN = {
                                "target measure underflows"),
     "hlv-measure-underflows": ({"kind": "hlv", "model": "fair-coin", "seed": 1, "words": ["1" * 1100],
                                 "m_max": 3}, "target measure underflows"),
+    # a seed keys substreams, and no substream key is negative
+    "negative-seed": ({"kind": "entrance-exponent", **EXPONENT_RUN, "seed": -1},
+                      "seed: must be a non-negative integer, got -1"),
     # stream-estimate's rules across keys: a section to run, and a source of data
     "stream-no-section": ({"kind": "stream-estimate", "seed": 1, "model": "biased-coin",
                            "generate_length": 20000}, "needs an 'ow' or 'plugin' section"),
@@ -600,6 +603,18 @@ def test_stream_estimate_kind_emits_series_rows(tmp_path):
     assert lines[1].startswith("OW-recurrence,8,,")
     assert lines[2].startswith("plugin-renyi,8,1.0,")
     assert lines[2].split(",")[4] == ""  # the plug-in has no standard error
+
+
+def test_stream_estimate_writes_an_unknown_ow_stderr_with_one_start(tmp_path):
+    # one start per n has no spread to measure: an empty cell, and null in the summary
+    cfg = {"kind": "stream-estimate", "model": "fair-coin", "seed": 3, "generate_length": 4000,
+           "ow": {"n_list": [2, 5], "starts_per_n": 1}}
+    code, outdir = run_cli(tmp_path, cfg)
+    assert code == 0
+    lines = (outdir / "report.csv").read_text(encoding="utf-8").splitlines()
+    assert [line.split(",")[4] for line in lines[1:]] == ["", ""]
+    ow = read_summary(outdir)["results"]["ow"]
+    assert [ow[n]["stderr"] for n in ("2", "5")] == [None, None]
 
 
 def test_worker_count_never_changes_the_outputs(tmp_path):

@@ -98,7 +98,7 @@ def _fingerprint(run):
         out += [run.exceedance(0.1), run.summary() if run.censored_fraction <= 0.01 else None]
     elif isinstance(run, SurvivalExperiment):
         out += [run.times.tobytes(), run.curve.m.tobytes(), run.curve.values.tobytes(),
-                run.curve.sample_count, run.ks.statistic, run.ks.sample_count, run.mean_time]
+                run.curve.exactness, run.ks.statistic, run.ks.sample_count, run.mean_time]
     else:
         out += [run.estimate, run.std_error]
     return out
@@ -335,8 +335,8 @@ def test_empirical_survival_matches_the_exact_curve():
     eps = dkw_epsilon(3000, alpha=0.001)
     for m, value in zip(exp.curve.m, exp.curve.values):
         assert abs(value - exact.values[m]) < eps
-    assert exp.curve.exactness_label == "empirical(3000)"
-    assert exp.censored_count <= 12  # 1e-3 nominal censor mass
+    assert exp.curve.exactness == "empirical(3000)"
+    assert len(exp.censored) <= 12  # 1e-3 nominal censor mass
 
 
 def test_ks_statistic_shrinks_for_longer_words():

@@ -218,6 +218,13 @@ def test_w_sum_argument_validation():
         w_sum(OrbitStream(FAIR, 0), target=(1, 1), s=-0.5, cap=10)
 
 
+def test_w_sum_checks_its_target_before_it_reads_a_symbol():
+    stream = OrbitStream(FAIR, 4)
+    with pytest.raises(InvalidSymbol):
+        w_sum(stream, (0, 5), s=1.0)
+    assert stream.position == 0
+
+
 def test_sliding_measure_drift_stays_tiny():
     # million-step censored scan, then recompute the final window measure
     model = bernoulli([0.7, 0.3])

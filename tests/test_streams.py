@@ -17,6 +17,7 @@ from hitstat.errors import (
     NonPositiveS,
     SequenceTooShort,
 )
+from hitstat.orbits import ReplayStream
 from hitstat.rng import substream
 from hitstat.streams import (
     EstimateSeries,
@@ -29,6 +30,7 @@ from hitstat.streams import (
 )
 
 CHAIN = builtin_model("two-state-chain")
+FAIR = builtin_model("fair-coin")
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +105,8 @@ def ow_oracle(sequence, n_list, starts_per_n, seed):
         if frac > streams.CENSOR_LIMIT:
             raise CensoringExceeded(f"{frac:.1%} of n={n} windows never recur")
         v = np.array([math.log(t) / n for t in taus if t is not None])
-        stderr = 1.2533 * float(v.std(ddof=1)) / math.sqrt(len(v)) if len(v) > 1 else 0.0
+        # fewer than two repeats give no spread: the standard error is unknown
+        stderr = 1.2533 * float(v.std(ddof=1)) / math.sqrt(len(v)) if len(v) > 1 else None
         rows.append(streams.EstimateRow(streams.OW_METHOD, n, None, float(np.median(v)) + 0.0,
                                         stderr, frac, count))
     return EstimateSeries(rows=tuple(rows))
@@ -128,6 +131,16 @@ def test_constant_data_estimates_zero_exactly():
             assert row.estimate_nats == 0.0  # tau = 1 at every start
             assert row.censored_fraction == 0.0
             assert row.stderr == 0.0
+
+
+def test_ow_stderr_is_unknown_with_one_start():
+    # one start per n: one repeat, no spread to measure
+    seq = OrbitStream(FAIR, 5).take(4000)
+    series = assert_ow_matches_the_oracle(seq, [2, 5], 1, 3)
+    for row in series.rows:
+        assert row.sample_count == 1 and row.censored_fraction == 0.0
+        assert row.stderr is None
+    assert [r[4] for r in series.csv_rows()] == ["", ""]
 
 
 def test_uniform_nibbles_recover_log16():
@@ -196,12 +209,19 @@ def test_ow_censoring_matches_the_oracle():
 
 
 def test_ow_rejects_negative_symbols_before_any_search():
-    # the sampled windows never reach the one negative symbol at the end
+    # the sampled windows never reach the one negative symbol at the end; OW, window_counts
+    # and ReplayStream share one gate, orbits.as_symbols, which checks a float array once
+    # cast, and the sign comes before any length check
     seq = np.array([0, 1] * 800 + [-3])
-    with pytest.raises(InvalidSymbol, match="negative"):
-        ow_entropy_estimate(seq, [2], starts_per_n=20)
-    with pytest.raises(InvalidSymbol, match="negative"):
-        ow_entropy_estimate(seq.astype(np.int8), [2], starts_per_n=20)
+    for data in (seq, seq.astype(np.int8), seq.astype(float)):
+        for call in (lambda: ow_entropy_estimate(data, [2], starts_per_n=20),
+                     lambda: window_counts(data, 2), lambda: ReplayStream(data)):
+            with pytest.raises(InvalidSymbol, match="negative symbols in sequence"):
+                call()
+    for call in (lambda: ow_entropy_estimate(np.array([-1, 0]), [4]),
+                 lambda: window_counts(np.array([-1]), 4)):
+        with pytest.raises(InvalidSymbol, match="negative symbols in sequence"):
+            call()
 
 
 # ---------------------------------------------------------------------------
