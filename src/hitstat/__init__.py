@@ -58,7 +58,6 @@ from .models import (
 )
 from .montecarlo import (
     ExponentSamples,
-    KsResult,
     SurvivalExperiment,
     TailIntegral,
     dkw_epsilon,

@@ -51,7 +51,6 @@ from .models import (
     target_log_measure,
 )
 from .montecarlo import (
-    SURVIVAL_CAP,
     dkw_epsilon,
     empirical_return_survival,
     empirical_survival,
@@ -59,8 +58,9 @@ from .montecarlo import (
     orbit_sum_exponent_samples,
     recurrence_exponent_samples,
     survival_tail_integral,
+    survival_target,
 )
-from .orbits import CapPolicy, OrbitStream, prepare_target
+from .orbits import CapPolicy, OrbitStream
 from .streams import (
     EstimateRow,
     EstimateSeries,
@@ -191,7 +191,8 @@ READERS = {
 
 
 def _fmt(x) -> str:
-    return repr(float(x))
+    """A float by ``repr``; ``None``, a value not known, as an empty cell."""
+    return "" if x is None else repr(float(x))
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +290,11 @@ def _run_exponent(params, workers):
     except CensoringExceeded as exc:  # a biased summary is withheld, with the reason
         summary = results["summary"] = None
         results["summary_withheld"] = str(exc)
+    # past the censoring budget the uncensored mass is biased: no exceedance, every bound measures inf
     eps = params["epsilon"]
-    exc = run.exceedance(0.15 if eps is None else eps)
+    exc = None if summary is None else run.exceedance(0.15 if eps is None else eps)
     if eps is not None or params["tolerance"] is not None:
         results["exceedance"] = exc
-    # beyond the censoring budget the uncensored mass is biased: every bound measures inf, and fails
     measured = dict.fromkeys(_EXPONENT_TOLERANCE, math.inf) if summary is None else {
         "max_two_sided": exc["two_sided"], "max_lower": exc["lower"],
         "median_within": abs(summary["median"] - run.target)}
@@ -315,9 +316,8 @@ def _run_survival(params, workers):
     results = {"censored": len(exp.censored), "max_abs_error": worst}
     if params["kind"] == "survival":
         band = dkw_epsilon(exp.total, (params["tolerance"] or TOLERANCES["survival"])["dkw_alpha"])
-        results.update(ks_statistic=exp.ks.statistic, ks_samples=exp.ks.sample_count, cap=exp.cap,
-                       dkw_band=band)
-        measured = {"max_ks": exp.ks.statistic, "dkw_alpha": worst <= band}
+        results.update(ks_statistic=exp.ks, ks_samples=len(exp.values), cap=exp.cap, dkw_band=band)
+        measured = {"max_ks": exp.ks, "dkw_alpha": worst <= band}
     else:
         exact_mean = exact_mean_return(model, exp.word)
         results.update(mean_time=exp.mean_time, exact_mean_return=exact_mean)
@@ -526,8 +526,8 @@ def main(argv=None) -> int:
                   for word in filter(None, [params["word"], *params.get("words", ())])}
             if "t_grid" in params:  # and every time's step count must fit in int64
                 step_at(params["t_grid"], mu[params["word"]])
-            if kind in ("survival", "return-survival"):  # nor the cap of a scan for the word
-                prepare_target(params["model"], params["word"], SURVIVAL_CAP)
+            if kind in ("survival", "return-survival"):  # and the scan cap fit, the grid inside it
+                survival_target(params["model"], params["word"], params["t_grid"])
         if kind == "stream-estimate":
             if params["ow"] is None and params["plugin"] is None:
                 raise ConfigError("stream-estimate needs an 'ow' or 'plugin' section")

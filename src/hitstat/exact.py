@@ -222,8 +222,9 @@ def _build_stack(model: MeasureModel, masses, tables: np.ndarray, cols: np.ndarr
 class SurvivalCurve:
     """``P(tau > m)`` on a step grid, exact or empirical.
 
-    ``t`` is the rescaled grid ``m * mu(B)``; the curve value at ``t``
-    reads as ``P(tau >= t / mu)`` via ``P(tau >= m) = P(tau > m - 1)``.
+    ``exact_survival`` steps ``m`` and sets ``t = m * mu(B)``, so its value at
+    ``t`` is ``P(tau > t / mu)``; a sampled curve takes ``t`` from its grid and
+    ``m = step_at(t, mu)``, so its value at ``t`` is ``P(tau >= t / mu)``.
     ``exactness`` is ``"exact"``, or ``"empirical(N)"`` for a curve of N samples.
     """
 

@@ -242,19 +242,12 @@ def orbit_sum_exponent_samples(model: MeasureModel, n: int, s: float, N: int, se
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class KsResult:
-    """Kolmogorov-Smirnov distance of the rescaled times to the unit exponential."""
-    statistic: float
-    sample_count: int
-
-
-@dataclass(frozen=True)
 class SurvivalExperiment(Ensemble):
     """Sampled entrance/return times with their empirical curve.
 
-    ``values`` holds the uncensored step counts; censored samples sit as
-    right-censored mass at ``cap`` (they still certify ``tau > cap``, so
-    they support the curve up to the cap and are dropped beyond it).
+    ``values`` holds the uncensored step counts.  A censored sample certifies
+    ``tau > cap``: it survives every step up to the cap, which no grid step
+    passes (``survival_target``), and counts in every value's denominator.
     """
 
     kind: str
@@ -290,14 +283,15 @@ class SurvivalExperiment(Ensemble):
                              exactness=f"empirical({self.total})", mu=self.mu, word=self.word)
 
     @cached_property
-    def ks(self) -> KsResult:
+    def ks(self) -> float:
+        """Kolmogorov-Smirnov distance of the uncensored rescaled times to the unit exponential."""
         x = np.sort(self.rescaled)
         n = len(x)
         # scipy.stats.kstest(x, "expon").statistic, bit for bit, without scipy: its cdf
         # is scipy.special's expm1, which np.expm1 does not match in every last bit
         cdf = -_expm1(-x)
         d = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max()) if n else 1.0
-        return KsResult(statistic=float(d), sample_count=n)
+        return float(d)
 
 
 def _expm1(x: np.ndarray) -> np.ndarray:
@@ -322,11 +316,23 @@ def _expm1(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _survival_experiment(model, word, N, t_grid, seed, kind, indices) -> SurvivalExperiment:
-    # every sample scans for the one word, gated and measured once
+def survival_target(model: MeasureModel, word, t_grid) -> tuple:
+    """A survival word's scan target at ``SURVIVAL_CAP``, its measure and its checked time grid.
+
+    No sampled time passes the cap, so a grid whose last step passes it raises ``ValueError``.
+    """
     target = prepare_target(model, word, SURVIVAL_CAP)
     mu = plain_measure(target.log_mu)
     t = _time_grid(t_grid)
+    last = int(step_at(t[-1], mu))
+    if last > target.cap:
+        raise ValueError(f"t grid ends at step {last}, past the survival scan's cap {target.cap}")
+    return target, mu, t
+
+
+def _survival_experiment(model, word, N, t_grid, seed, kind, indices) -> SurvivalExperiment:
+    # every sample scans for the one word, gated and measured once
+    target, mu, t = survival_target(model, word, t_grid)
     start = target.word if kind == RETURN else None
 
     def sample(streams, i):
@@ -369,7 +375,7 @@ def dkw_epsilon(N: int, alpha: float = 0.001) -> float:
 
 @dataclass(frozen=True)
 class TailIntegral(Ensemble):
-    """Monte Carlo average over words of an exact tail probability."""
+    """Word average of an exact tail probability; ``std_error`` is ``None`` below two words."""
 
     n: int
     epsilon: float
@@ -381,9 +387,9 @@ class TailIntegral(Ensemble):
         return float(self.values.mean())
 
     @property
-    def std_error(self) -> float:
+    def std_error(self) -> float | None:
         words = len(self.values)
-        return float(self.values.std(ddof=1) / math.sqrt(words)) if words > 1 else 0.0
+        return float(self.values.std(ddof=1) / math.sqrt(words)) if words > 1 else None
 
 
 def survival_tail_integral(model: MeasureModel, n: int, epsilon: float, n_outer: int,

@@ -220,16 +220,15 @@ def _scan(stream, target: Target, first: int, visit=None, head=_EMPTY) -> TimeRe
     of the previous one plus ``stream.take(min(size, budget))``, where
     ``size`` is ``first``, then doubles up to ``BLOCK``; its window at
     offset ``q`` is ``buf[q:q+n]``, window ``i0 + q`` of the orbit.
-    ``target.find(buf, lo, hi)`` returns the first offset in ``[lo, hi)``
-    whose window is an event, or -1; ``visit(buf, lo, hi)`` then sees
-    the block's windows up to and including the event.  ``lo`` skips
-    window 0, which is never an event.
+    ``_find_word`` gives the block's first event offset from ``lo``, or
+    -1; ``visit(buf, lo, hi)`` then sees the block's windows up to and
+    including the event.  ``lo`` skips window 0, which is never an event.
 
     Returns the first event step, else ``target.cap`` censored.  When a
     replay stream runs dry first, the result is censored at the last
     complete window, ``consumed - n``.
     """
-    n, find = len(target.word), target.find
+    n = len(target.word)
     carry = head
     i0 = 0
     budget = target.cap + n - len(head)
@@ -248,7 +247,7 @@ def _scan(stream, target: Target, first: int, visit=None, head=_EMPTY) -> TimeRe
             carry = buf
             continue
         lo = 1 if i0 == 0 else 0
-        q = find(buf, lo, count)
+        q = _find_word(buf.astype(np.uint8, copy=False).tobytes(), target.needle, buf, target.symbols, lo)
         if visit is not None:
             visit(buf, lo, count if q < 0 else q + 1)
         if q >= 0:
@@ -273,24 +272,13 @@ def _find_word(hay: bytes, needle: bytes, symbols: np.ndarray, word, q: int) -> 
     return q
 
 
-def _word_finder(word):
-    """``find`` for ``_scan``: the first window of a block equal to ``word``, by ``_find_word``."""
-    w = np.array(word, dtype=np.int64)
-    needle = w.astype(np.uint8).tobytes()
-    n = len(w)
-
-    def find(buf: np.ndarray, lo: int, hi: int) -> int:
-        return _find_word(buf[:hi + n - 1].astype(np.uint8, copy=False).tobytes(), needle, buf, w, lo)
-
-    return find
-
-
 class Target:
-    """A word ready for any number of scans: its cap, log-measure, byte finder and first block."""
+    """A word ready for any number of scans: its cap, log-measure, byte search and first block."""
 
     def __init__(self, word, cap: int, log_mu: float | None):
         self.word, self.cap, self.log_mu = word, cap, log_mu
-        self.find = _word_finder(word)
+        self.symbols = np.array(word, dtype=np.int64)
+        self.needle = self.symbols.astype(np.uint8).tobytes()
         # clip(ceil(1 / mu), FIRST_FLOOR, BLOCK), the top clip in log space; no measure: BLOCK
         if log_mu is None or -log_mu >= math.log(BLOCK):
             self.first = BLOCK

@@ -39,7 +39,7 @@ CENSOR_LIMIT = 0.05
 MIN_LENGTH_MULTIPLE = 64
 # windows coded and tallied at a time by ``window_counts``
 _BLOCK = 1 << 16
-# the alphabet size of each built-in symbol map (``named_map``)
+# the alphabet size of each symbol map (``SymbolMap``)
 _NAMED_K = {"byte": 256, "nibble": 16, "bit": 2}
 
 
@@ -49,9 +49,13 @@ _NAMED_K = {"byte": 256, "nibble": 16, "bit": 2}
 
 @dataclass(frozen=True)
 class SymbolMap:
-    """One of the named maps from bytes to symbols (``named_map``)."""
+    """A map from bytes to symbols: ``byte`` (k = 256), ``nibble`` (16) or ``bit`` (2); no other."""
 
     mode: str
+
+    def __post_init__(self):
+        if self.mode not in _NAMED_K:
+            raise InvalidSymbol(f"unknown symbol map {self.mode!r}; expected one of {sorted(_NAMED_K)}")
 
     def apply(self, data: bytes) -> np.ndarray:
         """Symbols of ``data`` as ``uint8``, one byte per symbol (8 per input byte for ``bit``)."""
@@ -63,15 +67,11 @@ class SymbolMap:
             out[0::2] = raw >> 4
             out[1::2] = raw & 0x0F
             return out
-        if self.mode == "bit":
-            return np.unpackbits(raw)  # MSB first
-        raise InvalidSymbol(f"unknown symbol map {self.mode!r}")
+        return np.unpackbits(raw)  # bit, MSB first
 
 
 def named_map(name: str) -> SymbolMap:
-    """The built-in map ``name``: ``byte`` (k = 256), ``nibble`` (16) or ``bit`` (2)."""
-    if name not in _NAMED_K:
-        raise InvalidSymbol(f"unknown symbol map {name!r}; expected one of {sorted(_NAMED_K)}")
+    """The built-in map ``name``, ``SymbolMap(mode=name)``."""
     return SymbolMap(mode=name)
 
 
@@ -278,14 +278,8 @@ def window_counts(sequence, n: int) -> np.ndarray:
 
 
 def _chunks(blocks, group: int):
-    """The codes of ``group`` consecutive blocks at a time, the last run possibly shorter.
-
-    A group of one passes each block through; a longer group is copied
-    into one ``intp`` buffer, which ``np.bincount`` reads without a cast.
-    """
-    if group == 1:
-        yield from blocks
-        return
+    """The codes of ``group`` consecutive blocks at a time, the last run possibly shorter,
+    copied into one ``intp`` buffer, which ``np.bincount`` reads without a cast."""
     buf = np.empty(group * _BLOCK, dtype=np.intp)
     filled = 0
     for part in blocks:

@@ -158,10 +158,10 @@ def test_criterion_05_exponential_law():
     worst = float(np.max(np.abs(exp.curve.values - survival_at(chain, exp.curve.m))))
     band = dkw_epsilon(5000, alpha=0.001)
     elapsed = time.perf_counter() - t0
-    ok = exp.ks.statistic < 0.05 and worst <= band and elapsed < 60.0
-    report(5, ok, f"word={''.join(map(str, word))}, KS={exp.ks.statistic:.4f} (<0.05), "
+    ok = exp.ks < 0.05 and worst <= band and elapsed < 60.0
+    report(5, ok, f"word={''.join(map(str, word))}, KS={exp.ks:.4f} (<0.05), "
                   f"band worst={worst:.4f} (<= {band:.4f}), {elapsed:.1f}s (<60s)")
-    assert exp.ks.statistic < 0.05
+    assert exp.ks < 0.05
     assert worst <= band
     assert elapsed < 60.0
 

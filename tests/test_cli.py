@@ -1,7 +1,9 @@
 """End-to-end CLI runs: exit codes, report layout, determinism."""
+import hashlib
 import json
 import math
 import os
+import pprint
 import re
 import subprocess
 import sys
@@ -95,7 +97,9 @@ def test_survival_renyi_and_stream_runs_load_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[0, 0, 0] []"
-    assert "ks_statistic" in read_summary(tmp_path / "survival")["results"]
+    survival = read_summary(tmp_path / "survival")["results"]
+    # the KS distance is taken over the uncensored samples
+    assert "ks_statistic" in survival and survival["ks_samples"] == 200 - survival["censored"]
     assert set(read_summary(tmp_path / "renyi")["results"]["per_s"]) == {"0.5", "1.0"}
     assert "plugin" in read_summary(tmp_path / "stream")["results"]
 
@@ -327,6 +331,8 @@ def test_no_exponent_bound_passes_beyond_the_censoring_budget(tmp_path, kind, ke
     summary = read_summary(outdir)
     assert summary["results"]["censored_fraction"] > CENSOR_SUMMARY_LIMIT
     assert summary["results"]["summary"] is None
+    # withheld with the summary, not reported as no mass outside the band
+    assert summary["results"]["exceedance"] is None
     assert summary["tolerance_check"]["passed"] is False
 
 
@@ -447,6 +453,11 @@ NEVER_RUN = {
                                    "word": "1" * 1000, "t_grid": [0.0]}, "passes 2**62"),
     "return-survival-cap-past-ceiling": ({"kind": "return-survival", **SURVIVAL_RUN, "model": "fair-coin",
                                           "word": "1" * 1000, "t_grid": [0.0]}, "passes 2**62"),
+    # no sampled time passes the cap ceil(6.91 / mu) = 111 of 0110, so step 127 (t = 8) would read 0.0
+    "survival-grid-past-cap": ({"kind": "survival", **SURVIVAL_RUN, "model": "fair-coin", "word": "0110",
+                                "t_grid": [1.0, 6.0, 7.0, 8.0]}, "t grid ends at step 127, past"),
+    "return-survival-grid-past-cap": ({"kind": "return-survival", **SURVIVAL_RUN, "model": "fair-coin",
+                                       "word": "0110", "t_grid": [1.0, 8.0]}, "past the survival scan's cap"),
     "abadi-measure-underflows": ({"kind": "abadi-shape", "model": "fair-coin", "seed": 1,
                                   "word": "1" * 1100, "t_grid": [0.5, 1.0]}, "target measure underflows"),
     # the kinds without a time grid gate the measure as every chain build does
@@ -553,6 +564,16 @@ def test_theorem2_kind_checks_decay(tmp_path):
     assert code == 0
     ests = read_summary(outdir)["results"]["estimates"]
     assert ests[0] > ests[1] > ests[2]
+
+
+def test_theorem2_with_one_word_writes_no_standard_error(tmp_path):
+    # the spread of one word is unknown, not zero
+    cfg = {"kind": "theorem2", "model": "fair-coin", "seed": 1, "n_list": [6, 8], "epsilon": 0.1, "N": 1}
+    code, outdir = run_cli(tmp_path, cfg)
+    assert code == 0
+    lines = (outdir / "report.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "n,estimate,std_error,samples"
+    assert [line.split(",")[2] for line in lines[1:]] == ["", ""]
 
 
 def test_theorem2_past_int64_steps_exits_3(tmp_path):
@@ -719,11 +740,16 @@ def test_a_worker_count_below_one_exits_2_with_nothing_written(tmp_path):
     assert main(["--config", str(path), "--outdir", str(tmp_path / "w2"), "--workers", "2"]) == 0
 
 
-def test_no_demo_experiment_reads_two_aliased_substreams(tmp_path, monkeypatch):
-    # SeedSequence pads its entropy with zeros, so substream keys that differ
-    # only by trailing zeros give the same stream: (7,) and (7, 0, 0) alias.
-    # Lone streams are keyed by substream, the samplers' by substream_keys
-    keys, batches = set(), []
+@pytest.fixture(scope="module")
+def demo_runs(tmp_path_factory):
+    """Every demo config run once, in process at ``--workers 1``.
+
+    Returns ``{config name: (exit code, output directory, substream keys read)}``
+    and the seeds that keyed a sampler's substreams in one batch.  Lone
+    streams are keyed by ``substream``, the samplers' by ``substream_keys``.
+    """
+    root = tmp_path_factory.mktemp("demos")
+    keys, batches, runs = set(), [], {}
     substream, substream_keys = rng.substream, rng.substream_keys
 
     def recording(*key):
@@ -735,13 +761,23 @@ def test_no_demo_experiment_reads_two_aliased_substreams(tmp_path, monkeypatch):
         keys.update((int(seed), int(j), int(r)) for j in indices for r in roles)
         return substream_keys(seed, indices, roles)
 
-    monkeypatch.setattr(orbits, "substream", recording)
-    monkeypatch.setattr(streams, "substream", recording)
-    monkeypatch.setattr(rng, "substream_keys", recording_batch)
-    for path in sorted(DEMO_CONFIGS.glob("*.json")):
-        keys.clear()
-        assert main(["--config", str(path), "--outdir", str(tmp_path / path.stem),
-                     "--workers", "1"]) == 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(orbits, "substream", recording)
+        patch.setattr(streams, "substream", recording)
+        patch.setattr(rng, "substream_keys", recording_batch)
+        for path in sorted(DEMO_CONFIGS.glob("*.json")):
+            keys.clear()
+            code = main(["--config", str(path), "--outdir", str(root / path.stem), "--workers", "1"])
+            runs[path.name] = (code, root / path.stem, set(keys))
+    return runs, batches
+
+
+def test_no_demo_experiment_reads_two_aliased_substreams(demo_runs):
+    # SeedSequence pads its entropy with zeros, so substream keys that differ
+    # only by trailing zeros give the same stream: (7,) and (7, 0, 0) alias
+    runs, batches = demo_runs
+    for name, (code, _, keys) in runs.items():
+        assert code == 0, name
         stripped = {}
         for key in keys:
             bare = key
@@ -749,5 +785,53 @@ def test_no_demo_experiment_reads_two_aliased_substreams(tmp_path, monkeypatch):
                 bare = bare[:-1]
             stripped.setdefault(bare, []).append(key)
         aliased = [sorted(group) for group in stripped.values() if len(group) > 1]
-        assert not aliased, f"{path.name}: {aliased[:3]}"
+        assert not aliased, f"{name}: {aliased[:3]}"
     assert batches, "no sampler keyed its substreams through substream_keys"
+
+
+# SHA-256 of each demo config's report.csv and summary.json, run at --workers 1
+DEMO_DIGESTS = {
+    "abadi_shape.json": ("b3ea13a55cb6302038e2add9da8cf01e490d995d9486b804f3f9bc0a152b89d7",
+                         "533078e6607b78f5badaeb7d0a5ec284a9e53703cedd97c49ac11da13c4863ae"),
+    "abadi_shape_markov.json": ("bea5908a2a02403e86132a2766dd3336cab2cf67770571eb3f13d443210b069f",
+                                "c83b666bd647b8fbd292414110ae242f2804ffef76a71cbe44803c87bf1c963f"),
+    "entrance_exponent.json": ("1658051a29d101188fd8b434c54c2acf959cf5fddf998aa742878920f6c557d6",
+                               "71822b8e426898ae7004a86b47a1c11975825fe16b725187a9bde6aec5b04fef"),
+    "hlv.json": ("0163a9d3e8916dccebb318b273d688efa85cb139a832a406549767e24c0b9eee",
+                 "9dff938d73bcf65a58d97f71cdb0f9fc20e4ffd5f4c191aa7ddc87650899f9a5"),
+    "kac.json": ("3e04788407df0ee6466197122b2138a6a5a7ef9612db2deedce979cf56ef99c7",
+                 "59f0a261b0b4e2008af61db040111471c9b89b32c502d4f81ab9cc0b4b7bb624"),
+    "recurrence_exponent.json": ("1be2982b776821bfc9d730be0e876412f1333968b8acf65c9c1d6b2ff5a1b814",
+                                 "b926972af34a7eb4ef4fd6fb166708104793f6d99b2986d5be737ac01cc2feb4"),
+    "renyi_exact.json": ("47a8aa2e59956c6e6e2f81b4959fb4d762edb93c854dd21155d9ec803c9a64ef",
+                         "8a0e5d97941fdd9873aaa7017821c17d10b7080b73bec83933d390a09fd264ff"),
+    "return_survival.json": ("8b4b6ee9c87ee9ede7fa238a5dd0b9a0a2ada339be48973ceca5b1356379487e",
+                             "5fd53d086b2bba61dbed8571e6b5a793be01a5a53a8c154b80aa751a3a1069fd"),
+    "stream_estimate.json": ("2271a21373ba2be3b34aea0814cc3d85d7cd7e17de018743b43bd1d238a7c6f0",
+                             "5528683176a80a2421efde4b67f3f72b2fb17c8f664114750a0fcc4501a7e9c8"),
+    "survival.json": ("b3cf97af3160ffcc2dcafe51565f2ca458c416cc29456a999b346a53b5dafcdc",
+                      "58cb0b133086707c6835ee392a1d984f0afd513e66e21b92f66ee75c40f8c816"),
+    "survival_markov3.json": ("0ee56da723a832a26124b103a9e3de9ff864145b9a8fec37bf5d137df40b0e28",
+                              "7c2a11dcc5e5e95b7ac2cc210ce6405df0fc2ff22210e434969ead4c20a5d7cf"),
+    "theorem2.json": ("2f0e4ed20ea6a4eb02186a95795c3bfcea9feb1baf9aa8ab04a529f323b065ae",
+                      "77c557835436838f71bf05ee2a43a1b272b789791eb82045cbbe208e11e8283b"),
+    "theorem2_geometric.json": ("367cfb6019a1ace0392395393a29742ed9a116671a7ee64445db2598368e682e",
+                                "e5b70a27a7c6a66ae52190874fcc386fe18b9b5c02dc8775a1a08abc375683e3"),
+    "theorem2_markov.json": ("47496b2727121490989473a9c91a6c161905941c5c11059f7a6a536a01389afc",
+                             "5f3abf45607f703234d4a9c605d73e33444d53e4a7a6824f2faa5dad876f7cb5"),
+    "wns.json": ("0c16cac5df930d0892e823828c567bf886b99429bb60163d3ccc661f530190c6",
+                 "80d0b8bad7b2cd2d3c4c707e5670ee6c6f9f50a2fd375a83b1bc3b0f1e460a9d"),
+    "wns_diagonal.json": ("a9bf17e698f93cc2e248b83cf53037a415cdd03add953e8456c5863202295b0d",
+                          "fe38adbd7db6b95caea2fbf2f9df390928a8e441397515567de0d58ed7b10681"),
+}
+
+
+def test_every_demo_report_keeps_its_bytes(demo_runs):
+    runs, _ = demo_runs
+    files = ("report.csv", "summary.json")
+    got = {name: tuple(hashlib.sha256((outdir / file).read_bytes()).hexdigest() if (outdir / file).exists()
+                       else None for file in files) for name, (_, outdir, _) in runs.items()}
+    changed = [f"{name} {file}" for name in sorted(got.keys() | DEMO_DIGESTS.keys())
+               for i, file in enumerate(files)
+               if got.get(name, (None, None))[i] != DEMO_DIGESTS.get(name, (None, None))[i]]
+    assert not changed, f"changed: {changed}; the new table:\n{pprint.pformat(got, width=110)}"

@@ -98,7 +98,7 @@ def _fingerprint(run):
         out += [run.exceedance(0.1), run.summary() if run.censored_fraction <= 0.01 else None]
     elif isinstance(run, SurvivalExperiment):
         out += [run.times.tobytes(), run.curve.m.tobytes(), run.curve.values.tobytes(),
-                run.curve.exactness, run.ks.statistic, run.ks.sample_count, run.mean_time]
+                run.curve.exactness, run.ks, run.mean_time]
     else:
         out += [run.estimate, run.std_error]
     return out
@@ -346,8 +346,8 @@ def test_ks_statistic_shrinks_for_longer_words():
     # unit exponential (a run word would carry extremal index 1/2)
     word = (1,) + (0,) * 11
     long = empirical_survival(FAIR, word, N=400, t_grid=grid, seed=19)
-    assert long.ks.statistic < short.ks.statistic
-    assert long.ks.statistic < 0.08
+    assert long.ks < short.ks
+    assert long.ks < 0.08
 
 
 @given(st.lists(st.integers(1, 40), max_size=300), st.floats(1e-6, 1.0))
@@ -362,8 +362,7 @@ def test_ks_statistic_equals_scipy_kstest(times, mu):
                              censored=np.empty(0, dtype=np.int64), kind=ENTRANCE, word=(1,),
                              t_grid=(1.0,), mu=mu, cap=100)
     expect = float(stats.kstest(exp.rescaled, "expon").statistic) if times else 1.0
-    assert exp.ks.statistic == expect
-    assert exp.ks.sample_count == len(times)
+    assert exp.ks == expect
 
 
 @given(st.lists(st.one_of(st.floats(max_value=0.0, allow_nan=False), st.floats(-40.0, 0.0)),
@@ -396,6 +395,18 @@ def test_return_ensemble_matches_the_exact_return_curve():
         p = exact.values[m]
         sigma = math.sqrt(max(p * (1.0 - p), 1e-12) / 2000)
         assert abs(value - p) < 4.0 * sigma + 1e-9
+
+
+def test_a_grid_step_past_the_survival_cap_is_rejected_before_sampling(monkeypatch):
+    # 0110 has cap ceil(-log(1e-3) * 16) = 111; t = 7 is step 111 and t = 8 step 127, where every
+    # sampled curve would read 0.0 against an exact 1.57e-4
+    target, mu, t = montecarlo.survival_target(FAIR, "0110", [1.0, 7.0])
+    assert (target.cap, mu, int(step_at(t[-1], mu))) == (111, 1 / 16, 111)
+    assert empirical_survival(FAIR, "0110", N=20, t_grid=[1.0, 7.0], seed=1).curve.m.tolist() == [15, 111]
+    monkeypatch.setattr(montecarlo, "entrance_time", None)  # any scan would fail
+    for sampler in (empirical_survival, empirical_return_survival):
+        with pytest.raises(ValueError, match="t grid ends at step 127, past the survival scan's cap 111"):
+            sampler(FAIR, "0110", N=10, t_grid=[1.0, 6.0, 7.0, 8.0], seed=1)
 
 
 def test_bad_time_grids_are_rejected():
@@ -486,7 +497,7 @@ def test_a_cut_stack_gives_the_uncut_values(monkeypatch):
 @pytest.mark.filterwarnings("error")
 def test_an_empty_tail_part_has_no_estimate():
     part = survival_tail_integral(FAIR, n=6, epsilon=0.1, n_outer=10, seed=1, indices=[])
-    assert part.total == 0 and part.std_error == 0.0
+    assert part.total == 0 and part.std_error is None
     with pytest.raises(ValueError, match="empty"):
         part.estimate
 

@@ -26,7 +26,7 @@ from hitstat.orbits import (
     OrbitSumResult,
     ReplayStream,
     TimeResult,
-    _word_finder,
+    _find_word,
     entrance_time,
     prepare_target,
     recurrence_time,
@@ -544,12 +544,14 @@ def test_narrow_replay_scans_equal_the_int64_replay(name, seed, n, length, shape
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_word_finder_matches_the_sliding_window_oracle(data):
-    """``_word_finder`` on blocks laced with the word's mod-256 aliases.
+    """``_find_word`` on blocks laced with the word's mod-256 aliases.
 
     An alias ``w[i] + 256 r_i`` equals the word as bytes but not as
-    symbols; one placed before a true match makes the finder reject a
-    byte match and search on.  ``uint8`` blocks can only hold the alias
-    ``w mod 256`` of a word with a symbol of 256 or more.
+    symbols; one placed before a true match makes the search reject a
+    byte match and go on.  ``uint8`` blocks can only hold the alias
+    ``w mod 256`` of a word with a symbol of 256 or more.  The search reads
+    the block ``sym[:hi + n - 1]`` with a prepared target's ``needle`` and
+    ``symbols``, as ``_scan`` does.
     """
     draw = data.draw
     n = draw(st.integers(1, 6))
@@ -579,7 +581,10 @@ def test_word_finder_matches_the_sliding_window_oracle(data):
     lo = draw(st.integers(0, count))
     hi = draw(st.integers(lo, count))
     inside = hits[(hits >= lo) & (hits < hi)]
-    assert _word_finder(tuple(word))(sym, lo, hi) == (int(inside[0]) if len(inside) else -1)
+    target = prepare_target(None, tuple(word), cap=1)
+    block = sym[:hi + n - 1]
+    got = _find_word(block.astype(np.uint8, copy=False).tobytes(), target.needle, block, target.symbols, lo)
+    assert got == (int(inside[0]) if len(inside) else -1)
 
     cap = draw(st.integers(1, 3 * BLOCK + 10))
     expect, read = oracle_scan(sym, word, cap)
