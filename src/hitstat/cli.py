@@ -3,8 +3,8 @@
 ``hitstat --config exp.json [--workers N] [--outdir PATH]`` reads one
 experiment description, runs it and writes ``report.csv`` plus
 ``summary.json`` into the output directory.  Every key of the config is
-read before the run by its one reader (``READERS``), as its kind's table
-(``KINDS``) or tolerance table (``TOLERANCES``) lists it; a key no table
+read before the run by its one reader (``READERS``), as its kind's row of
+``KINDS`` lists it among the kind's keys or tolerance keys; a key no row
 lists is rejected.  Files contain no timestamps and all floats are written
 with ``repr``, so a config and seed reproduce their outputs byte for byte,
 at any worker count.
@@ -30,6 +30,7 @@ import numpy as np
 from . import __version__
 from .errors import CensoringExceeded, HitstatError
 from .exact import (
+    _time_grid,
     build_product_chain,
     entrance_return_residual,
     exact_mean_return,
@@ -130,9 +131,6 @@ _positive = _finite("a finite number > 0", lambda v: v > 0)
 _nonnegative = _finite("a finite number >= 0", lambda v: v >= 0)
 _flag = _checked("true or false", lambda v: type(v) is bool)
 _path = _checked("a non-empty path", lambda v: type(v) is str and v != "", Path)
-# a time grid, once its entries are read
-_increasing = _checked("a non-empty, strictly increasing array",
-                       lambda v: len(v) > 0 and all(a < b for a, b in zip(v, v[1:])))
 # a key every kind must give; every other key has its default beside it
 REQUIRED = object()
 # 'word' stands for a one-entry 'words', and 's' for a one-entry 's_list'
@@ -177,7 +175,7 @@ READERS = {
     "words": _array(as_word),
     "n_list": _array(_count),
     "s_list": _array(_positive),
-    "t_grid": lambda v: _increasing(_array(_nonnegative)(v)),
+    "t_grid": lambda v: _time_grid(_array(_nonnegative)(v)).tolist(),
     **dict.fromkeys(("data_file", "outdir"), _path),
     "map": named_map,
     "ow": functools.partial(_read, keys={"n_list": REQUIRED, "starts_per_n": 200}),
@@ -232,27 +230,14 @@ def _sharded_samples(jobs, workers: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# tolerance checks: one table for every kind
+# tolerance checks: one verdict for every kind
 # ---------------------------------------------------------------------------
 
-# Each kind's tolerance keys and defaults.  A bound (default None) caps a
-# measured value, or every value of a measured list; a flag (a boolean
-# default) requires a measured truth; with any tolerance, survival's curve
-# must lie in the DKW band at the parameter ``dkw_alpha``.
+# A kind's tolerance keys and defaults, the third entry of its ``KINDS`` row.  A bound
+# (default None) caps a measured value, or every value of a measured list; a flag (a boolean
+# default) requires a measured truth; with any tolerance, survival's curve must lie in the
+# DKW band at the parameter ``dkw_alpha``.
 _EXPONENT_TOLERANCE = {"max_two_sided": None, "max_lower": None, "median_within": None}
-TOLERANCES = {
-    "entrance-exponent": _EXPONENT_TOLERANCE,
-    "recurrence-exponent": _EXPONENT_TOLERANCE,
-    "survival": {"max_ks": None, "dkw_alpha": 0.001},
-    "return-survival": {"max_mean_error": None, "max_abs_error": None},
-    "kac": {"max_residual": None},
-    "hlv": {"max_residual": None},
-    "abadi-shape": {"require_bound": True},
-    "theorem2": {"require_decreasing": True},
-    "wns": _EXPONENT_TOLERANCE,
-    "renyi-exact": {"max_final_gap": None, "require_monotone": False},
-    "stream-estimate": {"max_ow_error": None, "max_plugin_error": None},
-}
 # the config section a bound is measured on, beyond the model
 _MEASURED_ON = {"max_ow_error": "ow", "max_plugin_error": "plugin"}
 
@@ -261,7 +246,7 @@ def _verdict(tolerance, kind, measured) -> bool:
     """Whether the measured quantities meet the tolerance block, as read."""
     ok = True
     for key, value in tolerance.items():
-        if TOLERANCES[kind][key] is not None:  # a flag, or the band at dkw_alpha
+        if KINDS[kind][2][key] is not None:  # a flag, or the band at dkw_alpha
             ok = ok and (value is False or measured[key])
         elif value is not None:  # a declared bound; a function is measured only now
             got = measured[key]() if callable(measured[key]) else measured[key]
@@ -315,7 +300,7 @@ def _run_survival(params, workers):
     worst = float(errors.max())
     results = {"censored": len(exp.censored), "max_abs_error": worst}
     if params["kind"] == "survival":
-        band = dkw_epsilon(exp.total, (params["tolerance"] or TOLERANCES["survival"])["dkw_alpha"])
+        band = dkw_epsilon(exp.total, (params["tolerance"] or KINDS["survival"][2])["dkw_alpha"])
         results.update(ks_statistic=exp.ks, ks_samples=len(exp.values), cap=exp.cap, dkw_band=band)
         measured = {"max_ks": exp.ks, "dkw_alpha": worst <= band}
     else:
@@ -438,25 +423,28 @@ def run_stream_estimate(params, workers):
     return EstimateSeries.COLUMNS, rows, results, measured
 
 
-# each kind's runner and keys, with their defaults; ``word`` and ``s`` feed the constants
+# each kind's runner, keys and tolerance keys, with their defaults; ``word`` and ``s`` feed the constants
 _HEADER = {"kind": REQUIRED, "model": REQUIRED, "seed": REQUIRED, "word": None, "s": None,
            "tolerance": None, "outdir": None}
 _EXPONENT = {"n": REQUIRED, "N": REQUIRED, "epsilon": None, "cap_multiplier": 100.0}
 _SURVIVAL = {"word": REQUIRED, "N": REQUIRED, "t_grid": REQUIRED}
-KINDS = {kind: (runner, {**_HEADER, **keys}) for kind, runner, keys in (
-    ("entrance-exponent", _run_exponent, _EXPONENT),
-    ("recurrence-exponent", _run_exponent, _EXPONENT),
-    ("survival", _run_survival, _SURVIVAL),
-    ("return-survival", _run_survival, _SURVIVAL),
-    ("kac", run_kac, {"words": REQUIRED}),
-    ("hlv", run_hlv, {"words": REQUIRED, "m_max": REQUIRED}),
-    ("abadi-shape", run_abadi_shape, {"word": REQUIRED, "t_grid": REQUIRED}),
-    ("theorem2", run_theorem2, {"n_list": REQUIRED, "epsilon": REQUIRED, "N": REQUIRED}),
-    ("wns", _run_exponent, {**_EXPONENT, "s": REQUIRED, "diagonal": False}),
-    ("renyi-exact", run_renyi_exact, {"s_list": REQUIRED, "n_list": REQUIRED}),
+KINDS = {kind: (runner, {**_HEADER, **keys}, tolerance) for kind, runner, keys, tolerance in (
+    ("entrance-exponent", _run_exponent, _EXPONENT, _EXPONENT_TOLERANCE),
+    ("recurrence-exponent", _run_exponent, _EXPONENT, _EXPONENT_TOLERANCE),
+    ("survival", _run_survival, _SURVIVAL, {"max_ks": None, "dkw_alpha": 0.001}),
+    ("return-survival", _run_survival, _SURVIVAL, {"max_mean_error": None, "max_abs_error": None}),
+    ("kac", run_kac, {"words": REQUIRED}, {"max_residual": None}),
+    ("hlv", run_hlv, {"words": REQUIRED, "m_max": REQUIRED}, {"max_residual": None}),
+    ("abadi-shape", run_abadi_shape, {"word": REQUIRED, "t_grid": REQUIRED}, {"require_bound": True}),
+    ("theorem2", run_theorem2, {"n_list": REQUIRED, "epsilon": REQUIRED, "N": REQUIRED},
+     {"require_decreasing": True}),
+    ("wns", _run_exponent, {**_EXPONENT, "s": REQUIRED, "diagonal": False}, _EXPONENT_TOLERANCE),
+    ("renyi-exact", run_renyi_exact, {"s_list": REQUIRED, "n_list": REQUIRED},
+     {"max_final_gap": None, "require_monotone": False}),
     # map None is ingest's default, the 'byte' map
     ("stream-estimate", run_stream_estimate, {"model": None, "data_file": None, "map": None,
-                                              "generate_length": None, "ow": None, "plugin": None}),
+                                              "generate_length": None, "ow": None, "plugin": None},
+     {"max_ow_error": None, "max_plugin_error": None}),
 )}
 
 
@@ -518,7 +506,7 @@ def main(argv=None) -> int:
         kind = cfg.get("kind")
         if kind not in KINDS:
             raise ConfigError(f"unknown kind {kind!r}; expected one of {tuple(KINDS)}")
-        run, keys = KINDS[kind]
+        run, keys, tolerance = KINDS[kind]
         params = _read(cfg, keys)
         if params["model"] is not None:
             # every word's mu must not underflow, as every chain build takes it
@@ -535,7 +523,7 @@ def main(argv=None) -> int:
                                                 or params["generate_length"] is None):
                 raise ConfigError("stream-estimate needs a data_file, or a model and a generate_length")
         if params["tolerance"] is not None:
-            tol = params["tolerance"] = _read(params["tolerance"], TOLERANCES[kind])
+            tol = params["tolerance"] = _read(params["tolerance"], tolerance)
             # beyond its keys, a tolerance needs a model, and a bound the section it is measured on
             if params["model"] is None:
                 raise ConfigError("a tolerance needs a model: every bound is measured against it")

@@ -233,8 +233,6 @@ class SurvivalCurve:
     values: np.ndarray
     kind: str
     exactness: str
-    mu: float
-    word: Word
 
     def to_csv(self, path) -> None:
         with open(Path(path), "w", newline="", encoding="utf-8") as fh:
@@ -363,8 +361,6 @@ def exact_survival(chain: ProductChain, m_max: int) -> SurvivalCurve:
         values=_chain_survival(chain, m_grid),
         kind=chain.kind,
         exactness="exact",
-        mu=chain.mu,
-        word=chain.word,
     )
 
 

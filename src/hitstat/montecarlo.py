@@ -24,12 +24,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CensoringExceeded
+from .errors import CensoringExceeded, MeasureUnderflow
 from .exact import ENTRANCE, RETURN, SurvivalCurve, _time_grid, entrance_survival_stack, step_at
 # unused here, but perfbench/tracing.py patches ``montecarlo.build_product_chain``
 # and ``montecarlo.survival_at``
 from .exact import build_product_chain, survival_at  # noqa: F401
-from .models import MeasureModel, plain_measure, renyi_entropy, shannon_entropy
+from .models import STEP_CEILING, MeasureModel, plain_measure, renyi_entropy, shannon_entropy
 from .orbits import CapPolicy, OrbitStream, entrance_time, prepare_target, w_sum
 from .rng import Substreams
 
@@ -163,12 +163,14 @@ class ExponentSamples(Ensemble):
         }
 
     def exceedance(self, eps: float) -> dict:
-        """Fractions of samples straying beyond ``target +- eps``, for ``eps > 0``."""
+        """Fractions of the uncensored samples beyond ``target +- eps`` (``eps > 0``); ValueError if none."""
         if eps <= 0.0:
             raise ValueError(f"eps must be > 0, got {eps}")
         v = self.values
-        lower = float((v < self.target - eps).mean()) if len(v) else 0.0
-        upper = float((v > self.target + eps).mean()) if len(v) else 0.0
+        if not len(v):
+            raise ValueError("no samples for an exceedance: the part is empty or all censored")
+        lower = float((v < self.target - eps).mean())
+        upper = float((v > self.target + eps).mean())
         return {"eps": eps, "lower": lower, "upper": upper, "two_sided": lower + upper}
 
 
@@ -266,10 +268,6 @@ class SurvivalExperiment(Ensemble):
             raise ValueError("no uncensored times to average: the part is empty or all censored")
         return float(self.times.mean())
 
-    @property
-    def rescaled(self) -> np.ndarray:
-        return self.times * self.mu
-
     @cached_property
     def curve(self) -> SurvivalCurve:
         if not self.total:
@@ -280,12 +278,12 @@ class SurvivalExperiment(Ensemble):
         hold = len(self.values) - np.searchsorted(np.sort(self.times), m_of, side="right")
         hold += np.where(m_of <= self.cap, len(self.censored), 0)
         return SurvivalCurve(m=m_of, t=t, values=hold / self.total, kind=self.kind,
-                             exactness=f"empirical({self.total})", mu=self.mu, word=self.word)
+                             exactness=f"empirical({self.total})")
 
     @cached_property
     def ks(self) -> float:
         """Kolmogorov-Smirnov distance of the uncensored rescaled times to the unit exponential."""
-        x = np.sort(self.rescaled)
+        x = np.sort(self.times * self.mu)
         n = len(x)
         # scipy.stats.kstest(x, "expon").statistic, bit for bit, without scipy: its cdf
         # is scipy.special's expm1, which np.expm1 does not match in every last bit
@@ -406,6 +404,8 @@ def survival_tail_integral(model: MeasureModel, n: int, epsilon: float, n_outer:
     """
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    if n * epsilon > math.log(STEP_CEILING):  # mu <= 1, so every step count e^(n*eps)/mu passes it too
+        raise MeasureUnderflow(f"every step count passes 2**62: its threshold exp({n * epsilon:.6g}) does")
     threshold = math.exp(n * epsilon)
 
     def samples(js):

@@ -106,7 +106,7 @@ def test_survival_renyi_and_stream_runs_load_no_scipy(tmp_path):
 
 def test_every_kind_has_a_loadable_demo_config():
     # reads the configs through their kinds' key tables only; running all of them takes about 20 s
-    for kind, (_, keys) in KINDS.items():
+    for kind, (_, keys, _) in KINDS.items():
         cfg = _load_config(str(DEMO_CONFIGS / f"{kind.replace('-', '_')}.json"))
         assert cfg["kind"] == kind
         _read(cfg, keys)
@@ -143,7 +143,7 @@ def test_readme_key_tables_match_the_cli():
         for name in _names(cell):
             tables[name] = _defaults(required, optional)
     assert set(tables) == {*KINDS, "ow", "plugin"}
-    for kind, (_, keys) in KINDS.items():
+    for kind, (_, keys, _) in KINDS.items():
         assert keys == {**common, **tables[kind]}, kind
     for section in ("ow", "plugin"):
         assert cli.READERS[section].keywords["keys"] == tables[section]
@@ -159,7 +159,7 @@ def test_readme_key_tables_match_the_cli():
         for kind in kinds:
             value = None if default == "—" else json.loads(default)
             tolerances.setdefault(kind, {})[_names(key)[0]] = value
-    assert tolerances == cli.TOLERANCES
+    assert tolerances == {kind: tolerance for kind, (_, _, tolerance) in KINDS.items()}
 
 
 def test_malformed_model_exits_2_without_outputs(tmp_path):
@@ -321,7 +321,7 @@ def test_each_kind_reports_its_result_keys(tmp_path, kind):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kind", EXPONENT_KINDS)
-@pytest.mark.parametrize("key", list(cli.TOLERANCES["wns"]))
+@pytest.mark.parametrize("key", list(cli.KINDS["wns"][2]))
 def test_no_exponent_bound_passes_beyond_the_censoring_budget(tmp_path, kind, key):
     # a cap below one step censors every sample: no exceedance or median is measured
     cfg = {"kind": kind, **TOLERANCE_RUNS[kind], "N": 5, "cap_multiplier": 1e-9,
@@ -366,6 +366,8 @@ def test_malformed_tolerance_exits_2_before_the_run(tmp_path):
     assert read_summary(outdir)["results"]["exceedance"]["eps"] == 0.05
 
 
+# the one rule of a time grid, exact._time_grid's
+GRID_RULE = "t grid must be non-empty, finite, non-negative and strictly increasing"
 # each config is malformed in one key; the stderr fragment names the fault
 NEVER_RUN = {
     "theorem2-epsilon": ({"kind": "theorem2", "model": "fair-coin", "seed": 1, "n_list": [6, 8],
@@ -433,9 +435,8 @@ NEVER_RUN = {
     "kac-s-negative": ({"kind": "kac", "model": "fair-coin", "seed": 1, "word": "11", "s": -1.0},
                        "s: must be a finite number >= 0, got -1.0"),
     "survival-grid-decreasing": ({"kind": "survival", **SURVIVAL_RUN, "t_grid": [2, 1]},
-                                 "t_grid: must be a non-empty, strictly increasing array"),
-    "survival-grid-empty": ({"kind": "survival", **SURVIVAL_RUN, "t_grid": []},
-                            "t_grid: must be a non-empty, strictly increasing array"),
+                                 f"t_grid: {GRID_RULE}"),
+    "survival-grid-empty": ({"kind": "survival", **SURVIVAL_RUN, "t_grid": []}, f"t_grid: {GRID_RULE}"),
     "survival-grid-negative": ({"kind": "survival", **SURVIVAL_RUN, "t_grid": [-1.0, 1.0]},
                                "t_grid: must be a finite number >= 0, got -1.0"),
     # t / mu(word) steps: past 2**62 no int64 holds them with the word's length
@@ -484,8 +485,8 @@ def test_a_malformed_key_exits_2_before_anything_runs(tmp_path, monkeypatch, cap
 
     for name in list(cli._SAMPLERS):
         monkeypatch.setitem(cli._SAMPLERS, name, started)
-    for kind, (_, keys) in list(cli.KINDS.items()):
-        monkeypatch.setitem(cli.KINDS, kind, (started, keys))
+    for kind, (_, keys, tolerance) in list(cli.KINDS.items()):
+        monkeypatch.setitem(cli.KINDS, kind, (started, keys, tolerance))
     monkeypatch.setattr(cli, "OrbitStream", started)
     monkeypatch.setattr(cli, "ingest", started)
     cfg, fragment = NEVER_RUN[case]
@@ -576,13 +577,22 @@ def test_theorem2_with_one_word_writes_no_standard_error(tmp_path):
     assert [line.split(",")[2] for line in lines[1:]] == ["", ""]
 
 
-def test_theorem2_past_int64_steps_exits_3(tmp_path):
-    # at n = 40 the threshold e^(40 * 0.5) is about 5e20 steps of a fair-coin word
-    cfg = {"kind": "theorem2", "model": "fair-coin", "seed": 1, "N": 4,
-           "n_list": [20, 40], "epsilon": 0.5}
-    code, outdir = run_cli(tmp_path, cfg)
-    assert code == 3
-    assert not outdir.exists()
+def test_theorem2_past_int64_steps_exits_3(tmp_path, capsys):
+    # at n = 40 the threshold e^(40 * 0.5) is about 5e20 steps of a fair-coin word; e^(800 * 1.0)
+    # is no float at all, and the run stops on the same ceiling, not on math.exp's overflow
+    for name, n_list, epsilon in (("int64.json", [20, 40], 0.5), ("float.json", [800], 1.0)):
+        cfg = {"kind": "theorem2", "model": "fair-coin", "seed": 1, "N": 4,
+               "n_list": n_list, "epsilon": epsilon}
+        code, outdir = run_cli(tmp_path, cfg, name)
+        assert code == 3
+        assert not outdir.exists()
+        assert "2**62" in capsys.readouterr().err
+
+
+def test_every_cli_name_in_the_readme_exists():
+    names = re.findall(r"`cli\.(\w+)`", (ROOT / "README.md").read_text(encoding="utf-8"))
+    assert names
+    assert [name for name in names if not hasattr(cli, name)] == []
 
 
 @pytest.mark.filterwarnings("error")

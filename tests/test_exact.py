@@ -90,11 +90,12 @@ def test_survival_curve_contract():
         k = 2 if model.k is None else model.k
         word = tuple(int(x) for x in rng.integers(0, k, size=int(rng.integers(1, 5))))
         for kind in ("entrance", "return"):
-            curve = exact_survival(build_product_chain(model, word, kind), 40)
+            chain = build_product_chain(model, word, kind)
+            curve = exact_survival(chain, 40)
             assert curve.values[0] == 1.0
             assert np.all(curve.values >= 0.0) and np.all(curve.values <= 1.0)
             assert np.all(np.diff(curve.values) <= 1e-12)
-            assert np.allclose(curve.t, curve.m * curve.mu)
+            assert np.allclose(curve.t, curve.m * chain.mu)
 
 
 def test_state_count_bound():

@@ -309,6 +309,14 @@ def test_summary_fails_hard_past_the_censoring_budget():
     assert 0.0 <= exc["two_sided"] <= 1.0
 
 
+def test_an_exceedance_of_no_samples_raises():
+    # a cap below one step censors every sample: no fraction lies outside the band, or inside it
+    run = entrance_exponent_samples(FAIR, n=10, N=50, seed=1, cap_policy=CapPolicy(multiplier=1e-9))
+    assert run.censored_fraction == 1.0
+    with pytest.raises(ValueError, match="no samples"):
+        run.exceedance(0.15)
+
+
 def test_exceedance_counts_both_tails():
     run = ExponentSamples(
         kind="entrance", n=4, s=None, target=0.6,
@@ -361,7 +369,7 @@ def test_ks_statistic_equals_scipy_kstest(times, mu):
     exp = SurvivalExperiment(indices=np.arange(len(times)), values=np.array(times, dtype=float),
                              censored=np.empty(0, dtype=np.int64), kind=ENTRANCE, word=(1,),
                              t_grid=(1.0,), mu=mu, cap=100)
-    expect = float(stats.kstest(exp.rescaled, "expon").statistic) if times else 1.0
+    expect = float(stats.kstest(exp.times * exp.mu, "expon").statistic) if times else 1.0
     assert exp.ks == expect
 
 
@@ -456,6 +464,16 @@ def test_a_tail_threshold_past_int64_raises():
     # e^(40 * 0.5) / 2**-40 is about 5e20 steps; the cast used to wrap and give 1.0 for every word
     with pytest.raises(ValueError, match="2\\*\\*62"):
         survival_tail_integral(FAIR, 40, 0.5, n_outer=4, seed=1)
+
+
+def test_a_tail_threshold_past_float_range_raises_before_any_word(monkeypatch):
+    # e^(800 * 1.0) overflows a float; the ceiling is compared in log space first
+    def drawn(*args, **kwargs):
+        raise AssertionError("a word was drawn")
+
+    monkeypatch.setattr(montecarlo, "_prefix", drawn)
+    with pytest.raises(MeasureUnderflow, match="2\\*\\*62"):
+        survival_tail_integral(FAIR, 800, 1.0, n_outer=2, seed=1)
 
 
 # recorded from the per-word path that built one chain per word
