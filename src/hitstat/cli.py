@@ -258,11 +258,6 @@ def _verdict(tolerance, kind, measured) -> bool:
 # kind runners: each returns (columns, rows, results, measured by tolerance key)
 # ---------------------------------------------------------------------------
 
-def _ensemble_rows(run):
-    values = dict(zip(run.indices.tolist(), run.values.tolist()))
-    return [[j, _fmt(values[j]), 0] if j in values else [j, "", 1] for j in range(run.total)]
-
-
 def _run_exponent(params, workers):
     kwargs = dict(model=params["model"], n=params["n"], N=params["N"], seed=params["seed"],
                   cap_policy=CapPolicy(multiplier=params["cap_multiplier"]))
@@ -283,7 +278,9 @@ def _run_exponent(params, workers):
     measured = dict.fromkeys(_EXPONENT_TOLERANCE, math.inf) if summary is None else {
         "max_two_sided": exc["two_sided"], "max_lower": exc["lower"],
         "median_within": abs(summary["median"] - run.target)}
-    return ["sample", "exponent", "censored"], _ensemble_rows(run), results, measured
+    values = dict(zip(run.indices.tolist(), run.values.tolist()))
+    rows = [[j, _fmt(values[j]), 0] if j in values else [j, "", 1] for j in range(run.total)]
+    return ["sample", "exponent", "censored"], rows, results, measured
 
 
 def _run_survival(params, workers):

@@ -59,7 +59,7 @@ from pathlib import Path
 import numpy as np
 
 from .automata import build_automaton, build_tables
-from .errors import GridTooCoarse, ToleranceNotCertified
+from .errors import GridTooCoarse, MeasureUnderflow, ToleranceNotCertified
 from .models import (
     MarkovModel,
     MeasureModel,
@@ -257,12 +257,12 @@ def step_at(t, mu: float) -> np.ndarray:
     A ratio ``t/mu`` within four units in the last place of an integer
     is taken as that integer, so a last-bit change of ``mu`` cannot move
     the step.  Works elementwise on arrays.  A ratio not finite or past
-    ``models.STEP_CEILING`` (``2**62``) in size raises ``ValueError``.
+    ``models.STEP_CEILING`` (``2**62``) in size raises ``MeasureUnderflow``.
     """
     with np.errstate(all="ignore"):  # an infinite or undefined ratio is rejected below
         r = np.asarray(t, dtype=float) / mu
     if not np.all(np.abs(r) <= STEP_CEILING):
-        raise ValueError("a step count t/mu must be finite and at most 2**62 in size")
+        raise MeasureUnderflow("a step count t/mu must be finite and at most 2**62 in size")
     k = np.rint(r)
     r = np.where(np.abs(r - k) <= 4.0 * np.spacing(k), k, r)
     return np.maximum(np.ceil(r).astype(np.int64) - 1, 0)
@@ -305,49 +305,40 @@ def _advance(Q: np.ndarray, v: np.ndarray, gap: int) -> np.ndarray:
     return v
 
 
-def _walk(Q: np.ndarray, v: np.ndarray, steps: list) -> np.ndarray:
-    """The transient mass of the stack ``v`` (W, 1, L) after each entry of ``steps``, clamped to [0, 1].
-
-    ``steps`` is one non-decreasing list of transition counts, shared by
-    the whole stack.  The stack advances by each gap (``_advance``), and
-    the vectors it holds are summed ``_SUM_BATCH`` steps at a time, one
-    reduction for many that sums each as it would sum it alone.  Returns
-    a ``(W, K)`` array.
-    """
-    gaps = [b - a for a, b in zip([0] + steps, steps)]
-    sums = np.empty((len(v), len(gaps)))
-    for lo in range(0, len(gaps), _SUM_BATCH):
-        held = []
-        for gap in gaps[lo:lo + _SUM_BATCH]:
-            v = _advance(Q, v, gap)
-            held.append(v)
-        sums[:, lo:lo + len(held)] = np.add.reduce(np.concatenate(held, axis=1), axis=2)
-    return np.clip(sums, 0.0, 1.0)
-
-
-def _survival(Q: np.ndarray, v: np.ndarray, m: list, n: int, conditioning: str) -> np.ndarray:
+def _walk(Q: np.ndarray, v: np.ndarray, m: list, n: int, conditioning: str) -> np.ndarray:
     """``P(tau > m)`` for every chain of a stack at each entry of ``m``, a ``(W, K)`` array.
 
     ``Q`` and ``v`` are the stack's live blocks and initial vectors
     (``_live``) for words of length ``n`` and one ``conditioning``, and
     ``m`` the sorted distinct step counts, one list that the whole stack
     shares.  Windows 1..m are decided after ``_steps_for(m)`` transitions
-    from the origin, and ``m = 0`` is 1 and takes none.  One ``_walk``.  A negative step
-    count raises ``ValueError``.
+    from the origin, and ``m = 0`` is 1 and takes none.  The stack
+    advances by each gap between transition counts (``_advance``), and
+    the vectors it holds are summed ``_SUM_BATCH`` at a time, one
+    reduction for many that sums each as it would sum it alone; each sum
+    is clamped to [0, 1].  A negative step count raises ``ValueError``.
     """
     if m and m[0] < 0:
         raise ValueError(f"m must be >= 0, got {m[0]}")
     zero = int(m[:1] == [0])
-    values = np.ones((len(v), len(m)))
-    values[:, zero:] = _walk(Q, v[:, None], [_steps_for(k, n, conditioning) for k in m[zero:]])
-    return values
+    steps = [_steps_for(k, n, conditioning) for k in m[zero:]]
+    gaps = [b - a for a, b in zip([0] + steps, steps)]
+    sums = np.ones((len(v), len(m)))
+    v = v[:, None]
+    for lo in range(0, len(gaps), _SUM_BATCH):
+        held = []
+        for gap in gaps[lo:lo + _SUM_BATCH]:
+            v = _advance(Q, v, gap)
+            held.append(v)
+        sums[:, zero + lo:zero + lo + len(held)] = np.add.reduce(np.concatenate(held, axis=1), axis=2)
+    return np.clip(sums, 0.0, 1.0)
 
 
 def _chain_survival(chain: ProductChain, m: np.ndarray) -> np.ndarray:
     """``P(tau > m)`` at every entry of the 1-d integer array ``m``: one walk of a stack of one."""
     ks = sorted(set(m.tolist()))
     Q, _, v = _live(chain.Q[None], chain.exit[None], chain.initial[None], chain.live[None])
-    return _survival(Q, v, ks, chain.n, chain.kind)[0, np.searchsorted(ks, m)]
+    return _walk(Q, v, ks, chain.n, chain.kind)[0, np.searchsorted(ks, m)]
 
 
 def exact_survival(chain: ProductChain, m_max: int) -> SurvivalCurve:
@@ -387,7 +378,7 @@ def entrance_survival_stack(model: MeasureModel, words, t) -> list[float]:
     its value is bit for bit ``survival_at(build_product_chain(model, w),
     step_at(t, mu(w)))``: the words, sorted by step count, are built in
     stacks of at most ``STACK_BYTES`` of ``Q`` (``_build_stack``), and
-    each step count's slice of a stack is walked by one ``_survival``.  A
+    each step count's slice of a stack is walked by one ``_walk``.  A
     measure that is 0.0 in floats raises ``MeasureUnderflow``.
     """
     words = [as_word(w) for w in words]
@@ -411,7 +402,7 @@ def entrance_survival_stack(model: MeasureModel, words, t) -> list[float]:
         # a step count's slices of the C-ordered blocks are C-ordered views
         cuts = [0, *(np.flatnonzero(np.diff(steps)) + 1).tolist(), len(part)]
         for a, b in zip(cuts, cuts[1:]):
-            out[part[a:b]] = _survival(Q[a:b], v[a:b], [int(steps[a])], n, ENTRANCE)[:, 0]
+            out[part[a:b]] = _walk(Q[a:b], v[a:b], [int(steps[a])], n, ENTRANCE)[:, 0]
     return out.tolist()
 
 

@@ -173,7 +173,10 @@ def as_symbols(symbols) -> np.ndarray:
         raise EmptyInput("need a non-empty 1-d symbol sequence")
     if not np.issubdtype(arr.dtype, np.integer):
         with np.errstate(invalid="ignore"):  # a NaN, infinite or huge value casts to garbage, rejected below
-            ints = arr.astype(np.int64)
+            try:
+                ints = arr.astype(np.int64)
+            except (TypeError, ValueError) as exc:  # None, or a string no int() reads
+                raise InvalidSymbol(f"symbols must be integers: {exc}") from None
         if not np.array_equal(ints, arr):
             raise InvalidSymbol(f"symbols must be integers, got {arr[ints != arr][0].item()!r}")
         arr = ints
@@ -212,14 +215,14 @@ def sample_orbit(model: MeasureModel, seed, length: int) -> np.ndarray:
 # the block scanner
 # ---------------------------------------------------------------------------
 
-def _scan(stream, target: Target, first: int, visit=None, head=_EMPTY) -> TimeResult:
+def _scan(stream, target: Target, visit=None, head=_EMPTY) -> TimeResult:
     """One pass over the windows ``i = 0 .. cap`` of ``stream``, in blocks.
 
     ``head`` holds symbols already taken from the stream (the first
-    ``len(head)`` of window 0).  Each block ``buf`` is the carried tail
-    of the previous one plus ``stream.take(min(size, budget))``, where
-    ``size`` is ``first``, then doubles up to ``BLOCK``; its window at
-    offset ``q`` is ``buf[q:q+n]``, window ``i0 + q`` of the orbit.
+    ``len(head)`` of window 0).  Each block ``buf`` is the carried tail of
+    the previous one plus ``stream.take(min(size, budget))``, where ``size``
+    is ``target.first`` (``BLOCK`` under a ``visit``), then doubles up to
+    ``BLOCK``; its window at offset ``q`` is ``buf[q:q+n]``, window ``i0 + q``.
     ``_find_word`` gives the block's first event offset from ``lo``, or
     -1; ``visit(buf, lo, hi)`` then sees the block's windows up to and
     including the event.  ``lo`` skips window 0, which is never an event.
@@ -232,7 +235,7 @@ def _scan(stream, target: Target, first: int, visit=None, head=_EMPTY) -> TimeRe
     carry = head
     i0 = 0
     budget = target.cap + n - len(head)
-    size = first
+    size = target.first if visit is None else BLOCK
     while budget > 0:
         chunk = stream.take(min(size, budget))
         size = min(2 * size, BLOCK)
@@ -331,7 +334,7 @@ def entrance_time(stream, target, cap: int | CapPolicy | None = None) -> TimeRes
         target = prepare_target(stream.model, target, cap)
     elif cap is not None:
         raise ValueError("a prepared target carries its own cap")
-    return _scan(stream, target, target.first)
+    return _scan(stream, target)
 
 
 def recurrence_time(stream, n: int, cap: int | CapPolicy | None = None) -> TimeResult:
@@ -340,7 +343,7 @@ def recurrence_time(stream, n: int, cap: int | CapPolicy | None = None) -> TimeR
         raise ValueError(f"n must be >= 1, got {n}")
     head = _take_head(stream, n)
     target = prepare_target(stream.model, head.tolist(), cap)
-    return _scan(stream, target, target.first, head=head)
+    return _scan(stream, target, head=head)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +424,7 @@ def w_sum(stream, target, s: float = 0.0, cap: int | CapPolicy | None = None) ->
     target = prepare_target(model, target, cap)
     head = _take_head(stream, len(target.word))
     acc = _OrbitSum(model, len(head), s)
-    t = _scan(stream, target, BLOCK, visit=acc, head=head)
+    t = _scan(stream, target, visit=acc, head=head)
     return OrbitSumResult(
         time=t,
         log_value=acc.run_max + math.log(acc.run_sum),

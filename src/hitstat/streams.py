@@ -296,8 +296,9 @@ def plugin_renyi_estimate(sequence, n: int, s: float) -> float:
     """Empirical Renyi entropy ``-(1/(s n)) log sum_w f(w)^(1+s)``.
 
     Overlapping windows feed the frequency table; at large n relative to
-    the data the plug-in is biased upward (unseen mass) -- documented,
-    not corrected.
+    the data the sum ``sum_w f(w)^(1+s)`` is biased upward (unseen mass),
+    so the estimate is biased downward, toward ``log(m)/n`` for ``m``
+    windows -- documented, not corrected.
     """
     if not 0.0 < s < math.inf:
         raise NonPositiveS(f"s must be positive and finite, got {s}")

@@ -30,7 +30,7 @@ def as_word(w: Sequence[int] | Iterable[int] | str) -> Word:
         raw = tuple(w)
         try:  # int() truncates a float: a symbol it changes was no integer
             symbols = tuple(int(s) for s in raw)
-        except OverflowError:  # an infinite float
+        except (OverflowError, TypeError, ValueError):  # an infinite float, a NaN, None or a non-digit string
             symbols = None
         if symbols != raw:
             raise InvalidSymbol(f"symbol indices must be integers, got {list(raw)!r}")

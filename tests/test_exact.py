@@ -419,20 +419,19 @@ def test_a_stack_walks_several_step_counts_per_chain_as_each_chain_alone(name, k
     K = data.draw(st.integers(2, 6))
 
     def row():
-        """K sorted step counts m >= 1: repeats (zero gaps), gaps of at most L and powered ones."""
+        """K sorted step counts m >= 1: repeats, gaps of at most L and powered ones."""
         m = [data.draw(st.integers(1, L + 1))]
         for _ in range(K - 1):
             m.append(m[-1] + data.draw(st.sampled_from([0, data.draw(st.integers(1, L)),
                                                         data.draw(st.integers(L + 1, 10**6))])))
         return m
 
-    m = row()
+    ks = sorted(set(row()))
     # equal-length words of one kind take the same transitions to decide windows 1..m
-    got = _walk(np.stack([Q for Q, _ in blocks]), np.stack([v for _, v in blocks])[:, None, :],
-                [chains[0].steps_for(k) for k in m])
-    assert got.shape == (len(chains), K)
+    got = _walk(np.stack([Q for Q, _ in blocks]), np.stack([v for _, v in blocks]), ks, chains[0].n, kind)
+    assert got.shape == (len(chains), len(ks))
     for chain, values in zip(chains, got):
-        assert values.tobytes() == survival_at(chain, m).tobytes()
+        assert values.tobytes() == survival_at(chain, ks).tobytes()
 
 
 def test_entrance_survival_stack_of_no_words_is_empty():
@@ -446,13 +445,13 @@ def test_stacks_cut_within_each_step_count_keep_every_lone_value(monkeypatch):
     np.random.default_rng(4).shuffle(words)
     monkeypatch.setattr(exact, "STACK_BYTES", 2 * 8 * 8 * 8)
     stacks = []
-    survival = exact._survival
+    walk = exact._walk
 
     def recording(Q, v, m, n, conditioning):
         stacks.append((len(Q), m))
-        return survival(Q, v, m, n, conditioning)
+        return walk(Q, v, m, n, conditioning)
 
-    monkeypatch.setattr(exact, "_survival", recording)
+    monkeypatch.setattr(exact, "_walk", recording)
     got = entrance_survival_stack(CHAIN, words, 1.5)
     chains = [build_product_chain(CHAIN, word, ENTRANCE) for word in words]
     assert got == [survival_at(chain, step_at(1.5, chain.mu)) for chain in chains]
@@ -653,6 +652,12 @@ def test_a_step_count_past_int64_raises():
                   (2.0**62 * 0.5 * 1.01, 0.5), (1.0, 2.0**-70)):
         with pytest.raises(ValueError, match="2\\*\\*62"):
             step_at([0.5, t], mu)
+
+
+def test_a_step_count_past_2_62_is_a_measure_underflow():
+    # the type prepare_target and survival_tail_integral raise at the same ceiling
+    with pytest.raises(MeasureUnderflow, match="a step count t/mu must be finite and at most 2\\*\\*62"):
+        step_at(1.0, 1e-300)
 
 
 @pytest.mark.filterwarnings("error")

@@ -27,12 +27,14 @@ from hitstat.orbits import (
     ReplayStream,
     TimeResult,
     _find_word,
+    as_symbols,
     entrance_time,
     prepare_target,
     recurrence_time,
     sample_orbit,
     w_sum,
 )
+from hitstat.words import as_word
 
 FAIR = bernoulli([0.5, 0.5])
 CHAIN = markov([[0.9, 0.1], [0.2, 0.8]])
@@ -151,6 +153,14 @@ def test_replay_stream_validation():
         ReplayStream([0.0, 1.5])  # truncated, it would replay 0, 1
     with pytest.raises(ValueError):
         entrance_time(ReplayStream([0, 1]), "01")  # no model, no cap
+
+
+@pytest.mark.parametrize("gate", [as_word, as_symbols])
+@pytest.mark.parametrize("bad", [math.nan, None, "a", "1", 1.5, -1])
+def test_both_symbol_gates_refuse_every_non_symbol(gate, bad):
+    # a symbol int() cannot read (NaN, None, "a") is as invalid as one it would change
+    with pytest.raises(InvalidSymbol):
+        gate([bad])
 
 
 # --- recurrence times ---------------------------------------------------------
