@@ -195,11 +195,12 @@ def _fmt(x) -> str:
 
 # ---------------------------------------------------------------------------
 # sharding: every Monte Carlo kind splits its sample indices across the
-# workers; the exact and stream kinds run in one process
+# workers, whose chunks run in at most one lane per CPU; the caller is lane 0,
+# the others are forked children. The exact and stream kinds run in one process
 # ---------------------------------------------------------------------------
 
-# each Monte Carlo kind's sampler; workers receive the kind, never the
-# function, so a function patched in place (a tracer's wrapper, say) need not pickle
+# each Monte Carlo kind's sampler; a task names the kind, and a forked lane
+# inherits this table, so a function patched in place (a tracer's wrapper, say) runs there too
 _SAMPLERS = {
     "entrance-exponent": entrance_exponent_samples,
     "recurrence-exponent": recurrence_exponent_samples,
@@ -210,21 +211,63 @@ _SAMPLERS = {
 }
 
 
-def _shard_task(args):
-    name, kwargs, chunk = args
-    return _SAMPLERS[name](indices=chunk, **kwargs)
+def _lane(tasks) -> list:
+    """One lane's parts: its ``(kind, kwargs, chunk)`` tasks run in order."""
+    return [_SAMPLERS[name](indices=chunk, **kwargs) for name, kwargs, chunk in tasks]
+
+
+def _forked_lane(send, tasks):
+    """A child lane: sends ``(True, parts)``, or ``(False, the exception)`` it raised."""
+    try:
+        result = True, _lane(tasks)
+    except Exception as exc:
+        result = False, exc
+    send.send(result)
 
 
 def _sharded_samples(jobs, workers: int) -> list:
-    """One ensemble per ``(kind, kwargs)`` job, from one pool of at most one process per CPU."""
+    """One ensemble per ``(kind, kwargs)`` job, its indices cut in ``workers`` chunks.
+
+    Lane ``r`` runs the chunks at positions ``r`` mod the lane count, at most
+    one lane per CPU counting the caller, which runs lane 0 itself. A lane's
+    exception is raised here as the lane raised it; a child that dies without
+    sending raises ``HitstatError``. No child outlives the call.
+    """
     if workers <= 1:
         return [_SAMPLERS[name](**kwargs) for name, kwargs in jobs]
     tasks = []
     for name, kwargs in jobs:
         N = kwargs["n_outer" if name == "theorem2" else "N"]
         tasks += [(name, kwargs, c.tolist()) for c in np.array_split(np.arange(N), workers)]
-    with multiprocessing.Pool(min(workers, os.cpu_count() or 1)) as pool:
-        parts = pool.map(_shard_task, tasks)
+    lanes = min(workers, os.cpu_count() or 1)
+    # fork, not the platform default: a forkserver or spawned lane re-imports numpy and hitstat
+    fork = multiprocessing.get_context("fork")
+    parts = [None] * len(tasks)
+    children = []
+    try:
+        for r in range(1, lanes):
+            receive, send = fork.Pipe(duplex=False)
+            child = fork.Process(target=_forked_lane, args=(send, tasks[r::lanes]))
+            child.start()
+            send.close()  # the child holds the only send end: its death reads as EOF
+            children.append((child, receive))
+        parts[0::lanes] = _lane(tasks[0::lanes])
+        for r, (child, receive) in enumerate(children, 1):
+            try:
+                ok, got = receive.recv()
+            except EOFError:
+                child.join()
+                raise HitstatError(f"shard lane {r} exited with code {child.exitcode} "
+                                   "without sending its samples") from None
+            if not ok:
+                raise got
+            parts[r::lanes] = got
+    finally:
+        for child, receive in children:
+            if child.is_alive():
+                child.terminate()
+            child.join()
+            receive.close()
     return [functools.reduce(lambda a, b: a.merge(b), parts[i:i + workers])
             for i in range(0, len(parts), workers)]
 

@@ -2,11 +2,14 @@
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import pprint
 import re
+import signal
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -14,8 +17,8 @@ import pytest
 import hitstat
 from hitstat import cli, orbits, rng, streams
 from hitstat.cli import KINDS, _load_config, _read, main
-from hitstat.errors import ToleranceNotCertified
-from hitstat.montecarlo import CENSOR_SUMMARY_LIMIT
+from hitstat.errors import CensoringExceeded, ToleranceNotCertified
+from hitstat.montecarlo import CENSOR_SUMMARY_LIMIT, entrance_exponent_samples
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMO_CONFIGS = ROOT / "demos" / "configs"
@@ -679,42 +682,88 @@ def test_worker_count_never_changes_the_outputs_on_a_chain(tmp_path):
     assert blobs[0] == blobs[1]
 
 
-class SerialPool:
-    """Stands in for ``multiprocessing.Pool``: records its size and task count, maps here."""
-
-    sizes = []
-    tasks = []
-
-    def __init__(self, processes):
-        self.sizes.append(processes)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, func, tasks):
-        self.tasks.append(len(tasks))
-        return list(map(func, tasks))
-
-
-@pytest.mark.parametrize("cpus, size", [(2, 2), (None, 1)])
-def test_pool_starts_at_most_one_process_per_cpu(tmp_path, monkeypatch, cpus, size):
+@pytest.mark.parametrize("cpus, processes", [(2, 2), (1, 1), (None, 1)])
+def test_pool_starts_at_most_one_process_per_cpu(tmp_path, monkeypatch, cpus, processes):
+    # the caller is one of the processes: it runs lane 0, and forks one child per further lane
     cfg = {"kind": "entrance-exponent", "model": "fair-coin", "seed": 4, "n": 6, "N": 30}
     code, outdir = run_cli(tmp_path, cfg, name="w1.json", extra=("--workers", "1"))
     assert code == 0
     one = [(outdir / f).read_bytes() for f in ("report.csv", "summary.json")]
-    monkeypatch.setattr(cli.multiprocessing, "Pool", SerialPool)
+    # count the tasks of each forked lane and of the caller's lane; the lanes still run
+    fork = multiprocessing.get_context("fork")
+    forked, caller = [], []
+
+    def process(target, args):
+        forked.append(len(args[1]))
+        return fork.Process(target=target, args=args)
+
+    def get_context(method):
+        assert method == "fork"
+        return types.SimpleNamespace(Pipe=fork.Pipe, Process=process)
+
+    def caller_lane(tasks, lane=cli._lane):
+        caller.append(len(tasks))
+        return lane(tasks)
+
+    monkeypatch.setattr(cli.multiprocessing, "get_context", get_context)
+    monkeypatch.setattr(cli, "_lane", caller_lane)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    SerialPool.sizes.clear()
-    SerialPool.tasks.clear()
     code, outdir = run_cli(tmp_path, cfg, name="w5000.json", extra=("--workers", "5000"))
     assert code == 0
-    assert SerialPool.sizes == [size]
+    assert len(forked) == processes - 1
     # the indices are still split in 5000 chunks, and they merge to the one-worker run
-    assert SerialPool.tasks == [5000]
+    assert sum(forked) + sum(caller) == 5000
     assert [(outdir / f).read_bytes() for f in ("report.csv", "summary.json")] == one
+    assert multiprocessing.active_children() == []
+
+
+def _sampler_failing_at(index, fail):
+    """The entrance sampler, calling ``fail`` instead when its chunk holds ``index``."""
+    def sampler(indices=None, **kwargs):
+        if index in (range(kwargs["N"]) if indices is None else indices):
+            fail()
+        return entrance_exponent_samples(indices=indices, **kwargs)
+    return sampler
+
+
+def _censoring_exceeded():
+    raise CensoringExceeded("too many censored samples near the failing index")
+
+
+@pytest.mark.parametrize("index", [20, 3])  # N = 30 at two workers: lane 1 holds 15..29, the caller 0..14
+def test_a_lane_failure_exits_as_at_one_worker(tmp_path, monkeypatch, capsys, index):
+    cfg = {"kind": "entrance-exponent", "model": "fair-coin", "seed": 4, "n": 6, "N": 30}
+    monkeypatch.setitem(cli._SAMPLERS, "entrance-exponent",
+                        _sampler_failing_at(index, _censoring_exceeded))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    errors = []
+    for workers in ("1", "2"):
+        code, outdir = run_cli(tmp_path, cfg, name=f"fail-w{workers}.json",
+                               extra=("--workers", workers))
+        assert code == 3
+        assert not outdir.exists()
+        errors.append(capsys.readouterr().err)
+        assert multiprocessing.active_children() == []
+    assert errors[0] == errors[1] == "runtime error: too many censored samples near the failing index\n"
+
+
+def test_a_lane_that_dies_without_sending_exits_3_naming_its_code(tmp_path, monkeypatch, capsys):
+    cfg = {"kind": "entrance-exponent", "model": "fair-coin", "seed": 4, "n": 6, "N": 30}
+    monkeypatch.setitem(cli._SAMPLERS, "entrance-exponent",
+                        _sampler_failing_at(20, lambda: os._exit(9)))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    # a caller that waited on the dead lane for ever fails here instead of holding the suite
+    previous = signal.signal(signal.SIGALRM, lambda *_: pytest.fail("the sharded run hung"))
+    signal.alarm(60)
+    try:
+        code, outdir = run_cli(tmp_path, cfg, extra=("--workers", "2"))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 3
+    assert not outdir.exists()
+    assert "exited with code 9" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
 
 
 def test_censored_summary_is_withheld_with_its_reason(tmp_path):
