@@ -131,6 +131,8 @@ _positive = _finite("a finite number > 0", lambda v: v > 0)
 _nonnegative = _finite("a finite number >= 0", lambda v: v >= 0)
 _flag = _checked("true or false", lambda v: type(v) is bool)
 _path = _checked("a non-empty path", lambda v: type(v) is str and v != "", Path)
+# results are keyed by an entry of n_list or s_list, so a repeated entry would lose one
+_distinct = _checked("a list without a repeated entry", lambda v: len(set(v)) == len(v))
 # a key every kind must give; every other key has its default beside it
 REQUIRED = object()
 # 'word' stands for a one-entry 'words', and 's' for a one-entry 's_list'
@@ -173,8 +175,8 @@ READERS = {
     **dict.fromkeys(("diagonal", "require_bound", "require_decreasing", "require_monotone"), _flag),
     "word": as_word,
     "words": _array(as_word),
-    "n_list": _array(_count),
-    "s_list": _array(_positive),
+    "n_list": lambda v: _distinct(_array(_count)(v)),
+    "s_list": lambda v: _distinct(_array(_positive)(v)),
     "t_grid": lambda v: _time_grid(_array(_nonnegative)(v)).tolist(),
     **dict.fromkeys(("data_file", "outdir"), _path),
     "map": named_map,
@@ -194,9 +196,9 @@ def _fmt(x) -> str:
 
 
 # ---------------------------------------------------------------------------
-# sharding: every Monte Carlo kind splits its sample indices across the
-# workers, whose chunks run in at most one lane per CPU; the caller is lane 0,
-# the others are forked children. The exact and stream kinds run in one process
+# sharding: every Monte Carlo kind cuts each job's sample indices into one chunk
+# per lane, at most min(workers, cpus) lanes; the caller is lane 0, the others are
+# forked children, so one worker forks none. The exact and stream kinds run in one process
 # ---------------------------------------------------------------------------
 
 # each Monte Carlo kind's sampler; a task names the kind, and a forked lane
@@ -225,33 +227,28 @@ def _forked_lane(send, tasks):
     send.send(result)
 
 
-def _sharded_samples(jobs, workers: int) -> list:
-    """One ensemble per ``(kind, kwargs)`` job, its indices cut in ``workers`` chunks.
+def _sharded_samples(jobs, N: int, workers: int) -> list:
+    """One ensemble per ``(kind, kwargs)`` job of ``N`` samples, cut in one chunk per lane.
 
-    Lane ``r`` runs the chunks at positions ``r`` mod the lane count, at most
-    one lane per CPU counting the caller, which runs lane 0 itself. A lane's
+    Lane ``r`` of the ``min(workers, cpus)`` lanes runs chunk ``r`` of every job;
+    the caller runs lane 0 itself and forks one child per further lane. A lane's
     exception is raised here as the lane raised it; a child that dies without
     sending raises ``HitstatError``. No child outlives the call.
     """
-    if workers <= 1:
-        return [_SAMPLERS[name](**kwargs) for name, kwargs in jobs]
-    tasks = []
-    for name, kwargs in jobs:
-        N = kwargs["n_outer" if name == "theorem2" else "N"]
-        tasks += [(name, kwargs, c.tolist()) for c in np.array_split(np.arange(N), workers)]
     lanes = min(workers, os.cpu_count() or 1)
-    # fork, not the platform default: a forkserver or spawned lane re-imports numpy and hitstat
-    fork = multiprocessing.get_context("fork")
-    parts = [None] * len(tasks)
+    tasks = [[(name, kwargs, chunk.tolist()) for name, kwargs in jobs]
+             for chunk in np.array_split(np.arange(N), lanes)]
     children = []
     try:
         for r in range(1, lanes):
+            # fork, not the platform default: a forkserver or spawned lane re-imports numpy and hitstat
+            fork = multiprocessing.get_context("fork")
             receive, send = fork.Pipe(duplex=False)
-            child = fork.Process(target=_forked_lane, args=(send, tasks[r::lanes]))
+            child = fork.Process(target=_forked_lane, args=(send, tasks[r]))
             child.start()
             send.close()  # the child holds the only send end: its death reads as EOF
             children.append((child, receive))
-        parts[0::lanes] = _lane(tasks[0::lanes])
+        parts = [_lane(tasks[0])]
         for r, (child, receive) in enumerate(children, 1):
             try:
                 ok, got = receive.recv()
@@ -261,15 +258,14 @@ def _sharded_samples(jobs, workers: int) -> list:
                                    "without sending its samples") from None
             if not ok:
                 raise got
-            parts[r::lanes] = got
+            parts.append(got)
     finally:
         for child, receive in children:
             if child.is_alive():
                 child.terminate()
             child.join()
             receive.close()
-    return [functools.reduce(lambda a, b: a.merge(b), parts[i:i + workers])
-            for i in range(0, len(parts), workers)]
+    return [functools.reduce(lambda a, b: a.merge(b), job) for job in zip(*parts)]
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +302,7 @@ def _run_exponent(params, workers):
                   cap_policy=CapPolicy(multiplier=params["cap_multiplier"]))
     if params["kind"] == "wns":
         kwargs.update(s=params["s"], diagonal=params["diagonal"])
-    run, = _sharded_samples([(params["kind"], kwargs)], workers)
+    run, = _sharded_samples([(params["kind"], kwargs)], params["N"], workers)
     results = {"target": run.target, "censored_fraction": run.censored_fraction}
     try:
         summary = results["summary"] = run.summary()
@@ -331,7 +327,7 @@ def _run_survival(params, workers):
     model, word = params["model"], params["word"]
     exp, = _sharded_samples([(params["kind"], dict(model=model, z_word=word, N=params["N"],
                                                    t_grid=params["t_grid"], seed=params["seed"]))],
-                            workers)
+                            params["N"], workers)
     curve = exp.curve
     exact = survival_at(build_product_chain(model, word, exp.kind), curve.m)
     errors = np.abs(curve.values - exact)
@@ -397,7 +393,7 @@ def run_abadi_shape(params, workers):
 def run_theorem2(params, workers):
     model, n_list, epsilon, N = params["model"], params["n_list"], params["epsilon"], params["N"]
     runs = _sharded_samples([("theorem2", dict(model=model, n=n, epsilon=epsilon, n_outer=N,
-                                                seed=params["seed"])) for n in n_list], workers)
+                                                seed=params["seed"])) for n in n_list], N, workers)
     estimates = [res.estimate for res in runs]
     rows = [[n, _fmt(res.estimate), _fmt(res.std_error), N] for n, res in zip(n_list, runs)]
     decreasing = all(a > b for a, b in zip(estimates, estimates[1:]))

@@ -433,6 +433,11 @@ NEVER_RUN = {
                           "n_list": [2]}, "s_list: must be a finite number > 0, got -1"),
     "renyi-s-zero": ({"kind": "renyi-exact", "model": "fair-coin", "seed": 1, "s": 0,
                       "n_list": [2]}, "s_list: must be a finite number > 0, got 0"),
+    # results are keyed by s and by n, so a repeated entry would lose one
+    "renyi-s-repeated": ({"kind": "renyi-exact", "model": "fair-coin", "seed": 1, "s_list": [1, 1.0],
+                          "n_list": [2]}, "s_list: must be a list without a repeated entry, got [1.0, 1.0]"),
+    "stream-ow-n-repeated": ({"kind": "stream-estimate", **STREAM_RUN, "ow": {"n_list": [8, 8]}},
+                             "ow: n_list: must be a list without a repeated entry, got [8, 8]"),
     "wns-s-negative": ({"kind": "wns", **EXPONENT_RUN, "s": -0.5},
                        "s: must be a finite number >= 0, got -0.5"),
     "kac-s-negative": ({"kind": "kac", "model": "fair-coin", "seed": 1, "word": "11", "s": -1.0},
@@ -684,14 +689,13 @@ def test_worker_count_never_changes_the_outputs_on_a_chain(tmp_path):
 
 @pytest.mark.parametrize("cpus, processes", [(2, 2), (1, 1), (None, 1)])
 def test_pool_starts_at_most_one_process_per_cpu(tmp_path, monkeypatch, cpus, processes):
-    # the caller is one of the processes: it runs lane 0, and forks one child per further lane
+    # the caller is one of the processes: it runs lane 0, and forks one child per further lane;
+    # each lane runs one chunk of the job, however many workers are asked for
     cfg = {"kind": "entrance-exponent", "model": "fair-coin", "seed": 4, "n": 6, "N": 30}
-    code, outdir = run_cli(tmp_path, cfg, name="w1.json", extra=("--workers", "1"))
-    assert code == 0
-    one = [(outdir / f).read_bytes() for f in ("report.csv", "summary.json")]
-    # count the tasks of each forked lane and of the caller's lane; the lanes still run
+    # count the fork contexts taken and the tasks of each forked lane and of the caller's lane;
+    # the lanes still run
     fork = multiprocessing.get_context("fork")
-    forked, caller = [], []
+    contexts, forked, caller = [], [], []
 
     def process(target, args):
         forked.append(len(args[1]))
@@ -699,6 +703,7 @@ def test_pool_starts_at_most_one_process_per_cpu(tmp_path, monkeypatch, cpus, pr
 
     def get_context(method):
         assert method == "fork"
+        contexts.append(method)
         return types.SimpleNamespace(Pipe=fork.Pipe, Process=process)
 
     def caller_lane(tasks, lane=cli._lane):
@@ -708,19 +713,26 @@ def test_pool_starts_at_most_one_process_per_cpu(tmp_path, monkeypatch, cpus, pr
     monkeypatch.setattr(cli.multiprocessing, "get_context", get_context)
     monkeypatch.setattr(cli, "_lane", caller_lane)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    code, outdir = run_cli(tmp_path, cfg, name="w1.json", extra=("--workers", "1"))
+    assert code == 0
+    # one worker is one lane: the caller runs all the indices and takes no fork context
+    assert (contexts, forked, caller) == ([], [], [1])
+    one = [(outdir / f).read_bytes() for f in ("report.csv", "summary.json")]
+    caller.clear()
     code, outdir = run_cli(tmp_path, cfg, name="w5000.json", extra=("--workers", "5000"))
     assert code == 0
-    assert len(forked) == processes - 1
-    # the indices are still split in 5000 chunks, and they merge to the one-worker run
-    assert sum(forked) + sum(caller) == 5000
+    # one sampler call per lane, not 5000, and the chunks merge to the one-worker run
+    assert forked == [1] * (processes - 1)
+    assert caller == [1]
+    assert bool(contexts) == (processes > 1)
     assert [(outdir / f).read_bytes() for f in ("report.csv", "summary.json")] == one
     assert multiprocessing.active_children() == []
 
 
 def _sampler_failing_at(index, fail):
     """The entrance sampler, calling ``fail`` instead when its chunk holds ``index``."""
-    def sampler(indices=None, **kwargs):
-        if index in (range(kwargs["N"]) if indices is None else indices):
+    def sampler(indices, **kwargs):
+        if index in indices:
             fail()
         return entrance_exponent_samples(indices=indices, **kwargs)
     return sampler
