@@ -373,26 +373,28 @@ def survival_at(chain: ProductChain, m):
 def entrance_survival_stack(model: MeasureModel, words, t) -> list[float]:
     """``P(tau_w >= t/mu(w))`` for a list of equal-length words at a rescaled time ``t``.
 
-    ``t`` is one time, or one per word.  Each word is gated and measured
-    as ``build_product_chain`` does (``models.target_log_measure``), and
-    its value is bit for bit ``survival_at(build_product_chain(model, w),
-    step_at(t, mu(w)))``: the words, sorted by step count, are built in
+    ``words`` may also be a 2-d integer array, one word per row.  ``t`` is
+    one time, or one per word.  The words are gated and measured in one
+    call of the rule ``build_product_chain`` applies to its one word
+    (``models.target_log_measure``), and a word's value is bit for bit
+    ``survival_at(build_product_chain(model, w), step_at(t, mu(w)))``: the
+    words, sorted by step count, are built in
     stacks of at most ``STACK_BYTES`` of ``Q`` (``_build_stack``), and
     each step count's slice of a stack is walked by one ``_walk``.  A
     measure that is 0.0 in floats raises ``MeasureUnderflow``.
     """
-    words = [as_word(w) for w in words]
-    if not words:
+    rows = words if isinstance(words, np.ndarray) else np.array([as_word(w) for w in words])
+    if not len(rows):
         return []
-    m = step_at(t, np.array([plain_measure(target_log_measure(model, w)) for w in words]))
-    n = len(words[0])
+    m = step_at(t, np.array([plain_measure(x) for x in target_log_measure(model, rows).tolist()]))
+    n = rows.shape[1]
     S = n * (model.k if isinstance(model, MarkovModel) else 1)
     size = max(1, STACK_BYTES // (8 * S * S))
     out = np.empty(len(words))
     order = np.argsort(m, kind="stable")
     for lo in range(0, len(words), size):
         part, steps = order[lo:lo + size], m[order[lo:lo + size]]
-        chosen = [words[i] for i in part]
+        chosen = rows[part].tolist()
         # ``stack`` stays bound until the next build has allocated its own:
         # freed first, its pages go back to the system and the next build
         # faults them in again, which made ``np.add.at`` about 5x slower

@@ -56,6 +56,7 @@ from .errors import (
     ZeroMassSymbol,
     ZeroMeasureTarget,
 )
+from .rng import raw_cuts
 from .words import as_word
 
 _SUM_TOL = 1e-12          # row/vector stochasticity tolerance
@@ -90,6 +91,11 @@ class BernoulliModel:
     def cum_p(self) -> np.ndarray:
         return np.cumsum(self.p)
 
+    @cached_property
+    def breaks(self) -> np.ndarray:
+        """Raw thresholds of the inner cut points ``cum_p[:-1]``: a raw word's symbol counts those at or below it."""
+        return _reachable(self.cum_p[:-1])
+
 
 @dataclass(frozen=True, eq=False)
 class MarkovModel:
@@ -119,33 +125,42 @@ class MarkovModel:
     def update_maps(self) -> "UpdateMaps":
         """The sampler's update maps, tabulated on first use (see ``UpdateMaps``)."""
         k = self.k
-        breaks = np.unique(self.cum_P)
-        reps = np.concatenate(([-1.0], breaks))  # one point of each interval
+        cuts = np.unique(self.cum_P)
+        reps = np.concatenate(([-1.0], cuts))  # one point of each interval
         rows = np.minimum(
             np.stack([np.searchsorted(row, reps, side="right") for row in self.cum_P], axis=1),
             k - 1,
         )
-        return UpdateMaps(breaks=breaks, rows=rows.tolist(), cum_pi=np.cumsum(self.pi).tolist())
+        return UpdateMaps(breaks=_reachable(cuts), rows=rows.tolist(), first=raw_cuts(np.cumsum(self.pi)),
+                          to_one=raw_cuts(self.cum_P[:, 0]))
 
 
 @dataclass(frozen=True, eq=False)
 class UpdateMaps:
-    """Every update map of a Markov sampler, one per interval of ``u``.
+    """Every update map of a Markov sampler, one per interval of the uniform ``u``.
 
-    On a uniform ``u`` the sampler moves every state ``s`` at once to
+    On a draw ``u`` the sampler moves every state ``s`` at once to
     ``min(bisect_right(cum_P[s], u), k - 1)``: one ``u`` picks one map of
     the whole alphabet (a grand coupling; Propp & Wilson 1996).  The map
     changes only where ``u`` crosses an entry of ``cum_P``, so the sorted
-    distinct entries ``breaks`` cut the line into ``len(breaks) + 1``
-    intervals and ``searchsorted(breaks, u, side="right")`` names the
-    interval of ``u``: 0 is ``u < breaks[0]``, ``j >= 1`` is
-    ``[breaks[j-1], breaks[j])``.  ``rows[j][s]`` is the map of interval
-    ``j`` at state ``s``; there are at most ``k**2 + 1`` rows.
+    distinct entries cut the line into intervals: 0 is ``u`` below every
+    entry, ``j >= 1`` is ``u`` at or above exactly ``j`` of them.  The
+    sampler reads the raw word ``r`` of ``u`` (``rng.raw_cuts``), so
+    ``searchsorted(breaks, r, side="right")`` names the interval, and
+    ``rows[j][s]`` is the map of interval ``j`` at state ``s``; there are at
+    most ``k**2 + 1`` rows, and those past the last reachable entry are
+    never named.
     """
 
-    breaks: np.ndarray    # sorted distinct entries of cum_P
-    rows: list            # (len(breaks) + 1) lists of k next states, for the per-step lookup
-    cum_pi: list          # cumsum(pi).tolist(), for the stationary first symbol
+    breaks: np.ndarray    # raw thresholds of the sorted distinct entries of cum_P (``_reachable``)
+    rows: list            # one list of k next states per interval, for the per-step lookup
+    first: list           # raw thresholds of cumsum(pi), for the stationary first symbol
+    to_one: list          # raw thresholds of cum_P[:, 0]: a two-state chain moves to 1 at or above
+
+
+def _reachable(cuts) -> np.ndarray:
+    """``rng.raw_cuts`` of sorted cut points as ``uint64``, less those that no raw word reaches."""
+    return np.array([t for t in raw_cuts(cuts) if t < 2**64], dtype=np.uint64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,32 +366,42 @@ def _gth_solve(Q: np.ndarray, exit: np.ndarray, rhs: np.ndarray,
 # cylinder measures
 # ---------------------------------------------------------------------------
 
-def log_cylinder_measure(model: MeasureModel, word) -> float:
-    """``log mu([w])`` in nats; ``-inf`` for a zero-measure word, ``InvalidSymbol`` off the alphabet."""
-    w = as_word(word)
+def log_cylinder_measure(model: MeasureModel, word):
+    """``log mu([w])`` in nats; ``-inf`` for a zero-measure word, ``InvalidSymbol`` off the alphabet.
+
+    ``word`` is one word (``as_word``), or a 2-d integer ndarray of
+    equal-length words, one per row, whose log-measures come back as a
+    float array; one word is measured as the array of its one row.
+    """
+    one = not (isinstance(word, np.ndarray) and word.ndim == 2)
+    rows = np.array([as_word(word)]) if one else word
+    if not one and (rows.dtype.kind not in "iu" or rows.shape[1] == 0 or (rows.size and rows.min() < 0)):
+        raise InvalidSymbol(f"word rows must be non-empty rows of symbols >= 0, got {rows.dtype} {rows.shape}")
     k = model.k
-    if k is not None and any(s >= k for s in w):
-        raise InvalidSymbol(f"symbol out of range for alphabet of size {k}: {w}")
+    if k is not None and rows.size and rows.max() >= k:
+        bad = rows[(rows >= k).any(axis=1)][0]
+        raise InvalidSymbol(f"symbol out of range for alphabet of size {k}: {tuple(bad.tolist())}")
     if isinstance(model, BernoulliModel):
-        return float(model.log_p[list(w)].sum())
-    if isinstance(model, MarkovModel):
-        idx = np.asarray(w, dtype=np.intp)
-        total = float(model.log_pi[idx[0]])
-        if idx.shape[0] > 1:
-            total += float(model.log_P[idx[:-1], idx[1:]].sum())
-        return total
-    return len(w) * model.log_one_minus_theta + sum(w) * model.log_theta
+        out = model.log_p[rows].sum(axis=1)
+    elif isinstance(model, MarkovModel):
+        out = model.log_pi[rows[:, 0]] + model.log_P[rows[:, :-1], rows[:, 1:]].sum(axis=1)
+    else:  # symbol sums in Python ints: exact at any symbol size
+        n, log_theta = rows.shape[1], model.log_theta
+        out = np.array([n * model.log_one_minus_theta + sum(w) * log_theta for w in rows.tolist()])
+    return float(out[0]) if one else out
 
 
-def target_log_measure(model: MeasureModel, word) -> float:
-    """``log mu([w])`` of a word that can be a target, or raise.
+def target_log_measure(model: MeasureModel, word):
+    """``log mu([w])`` of a word that can be a target, or raise; of each row of a 2-d array of words.
 
     The entrance laws rescale time by ``mu(w)``, so a word of measure zero
     raises ``ZeroMeasureTarget`` (and a symbol off the alphabet ``InvalidSymbol``).
     """
     log_mu = log_cylinder_measure(model, word)
-    if log_mu == _LOG_ZERO:
-        raise ZeroMeasureTarget(f"target {as_word(word)} has measure zero")
+    zero = np.flatnonzero(np.asarray(log_mu) == _LOG_ZERO)
+    if len(zero):
+        bad = as_word(word) if np.ndim(log_mu) == 0 else tuple(word[zero[0]].tolist())
+        raise ZeroMeasureTarget(f"target {bad} has measure zero")
     return log_mu
 
 

@@ -4,7 +4,9 @@ Every experiment is an ensemble of samples addressed by index: sample
 ``j`` draws from the dedicated RNG substreams ``(seed, j, 0)`` (the z
 role: the word-defining path) and ``(seed, j, 1)`` (the x role: the
 scanned path).  A sampler keys every substream of the part it runs in one
-pass and re-keys one generator per stream (``rng.Substreams``).  One
+pass and re-keys one generator per stream (``rng.Substreams``); an
+exponent or tail-integral sampler draws the part's words first and gates
+and measures them all in one call (``models.target_log_measure``).  One
 core, ``ensemble``, hands a sampler all of a part's indices and keeps
 the rows; every statistic is computed from the rows in index order.  A
 run over any part of the index range (``indices=``) therefore merges
@@ -29,8 +31,8 @@ from .exact import ENTRANCE, RETURN, SurvivalCurve, _time_grid, entrance_surviva
 # unused here, but perfbench/tracing.py patches ``montecarlo.build_product_chain``
 # and ``montecarlo.survival_at``
 from .exact import build_product_chain, survival_at  # noqa: F401
-from .models import STEP_CEILING, MeasureModel, plain_measure, renyi_entropy, shannon_entropy
-from .orbits import CapPolicy, OrbitStream, entrance_time, prepare_target, w_sum
+from .models import STEP_CEILING, MeasureModel, plain_measure, renyi_entropy, shannon_entropy, target_log_measure
+from .orbits import CapPolicy, OrbitStream, Target, entrance_time, prepare_target, w_sum
 from .rng import Substreams
 
 CENSOR_SUMMARY_LIMIT = 0.01
@@ -101,22 +103,12 @@ def ensemble(samples, N: int, indices=None) -> Ensemble:
                     values=np.array([v for v in values if v is not None], dtype=float))
 
 
-def _keyed(seed: int, roles, sample):
-    """``samples`` for ``ensemble`` from ``sample(streams, i)``, the value of a part's i-th index.
-
-    The part's substreams of every role in ``roles`` are keyed in one pass;
-    ``streams.open(i, role)`` re-keys their one generator, so a sample
-    finishes with a stream before it opens the next.
-    """
-    def samples(js):
-        streams = Substreams(seed, js, roles)
-        return [sample(streams, i) for i in range(len(js))]
-    return samples
-
-
-def _prefix(model: MeasureModel, rng, n: int) -> tuple:
-    """The first ``n`` symbols of the path ``rng`` draws: a word, from its z-role substream."""
-    return tuple(OrbitStream(model, rng).take(n).tolist())
+def _words(model: MeasureModel, streams: Substreams, count: int, n: int) -> np.ndarray:
+    """A part's words, one row each: the first ``n`` symbols of each of its ``count`` z-role substreams."""
+    words = np.empty((count, n), dtype=np.int64)
+    for i in range(count):
+        words[i] = OrbitStream(model, streams.open(i, 0)).take(n)
+    return words
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +167,7 @@ class ExponentSamples(Ensemble):
 
 
 def _exponent_samples(scan, diagonal, kind, model, n, s, N, seed, cap_policy, indices) -> ExponentSamples:
-    """Samples of ``scan(stream, word, cap_policy, s) / n``, a log time or sum, ``None`` if censored.
+    """Samples of ``scan(stream, target, s) / n``, a log time or sum, ``None`` if censored.
 
     Sample ``j``'s word is the n-prefix of substream ``(seed, j, 0)``, and the scanned stream reads
     ``(seed, j, 1)``, or, when ``diagonal``, ``(seed, j, 0)`` on from the word.  The ensemble's
@@ -183,26 +175,36 @@ def _exponent_samples(scan, diagonal, kind, model, n, s, N, seed, cap_policy, in
     """
     if s is not None and s < 0.0:
         raise ValueError(f"s must be >= 0, got {s}")
-    target = shannon_entropy(model) - (s * renyi_entropy(model, s) if s is not None and s > 0.0 else 0.0)
+    limit = shannon_entropy(model) - (s * renyi_entropy(model, s) if s is not None and s > 0.0 else 0.0)
 
-    def sample(streams, i):
-        z = streams.open(i, 0)
-        word = _prefix(model, z, n)
-        stream = OrbitStream(model, z, start=word) if diagonal else OrbitStream(model, streams.open(i, 1))
-        value = scan(stream, word, cap_policy, s)
-        return None if value is None else value / n
+    def samples(js):
+        streams = Substreams(seed, js, (0,) if diagonal else (0, 1))
+        words = _words(model, streams, len(js), n)
+        values = []
+        # the part's words are gated and measured in one call, each capped by the scalar rule
+        for i, (word, log_mu) in enumerate(zip(words.tolist(), target_log_measure(model, words).tolist())):
+            target = Target(tuple(word), cap_policy, log_mu)
+            if diagonal:  # the word's stream, on from the word: its n raw words drawn again
+                z = streams.open(i, 0)
+                z.bit_generator.random_raw(n)
+                stream = OrbitStream(model, z, start=target.word)
+            else:
+                stream = OrbitStream(model, streams.open(i, 1))
+            value = scan(stream, target, s)
+            values.append(None if value is None else value / n)
+        return values
 
-    rows = ensemble(_keyed(seed, (0,) if diagonal else (0, 1), sample), N, indices)
-    return ExponentSamples(**vars(rows), kind=kind, n=n, s=s, target=target)
+    rows = ensemble(samples, N, indices)
+    return ExponentSamples(**vars(rows), kind=kind, n=n, s=s, target=limit)
 
 
-def _log_tau(stream, word, cap_policy, s) -> float | None:
-    t = entrance_time(stream, word, cap=cap_policy)
+def _log_tau(stream, target, s) -> float | None:
+    t = entrance_time(stream, target)
     return None if t.censored else math.log(t.value)
 
 
-def _log_w_sum(stream, word, cap_policy, s) -> float | None:
-    res = w_sum(stream, word, s=s, cap=cap_policy)
+def _log_w_sum(stream, target, s) -> float | None:
+    res = w_sum(stream, target, s=s)
     return None if res.time.censored else res.log_value
 
 
@@ -333,11 +335,12 @@ def _survival_experiment(model, word, N, t_grid, seed, kind, indices) -> Surviva
     target, mu, t = survival_target(model, word, t_grid)
     start = target.word if kind == RETURN else None
 
-    def sample(streams, i):
-        tau = entrance_time(OrbitStream(model, streams.open(i, 1), start=start), target)
-        return None if tau.censored else tau.value
+    def samples(js):
+        streams = Substreams(seed, js, (1,))
+        taus = [entrance_time(OrbitStream(model, streams.open(i, 1), start=start), target) for i in range(len(js))]
+        return [None if tau.censored else tau.value for tau in taus]
 
-    return SurvivalExperiment(**vars(ensemble(_keyed(seed, (1,), sample), N, indices)), kind=kind,
+    return SurvivalExperiment(**vars(ensemble(samples, N, indices)), kind=kind,
                               word=target.word, t_grid=tuple(t.tolist()), mu=mu, cap=target.cap)
 
 
@@ -409,8 +412,6 @@ def survival_tail_integral(model: MeasureModel, n: int, epsilon: float, n_outer:
     threshold = math.exp(n * epsilon)
 
     def samples(js):
-        streams = Substreams(seed, js, (0,))
-        words = [_prefix(model, streams.open(i, 0), n) for i in range(len(js))]
-        return entrance_survival_stack(model, words, threshold)
+        return entrance_survival_stack(model, _words(model, Substreams(seed, js, (0,)), len(js), n), threshold)
 
     return TailIntegral(**vars(ensemble(samples, n_outer, indices)), n=n, epsilon=epsilon)

@@ -8,7 +8,11 @@ hand sample ``j`` the substream ``(seed, j)`` and stay reproducible under
 any parallel schedule.  A stream may also read a ready generator, such
 as one that ``rng.Substreams`` re-keyed to a sample's substream.  A
 stream started at a word (``start=``) plays it first, so the return to a
-path's own n-prefix is a scan of such a stream for that prefix.
+path's own n-prefix is a scan of such a stream for that prefix.  Each
+symbol is one raw Philox word compared with integer cut points
+(``rng.raw_cuts``), and a finite alphabet of at most 256 symbols is
+generated, held and searched as ``uint8`` bytes; a countable one stays
+``int64``.
 
 Time conventions (fixed throughout the package):
 
@@ -21,9 +25,11 @@ Every scan is one pass of ``_scan``, which reads the stream in blocks,
 carries the last ``n - 1`` symbols into the next block and applies a
 hard cap: when no event occurs within ``cap`` windows the result is
 right-censored at the cap.  The target word is found by a byte search
-of each block, and orbit sums take every window log-measure of a block
-at once.  The entrance law rescales time by ``mu(w)``, so an entrance or
-recurrence scan under a model expects about ``1/mu(w)`` symbols: its
+of each block (of its own bytes when it is ``uint8``, re-checked against
+the full symbols only where the bytes are not the symbols), and orbit
+sums take every window log-measure of a block at once.  The entrance
+law rescales time by ``mu(w)``, so an entrance or recurrence scan under
+a model expects about ``1/mu(w)`` symbols: its
 first block is ``clip(ceil(1 / mu(w)), FIRST_FLOOR, BLOCK)`` symbols,
 and later ones double up to ``BLOCK``.  Orbit sums, and replays
 without a model, read blocks of ``BLOCK``.  A block cut moves no symbol,
@@ -79,6 +85,9 @@ class CapPolicy:
         return prepare_target(model, target, self).cap
 
 
+_DEFAULT_CAP = CapPolicy()
+
+
 class OrbitStream:
     """Deterministic stationary sample path, read in blocks.
 
@@ -86,7 +95,10 @@ class OrbitStream:
     continues with the kernel from the last one (a path conditioned on
     its initial cylinder).  Without it the path starts from the
     stationary law.  ``seed`` is a substream key (an int or a tuple) or a
-    ``numpy.random.Generator`` that the stream then draws from.
+    ``numpy.random.Generator`` that the stream then draws from.  Each
+    symbol takes one raw 64-bit word of the generator (``rng.raw_cuts``).
+    A finite alphabet of at most 256 symbols comes out as ``uint8``, any
+    other as ``int64``.
 
     Single-owner mutable state: one stream feeds one scan at a time.
     Many streams over one shared model may run concurrently.
@@ -94,12 +106,13 @@ class OrbitStream:
 
     def __init__(self, model: MeasureModel, seed, start=None):
         self.model = model
-        if isinstance(seed, np.random.Generator):
-            self._rng = seed
-        else:
-            self._rng = substream(*seed) if isinstance(seed, tuple) else substream(seed)
+        if not isinstance(seed, np.random.Generator):
+            seed = substream(*seed) if isinstance(seed, tuple) else substream(seed)
+        self._bits = seed.bit_generator
+        k = model.k
+        self._dtype = np.uint8 if k is not None and k <= 256 else np.int64
         self.position = 0
-        self._start = _EMPTY if start is None else np.array(as_word(start), dtype=np.int64)
+        self._start = _EMPTY if start is None else np.array(as_word(start), dtype=self._dtype)
         # previous symbol, the Markov state between blocks
         self._last = -1 if start is None else int(self._start[-1])
 
@@ -116,33 +129,35 @@ class OrbitStream:
 
     def _generate(self, count: int) -> np.ndarray:
         model = self.model
+        r = self._bits.random_raw(count)
         if isinstance(model, BernoulliModel):
             # the inner cut points at or below u: the clipped bisect of all k
-            if model.k == 2:
-                return (self._rng.random(count) >= model.cum_p[0]).astype(np.int64)
-            return np.searchsorted(model.cum_p[:-1], self._rng.random(count), side="right")
+            breaks = model.breaks
+            out = (r >= breaks[0]).view(np.uint8) if len(breaks) == 1 else np.searchsorted(breaks, r, side="right")
+            return out.astype(self._dtype, copy=False)
         if isinstance(model, MarkovModel):
             maps = model.update_maps
-            u = self._rng.random(count)
             s = self._last
             fresh = s < 0
             if fresh:  # the stationary first symbol
-                s = min(bisect_right(maps.cum_pi, u[0]), model.k - 1)
-                u = u[1:]
+                s = min(bisect_right(maps.first, int(r[0])), model.k - 1)
+                r = r[1:]
             if model.k == 2:
                 # from state s the next is u >= cum_P[s, 0]: u below both cut points gives 0
                 # and u at or above both gives 1 (a constant); u between keeps s (c1 <= c0) or
                 # swaps it.  Every step but a constant keeps y_t = x_t XOR (t mod 2) on a swap
                 # chain (y = x else), so y_t is the last constant's y at or before t, else s
-                c0, c1 = model.cum_P[:, 0].tolist()
+                c0, c1 = maps.to_one
                 swap = c1 > c0
                 lo, hi = (c0, c1) if swap else (c1, c0)
-                top = u >= hi
-                hit = np.flatnonzero(top | (u < lo))  # the constants, at steps hit + 1
-                value = np.concatenate(([s], top[hit]))
+                top = r >= hi
+                hit = np.flatnonzero(top | (r < lo))  # the constants, at steps hit + 1
+                value = np.empty(len(hit) + 1, dtype=np.uint8)
+                value[0] = s
+                value[1:] = top[hit]
                 if swap:
-                    value[1:] ^= (hit + 1) & 1
-                edges = np.concatenate(([-1], hit, [len(u)]))
+                    value[1:] ^= (hit & 1) == 0
+                edges = np.concatenate(([-1], hit, [len(r)]))
                 out = np.repeat(value, edges[1:] - edges[:-1])
                 if swap:
                     out[1::2] ^= 1
@@ -151,14 +166,16 @@ class OrbitStream:
                 rows = maps.rows
                 path = [s] if fresh else []
                 append = path.append
-                for x in np.searchsorted(maps.breaks, u, side="right").tolist():
+                for x in np.searchsorted(maps.breaks, r, side="right").tolist():
                     s = rows[x][s]
                     append(s)
-                out = np.array(path, dtype=np.int64)
+                out = np.array(path, dtype=self._dtype)
             self._last = int(out[-1])
             return out
-        # inversion: u < 1 keeps every symbol below -log(2**-53) / |log theta|
-        return np.floor(np.log1p(-self._rng.random(count)) / model.log_theta).astype(np.int64)
+        # inversion of numpy's uniform (r >> 11) * 2**-53: u < 1 keeps every symbol
+        # below -log(2**-53) / |log theta|
+        u = (r >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return np.floor(np.log1p(-u) / model.log_theta).astype(np.int64)
 
 
 def as_symbols(symbols) -> np.ndarray:
@@ -260,28 +277,51 @@ def _scan(stream, target: Target, visit=None, head=_EMPTY) -> TimeResult:
     return TimeResult(value=target.cap, censored=True)
 
 
-def _find_word(hay: bytes, needle: bytes, symbols: np.ndarray, word, q: int) -> int:
+def _find_word(hay: bytes, needle: bytes, symbols: np.ndarray, word: np.ndarray, q: int) -> int:
     """The first offset ``>= q`` of ``hay`` at which ``symbols`` holds ``word``, else -1.
 
-    ``hay`` and ``needle`` are ``symbols`` and ``word`` taken mod 256 (free
-    for ``uint8`` data), so every match is a byte match that ``bytes.find``
-    finds; a byte match counts only where the full symbols agree: exact on
-    any integer alphabet.
+    ``hay`` and ``needle`` are ``symbols`` and ``word`` taken mod 256 (their
+    own bytes when they are ``uint8``), so every match is a byte match that
+    ``bytes.find`` finds.  Where the bytes are not the symbols (``symbols``
+    or ``word`` wider than ``uint8``, as a ``Target`` holding a symbol of
+    256 or more keeps its word), a byte match counts only where the full
+    symbols agree: exact on any integer alphabet.
     """
-    n = len(word)
     q = hay.find(needle, q)
+    if symbols.dtype == np.uint8 and word.dtype == np.uint8:
+        return q
+    n = len(word)
     while q >= 0 and not np.array_equal(symbols[q:q + n], word):
         q = hay.find(needle, q + 1)
     return q
 
 
 class Target:
-    """A word ready for any number of scans: its cap, log-measure, byte search and first block."""
+    """A word ready for any number of scans: its cap, log-measure, byte search and first block.
 
-    def __init__(self, word, cap: int, log_mu: float | None):
-        self.word, self.cap, self.log_mu = word, cap, log_mu
-        self.symbols = np.array(word, dtype=np.int64)
-        self.needle = self.symbols.astype(np.uint8).tobytes()
+    ``cap`` is the cap itself, or a ``CapPolicy`` (``None``: the default) of
+    the measure ``exp(log_mu)``; a policy's cap past ``models.STEP_CEILING``,
+    compared in log space, raises ``MeasureUnderflow``.  The word's symbols
+    are kept as ``uint8`` when all are below 256, so a search of ``uint8``
+    symbols needs no re-check of its byte matches (``_find_word``).
+    """
+
+    __slots__ = ("word", "cap", "log_mu", "symbols", "needle", "first")
+
+    def __init__(self, word: tuple, cap, log_mu: float | None):
+        if cap is None or isinstance(cap, CapPolicy):
+            if log_mu is None:
+                raise ValueError("replay streams without a model need an explicit cap")
+            policy = _DEFAULT_CAP if cap is None else cap
+            log_cap = math.log(policy.multiplier) - log_mu
+            if log_cap > math.log(STEP_CEILING):
+                raise MeasureUnderflow(f"target measure underflows: its cap exp({log_cap:.6g}) passes 2**62")
+            cap = max(math.ceil(policy.multiplier * math.exp(-log_mu)), 1)
+        elif cap < 1:
+            raise ValueError(f"cap must be >= 1, got {cap}")
+        self.word, self.cap, self.log_mu = word, int(cap), log_mu
+        self.symbols = np.array(word, dtype=np.uint8 if max(word) < 256 else np.int64)
+        self.needle = self.symbols.astype(np.uint8, copy=False).tobytes()
         # clip(ceil(1 / mu), FIRST_FLOOR, BLOCK), the top clip in log space; no measure: BLOCK
         if log_mu is None or -log_mu >= math.log(BLOCK):
             self.first = BLOCK
@@ -290,25 +330,18 @@ class Target:
 
 
 def prepare_target(model: MeasureModel | None, target, cap=None) -> Target:
-    """``target`` with its cap: ``cap`` itself, or a ``CapPolicy`` (``None``: the default) of it.
+    """``target`` with its cap (see ``Target``); a prepared ``Target`` as it is.
 
     Under a model the target is measured once (``models.target_log_measure``),
-    for the gate, the policy and the first block alike.  A policy's cap past
-    ``models.STEP_CEILING``, compared in log space, raises ``MeasureUnderflow``.
+    for the gate, the policy and the first block alike.  A prepared target
+    carries its own cap, so a ``cap`` beside it raises ``ValueError``.
     """
+    if isinstance(target, Target):
+        if cap is not None:
+            raise ValueError("a prepared target carries its own cap")
+        return target
     word = as_word(target)
-    log_mu = None if model is None else target_log_measure(model, word)
-    if cap is None or isinstance(cap, CapPolicy):
-        if log_mu is None:
-            raise ValueError("replay streams without a model need an explicit cap")
-        policy = CapPolicy() if cap is None else cap
-        log_cap = math.log(policy.multiplier) - log_mu
-        if log_cap > math.log(STEP_CEILING):
-            raise MeasureUnderflow(f"target measure underflows: its cap exp({log_cap:.6g}) passes 2**62")
-        cap = max(math.ceil(policy.multiplier * math.exp(-log_mu)), 1)
-    elif cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
-    return Target(word, int(cap), log_mu)
+    return Target(word, cap, None if model is None else target_log_measure(model, word))
 
 
 def _take_head(stream, n: int) -> np.ndarray:
@@ -330,11 +363,7 @@ def entrance_time(stream, target, cap: int | CapPolicy | None = None) -> TimeRes
     default one without it) is applied to the target's measure; a
     ``Target`` made for the stream's model carries its own cap.
     """
-    if not isinstance(target, Target):
-        target = prepare_target(stream.model, target, cap)
-    elif cap is not None:
-        raise ValueError("a prepared target carries its own cap")
-    return _scan(stream, target)
+    return _scan(stream, prepare_target(stream.model, target, cap))
 
 
 def recurrence_time(stream, n: int, cap: int | CapPolicy | None = None) -> TimeResult:
@@ -410,7 +439,8 @@ def w_sum(stream, target, s: float = 0.0, cap: int | CapPolicy | None = None) ->
     """Accumulate ``sum_i mu(x_i..x_{i+n-1})**s`` until entrance into ``target``.
 
     The return to a path's own n-prefix is the scan of a stream started
-    at that prefix (``OrbitStream(model, seed, start=word)``) for it.
+    at that prefix (``OrbitStream(model, seed, start=word)``) for it.  As
+    in ``entrance_time``, a ``Target`` made for the model carries its cap.
     Window log-measures are summed afresh from per-symbol increments in
     every block, so no rounding drift accumulates along the scan, and
     merged into a running log-sum-exp; the blocks stay at ``BLOCK``

@@ -13,8 +13,14 @@ numpy pass, and ``Substreams`` serves them all from one Philox, re-keyed
 in place for each stream it opens.  The re-keyed generator is the same
 object every time, so it has one owner at a time: a stream opened earlier
 stops being its substream once the next one opens.
+
+Samplers read a substream's raw 64-bit Philox words (``random_raw``) and
+compare them with integer thresholds (``raw_cuts``): bit for bit the
+decisions of the uniforms ``Generator.random`` makes of the same words.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -118,7 +124,18 @@ def substream_keys(seed: int, indices, roles) -> np.ndarray:
     return keys.T.reshape(len(js), len(roles), 2)
 
 
-_ZEROS = np.zeros(4, dtype=np.uint64)
+_ZEROS = (0, 0, 0, 0)
+
+
+def raw_cuts(cuts) -> list[int]:
+    """Raw-word thresholds of uniform cut points: ``u >= c`` exactly when ``r >= raw_cuts([c])[0]``.
+
+    ``Generator.random`` makes the uniform ``u = (r >> 11) * 2**-53`` of the
+    raw word ``r``, so ``u >= c`` exactly when ``r >> 11 >= ceil(c * 2**53)``,
+    that is ``r >= ceil(c * 2**53) << 11``.  The thresholds are Python ints:
+    one of ``2**64`` or more, from a cut above ``1 - 2**-53``, no word reaches.
+    """
+    return [math.ceil(c * 2.0**53) << 11 for c in np.asarray(cuts, dtype=float).reshape(-1).tolist()]
 
 
 class Substreams:
@@ -131,13 +148,13 @@ class Substreams:
 
     def __init__(self, seed: int, indices, roles):
         self.roles = tuple(int(r) for r in roles)
-        self.keys = substream_keys(seed, indices, self.roles)
+        # Python ints: the state setter reads them faster than numpy scalars
+        self.keys = substream_keys(seed, indices, self.roles).tolist()
         self._generator = np.random.Generator(np.random.Philox(0))
+        self._state = {"bit_generator": "Philox", "state": {"counter": _ZEROS, "key": None},
+                       "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
     def open(self, i: int, role: int) -> np.random.Generator:
-        self._generator.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": _ZEROS, "key": self.keys[i, self.roles.index(role)]},
-            "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-        }
+        self._state["state"]["key"] = self.keys[i][self.roles.index(role)]
+        self._generator.bit_generator.state = self._state
         return self._generator

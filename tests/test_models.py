@@ -6,6 +6,7 @@ literals below.
 """
 import itertools
 import math
+import re
 from collections import deque
 from fractions import Fraction
 
@@ -43,8 +44,9 @@ from hitstat import (
     validate,
     word_str,
 )
-from hitstat.errors import ToleranceNotCertified
-from hitstat.models import _gth_solve, _logsumexp, _perron_root, target_log_measure
+from hitstat.errors import MeasureUnderflow, ToleranceNotCertified
+from hitstat.models import BernoulliModel, _gth_solve, _logsumexp, _perron_root, target_log_measure
+from hitstat.orbits import CapPolicy, Target, prepare_target
 
 P_CHAIN = [[0.9, 0.1], [0.2, 0.8]]
 
@@ -255,6 +257,85 @@ def test_zero_measure_word_gives_minus_inf():
     with pytest.raises(InvalidSymbol):
         target_log_measure(model, "02")
     assert target_log_measure(model, "01") == log_cylinder_measure(model, "01")
+
+
+def frozen_log_measure(model, word):
+    """The per-word measure the rows call replaced, kept as its oracle."""
+    w = tuple(word)
+    if isinstance(model, BernoulliModel):
+        return float(model.log_p[list(w)].sum())
+    if isinstance(model, MarkovModel):
+        idx = np.asarray(w, dtype=np.intp)
+        total = float(model.log_pi[idx[0]])
+        if idx.shape[0] > 1:
+            total += float(model.log_P[idx[:-1], idx[1:]].sum())
+        return total
+    return len(w) * model.log_one_minus_theta + sum(w) * model.log_theta
+
+
+MEASURED = {
+    "bernoulli-2": bernoulli([0.3, 0.7]),
+    "bernoulli-5": bernoulli([0.1, 0.15, 0.2, 0.25, 0.3]),
+    "markov-2": markov(P_CHAIN),
+    "markov-3": markov([[0.0, 0.6, 0.4], [0.3, 0.0, 0.7], [0.5, 0.5, 0.0]]),  # zero-measure words too
+    "markov-16": markov(np.random.default_rng(16).dirichlet(np.ones(16), size=16)),
+    "geometric": geometric(0.3),
+}
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_the_rows_call_measures_each_row_as_the_scalar_call(data):
+    """One call on a 2-d array of words against one call per word, bit for bit.
+
+    The gate raises on the same words with the same errors, and each row's
+    cap and first block (``orbits.Target`` from the row's measure) are
+    ``prepare_target``'s for that word alone.
+    """
+    model = MEASURED[data.draw(st.sampled_from(sorted(MEASURED)))]
+    n = data.draw(st.integers(1, 64))
+    top = model.k or 80
+    words = data.draw(st.lists(st.lists(st.integers(0, top - 1), min_size=n, max_size=n), max_size=12))
+    if words and data.draw(st.booleans()):  # a symbol off the alphabet, or a wide geometric one
+        words[data.draw(st.integers(0, len(words) - 1))][data.draw(st.integers(0, n - 1))] = top + 200
+    rows = np.array(words, dtype=np.int64).reshape(len(words), n)
+    if data.draw(st.booleans()) and rows.max(initial=0) < 256:
+        rows = rows.astype(np.uint8)
+    off = [w for w in words if model.k is not None and max(w) >= model.k]
+    if off:
+        message = f"alphabet of size {model.k}: {tuple(off[0])}"
+        for word in (rows, off[0]):
+            with pytest.raises(InvalidSymbol, match=re.escape(message)):
+                log_cylinder_measure(model, word)
+        return
+    got = log_cylinder_measure(model, rows)
+    expect = np.array([log_cylinder_measure(model, w) for w in words], dtype=float)
+    assert got.dtype == np.float64 and got.shape == (len(words),)
+    assert got.tobytes() == expect.tobytes()
+    assert got.tobytes() == np.array([frozen_log_measure(model, w) for w in words], dtype=float).tobytes()
+    zero = [w for w, x in zip(words, expect.tolist()) if x == -math.inf]
+    if zero:
+        for word in (rows, zero[0]):
+            with pytest.raises(ZeroMeasureTarget, match=re.escape(f"target {tuple(zero[0])} has")):
+                target_log_measure(model, word)
+        return
+    for word, log_mu in zip(words, target_log_measure(model, rows).tolist()):
+        for policy in (None, CapPolicy(0.5), CapPolicy(1e12)):
+            try:
+                want = prepare_target(model, word, policy)
+            except MeasureUnderflow:
+                with pytest.raises(MeasureUnderflow):
+                    Target(tuple(word), policy, log_mu)
+                continue
+            target = Target(tuple(word), policy, log_mu)
+            assert (target.cap, target.first, target.log_mu) == (want.cap, want.first, want.log_mu)
+
+
+@pytest.mark.parametrize("rows", [np.array([[0.0, 1.0]]), np.array([[0, -1]]), np.zeros((2, 0), dtype=int),
+                                  np.array([["0", "1"]])])
+def test_the_rows_call_refuses_what_is_no_array_of_words(rows):
+    with pytest.raises(InvalidSymbol):
+        log_cylinder_measure(bernoulli([0.5, 0.5]), rows)
 
 
 def test_out_of_alphabet_symbol_rejected():

@@ -145,45 +145,50 @@ def test_every_sampler_reaches_the_names_a_tracer_patches(monkeypatch, name):
         assert counts[scan] >= run.total
 
 
-@pytest.mark.parametrize("name", ["entrance", "recurrence", "orbit-sum", "diagonal-orbit-sum"])
-def test_each_exponent_sample_measures_its_word_once(monkeypatch, name):
-    # one rule gates a target and gives its cap inside the scan, so a sample
-    # measures its word once, wherever the name is imported
+def _count_words_measured(monkeypatch) -> list:
+    """The words ``models.log_cylinder_measure`` measures from here on, one entry per word.
+
+    The rule takes one word, or a 2-d array of words, one per row; it is
+    patched wherever a hitstat module imported it.
+    """
     original = models.log_cylinder_measure
-    calls = []
+    words = []
 
     def counting(model, word):
-        calls.append(word)
+        rows = word.tolist() if isinstance(word, np.ndarray) and word.ndim == 2 else [as_word(word)]
+        words.extend(tuple(row) for row in rows)
         return original(model, word)
 
     for key, module in list(sys.modules.items()):
         if key.split(".")[0] == "hitstat" and getattr(module, "log_cylinder_measure", None) is original:
             monkeypatch.setattr(module, "log_cylinder_measure", counting)
+    return words
+
+
+@pytest.mark.parametrize("name", ["entrance", "recurrence", "orbit-sum", "diagonal-orbit-sum"])
+def test_each_exponent_sample_measures_its_word_once(monkeypatch, name):
+    # a part's words are gated and measured together by the one rule, and the
+    # scans take their caps from those measures: every sample's word is
+    # measured exactly once, wherever the name is imported
+    words = _count_words_measured(monkeypatch)
     function, kwargs = ENSEMBLES[name]
     run = function(**kwargs)
-    assert run.total == kwargs["N"] and len(calls) == run.total
+    assert run.total == kwargs["N"]
+    assert words == [tuple(sample_orbit(kwargs["model"], (kwargs["seed"], j, 0), kwargs["n"]).tolist())
+                     for j in range(kwargs["N"])]
 
 
 @pytest.mark.parametrize("name", ["survival", "return-survival"])
 def test_a_survival_part_measures_its_word_once(monkeypatch, name):
     # every sample of a survival part scans for one word: it is gated and
     # measured once per part, however many samples the part holds
-    original = models.log_cylinder_measure
-    calls = []
-
-    def counting(model, word):
-        calls.append(word)
-        return original(model, word)
-
-    for key, module in list(sys.modules.items()):
-        if key.split(".")[0] == "hitstat" and getattr(module, "log_cylinder_measure", None) is original:
-            monkeypatch.setattr(module, "log_cylinder_measure", counting)
+    words = _count_words_measured(monkeypatch)
     function, kwargs = ENSEMBLES[name]
     run = function(**kwargs)
-    assert run.total == kwargs["N"] and len(calls) == 1
-    calls.clear()
+    assert run.total == kwargs["N"] and words == [as_word(kwargs["z_word"])]
+    words.clear()
     parts = [function(**kwargs, indices=range(a, b)) for a, b in ((0, 17), (17, 60))]
-    assert parts[0].merge(parts[1]).total == kwargs["N"] and len(calls) == 2
+    assert parts[0].merge(parts[1]).total == kwargs["N"] and words == [as_word(kwargs["z_word"])] * 2
 
 
 @pytest.mark.parametrize("function", [empirical_survival, empirical_return_survival])
@@ -471,7 +476,7 @@ def test_a_tail_threshold_past_float_range_raises_before_any_word(monkeypatch):
     def drawn(*args, **kwargs):
         raise AssertionError("a word was drawn")
 
-    monkeypatch.setattr(montecarlo, "_prefix", drawn)
+    monkeypatch.setattr(montecarlo, "_words", drawn)
     with pytest.raises(MeasureUnderflow, match="2\\*\\*62"):
         survival_tail_integral(FAIR, 800, 1.0, n_outer=2, seed=1)
 

@@ -34,6 +34,8 @@ from hitstat.orbits import (
     sample_orbit,
     w_sum,
 )
+from hitstat.rng import raw_cuts, substream
+from hitstat.streams import ow_entropy_estimate
 from hitstat.words import as_word
 
 FAIR = bernoulli([0.5, 0.5])
@@ -607,29 +609,123 @@ def test_word_finder_matches_the_sliding_window_oracle(data):
         assert stream.position == read
 
 
-# --- Bernoulli generation against the frozen clipped bisect --------------------
+def test_a_byte_match_is_rechecked_only_where_the_bytes_are_not_the_symbols(monkeypatch):
+    rechecks = []
+    original = np.array_equal
+    monkeypatch.setattr(np, "array_equal", lambda a, b: rechecks.append(1) or original(a, b))
+    # a word holding 256 is the byte 0 there: zeros match it as bytes at every
+    # offset and as symbols nowhere, so every byte match is re-checked and fails
+    zeros = np.zeros(3 * BLOCK, dtype=np.uint8)
+    target = prepare_target(None, (0, 256), cap=2 * BLOCK)
+    assert target.symbols.dtype == np.int64
+    assert _find_word(zeros.tobytes(), target.needle, zeros, target.symbols, 0) == -1
+    assert entrance_time(ReplayStream(zeros), target) == TimeResult(value=2 * BLOCK, censored=True)
+    assert len(rechecks) > 2 * BLOCK
+    rechecks.clear()
+    # generated uint8 symbols searched for a narrow word, and OW on uint8 data:
+    # the bytes are the symbols, so no match is re-checked
+    streams = [OrbitStream(FAIR, seed) for seed in range(5)]
+    assert not any(entrance_time(stream, "11010110011101").censored for stream in streams)
+    assert sum(stream.position for stream in streams) > 4 * BLOCK
+    seq = sample_orbit(FAIR, 8, 20_000)
+    assert seq.dtype == np.uint8
+    assert ow_entropy_estimate(seq, [6], starts_per_n=50).rows[0].sample_count == 50
+    assert rechecks == []
+
+
+# --- generation from raw Philox words -------------------------------------------
+
+TOP = 2**53  # the uniform numpy makes of a raw word r is (r >> 11) / TOP
+
+
+def uniforms(raw):
+    """The uniforms ``Generator.random`` makes of raw words: ``(r >> 11) * 2**-53``."""
+    return (np.asarray(raw, dtype=np.uint64) >> np.uint64(11)).astype(float) / TOP
+
+
+def raw_words(grid, seed=0):
+    """The first and last raw words, then one for each grid index ``g`` (uniform ``g / TOP``), low bits drawn."""
+    low = np.random.default_rng(seed).integers(0, 2**11, len(grid), dtype=np.uint64)
+    words = (np.array(grid, dtype=np.uint64) << np.uint64(11)) | low
+    return np.concatenate((np.array([0, 2**64 - 1], dtype=np.uint64), words))
+
+
+def cut_draws(cuts):
+    """The reachable grid indices at, beside and between each cut point.
+
+    ``u >= c`` turns at grid index ``ceil(c * TOP)``: a cut on the grid is
+    its own index, one off the grid lies between two.
+    """
+    grid = set()
+    for c in np.asarray(cuts, dtype=float).reshape(-1).tolist():
+        lo, hi = math.floor(c * TOP), math.ceil(c * TOP)
+        grid |= {lo - 1, lo, hi, hi + 1}
+    return sorted(g for g in grid if 0 <= g < TOP)
+
+
+class FixedDraws:
+    """Stands in for a stream's bit generator: hands out given raw 64-bit words in order."""
+
+    def __init__(self, raw):
+        self.raw = np.asarray(raw, dtype=np.uint64)
+        self.used = 0
+
+    def random_raw(self, count):
+        self.used += count
+        return self.raw[self.used - count:self.used]
+
+
+# a cut of 0.0, the least positive float, cuts on and off the grid, the last grid
+# point, and cuts above 1 - 2**-53, whose threshold 2**64 or more no uint64 holds
+EDGE_CUTS = [0.0, 2.0**-1074, 2.0**-53, 0.1, 0.5, 1 - 2.0**-53, 1.0, 1 + 2.0**-52]
+
+
+@given(c=st.one_of(st.sampled_from(EDGE_CUTS), st.floats(0.0, 1.0)), seed=st.integers(0, 2**32))
+@settings(max_examples=300, deadline=None)
+def test_raw_cuts_decide_as_the_uniforms_do(c, seed):
+    (threshold,) = raw_cuts([c])
+    raw = np.concatenate((raw_words(cut_draws([c]), seed),
+                          np.random.default_rng(seed).bit_generator.random_raw(5000)))
+    assert np.array_equal(raw >= threshold, uniforms(raw) >= c)
+    assert (threshold < 2**64) == (c <= 1 - 2.0**-53)
+
 
 def test_bernoulli_symbols_equal_the_frozen_clipped_bisect():
-    """Draws at every cut point, beside it and past ``cum_p[-1]`` give the
-    symbols of the clipped bisect over all k cut points, the sampler's
-    former rule ``clip(searchsorted(cum_p, u), 0, k - 1)``."""
+    """Raw words at, beside and between every cut point, and the first and
+    last word, give the symbols of the clipped bisect of their uniforms over
+    all k cut points, the sampler's former rule ``clip(searchsorted(cum_p, u), 0, k - 1)``."""
     rng = np.random.default_rng(300)
     masses = [rng.dirichlet(np.ones(k)) for k in range(1, 301)]
-    masses.append(np.full(10, 0.1))
-    assert np.cumsum(masses[-1])[-1] < 1.0  # so are 106 of the others, and 134 above
+    masses += [np.full(10, 0.1), np.array([0.56, 0.33, 0.11]),  # cum_p[-1] below and above 1.0
+               np.array([0.0, 0.5, 0.5]),  # a cut at 0.0: symbol 0 is never drawn
+               np.array([1 - 2.0**-53, 2.0**-53]),  # a cut on the last grid point
+               np.array([1.0, 1e-17]), np.array([0.75, 0.25, 0.0])]  # inner cuts at 1.0, past every draw
+    assert np.cumsum(masses[300])[-1] < 1.0 < np.cumsum(masses[301])[-1]
     for p in masses:
         model = BernoulliModel(p=p)
         cum_p = np.cumsum(p)
-        u = [0.0, *rng.random(64).tolist()]
-        for c in cum_p.tolist():
-            u += [c, float(np.nextafter(c, -np.inf)), float(np.nextafter(c, np.inf))]
-        u = np.array([x for x in u if 0.0 <= x < 1.0])
+        raw = raw_words([*cut_draws(cum_p), *rng.integers(0, TOP, 64).tolist()], seed=len(p))
         stream = OrbitStream(model, 0)
-        stream._rng = FixedDraws(u)
-        got = stream.take(len(u))
-        assert got.dtype == np.int64
-        frozen = np.clip(np.searchsorted(cum_p, u, side="right").astype(np.int64), 0, len(p) - 1)
+        stream._bits = FixedDraws(raw)
+        got = stream.take(len(raw))
+        assert got.dtype == (np.uint8 if len(p) <= 256 else np.int64)
+        frozen = np.clip(np.searchsorted(cum_p, uniforms(raw), side="right"), 0, len(p) - 1)
         assert np.array_equal(got, frozen)
+
+
+@pytest.mark.parametrize("theta", [0.05, 0.4, 0.93])
+def test_geometric_symbols_invert_numpys_uniform(theta):
+    model = geometric(theta)
+    for seed in range(20):
+        got = sample_orbit(model, seed, 700)
+        assert got.dtype == np.int64
+        frozen = np.floor(np.log1p(-substream(seed).random(700)) / math.log(theta)).astype(np.int64)
+        assert np.array_equal(got, frozen)
+    raw = raw_words(np.random.default_rng(1).integers(0, TOP, 500).tolist())
+    stream = OrbitStream(model, 0)
+    stream._bits = FixedDraws(raw)
+    frozen = np.floor(np.log1p(-uniforms(raw)) / math.log(theta)).astype(np.int64)
+    assert np.array_equal(stream.take(len(raw)), frozen)
 
 
 # --- Markov generation against the frozen per-symbol loop ---------------------
@@ -665,24 +761,9 @@ def frozen_markov_path(model, seed, length, start=()):
     return frozen_markov_steps(model, rng.random(length - len(start)).tolist(), start)
 
 
-class FixedDraws:
-    """Stands in for a stream's generator: hands out given uniforms in order."""
-
-    def __init__(self, u):
-        self.u = np.asarray(u, dtype=float)
-        self.used = 0
-
-    def random(self, count):
-        self.used += count
-        return self.u[self.used - count:self.used]
-
-
 def breakpoint_draws(model):
-    """``0.0``, every distinct entry of ``cum_P`` and its two neighbours."""
-    points = [0.0]
-    for b in np.unique(np.cumsum(model.P, axis=1)).tolist():
-        points += [b, float(np.nextafter(b, -np.inf)), float(np.nextafter(b, np.inf))]
-    return points
+    """Raw words at, beside and between every distinct entry of ``cum_P`` and of ``cumsum(pi)``."""
+    return raw_words(cut_draws(np.concatenate((np.unique(np.cumsum(model.P, axis=1)), np.cumsum(model.pi)))))
 
 
 SHORT_ROW = [[0.7, 0.2, 0.1], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]]  # row 0 sums below 1.0
@@ -696,6 +777,7 @@ CHAINS = {
                                  pi=np.array([1 / 3, 2 / 3])),
     "sticky-3": markov([[0.98, 0.01, 0.01], [0.01, 0.98, 0.01], [0.01, 0.01, 0.98]]),
     "short-row-3": markov(SHORT_ROW),
+    "long-row-3": markov([[0.56, 0.33, 0.11], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]]),  # row 0 sums above 1.0
     "dense-16": markov(np.random.default_rng(16).dirichlet(np.ones(16), size=16)),
 }
 
@@ -718,7 +800,7 @@ def test_markov_symbols_equal_the_frozen_bisect_loop(name, seed, sizes, pinned):
     start = (1, 0) if pinned else ()
     stream = OrbitStream(model, seed, start=start or None)
     got = [stream.take(c) for c in sizes]
-    assert all(part.dtype == np.int64 for part in got)
+    assert all(part.dtype == np.uint8 for part in got)
     assert np.array_equal(np.concatenate(got), frozen_markov_path(model, seed, sum(sizes), start))
 
 
@@ -727,30 +809,32 @@ def test_update_map_table_equals_the_clipped_bisect_at_every_breakpoint():
         maps = model.update_maps
         k = model.k
         rows = [row.tolist() for row in np.cumsum(model.P, axis=1)]
-        assert np.array_equal(maps.breaks, np.unique(model.cum_P))
-        for u in breakpoint_draws(model):
-            j = int(np.searchsorted(maps.breaks, u, side="right"))
+        assert np.array_equal(maps.breaks, [t for t in raw_cuts(np.unique(model.cum_P)) if t < 2**64])
+        raw = breakpoint_draws(model)
+        for r, u in zip(raw, uniforms(raw).tolist()):
+            j = int(np.searchsorted(maps.breaks, r, side="right"))
             for s in range(k):
                 assert maps.rows[j][s] == min(bisect_right(rows[s], u), k - 1)
     # the clip: past row 0's last cumsum the bisect reads k, the table k - 1
     last = float(np.cumsum(SHORT_ROW[0])[-1])
     assert last < 1.0 and bisect_right(np.cumsum(SHORT_ROW[0]).tolist(), last) == 3
     maps = CHAINS["short-row-3"].update_maps
-    assert maps.rows[np.searchsorted(maps.breaks, last, side="right")][0] == 2
+    top = np.uint64(2**64 - 1)  # the last raw word: its uniform is that cumsum, 1 - 2**-53
+    assert uniforms([top])[0] == last and maps.rows[np.searchsorted(maps.breaks, top, side="right")][0] == 2
 
 
 @pytest.mark.parametrize("name", sorted(CHAINS))
 def test_markov_symbols_at_the_breakpoints_equal_the_frozen_bisect_loop(name):
     model = CHAINS[name]
     # each breakpoint draw k + 1 times in a seeded order, so it meets many states
-    u = np.random.default_rng(3).permutation(np.repeat(breakpoint_draws(model), model.k + 1))
+    raw = np.random.default_rng(3).permutation(np.repeat(breakpoint_draws(model), model.k + 1))
     for start in ((), (1, 0)):
         stream = OrbitStream(model, 0, start=start or None)
-        stream._rng = FixedDraws(u)
-        total = len(u) + len(start)
+        stream._bits = FixedDraws(raw)
+        total = len(raw) + len(start)
         edges = [0, *[c for c in (1, 8, BLOCK + 8) if c < total], total]
         got = np.concatenate([stream.take(b - a) for a, b in zip(edges, edges[1:])])
-        assert np.array_equal(got, frozen_markov_steps(model, u.tolist(), start))
+        assert np.array_equal(got, frozen_markov_steps(model, uniforms(raw).tolist(), start))
 
 
 CUT = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
@@ -766,24 +850,20 @@ CUT = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
 @example(1.0, 0.0, (), [1, 7, BLOCK], 4)  # the identity: the first symbol forever
 @settings(max_examples=150, deadline=None)
 def test_two_state_symbols_equal_the_frozen_bisect_loop(c0, c1, start, sizes, seed):
-    """Any 2x2 kernel, its cut points among the draws, under any take split."""
+    """Any 2x2 kernel, raw words at and around its cut points among the draws, under any take split."""
     c1 = c0 if c1 is None else c1
     model = MarkovModel(P=np.array([[c0, 1.0 - c0], [c1, 1.0 - c1]]), pi=np.array([0.5, 0.5]))
     total = sum(sizes)
     rng = np.random.default_rng(seed)
-    u = rng.random(max(total - len(start), 0))
-    cuts = [0.0]
-    for c in (c0, c1):
-        cuts += [c, float(np.nextafter(c, -np.inf)), float(np.nextafter(c, np.inf))]
-    cuts = [x for x in cuts if 0.0 <= x < 1.0]
-    at = rng.random(len(u)) < 0.3
-    u[at] = rng.choice(cuts, size=int(at.sum()))
+    raw = rng.bit_generator.random_raw(max(total - len(start), 0))
+    at = rng.random(len(raw)) < 0.3
+    raw[at] = rng.choice(raw_words(cut_draws([c0, c1]), seed), size=int(at.sum()))
     stream = OrbitStream(model, 0, start=start or None)
-    stream._rng = FixedDraws(u)
+    stream._bits = FixedDraws(raw)
     got = [stream.take(c) for c in sizes]
-    assert all(part.dtype == np.int64 for part in got)
-    assert stream._rng.used == len(u)
-    frozen = frozen_markov_steps(model, u.tolist(), start)[:total]
+    assert all(part.dtype == np.uint8 for part in got)
+    assert stream._bits.used == len(raw)
+    frozen = frozen_markov_steps(model, uniforms(raw).tolist(), start)[:total]
     assert np.array_equal(np.concatenate(got), frozen)
 
 
